@@ -2,7 +2,7 @@
 
 Every command is deterministic given (input file, flags, seed): JSON is
 emitted with sorted keys, timing goes to stderr only, and --workers
-never changes results (parallel maps preserve index order).
+never changes results (it is validated, but scoring runs serially).
 
 Exit codes: 0 success, 2 infeasible constraints or a failed verify
 check, 3 validation, 4 I/O, 5 oracle limit.
@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -155,23 +154,22 @@ def _config_from(args) -> GoodCentersConfig:
     return GoodCentersConfig(**kw)
 
 
-def _pmap(fn, items, workers: int):
-    """Order-preserving map, parallel when workers > 1."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _check_workers(flag) -> None:
+    """Validate --workers, or $CKMEANS_WORKERS when the flag is absent.
 
-
-def _default_workers() -> int:
-    raw = os.environ.get("CKMEANS_WORKERS", "1")
+    Both stay accepted, but candidate scoring runs serially: a thread
+    pool measured no gain, and each score is a few numpy calls.
+    """
+    if flag is None:
+        name, raw = "CKMEANS_WORKERS", os.environ.get("CKMEANS_WORKERS", "1")
+    else:
+        name, raw = "--workers", flag
     try:
         w = int(raw)
     except ValueError:
-        raise ValueError(f"CKMEANS_WORKERS={raw!r} is not an integer") from None
+        raise ValueError(f"{name}={raw!r} is not an integer") from None
     if w < 1:
-        raise ValueError("CKMEANS_WORKERS must be >= 1")
-    return w
+        raise ValueError(f"{name} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +227,7 @@ def cmd_gen(args) -> int:
 # solve (batch)
 
 def cmd_solve(args) -> int:
+    _check_workers(args.workers)
     variant = _variant_from(args)
     cfg = _config_from(args)
     ds = read_dataset_csv(args.data)
@@ -238,9 +237,8 @@ def cmd_solve(args) -> int:
     cands = good_centers(ds.points, seed.centers, cfg, rng)
     if not len(cands):
         raise InfeasiblePartitionError("candidate list came back empty")
-    costs = np.array(_pmap(
-        lambda e: partition_cost(ds, e.centers, variant, precision_bits=args.bits),
-        cands.entries, args.workers))
+    costs = np.array([partition_cost(ds, e.centers, variant, precision_bits=args.bits)
+                      for e in cands.entries])
     if args.select == "range":
         cap = seed.cost
         if not (cap > 0.0 and math.isfinite(cap)):
@@ -480,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(s)
     _add_variant_flags(s)
     s.add_argument("--workers", type=int, default=None,
-                   help="parallel candidate evaluation (default: "
-                        "$CKMEANS_WORKERS or 1); never changes results")
+                   help="accepted for compatibility (default: "
+                        "$CKMEANS_WORKERS or 1); scoring is serial")
     s.add_argument("--candidates", help="also dump the candidate list CSV here")
     s.add_argument("--out", help="prefix for .json/.centers.csv/.assign.csv")
     s.set_defaults(func=cmd_solve)
@@ -524,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "workers", None) is None and args.command == "solve":
-        args.workers = _default_workers()
     t0 = time.perf_counter()
     try:
         code = args.func(args)

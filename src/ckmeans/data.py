@@ -23,6 +23,9 @@ class Dataset:
 
     def __post_init__(self):
         self.points = as_points(self.points)
+        bad = np.flatnonzero(~np.isfinite(self.points).all(axis=1))
+        if bad.size:
+            raise ValueError(f"point {int(bad[0])} has a non-finite coordinate")
         for name in ("colors", "targets"):
             v = getattr(self, name)
             if v is None:
@@ -96,8 +99,13 @@ def read_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not pts:
         raise ValueError(f"{path}: no data rows")
+    points = np.asarray(pts, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        lineno = [i for i, row in enumerate(rows[1:], start=2) if row][bad[0]]
+        raise ValueError(f"{path}:{lineno}: non-finite coordinate")
     return Dataset(
-        np.asarray(pts, dtype=np.float64),
+        points,
         np.asarray(colors, dtype=np.int64) if has_color else None,
         np.asarray(targets, dtype=np.int64) if has_target else None,
     )

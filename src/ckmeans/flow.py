@@ -5,6 +5,9 @@ bounds are folded into node imbalances up front (the usual excess
 transformation), so the solver itself only ever sees plain capacities.
 Costs must be non-negative integers; to_fixed_point maps real costs
 there.  Infeasibility is reported in the result, never raised.
+
+No pipeline path calls solve_min_cost_flow: the per-variant kernels in
+partition solve the same networks, and the tests hold them to it.
 """
 
 from __future__ import annotations

@@ -1,19 +1,24 @@
 """Constrained partitioning of points among a fixed center set.
 
-Every variant is phrased as an integral min-cost flow: points (or
-compressed bucket vertices) on the left, centers on the right, squared
-distances as edge costs in fixed-point integers.  Constraints become
-capacities and lower bounds on the center-to-sink arcs:
+Points (or compressed bucket vertices) sit on the left, centers on the
+right, with squared distances as edge costs in fixed-point integers.
+The integral min-cost flow on that bipartite graph is the exact
+reduction; each variant is solved on it by its own exact kernel
+(flow.solve_min_cost_flow stays as the reference the tests compare
+against):
 
-  classical        no caps, flow equals the Voronoi assignment cost
+  classical        row argmin, the Voronoi assignment
   r_gather         every center receives at least r points
   r_capacity       every center receives at most r points
-  chromatic        at most one point of each color per center,
-                   solved as one small flow per color class
-  fault_tolerant   each point owned by l distinct centers; reduces to
-                   chromatic with a fresh color per point
+                   (both: the transport kernel, row argmin repaired by
+                   shortest paths on the graph contracted to k centers)
+  chromatic        at most one point of each color per center; the
+                   transport kernel with cap 1, once per color class
+  fault_tolerant   each point owned by l distinct centers: its l
+                   cheapest allowed ones, in closed form
   semi_supervised  cost alpha * dist^2 + (1 - alpha) * [target mismatch],
-                   minimized over all k! matchings of targets to centers
+                   a row argmin for each of the k! matchings of targets
+                   to centers
 
 The objective throughout is the cost of assigning to fixed centers, not
 the k-means cost of re-centered clusters.
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .flow import FlowNetwork, solve_min_cost_flow, to_fixed_point
+from .flow import to_fixed_point
 from .geometry import as_points, pairwise_sqdist
 from .hyperbucket import CompressedGraph
 
@@ -181,32 +186,154 @@ def _left_from_graph(graph: CompressedGraph) -> tuple[_LeftSide, list]:
     return _LeftSide(W, counts, groups if any_group else None), [k for k, _ in items]
 
 
-def _flow_assign(w_int, forbidden, counts, center_low, center_cap, value):
-    """One bipartite network; returns (int_cost, flows) or None if infeasible."""
-    if center_low > center_cap:
-        return None             # e.g. an r-gather bound above the point count
+_NO_EDGE = np.iinfo(np.int64).max   # sorts after every quantized cost
+
+
+def _exact_total(flows, w_int) -> int:
+    """sum(flows * w_int) in Python ints: at 62 precision bits an int64
+    sum wraps silently."""
+    nz = np.nonzero(flows)
+    return sum(f * w for f, w in zip(flows[nz].tolist(), w_int[nz].tolist()))
+
+
+def transport_assign(w_int, forbidden, counts, low: int, cap: int):
+    """Cheapest integral assignment of counts[v] units of every left vertex
+    v to its allowed centers, each center receiving between low and cap
+    units.  Returns (int_cost, flows), int_cost an exact Python int, or
+    None when infeasible.
+
+    The row argmin (ties to the lowest center) is optimal without bounds.
+    Bound violations are then repaired by successive shortest paths on
+    the residual graph contracted to the k centers plus the sink: moving
+    one unit of vertex v from center a to b costs w[v, b] - w[v, a], and
+    sink arcs carry y_j in [low, cap].  Edges go negative after moves, but
+    the flow stays optimal for its loads, so Bellman-Ford meets no
+    negative cycle.
+    """
     L, k = w_int.shape
-    s = 0
-    t = 1 + L + k
-    net = FlowNetwork(2 + L + k, s, t, int(value))
-    arc_of = {}
-    for v in range(L):
-        if counts[v] <= 0:
-            continue
-        net.add_arc(s, 1 + v, int(counts[v]), 0)
-        for j in range(k):
-            if forbidden[v, j]:
-                continue
-            arc_of[(v, j)] = net.add_arc(1 + v, 1 + L + j, int(counts[v]), int(w_int[v, j]))
-    for j in range(k):
-        net.add_arc(1 + L + j, t, int(center_cap), 0, lower=int(center_low))
-    res = solve_min_cost_flow(net)
-    if not res.feasible:
+    n = int(counts.sum())
+    live = counts > 0
+    if low > cap or k * low > n or k * cap < n or forbidden[live].all(axis=1).any():
         return None
     flows = np.zeros((L, k), dtype=np.int64)
-    for (v, j), aid in arc_of.items():
-        flows[v, j] = res.arc_flow[aid]
-    return res.total_cost, flows
+    flows[np.arange(L), np.where(forbidden, _NO_EDGE, w_int).argmin(axis=1)] = counts
+    load = flows.sum(axis=0).tolist()
+    y = [min(max(x, low), cap) for x in load]      # sink arc flows
+    sink = k
+    diff = None
+    while True:
+        # imbalance: positive at nodes with excess, negative at deficits
+        excess = [x - t for x, t in zip(load, y)] + [sum(y) - n]
+        if not any(excess):
+            return _exact_total(flows, w_int), flows
+        if diff is None:
+            # diff[v, a, b] = w[v, b] - w[v, a] where edge (v, b) exists
+            diff = np.where(~forbidden[:, None, :],
+                            w_int[:, None, :] - w_int[:, :, None], _NO_EDGE)
+        held = np.where(flows[:, :, None] > 0, diff, _NO_EDGE)
+        via = held.argmin(axis=0)
+        hop = np.take_along_axis(held, via[None], axis=0)[0].tolist()
+        arcs = [[(b, hop[a][b]) for b in range(k) if b != a and hop[a][b] != _NO_EDGE]
+                + ([(sink, 0)] if y[a] < cap else []) for a in range(k)]
+        arcs.append([(b, 0) for b in range(k) if y[b] > low])
+        # Bellman-Ford from every node with excess (a zero-cost super source)
+        dist = [0 if e > 0 else None for e in excess]
+        pred = [-1] * (k + 1)
+        for _ in range(k + 1):
+            changed = False
+            for a, da in enumerate(dist):
+                if da is None:
+                    continue
+                for b, c in arcs[a]:
+                    if dist[b] is None or da + c < dist[b]:
+                        dist[b], pred[b], changed = da + c, a, True
+            if not changed:
+                break
+        ends = [b for b in range(k + 1) if excess[b] < 0 and dist[b] is not None]
+        if not ends:
+            return None
+        b = min(ends, key=lambda j: dist[j])
+        path = [b]
+        while pred[path[-1]] >= 0:
+            path.append(pred[path[-1]])
+        path.reverse()
+        push = min(excess[path[0]], -excess[b])
+        for a, b in zip(path, path[1:]):
+            if a == sink:
+                push = min(push, y[b] - low)
+            elif b == sink:
+                push = min(push, cap - y[a])
+            else:
+                push = min(push, int(flows[via[a, b], a]))
+        for a, b in zip(path, path[1:]):
+            if a == sink:
+                y[b] -= push
+            elif b == sink:
+                y[a] += push
+            else:
+                v = via[a, b]
+                flows[v, a] -= push
+                flows[v, b] += push
+                load[a] -= push
+                load[b] += push
+
+
+def _chromatic(w_int, forbidden, left, variant):
+    if left.groups is None:
+        raise ValueError("chromatic needs point colors")
+    total = 0
+    flows = np.zeros(w_int.shape, dtype=np.int64)
+    for color in np.unique(left.groups):
+        rows = np.flatnonzero(left.groups == color)
+        sub = transport_assign(w_int[rows], forbidden[rows], left.counts[rows], 0, 1)
+        if sub is None:
+            return None
+        total += sub[0]
+        flows[rows] = sub[1]
+    return total, flows
+
+
+def _fault_tolerant(w_int, forbidden, left, variant):
+    """Closed form: every point takes its l cheapest allowed centers
+    (stable sort, so ties go to the lowest index)."""
+    L, k = w_int.shape
+    if variant.l > k:
+        return None
+    rows = np.arange(L)[:, None]
+    pick = np.argsort(np.where(forbidden, _NO_EDGE, w_int), axis=1,
+                      kind="stable")[:, :variant.l]
+    if forbidden[rows, pick][left.counts > 0].any():
+        return None
+    flows = np.zeros((L, k), dtype=np.int64)
+    flows[rows, pick] = left.counts[:, None]
+    return _exact_total(flows, w_int), flows
+
+
+_KERNELS = {
+    "classical": lambda w, f, left, v: transport_assign(w, f, left.counts, 0, left.total),
+    "r_gather": lambda w, f, left, v: transport_assign(w, f, left.counts, v.r, left.total),
+    "r_capacity": lambda w, f, left, v: transport_assign(w, f, left.counts, 0, v.r),
+    "chromatic": _chromatic,
+    "fault_tolerant": _fault_tolerant,
+}
+
+
+def _semi_supervised(left: _LeftSide, forbidden, alpha: float, precision_bits: int):
+    """Unconstrained, so each of the k! target matchings is a row argmin."""
+    if left.groups is None:
+        raise ValueError("semi_supervised needs target labels")
+    W = np.where(forbidden, 0.0, left.weights)
+    best = None
+    for perm in itertools.permutations(range(W.shape[1])):
+        M = np.where(forbidden, math.inf,
+                     semi_supervised_cost_terms(W, left.groups, alpha, perm))
+        w_int, scale = quantize_costs(M, precision_bits)
+        solved = transport_assign(w_int, forbidden, left.counts, 0, left.total)
+        if solved is None:
+            return None
+        if best is None or solved[0] * scale < best[0] * best[1]:
+            best = (solved[0], scale, solved[1], perm)
+    return best
 
 
 def _solve_left(left: _LeftSide, variant: Variant, precision_bits: int):
@@ -216,84 +343,12 @@ def _solve_left(left: _LeftSide, variant: Variant, precision_bits: int):
     flows is (L, k) integral; perm is the winning target matching for
     semi_supervised and None otherwise.
     """
-    W = left.weights
-    L, k = W.shape
-    n = left.total
-    forbidden = ~np.isfinite(W)
-
+    forbidden = ~np.isfinite(left.weights)
     if variant.kind == "semi_supervised":
-        if left.groups is None:
-            raise ValueError("semi_supervised needs target labels")
-        best = None
-        for perm in itertools.permutations(range(k)):
-            M = semi_supervised_cost_terms(
-                np.where(forbidden, 0.0, W), left.groups, variant.alpha, perm)
-            M = np.where(forbidden, math.inf, M)
-            w_int, scale = quantize_costs(M, precision_bits)
-            # the network is unconstrained, so the per-vertex minimum is
-            # already the optimum; skip the flow when it cannot win
-            lb = int((left.counts * np.where(forbidden, np.iinfo(np.int64).max, w_int)
-                      .min(axis=1)).sum()) if not forbidden.all(axis=1).any() else None
-            if lb is None:
-                continue
-            if best is not None and lb * scale >= best[0] * best[1]:
-                continue
-            solved = _flow_assign(w_int, forbidden, left.counts, 0, n, n)
-            if solved is None:
-                continue
-            int_cost, flows = solved
-            if best is None or int_cost * scale < best[0] * best[1]:
-                best = (int_cost, scale, flows, perm)
-        return best
-
-    w_int, scale = quantize_costs(W, precision_bits)
-
-    if variant.kind == "classical":
-        solved = _flow_assign(w_int, forbidden, left.counts, 0, n, n)
-    elif variant.kind == "r_gather":
-        solved = _flow_assign(w_int, forbidden, left.counts, variant.r, n, n)
-    elif variant.kind == "r_capacity":
-        solved = _flow_assign(w_int, forbidden, left.counts, 0, variant.r, n)
-    elif variant.kind == "chromatic":
-        if left.groups is None:
-            raise ValueError("chromatic needs point colors")
-        total = 0
-        flows = np.zeros((L, k), dtype=np.int64)
-        for color in np.unique(left.groups):
-            rows = np.flatnonzero(left.groups == color)
-            sub = _flow_assign(w_int[rows], forbidden[rows], left.counts[rows],
-                               0, 1, int(left.counts[rows].sum()))
-            if sub is None:
-                return None
-            total += sub[0]
-            flows[rows] = sub[1]
-        solved = (total, flows)
-    elif variant.kind == "fault_tolerant":
-        if variant.l > k:
-            return None
-        # fresh color per point: the per-color flow is the same tiny
-        # problem for every point of a vertex, solved once and scaled
-        total = 0
-        flows = np.zeros((L, k), dtype=np.int64)
-        for v in range(L):
-            if left.counts[v] == 0:
-                continue
-            reps = np.repeat(w_int[v][None, :], variant.l, axis=0)
-            forb = np.repeat(forbidden[v][None, :], variant.l, axis=0)
-            sub = _flow_assign(reps, forb, np.ones(variant.l, dtype=np.int64),
-                               0, 1, variant.l)
-            if sub is None:
-                return None
-            per_point = sub[1].sum(axis=0)  # 0/1 owner indicator
-            total += sub[0] * int(left.counts[v])
-            flows[v] = per_point * int(left.counts[v])
-        solved = (total, flows)
-    else:  # pragma: no cover
-        raise AssertionError(variant.kind)
-
-    if solved is None:
-        return None
-    return solved[0], scale, solved[1], None
+        return _semi_supervised(left, forbidden, variant.alpha, precision_bits)
+    w_int, scale = quantize_costs(left.weights, precision_bits)
+    solved = _KERNELS[variant.kind](w_int, forbidden, left, variant)
+    return None if solved is None else (solved[0], scale, solved[1], None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ckmeans.cli import main
-from ckmeans.data import read_dataset_csv
+from ckmeans.data import Dataset, read_dataset_csv
 
 
 def run(*argv):
@@ -150,6 +150,28 @@ def test_missing_input_file_is_io_error(tmp_path):
 def test_unknown_flag_is_validation_error(tmp_path):
     data, _ = gen(tmp_path)
     assert run("solve", data, "--k", "3", "--seed", "0", "--bogus") == 3
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_coordinate_is_validation_error(tmp_path, capsys, bad):
+    data, _ = gen(tmp_path)
+    lines = data.read_text().splitlines()
+    lines[4] = f"{bad},{lines[4].split(',')[1]}"
+    data.write_text("\n".join(lines) + "\n")
+    for argv in (["solve", data, "--k", "3", "--seed", "0", *SMALL],
+                 ["stream", data, "--k", "3", "--seed", "0", *SMALL]):
+        assert run(*argv) == 3
+        assert f"{data}:5: non-finite coordinate" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="point 1 has a non-finite"):
+        Dataset(np.array([[0.0, 1.0], [float(bad), 0.0]]))
+
+
+def test_worker_count_is_validated(tmp_path, monkeypatch):
+    data, _ = gen(tmp_path)
+    argv = ["solve", data, "--k", "3", "--seed", "0", *SMALL]
+    assert run(*argv, "--workers", "0") == 3
+    monkeypatch.setenv("CKMEANS_WORKERS", "many")
+    assert run(*argv) == 3
 
 
 # stream ------------------------------------------------------------------------
