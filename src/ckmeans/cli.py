@@ -31,18 +31,16 @@ from .data import (
     with_targets,
     write_dataset_csv,
 )
-from .geometry import as_points
-from .listgen import GoodCentersConfig, good_centers
+from .listgen import GoodCentersConfig
 from .oracle import OracleLimit, OracleLimitError, opt_kmeans
 from .partition import InfeasiblePartitionError, Variant, partition_assign, partition_cost
-from .seeding import d2_seed
 from .stability import (
     check_beta_distributed,
     check_irreducible,
     check_weak_deletion,
     gap_instance,
 )
-from .streaming import CSVSource, SpaceMeter, full_pipeline, select_best
+from .streaming import CSVSource, SpaceMeter, batch_solve, full_pipeline
 
 RANDOM_KINDS = ("duplicates", "gaussian", "grid", "uniform")
 
@@ -231,26 +229,8 @@ def cmd_solve(args) -> int:
     variant = _variant_from(args)
     cfg = _config_from(args)
     ds = read_dataset_csv(args.data)
-    rng = np.random.default_rng(args.seed)
-
-    seed = d2_seed(ds.points, args.k, rng=rng)
-    cands = good_centers(ds.points, seed.centers, cfg, rng)
-    if not len(cands):
-        raise InfeasiblePartitionError("candidate list came back empty")
-    costs = np.array([partition_cost(ds, e.centers, variant, precision_bits=args.bits)
-                      for e in cands.entries])
-    if args.select == "range":
-        cap = seed.cost
-        if not (cap > 0.0 and math.isfinite(cap)):
-            finite = costs[np.isfinite(costs)]
-            cap = float(finite.max()) if finite.size else 0.0
-        winner = (select_best(costs, mode="range", epsilon=cfg.epsilon, cap=cap)
-                  if cap > 0.0 else select_best(costs))
-    else:
-        winner = select_best(costs)
-    asg = partition_assign(ds, cands.entries[winner].centers, variant,
-                           precision_bits=args.bits)
-
+    res = batch_solve(ds, args.k, variant, cfg, np.random.default_rng(args.seed),
+                      select_mode=args.select, precision_bits=args.bits)
     summary = {
         "command": "solve",
         "n": ds.n,
@@ -260,21 +240,20 @@ def cmd_solve(args) -> int:
         "params": cfg.resolved(),
         "seed": args.seed,
         "select": args.select,
-        "cost": asg.cost,
-        "flow_cost": float(costs[winner]),
-        "seed_cost": seed.cost,
-        "selected": winner,
-        "list_size": len(cands),
-        "empty_repetitions": list(cands.empty_repetitions),
-        "centers": cands.entries[winner].centers,
-        "owners": [list(map(int, own)) for own in asg.owners],
+        "cost": res.cost,
+        "flow_cost": res.flow_cost,
+        "seed_cost": res.seed_cost,
+        "selected": res.selected,
+        "list_size": res.list_size,
+        "empty_repetitions": list(res.candidates.empty_repetitions),
+        "centers": res.centers,
+        "owners": [list(map(int, own)) for own in res.owners],
     }
     if args.out:
-        write_dataset_csv(args.out + ".centers.csv",
-                          Dataset(cands.entries[winner].centers))
-        _write_assignment_csv(args.out + ".assign.csv", asg.owners)
+        write_dataset_csv(args.out + ".centers.csv", Dataset(res.centers))
+        _write_assignment_csv(args.out + ".assign.csv", res.owners)
     if args.candidates:
-        cands.to_csv(args.candidates)
+        res.candidates.to_csv(args.candidates)
     _emit(args, summary)
     return 0
 

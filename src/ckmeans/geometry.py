@@ -117,22 +117,3 @@ def psi_cost(centers, parts) -> tuple[float, tuple[int, ...]]:
             M[i, :] = pairwise_sqdist(P, C).sum(axis=0)
     cost, pi = min_cost_matching(M)
     return cost, pi
-
-
-def psi_cost_from_stats(sizes, means, deltas, centers) -> tuple[float, tuple[int, ...]]:
-    """psi_cost evaluated from per-part summaries instead of raw points.
-
-    Uses phi(c, X) = delta(X) + |X| * ||mu(X) - c||^2, so candidate
-    scoring never has to touch the points again.  sizes, means, deltas
-    describe the fixed parts; empty parts (size 0) contribute nothing.
-    """
-    C = as_points(centers)
-    t = len(sizes)
-    if t != C.shape[0]:
-        raise ValueError("need exactly one center per part")
-    M = np.zeros((t, t))
-    for i in range(t):
-        if sizes[i]:
-            d = C - np.asarray(means[i], dtype=np.float64)
-            M[i, :] = deltas[i] + sizes[i] * np.einsum("ij,ij->i", d, d)
-    return min_cost_matching(M)

@@ -194,16 +194,6 @@ def build_compressed(points, centers, epsilon: float, groups=None,
     return g
 
 
-def interesting_window(c, c_prime, epsilon: float) -> tuple[float, float]:
-    """Squared-distance window within which a point can prefer either of
-    two centers; distances outside it make the choice obvious.  The
-    plain-distance window is [eps*d, d/eps] for d = ||c - c'||."""
-    c = np.asarray(c, dtype=np.float64)
-    c_prime = np.asarray(c_prime, dtype=np.float64)
-    d2 = float(np.dot(c - c_prime, c - c_prime))
-    return (epsilon**2 * d2, d2 / epsilon**2)
-
-
 def aspect_guesses(centers, d_star: float | None = None) -> list[float]:
     """Candidate scale guesses u: all pairwise center distances, plus the
     largest nearest-center distance d_star when one pass has computed it.

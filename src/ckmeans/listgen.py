@@ -24,11 +24,6 @@ from .sampling import d2_sample
 ENUM_GUARD = 200_000
 
 
-def _ceil_div_pow(num: float) -> int:
-    v = math.ceil(num)
-    return int(v)
-
-
 @dataclass(frozen=True)
 class GoodCentersConfig:
     """Knobs for good_centers.
@@ -74,12 +69,12 @@ class GoodCentersConfig:
 
     def resolved(self) -> dict:
         """Concrete parameter values after preset defaults."""
-        eta = self.eta if self.eta is not None else _ceil_div_pow(
+        eta = self.eta if self.eta is not None else math.ceil(
             2**16 * self.alpha * self.t / self.epsilon**4)
-        tau = self.tau if self.tau is not None else _ceil_div_pow(128 / self.epsilon)
+        tau = self.tau if self.tau is not None else math.ceil(128 / self.epsilon)
         reps = self.repetitions if self.repetitions is not None else 2**self.t
         copies = (self.anchor_copies if self.anchor_copies is not None
-                  else _ceil_div_pow(128 * self.t / self.epsilon))
+                  else math.ceil(128 * self.t / self.epsilon))
         return {
             "t": self.t,
             "epsilon": self.epsilon,
@@ -114,11 +109,6 @@ class CandidateList:
 
     def __len__(self):
         return len(self.entries)
-
-    def centers_array(self) -> np.ndarray:
-        if not self.entries:
-            return np.zeros((0, self.t, self.dim))
-        return np.stack([e.centers for e in self.entries])
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -183,6 +173,23 @@ def _enumerate_tuples(m: int, t: int, tau: int):
     yield from rec(list(range(m)), 0, [])
 
 
+def repetition_tuples(M, r: int, p: dict, rng) -> list[CandidateEntry] | None:
+    """Candidates of repetition r: means of t disjoint tau-subsets of the
+    multiset M.  The desk preset draws p["subset_budget"] tuples with rng,
+    the formula preset enumerates them all.  p is GoodCentersConfig.resolved().
+    None when M holds fewer than tau * t points: the repetition is empty."""
+    t, tau = p["t"], p["tau"]
+    if tau * t > M.shape[0]:
+        return None
+    if p["preset"] == "desk":
+        flats = (tuple(int(v) for v in rng.choice(M.shape[0], size=tau * t, replace=False))
+                 for _ in range(p["subset_budget"]))
+    else:
+        flats = _enumerate_tuples(M.shape[0], t, tau)
+    return [CandidateEntry(M[np.asarray(flat).reshape(t, tau)].mean(axis=1), r, flat)
+            for flat in flats]
+
+
 def good_centers(X, C, cfg: GoodCentersConfig, rng, guard: int = ENUM_GUARD) -> CandidateList:
     """The candidate list: means of disjoint tau-subset tuples drawn
     around the seed C, over `repetitions` independent repetitions."""
@@ -191,7 +198,6 @@ def good_centers(X, C, cfg: GoodCentersConfig, rng, guard: int = ENUM_GUARD) -> 
     if rng is None:
         raise ValueError("rng is required")
     p = cfg.resolved()
-    t, tau, eta, reps, copies = p["t"], p["tau"], p["eta"], p["repetitions"], p["copies"]
 
     if cfg.preset == "formula":
         bound = list_size_bound(cfg, C.shape[0])
@@ -200,26 +206,14 @@ def good_centers(X, C, cfg: GoodCentersConfig, rng, guard: int = ENUM_GUARD) -> 
                 f"formula preset would enumerate {bound} tuples, over the guard of {guard}; "
                 "override eta/tau/repetitions or use the desk preset")
 
-    anchor = np.repeat(C, copies, axis=0)
+    anchor = np.repeat(C, p["copies"], axis=0)
     entries: list[CandidateEntry] = []
     empty_reps: list[int] = []
-    rep_rngs = rng.spawn(reps)
-    for r in range(reps):
-        sub = rep_rngs[r]
-        idx = d2_sample(X, C, eta * t, sub)
-        M = np.vstack([X[idx], anchor])
-        if tau * t > M.shape[0]:
+    for r, sub in enumerate(rng.spawn(p["repetitions"])):
+        idx = d2_sample(X, C, p["eta"] * p["t"], sub)
+        drawn = repetition_tuples(np.vstack([X[idx], anchor]), r, p, sub)
+        if drawn is None:
             empty_reps.append(r)
-            continue
-        if cfg.preset == "formula":
-            pools = _enumerate_tuples(M.shape[0], t, tau)
         else:
-            def draws(sub=sub, m=M.shape[0]):
-                for _ in range(p["subset_budget"]):
-                    yield tuple(int(v) for v in sub.choice(m, size=tau * t, replace=False))
-            pools = draws()
-        for flat in pools:
-            groups = np.asarray(flat).reshape(t, tau)
-            means = M[groups].mean(axis=1)
-            entries.append(CandidateEntry(means, r, tuple(flat)))
-    return CandidateList(entries, t, X.shape[1], p, empty_reps)
+            entries.extend(drawn)
+    return CandidateList(entries, p["t"], X.shape[1], p, empty_reps)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -411,14 +411,12 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
 
 def _real_assignment_cost(ds: Dataset, C, variant: Variant, owners, perm) -> float:
     W = edge_cost_matrix(ds.points, C)
+    if variant.kind == "semi_supervised":
+        W = semi_supervised_cost_terms(W, ds.targets, variant.alpha, perm)
     total = 0.0
     for v, own in enumerate(owners):
         for j in own:
-            if variant.kind == "semi_supervised":
-                miss = 1.0 if int(ds.targets[v]) != perm[j] else 0.0
-                total += variant.alpha * W[v, j] + (1.0 - variant.alpha) * miss
-            else:
-                total += W[v, j]
+            total += W[v, j]
     return total
 
 
@@ -450,15 +448,16 @@ class CompressedSolution:
     def cost(self) -> float:
         return float(self.int_cost) * self.scale
 
-    def assign_point(self, point, group=None) -> tuple:
-        """Owners for the next stream point; peels flow off its vertex."""
-        return self.assign_block(as_points(point), None if group is None else [group])[0]
-
     def assign_block(self, points, groups=None) -> list:
         """Peel owners for a block of stream points, in order."""
         P = as_points(points)
         sq = pairwise_sqdist(P, self.graph.centers)
         base = self.graph._keys_for(sq)
+        cost = sq
+        if self.variant.kind == "semi_supervised":
+            if groups is None:
+                raise ValueError("semi_supervised peeling needs the target column")
+            cost = semi_supervised_cost_terms(sq, groups, self.variant.alpha, self.perm)
         out = []
         for r in range(P.shape[0]):
             group = None if groups is None else int(groups[r])
@@ -475,11 +474,7 @@ class CompressedSolution:
                 units[j] -= 1
                 own = (j,)
             for j in own:
-                if self.variant.kind == "semi_supervised":
-                    miss = 1.0 if group is None or group != self.perm[j] else 0.0
-                    self.peeled_cost += self.variant.alpha * sq[r, j] + (1.0 - self.variant.alpha) * miss
-                else:
-                    self.peeled_cost += sq[r, j]
+                self.peeled_cost += cost[r, j]
             self.peeled += 1
             out.append(own)
         return out

@@ -111,26 +111,3 @@ class ReservoirBank:
         """Held points of reservoirs that ever saw positive weight."""
         ok = self.held_index >= 0
         return self.held[ok].copy()
-
-
-def uniformize(draws, floor: float, rng) -> list:
-    """Thin origin-biased draws down to a uniform subsample.
-
-    draws is a sequence of None or (item, origin_probability) pairs with
-    every origin probability >= floor > 0.  Each survivor is kept with
-    probability floor / origin_probability, so a kept item is uniform
-    over the support regardless of how lopsided the origin was.  Dropped
-    or null draws come back as None, in place.
-    """
-    if not (floor > 0.0):
-        raise ValueError("floor must be positive")
-    out = []
-    for d in draws:
-        if d is None:
-            out.append(None)
-            continue
-        item, prob = d
-        if not (prob >= floor):
-            raise ValueError(f"origin probability {prob} below floor {floor}")
-        out.append(item if rng.random() * prob < floor else None)
-    return out

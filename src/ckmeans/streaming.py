@@ -1,11 +1,13 @@
-"""Stream sources, space accounting, and the multi-pass pipelines.
+"""Stream sources, space accounting, and the two solve pipelines.
 
 The full pipeline spends one pass seeding, one filling reservoirs, one
-building compressed graphs for every candidate (plus an optional scale
-pass when aspect-ratio removal is on), and one peeling the winning flow
-into per-point assignments: 4 passes, 5 with aspect removal.  All flow
-solving happens offline between passes on the compressed graphs, never
-on raw points.
+building a compressed graph for every candidate (plus an optional scale
+pass when aspect-ratio removal is on), and one peeling the winning
+solution into per-point assignments: 4 passes, 5 with aspect removal.
+Solving happens offline between passes on the compressed graphs, never
+on raw points.  batch_solve is the in-memory pipeline behind
+`ckmeans solve`.  Both draw candidates with listgen.repetition_tuples
+and pick the winner by the same rule.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_dataset_csv
 from .geometry import as_points, pairwise_sqdist
 from .hyperbucket import CompressedGraph, aspect_graph, aspect_guesses
-from .listgen import CandidateEntry, CandidateList, GoodCentersConfig, good_centers
+from .listgen import CandidateList, GoodCentersConfig, good_centers, repetition_tuples
 from .partition import (
     CompressedSolution,
     InfeasiblePartitionError,
@@ -35,14 +37,18 @@ STREAM_VARIANTS = ("classical", "r_gather", "r_capacity", "fault_tolerant", "sem
 
 
 class StreamSource:
-    """Replayable source of (points, colors, targets) blocks.
+    """Replayable source of (points, colors, targets) blocks of at most
+    `block` rows.
 
     open() hands out a fresh single-use iterator over the records in a
     fixed order and bumps the pass counter; n is None when the length is
     not known without reading.
     """
 
-    def __init__(self):
+    def __init__(self, block: int):
+        if block < 1:
+            raise ValueError(f"block must be >= 1, got {block}")
+        self.block = block
         self.passes = 0
 
     @property
@@ -60,43 +66,38 @@ class StreamSource:
     def _blocks(self):  # pragma: no cover
         raise NotImplementedError
 
+    def _slices(self, ds: Dataset):
+        for lo in range(0, ds.n, self.block):
+            hi = lo + self.block
+            yield (ds.points[lo:hi],
+                   None if ds.colors is None else ds.colors[lo:hi],
+                   None if ds.targets is None else ds.targets[lo:hi])
+
 
 class ArraySource(StreamSource):
     def __init__(self, data, block: int = 256):
-        super().__init__()
+        super().__init__(block)
         self.ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
-        self.block = block
 
     @property
     def n(self):
         return self.ds.n
 
     def _blocks(self):
-        for lo in range(0, self.ds.n, self.block):
-            hi = min(lo + self.block, self.ds.n)
-            yield (self.ds.points[lo:hi],
-                   None if self.ds.colors is None else self.ds.colors[lo:hi],
-                   None if self.ds.targets is None else self.ds.targets[lo:hi])
+        return self._slices(self.ds)
 
 
 class CSVSource(StreamSource):
-    """Streams a dataset CSV without materializing it."""
+    """Replays a dataset CSV.  Each pass re-reads and materializes the
+    whole file (the reader validates eagerly) and then slices it into
+    blocks; a reader that holds one block at a time is ROADMAP item 4b."""
 
     def __init__(self, path, block: int = 256):
-        super().__init__()
-        from .data import read_dataset_csv
+        super().__init__(block)
         self.path = path
-        self.block = block
-        self._read = read_dataset_csv
 
     def _blocks(self):
-        # the CSV reader validates eagerly; block it afterwards
-        ds = self._read(self.path)
-        for lo in range(0, ds.n, self.block):
-            hi = min(lo + self.block, ds.n)
-            yield (ds.points[lo:hi],
-                   None if ds.colors is None else ds.colors[lo:hi],
-                   None if ds.targets is None else ds.targets[lo:hi])
+        yield from self._slices(read_dataset_csv(self.path))
 
 
 @dataclass
@@ -180,8 +181,8 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
     C = seed.centers
     d = C.shape[1]
 
-    t, tau, eta, reps, copies = p["t"], p["tau"], p["eta"], p["repetitions"], p["copies"]
-    R = eta * t
+    t, reps = p["t"], p["repetitions"]
+    R = p["eta"] * t
     # one (bank, fallback, tuple) rng triple per repetition
     streams = [rs.spawn(3) for rs in rng_sample.spawn(reps)]
     banks = []
@@ -199,21 +200,17 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
                 uni.offer_block(pts, ones)
             seen += len(w)
 
-        anchor = np.repeat(C, copies, axis=0)
+        anchor = np.repeat(C, p["copies"], axis=0)
         entries = []
         empty_reps = []
-        for r in range(reps):
-            bank, uni = banks[r]
-            trng = streams[r][2]
+        for r, (bank, uni) in enumerate(banks):
             samples = (bank if bank.weight_sum > 0 else uni).sampled_points()
             M = np.vstack([samples, anchor]) if len(samples) else anchor
-            if tau * t > M.shape[0]:
+            drawn = repetition_tuples(M, r, p, streams[r][2])
+            if drawn is None:
                 empty_reps.append(r)
-                continue
-            for _ in range(p["subset_budget"]):
-                flat = tuple(int(v) for v in trng.choice(M.shape[0], size=tau * t, replace=False))
-                groups = np.asarray(flat).reshape(t, tau)
-                entries.append(CandidateEntry(M[groups].mean(axis=1), r, flat))
+            else:
+                entries.extend(drawn)
         for _ in banks:
             meter.free_points(2 * R)
         meter.alloc_points(len(entries) * t)
@@ -260,6 +257,20 @@ def select_best(costs, mode: str = "argmin", epsilon: float | None = None,
     return int(best_idx)
 
 
+def _winner(costs, select_mode: str, epsilon: float, seed_cost: float) -> int:
+    """The winner rule of both pipelines.  Range mode caps at the seed
+    cost, else at the largest finite cost; when that cap is 0 every
+    feasible candidate costs 0 and argmin decides."""
+    if select_mode == "range":
+        cap = seed_cost
+        if not (cap > 0.0 and math.isfinite(cap)):
+            finite = costs[np.isfinite(costs)]
+            cap = float(finite.max()) if finite.size else 0.0
+        if cap > 0.0:
+            return select_best(costs, mode="range", epsilon=epsilon, cap=cap)
+    return select_best(costs)
+
+
 @dataclass
 class PipelineResult:
     centers: np.ndarray
@@ -278,8 +289,8 @@ class PipelineResult:
 def full_pipeline(source: StreamSource, k: int, variant: Variant,
                   cfg: GoodCentersConfig, rng, *, chunk: int | None = None,
                   aspect_removal: bool = False, select_mode: str = "argmin",
-                  precision_bits: int = 32, meter: SpaceMeter | None = None,
-                  block_guesses: bool = True) -> PipelineResult:
+                  precision_bits: int = 32, meter: SpaceMeter | None = None
+                  ) -> PipelineResult:
     """The streaming solver: seed, sample, compress + solve offline, assign."""
     if variant.kind not in STREAM_VARIANTS:
         raise ValueError(f"variant {variant.kind!r} is not streamable "
@@ -300,33 +311,25 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
                     worst[i] = max(worst[i], float(near.max()))
             d_star = np.sqrt(worst)
 
-    # one graph per candidate is solved; aspect mode builds the other
-    # scale guesses alongside (same pass, more space) for inspection
+    # one graph per candidate; with aspect removal its scale guess is the
+    # largest positive one of the candidate
     graphs: list[CompressedGraph] = []
-    extra_graphs: list[list[CompressedGraph]] = []
     with meter.phase("graph"):
         for i, e in enumerate(cands.entries):
             if aspect_removal:
-                guesses = [gu for gu in aspect_guesses(e.centers, float(d_star[i])) if gu > 0]
-                u = max(guesses) if guesses else 1.0
+                u = max((gu for gu in aspect_guesses(e.centers, float(d_star[i])) if gu > 0),
+                        default=1.0)
                 graphs.append(aspect_graph(e.centers, eps, u, max(n, 1)))
-                extra_graphs.append(
-                    [aspect_graph(e.centers, eps, gu, max(n, 1))
-                     for gu in guesses if gu != u] if block_guesses else [])
             else:
                 graphs.append(CompressedGraph(e.centers, eps))
-                extra_graphs.append([])
         for pts, colors, targets in source.open():
             if variant.kind == "semi_supervised" and targets is None:
                 raise ValueError("semi_supervised streaming needs a target column")
             groups = targets if variant.kind == "semi_supervised" else None
-            for i, g in enumerate(graphs):
+            for g in graphs:
                 g.add_block(pts, groups)
-                for gg in extra_graphs[i]:
-                    gg.add_block(pts, groups)
-        for i, g in enumerate(graphs):
-            for gg in [g, *extra_graphs[i]]:
-                meter.alloc_words(len(gg.vertices) * (gg.k + 1))
+        for g in graphs:
+            meter.alloc_words(len(g.vertices) * (g.k + 1))
 
     costs = np.full(len(cands), math.inf)
     solutions: list[CompressedSolution | None] = [None] * len(cands)
@@ -337,17 +340,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             continue
         solutions[i] = sol
         costs[i] = sol.cost
-    if select_mode == "range":
-        cap = seed.cost
-        if not (cap > 0.0 and math.isfinite(cap)):
-            finite = costs[np.isfinite(costs)]
-            cap = float(finite.max()) if finite.size else 0.0
-        if cap > 0.0:
-            winner = select_best(costs, mode="range", epsilon=eps, cap=cap)
-        else:
-            winner = select_best(costs)  # every feasible candidate costs 0
-    else:
-        winner = select_best(costs)
+    winner = _winner(costs, select_mode, eps, seed.cost)
     sol = solutions[winner]
 
     owners: list = []
@@ -378,33 +371,30 @@ class BatchResult:
     cost: float
     flow_cost: float
     selected: int
-    list_size: int
     seed_cost: float
+    candidates: CandidateList
+
+    @property
+    def list_size(self) -> int:
+        return len(self.candidates)
 
 
 def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
                 select_mode: str = "argmin", precision_bits: int = 32) -> BatchResult:
     """Offline reference pipeline: batch seed, batch candidate list,
-    exact (uncompressed) partition of every candidate, best one wins."""
+    exact (uncompressed) partition of every candidate, best one wins.
+    This is also what `ckmeans solve` runs."""
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
+    if ds.n < k:
+        raise ValueError(f"stream has {ds.n} points, need at least k={k}")
     seed = d2_seed(ds.points, k, rng=rng)
     cands = good_centers(ds.points, seed.centers, cfg, rng)
     if not len(cands):
         raise InfeasiblePartitionError("candidate list came back empty")
     costs = np.array([partition_cost(ds, e.centers, variant, precision_bits=precision_bits)
                       for e in cands.entries])
-    if select_mode == "range":
-        cap = seed.cost
-        if not (cap > 0.0 and math.isfinite(cap)):
-            finite = costs[np.isfinite(costs)]
-            cap = float(finite.max()) if finite.size else 0.0
-        if cap > 0.0:
-            winner = select_best(costs, mode="range", epsilon=cfg.epsilon, cap=cap)
-        else:
-            winner = select_best(costs)
-    else:
-        winner = select_best(costs)
+    winner = _winner(costs, select_mode, cfg.epsilon, seed.cost)
     asg = partition_assign(ds, cands.entries[winner].centers, variant,
                            precision_bits=precision_bits)
     return BatchResult(cands.entries[winner].centers, asg.owners, asg.cost,
-                       float(costs[winner]), winner, len(cands), seed.cost)
+                       float(costs[winner]), winner, seed.cost, cands)

@@ -8,6 +8,9 @@ import pytest
 
 from ckmeans.cli import main
 from ckmeans.data import Dataset, read_dataset_csv
+from ckmeans.listgen import GoodCentersConfig
+from ckmeans.partition import Variant
+from ckmeans.streaming import batch_solve
 
 
 def run(*argv):
@@ -135,6 +138,30 @@ def test_solve_constrained_variants_and_exit_codes(tmp_path):
                "--variant", "r_gather", "--r", "100") == 2
 
 
+def test_solve_json_equals_batch_solve(tmp_path):
+    # the CLI is flag parsing around the library's batch pipeline
+    data, _ = gen(tmp_path, kind="gaussian", n=30)
+    prefix = tmp_path / "one"
+    assert run("solve", data, "--k", "3", "--seed", "9", *SMALL, "--variant", "r_gather",
+               "--r", "8", "--select", "range", "--out", prefix) == 0
+    summary = json.loads(Path(str(prefix) + ".json").read_text())
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=4, tau=2,
+                            repetitions=2, subset_budget=40)
+    res = batch_solve(read_dataset_csv(data), 3, Variant.r_gather(8), cfg,
+                      np.random.default_rng(9), select_mode="range")
+    assert summary["centers"] == res.centers.tolist()
+    assert summary["owners"] == [list(own) for own in res.owners]
+    for key in ("cost", "flow_cost", "selected", "list_size"):
+        assert summary[key] == getattr(res, key), key
+
+
+def test_solve_and_stream_reject_fewer_points_than_k(tmp_path, capsys):
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    for command in ("solve", "stream"):
+        assert run(command, data, "--k", "70", "--seed", "0", *SMALL) == 3
+        assert "stream has 60 points, need at least k=70" in capsys.readouterr().err
+
+
 def test_validation_error_leaves_no_output_files(tmp_path):
     data, _ = gen(tmp_path)
     prefix = tmp_path / "nope"
@@ -193,11 +220,14 @@ def test_stream_summary_reports_passes_and_space(tmp_path):
     assert summary2["passes"] == 5 and summary2["d_star"] is not None
 
 
-def test_stream_rejects_paper_preset_and_chromatic(tmp_path):
+def test_stream_rejects_paper_preset_and_chromatic(tmp_path, capsys):
     data, _ = gen(tmp_path, n=30)
     assert run("stream", data, "--k", "3", "--seed", "4", "--preset", "formula") == 3
     assert run("stream", data, "--k", "3", "--seed", "4", *SMALL,
                "--variant", "chromatic") == 3
+    for block in ("0", "-5"):
+        assert run("stream", data, "--k", "3", "--seed", "4", *SMALL, "--block", block) == 3
+        assert f"block must be >= 1, got {block}" in capsys.readouterr().err
 
 
 # partition ----------------------------------------------------------------------

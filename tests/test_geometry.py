@@ -16,7 +16,6 @@ from ckmeans.geometry import (
     pairwise_sqdist,
     phi_cost,
     psi_cost,
-    psi_cost_from_stats,
     squared_dist,
     voronoi_labels,
     voronoi_partition,
@@ -149,19 +148,6 @@ def test_psi_cost_equals_permutation_enumeration(t):
         direct = sum(phi_cost(centers[pi[i]].reshape(1, -1), parts[i])
                      for i in range(t))
         assert got == pytest.approx(direct, rel=1e-12)
-
-
-def test_psi_from_stats_matches_psi():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(18, 3))
-    parts = np.split(X, [5, 11])
-    centers = rng.normal(size=(3, 3))
-    sizes = [len(p) for p in parts]
-    means = [centroid(p) for p in parts]
-    deltas = [delta_cost(p) for p in parts]
-    a = psi_cost(centers, parts)
-    b = psi_cost_from_stats(sizes, means, deltas, centers)
-    assert a[0] == pytest.approx(b[0], rel=1e-9)
 
 
 def test_psi_allows_empty_parts():

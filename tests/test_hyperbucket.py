@@ -20,7 +20,6 @@ from ckmeans.hyperbucket import (
     bucket_indices,
     bucket_weight,
     build_compressed,
-    interesting_window,
 )
 from ckmeans.partition import Variant, partition_cost
 
@@ -157,14 +156,6 @@ def test_compressed_r_gather_matches_exact_structure():
 
 
 # aspect-ratio removal -------------------------------------------------------
-
-def test_interesting_window_brackets_squared_distance():
-    c = np.array([0.0, 0.0])
-    cp = np.array([3.0, 4.0])   # distance 5, squared 25
-    lo, hi = interesting_window(c, cp, 0.5)
-    assert lo == pytest.approx(0.25 * 25)
-    assert hi == pytest.approx(25 / 0.25)
-
 
 def test_aspect_guesses_contents():
     C = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])

@@ -12,7 +12,6 @@ from ckmeans.sampling import (
     ReservoirBank,
     d2_distribution,
     d2_sample,
-    uniformize,
 )
 
 CHI2_LEVEL = 0.99
@@ -216,43 +215,3 @@ def test_bank_last_win_in_block_survives():
     bank.offer_block(pts * 10, np.ones(3))
     assert np.all(bank.held[:, 0] == 30.0)
     assert np.all(bank.held_index == 5)
-
-
-# uniformize -----------------------------------------------------------------
-
-def test_uniformize_nones_pass_through_and_floor_checked():
-    out = uniformize([None, ("x", 0.5)], 0.5, StubRng([0.99]))
-    assert out[0] is None
-    assert out[1] == "x"     # prob == floor: keep with probability 1
-    with pytest.raises(ValueError):
-        uniformize([("x", 0.1)], 0.5, StubRng([0.0]))
-    with pytest.raises(ValueError):
-        uniformize([], 0.0, StubRng([]))
-
-
-def test_uniformize_keep_probability_binomial():
-    rng = np.random.default_rng(17)
-    floor = 0.2
-    draws = [("i", 0.8)] * TRIALS
-    kept = sum(1 for v in uniformize(draws, floor, rng) if v is not None)
-    # keep probability 0.25; binomial 99% band
-    expectation = TRIALS * 0.25
-    sd = (TRIALS * 0.25 * 0.75) ** 0.5
-    assert abs(kept - expectation) <= 2.58 * sd
-
-
-def test_uniformize_makes_lopsided_draws_uniform():
-    rng = np.random.default_rng(19)
-    items = [0, 1]
-    probs = [0.9, 0.3]
-    trials = 30_000
-    counts = [0, 0]
-    for _ in range(trials):
-        i = 0 if rng.random() < 0.75 else 1  # lopsided origin frequencies
-        got = uniformize([(items[i], probs[i])], 0.3, rng)[0]
-        if got is not None:
-            counts[got] += 1
-    # after thinning both items arrive in proportion to origin frequency
-    # * floor / prob; with these numbers both rates are 0.25 per trial
-    assert counts[0] == pytest.approx(trials * 0.25, rel=0.05)
-    assert counts[1] == pytest.approx(trials * 0.25, rel=0.05)

@@ -1,12 +1,20 @@
 """Stream sources, pass counting, selection, and pipeline equivalence."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ckmeans.data import Dataset, duplicate_groups, gaussian_groups, write_dataset_csv
-from ckmeans.geometry import phi_cost
+from ckmeans.data import (
+    Dataset,
+    duplicate_groups,
+    gaussian_groups,
+    with_targets,
+    write_dataset_csv,
+)
+from ckmeans.geometry import pairwise_sqdist, phi_cost
+from ckmeans.hyperbucket import CompressedGraph
 from ckmeans.listgen import GoodCentersConfig, good_centers
 from ckmeans.partition import InfeasiblePartitionError, Variant, partition_cost
 from ckmeans.seeding import d2_seed
@@ -58,6 +66,15 @@ def test_csv_source_replays_identically(tmp_path):
     assert src.passes == 2
     first = next(iter(src.open()))
     assert first[1] is not None and first[2] is not None
+
+
+@pytest.mark.parametrize("block", [0, -5])
+def test_sources_reject_nonpositive_block(tmp_path, block):
+    ds, _ = planted(1)
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        ArraySource(ds, block=block)
+    with pytest.raises(ValueError, match="block must be >= 1"):
+        CSVSource(tmp_path / "never_read.csv", block=block)
 
 
 def test_default_chunk_rules():
@@ -245,6 +262,39 @@ def test_pipeline_fault_tolerant_owner_tuples():
                        np.random.default_rng(18))
     for own in pr.owners:
         assert len(own) == 2 and own == tuple(sorted(set(own)))
+
+
+def test_pipeline_semi_supervised_cost_is_a_matching_blend():
+    # a few targets disagree with the geometry, so the penalty term is live
+    ds, info = planted(31)
+    targets = np.array(info["labels"])
+    targets[::7] = (targets[::7] + 1) % 3
+    ds = with_targets(ds, targets)
+    alpha = 0.5
+    pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.semi_supervised(alpha), CFG,
+                       np.random.default_rng(32))
+    assert len(pr.owners) == 48 and all(len(o) == 1 for o in pr.owners)
+    own = np.array([o[0] for o in pr.owners])
+    sq = pairwise_sqdist(ds.points, pr.centers)[np.arange(48), own]
+    blends = [float(np.sum(alpha * sq + (1 - alpha) * (targets != np.array(perm)[own])))
+              for perm in itertools.permutations(range(3))]
+    assert min(abs(b - pr.cost) for b in blends) <= 1e-9
+    assert pr.cost > alpha * sq.sum()   # some emitted owner pays the mismatch
+
+
+def test_pipeline_aspect_builds_one_graph_per_candidate(monkeypatch):
+    built = []
+    init = CompressedGraph.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(CompressedGraph, "__post_init__", counting_init)
+    ds, _ = planted(33)
+    pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
+                       np.random.default_rng(34), aspect_removal=True)
+    assert len(built) == pr.list_size
 
 
 def test_pipeline_infeasible_raises():
