@@ -8,6 +8,14 @@ per-center bucket ids; points sharing a key collapse into one weighted
 vertex, so downstream flow problems see a graph whose size no longer
 depends on n.
 
+A block is keyed as one int64 matrix, a row per point and a column per
+center: the bucket id, or the sentinel ZERO_ID (exact zero) or
+EXCLUDED_ID (cut center), plus a last column with the group id when
+groups ride along.  Equal rows are found with one stable lexsort, so
+Python objects are built once per distinct vertex of a block, never per
+point.  The tuple form, with ZERO_BUCKET and EXCLUDED in the slots, is
+kept only as the public vertex key.
+
 Aspect-ratio removal replaces raw bucket ids with contracted ones:
 given a scale guess u, squared distances below (u/n^2)^2 are treated as
 zero and centers farther than 4u (other than the nearest) are cut from
@@ -28,6 +36,10 @@ from .geometry import as_points, pairwise_sqdist
 # center cut by the aspect-removal filter
 ZERO_BUCKET = None
 EXCLUDED = "cut"
+# the same markers in a block's int64 key matrix; no bucket id reaches them
+ZERO_ID = np.iinfo(np.int64).min
+EXCLUDED_ID = ZERO_ID + 1
+_SLOTS = {ZERO_ID: ZERO_BUCKET, EXCLUDED_ID: EXCLUDED}
 
 
 def bucket_index(sqdist: float, epsilon: float):
@@ -78,6 +90,30 @@ def bucket_indices(sq: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
     return idx, zero
 
 
+def _distinct_rows(M: np.ndarray):
+    """Group equal rows of an integer matrix: (first, inverse, counts).
+
+    M[first] are the distinct rows in order of first occurrence, row r
+    equals M[first[inverse[r]]], and counts[i] rows equal M[first[i]].
+    One stable lexsort puts equal rows next to each other with the
+    earliest first; np.unique(axis=0) would sort structured voids, which
+    is far slower.
+    """
+    n = M.shape[0]
+    order = np.lexsort(M.T)
+    S = M[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (S[1:] != S[:-1]).any(axis=1)
+    run = np.cumsum(starts) - 1              # run id of each sorted row
+    by_first = np.argsort(order[starts])     # runs by first occurrence
+    relabel = np.empty_like(by_first)
+    relabel[by_first] = np.arange(by_first.size)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = relabel[run]
+    counts = np.bincount(inverse, minlength=by_first.size)
+    return order[starts][by_first], inverse, counts
+
+
 @dataclass
 class CompressedGraph:
     """Weighted contraction of (X, C): one vertex per occupied bucket key.
@@ -106,41 +142,45 @@ class CompressedGraph:
     def n_points(self) -> int:
         return sum(self.vertices.values())
 
-    def _keys_for(self, sq_block: np.ndarray) -> list[tuple]:
+    def _keys_for(self, sq_block: np.ndarray, groups=None) -> np.ndarray:
+        """The block's int64 key matrix: one row per point, one column per
+        center, plus a group column when groups is given."""
         sq = sq_block
         if self.contract_below > 0.0:
             sq = np.where(sq < self.contract_below, 0.0, sq)
         idx, zero = bucket_indices(sq, self.epsilon)
-        cut = np.zeros(sq.shape, dtype=bool)
+        idx[zero] = ZERO_ID
         if math.isfinite(self.cut_above):
             cut = sq > self.cut_above
             # the nearest center always survives the filter
-            nearest = np.argmin(sq_block, axis=1)
-            cut[np.arange(sq.shape[0]), nearest] = False
-        keys = []
-        for r in range(sq.shape[0]):
-            keys.append(tuple(
-                EXCLUDED if cut[r, j] else (ZERO_BUCKET if zero[r, j] else int(idx[r, j]))
-                for j in range(sq.shape[1])
-            ))
-        return keys
+            cut[np.arange(sq.shape[0]), np.argmin(sq_block, axis=1)] = False
+            idx[cut] = EXCLUDED_ID
+        if groups is None:
+            return idx
+        return np.column_stack([idx, np.asarray(groups).astype(np.int64)])
 
-    def key_of(self, point, group=None) -> tuple:
-        """Vertex key a single point falls into (used by the assignment pass)."""
-        sq = pairwise_sqdist(point, self.centers)
-        return (self._keys_for(sq)[0], group)
+    def block_keys(self, sq_block: np.ndarray, groups=None):
+        """Distinct vertex keys of a block: (keys, inverse, counts).
+
+        keys holds the (key, group) tuples in order of first occurrence,
+        row r falls into keys[inverse[r]], and counts[i] rows fall into
+        keys[i].
+        """
+        M = self._keys_for(sq_block, groups)
+        first, inverse, counts = _distinct_rows(M)
+        k = self.k
+        keys = [(tuple(map(_SLOTS.get, row[:k], row[:k])),
+                 None if groups is None else row[k])
+                for row in M[first].tolist()]
+        return keys, inverse, counts
 
     def add_block(self, points, groups=None) -> list[tuple]:
         """Bucket a block of points into vertices; returns their keys."""
         P = as_points(points)
-        sq = pairwise_sqdist(P, self.centers)
-        base = self._keys_for(sq)
-        out = []
-        for r, key in enumerate(base):
-            full = (key, None if groups is None else int(groups[r]))
-            self.vertices[full] = self.vertices.get(full, 0) + 1
-            out.append(full)
-        return out
+        keys, inverse, counts = self.block_keys(pairwise_sqdist(P, self.centers), groups)
+        for key, c in zip(keys, counts.tolist()):
+            self.vertices[key] = self.vertices.get(key, 0) + c
+        return [keys[i] for i in inverse.tolist()]
 
     def vertex_weights(self, full_key) -> np.ndarray:
         """Representative squared distance per center for one vertex.
@@ -166,21 +206,16 @@ class CompressedGraph:
         and its bucket weight; diagnostic for the soundness invariant."""
         P = as_points(points)
         sq = pairwise_sqdist(P, self.centers)
-        worst = 0.0
-        for r in range(P.shape[0]):
-            full = self.key_of(P[r])
-            w = self.vertex_weights(full)
-            for j in range(self.k):
-                if not math.isfinite(w[j]):
-                    continue
-                s = sq[r, j] if self.contract_below == 0.0 else (
-                    0.0 if sq[r, j] < self.contract_below else sq[r, j])
-                if s == 0.0:
-                    if w[j] != 0.0:
-                        worst = math.inf
-                    continue
-                worst = max(worst, abs(w[j] - s) / s)
-        return worst
+        keys, inverse, _counts = self.block_keys(sq)
+        if not keys:
+            return 0.0
+        w = np.array([self.vertex_weights(key) for key in keys])[inverse]
+        s = np.where(sq < self.contract_below, 0.0, sq)
+        live = np.isfinite(w)
+        if (live & (s == 0.0) & (w != 0.0)).any():
+            return math.inf
+        live &= s != 0.0
+        return float((np.abs(w[live] - s[live]) / s[live]).max(initial=0.0))
 
 
 def build_compressed(points, centers, epsilon: float, groups=None,

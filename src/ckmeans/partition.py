@@ -449,35 +449,56 @@ class CompressedSolution:
         return float(self.int_cost) * self.scale
 
     def assign_block(self, points, groups=None) -> list:
-        """Peel owners for a block of stream points, in order."""
+        """Peel owners for a block of stream points, in order.
+
+        The rows of one vertex take its remaining units in point order.
+        Single-owner variants hand out units lowest center first, so
+        rank r gets the first center j with cumsum(units)[j] > r; under
+        fault_tolerant, rank r owns every center j with units[j] > r.
+        A block that overdraws a vertex raises before any unit is taken.
+        """
         P = as_points(points)
         sq = pairwise_sqdist(P, self.graph.centers)
-        base = self.graph._keys_for(sq)
         cost = sq
         if self.variant.kind == "semi_supervised":
             if groups is None:
                 raise ValueError("semi_supervised peeling needs the target column")
             cost = semi_supervised_cost_terms(sq, groups, self.variant.alpha, self.perm)
-        out = []
-        for r in range(P.shape[0]):
-            group = None if groups is None else int(groups[r])
-            full = (base[r], group)
-            units = self.remaining.get(full)
-            if units is None or units.sum() <= 0:
-                raise InfeasiblePartitionError("no flow left on this point's vertex")
-            if self.variant.kind == "fault_tolerant":
-                own = tuple(int(j) for j in np.flatnonzero(units > 0))
-                for j in own:
-                    units[j] -= 1
-            else:
-                j = int(np.flatnonzero(units > 0)[0])  # lowest center index first
-                units[j] -= 1
-                own = (j,)
-            for j in own:
-                self.peeled_cost += cost[r, j]
-            self.peeled += 1
-            out.append(own)
-        return out
+        keys, inverse, counts = self.graph.block_keys(sq, groups)
+        if any(key not in self.remaining for key in keys):
+            raise InfeasiblePartitionError("no flow on this point's vertex")
+        units = np.array([self.remaining[key] for key in keys],
+                         dtype=np.int64).reshape(-1, self.graph.k)
+        order = np.argsort(inverse, kind="stable")
+        rank = np.empty_like(inverse)
+        rank[order] = np.arange(inverse.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        c = counts[:, None]
+        if self.variant.kind == "fault_tolerant":
+            owns = units[inverse] > rank[:, None]
+            short = counts > units.max(axis=1, initial=0)
+            taken = np.minimum(units, c)
+        else:
+            upto = np.cumsum(units, axis=1)
+            below = upto - units
+            owns = (below[inverse] <= rank[:, None]) & (upto[inverse] > rank[:, None])
+            short = counts > upto[:, -1]
+            taken = np.minimum(upto, c) - np.minimum(below, c)
+        if short.any():
+            raise InfeasiblePartitionError("no flow left on this point's vertex")
+        for key, t in zip(keys, taken):
+            self.remaining[key] -= t
+        # a vertex's owner sets shrink as the rank grows (fault_tolerant) or
+        # are one center each, so (vertex, first owner, size) names the set
+        k = owns.shape[1]
+        code = (inverse * k + owns.argmax(axis=1)) * (k + 1) + owns.sum(axis=1)
+        _, first, which = np.unique(code, return_index=True, return_inverse=True)
+        sets = [tuple(np.flatnonzero(owns[r]).tolist()) for r in first.tolist()]
+        # sequential sum in point order, then owner order: np.sum would
+        # pair terms and change the low bits
+        self.peeled_cost = np.add.accumulate(
+            np.concatenate([[self.peeled_cost], cost[owns]]))[-1]
+        self.peeled += P.shape[0]
+        return [sets[i] for i in which.tolist()]
 
 
 def compressed_partition(graph: CompressedGraph, variant: Variant,

@@ -257,6 +257,11 @@ def select_best(costs, mode: str = "argmin", epsilon: float | None = None,
     return int(best_idx)
 
 
+def _check_t(cfg: GoodCentersConfig, k: int) -> None:
+    if cfg.t > k:
+        raise ValueError(f"t={cfg.t} centers per candidate exceeds k={k}")
+
+
 def _winner(costs, select_mode: str, epsilon: float, seed_cost: float) -> int:
     """The winner rule of both pipelines.  Range mode caps at the seed
     cost, else at the largest finite cost; when that cap is 0 every
@@ -295,6 +300,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     if variant.kind not in STREAM_VARIANTS:
         raise ValueError(f"variant {variant.kind!r} is not streamable "
                          "(chromatic needs same-colored points batched per color)")
+    _check_t(cfg, k)
     meter = meter if meter is not None else SpaceMeter()
     cands, seed, n = two_pass_good_centers(source, k, cfg, rng, chunk=chunk, meter=meter)
     if not len(cands):
@@ -342,6 +348,10 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         costs[i] = sol.cost
     winner = _winner(costs, select_mode, eps, seed.cost)
     sol = solutions[winner]
+    # only the winner is peeled; the losing graphs and solutions go now
+    meter.free_words(sum(len(g.vertices) * (g.k + 1)
+                         for i, g in enumerate(graphs) if i != winner))
+    del graphs, solutions
 
     owners: list = []
     with meter.phase("assign"):
@@ -384,6 +394,7 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
     """Offline reference pipeline: batch seed, batch candidate list,
     exact (uncompressed) partition of every candidate, best one wins.
     This is also what `ckmeans solve` runs."""
+    _check_t(cfg, k)
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
     if ds.n < k:
         raise ValueError(f"stream has {ds.n} points, need at least k={k}")

@@ -1,0 +1,175 @@
+"""Array bucket keys and per-vertex peeling against scalar references.
+
+CompressedGraph keys a block as one int64 matrix and groups equal rows;
+CompressedSolution.assign_block peels each vertex's rows at once.  The
+references here are the per-point forms: a key tuple built from
+bucket_index cell by cell, and a greedy peel that takes one point at a
+time from its vertex's remaining units (lowest center first, or every
+center with units left under fault_tolerant).
+"""
+
+import copy
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ckmeans.geometry import pairwise_sqdist
+from ckmeans.hyperbucket import EXCLUDED, CompressedGraph, bucket_index
+from ckmeans.partition import (
+    InfeasiblePartitionError,
+    Variant,
+    compressed_partition,
+    semi_supervised_cost_terms,
+)
+
+EPS = 0.5
+
+
+def ref_key(graph, sq_row, group):
+    nearest = int(np.argmin(sq_row))
+    key = []
+    for j, s in enumerate(sq_row.tolist()):
+        s = 0.0 if s < graph.contract_below else s
+        if math.isfinite(graph.cut_above) and s > graph.cut_above and j != nearest:
+            key.append(EXCLUDED)
+        else:
+            key.append(bucket_index(s, graph.epsilon))
+    return (tuple(key), None if group is None else int(group))
+
+
+def ref_weight_error(graph, X):
+    sq = pairwise_sqdist(X, graph.centers)
+    worst = 0.0
+    for r in range(X.shape[0]):
+        w = graph.vertex_weights(ref_key(graph, sq[r], None))
+        for j in range(graph.k):
+            s = 0.0 if sq[r, j] < graph.contract_below else sq[r, j]
+            if not math.isfinite(w[j]):
+                continue
+            if s == 0.0:
+                worst = math.inf if w[j] != 0.0 else worst
+                continue
+            worst = max(worst, abs(w[j] - s) / s)
+    return worst
+
+
+def ref_peel(remaining, kind, keys, cost, total):
+    """The per-point greedy peel; returns (owners, total) or raises."""
+    owners = []
+    for r, key in enumerate(keys):
+        units = remaining.get(key)
+        if units is None or units.sum() <= 0:
+            raise InfeasiblePartitionError(r)
+        if kind == "fault_tolerant":
+            own = tuple(int(j) for j in np.flatnonzero(units > 0))
+        else:
+            own = (int(np.flatnonzero(units > 0)[0]),)
+        for j in own:
+            units[j] -= 1
+            total += cost[r, j]
+        owners.append(own)
+    return owners, total
+
+
+@st.composite
+def instances(draw):
+    k = draw(st.integers(1, 4))
+    # integer grid coordinates: exact zeros, repeated keys and equidistant
+    # (tied) centers all occur often
+    grid = st.integers(-4, 4)
+    C = np.array(draw(st.lists(st.tuples(grid, grid), min_size=k, max_size=k)), dtype=float)
+    n = draw(st.integers(1, 40))
+    X = np.array(draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n)), dtype=float)
+    X[: min(n, k)] = C[: min(n, k)]                   # exact zeros for sure
+    groups = None
+    if draw(st.booleans()):
+        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    # in grid units: contract a squared distance of 1 to zero, cut centers
+    # more than 3 away
+    contract, cut = draw(st.sampled_from([(0.0, math.inf), (1.5, math.inf),
+                                          (0.0, 9.0), (1.5, 9.0)]))
+    f = draw(st.sampled_from([1.0, 0.001, 37.5]))
+    bounds = sorted({0, n, *draw(st.lists(st.integers(1, n), max_size=3))})
+    return C * f, X * f, groups, contract * f * f, cut * f * f, bounds
+
+
+def blocks_of(X, groups, bounds):
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield X[lo:hi], None if groups is None else groups[lo:hi]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instances())
+def test_block_keys_match_scalar_keys(inst):
+    C, X, groups, contract, cut, bounds = inst
+    g = CompressedGraph(C, EPS, contract_below=contract, cut_above=cut)
+    ref_vertices = {}
+    for P, G in blocks_of(X, groups, bounds):
+        sq = pairwise_sqdist(P, C)
+        want = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
+        assert g.add_block(P, G) == want
+        for key in want:
+            ref_vertices[key] = ref_vertices.get(key, 0) + 1
+        # same keys, counts and insertion order, also for keys seen in
+        # an earlier block
+        assert list(g.vertices.items()) == list(ref_vertices.items())
+    assert g.max_weight_error(X) == ref_weight_error(g, X)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instances(), st.sampled_from(["classical", "r_gather", "fault_tolerant",
+                                     "semi_supervised"]))
+def test_peel_matches_greedy_per_point_peel(inst, kind):
+    C, X, groups, contract, cut, bounds = inst
+    k = C.shape[0]
+    if kind == "semi_supervised":
+        groups = np.arange(X.shape[0]) % k if groups is None else groups
+    elif kind != "classical":
+        groups = None
+    variant = {"classical": Variant.classical(),
+               "r_gather": Variant.r_gather(max(1, X.shape[0] // k)),
+               "fault_tolerant": Variant.fault_tolerant(min(2, k)),
+               "semi_supervised": Variant.semi_supervised(0.5)}[kind]
+    g = CompressedGraph(C, EPS, contract_below=contract, cut_above=cut)
+    for P, G in blocks_of(X, groups, bounds):
+        g.add_block(P, G)
+    try:
+        sol = compressed_partition(g, variant)
+    except InfeasiblePartitionError:
+        return
+    ref = copy.deepcopy(sol.remaining)
+    ref_total = sol.peeled_cost
+    # two passes over the stream: the second one runs out of flow
+    for _pass in range(2):
+        for P, G in blocks_of(X, groups, bounds):
+            sq = pairwise_sqdist(P, C)
+            cost = sq if kind != "semi_supervised" else semi_supervised_cost_terms(
+                sq, G, variant.alpha, sol.perm)
+            keys = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
+            try:
+                want, ref_total = ref_peel(ref, kind, keys, cost, ref_total)
+            except InfeasiblePartitionError:
+                before = copy.deepcopy(sol.remaining)
+                with pytest.raises(InfeasiblePartitionError):
+                    sol.assign_block(P, G)
+                # an overdrawn block takes no unit
+                assert all(np.array_equal(before[v], sol.remaining[v]) for v in before)
+                assert _pass == 1
+                return
+            assert sol.assign_block(P, G) == want
+            assert sol.peeled_cost == ref_total         # bit-equal, same order
+            assert all(np.array_equal(ref[v], sol.remaining[v]) for v in ref)
+    pytest.fail("the second pass never ran out of flow")
+
+
+def test_peel_rejects_a_vertex_outside_the_graph():
+    C = np.array([[0.0, 0.0], [10.0, 0.0]])
+    g = CompressedGraph(C, EPS)
+    g.add_block(np.array([[1.0, 0.0], [9.0, 0.0]]))
+    sol = compressed_partition(g, Variant.classical())
+    with pytest.raises(InfeasiblePartitionError):
+        sol.assign_block(np.array([[1.0, 0.0], [4.0, 3.0]]))
+    assert sol.assign_block(np.array([[9.0, 0.0], [1.0, 0.0]])) == [(1,), (0,)]

@@ -162,6 +162,16 @@ def test_solve_and_stream_reject_fewer_points_than_k(tmp_path, capsys):
         assert "stream has 60 points, need at least k=70" in capsys.readouterr().err
 
 
+def test_solve_and_stream_reject_t_above_k(tmp_path, capsys):
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    for command in ("solve", "stream"):
+        prefix = tmp_path / command
+        assert run(command, data, "--k", "3", "--t", "5", "--seed", "1", *SMALL,
+                   "--out", prefix) == 3
+        assert "t=5 centers per candidate exceeds k=3" in capsys.readouterr().err
+        assert not list(tmp_path.glob(command + "*"))
+
+
 def test_validation_error_leaves_no_output_files(tmp_path):
     data, _ = gen(tmp_path)
     prefix = tmp_path / "nope"

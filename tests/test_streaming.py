@@ -161,7 +161,7 @@ def test_select_range_mode_depth_rules():
     # zero cost is infinitely deep
     assert select_best([0.9, 0.0], "range", eps, cap=1.0) == 1
     # costs above cap clip into the shallowest range
-    assert select_best([7.0, 0.9], "range", eps, cap=1.0) == 0 or True
+    assert select_best([7.0, 0.9], "range", eps, cap=1.0) == 0
     assert select_best([7.0, 0.4], "range", eps, cap=1.0) == 1
     # infeasible entries ignored
     assert select_best([math.inf, 0.9], "range", eps, cap=1.0) == 1
@@ -341,6 +341,28 @@ def test_pipeline_space_phases_present():
     names = [p["name"] for p in meter.report()["phases"]]
     assert names == ["seed", "sample", "graph", "assign"]
     assert meter.peak_points > 0 and meter.peak_words > 0
+
+
+def test_pipeline_frees_losing_candidates_before_assign():
+    ds, _ = planted(23)
+    for aspect in (False, True):
+        meter = SpaceMeter()
+        pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
+                           np.random.default_rng(24), aspect_removal=aspect, meter=meter)
+        assert pr.list_size > 1
+        phases = {p["name"]: p for p in meter.report()["phases"]}
+        # the graph phase holds every candidate's graph and sets the global peak
+        assert meter.peak_words == phases["graph"]["peak_words"]
+        assert 0 < phases["assign"]["peak_words"] < phases["graph"]["peak_words"]
+
+
+def test_pipelines_reject_t_above_k():
+    ds, _ = planted(23)
+    with pytest.raises(ValueError, match="t=3 centers per candidate exceeds k=2"):
+        full_pipeline(ArraySource(ds, block=16), 2, Variant.classical(), CFG,
+                      np.random.default_rng(24))
+    with pytest.raises(ValueError, match="exceeds k=2"):
+        batch_solve(ds, 2, Variant.classical(), CFG, np.random.default_rng(24))
 
 
 def test_pipeline_aspect_feasible_and_close():
