@@ -33,7 +33,14 @@ from .data import (
 )
 from .listgen import GoodCentersConfig
 from .oracle import OracleLimit, OracleLimitError, opt_kmeans
-from .partition import InfeasiblePartitionError, Variant, partition_assign, partition_cost
+from .partition import (
+    VARIANT_KINDS,
+    VARIANT_PARAMS,
+    InfeasiblePartitionError,
+    Variant,
+    partition_assign,
+    partition_cost,
+)
 from .stability import (
     check_beta_distributed,
     check_irreducible,
@@ -98,39 +105,20 @@ def _write_assignment_csv(path, owners) -> None:
 
 
 def _variant_from(args) -> Variant:
-    kind = args.variant
-    if kind == "classical":
-        return Variant.classical()
-    if kind == "r_gather":
-        if args.r is None:
-            raise ValueError("r_gather needs --r")
-        return Variant.r_gather(args.r)
-    if kind == "r_capacity":
-        if args.r is None:
-            raise ValueError("r_capacity needs --r")
-        return Variant.r_capacity(args.r)
-    if kind == "chromatic":
-        return Variant.chromatic()
-    if kind == "fault_tolerant":
-        if args.l is None:
-            raise ValueError("fault_tolerant needs --l")
-        return Variant.fault_tolerant(args.l)
-    if kind == "semi_supervised":
-        if args.alpha is None:
-            raise ValueError("semi_supervised needs --alpha")
-        return Variant.semi_supervised(args.alpha)
-    raise ValueError(f"unknown variant {kind!r}")
+    name = VARIANT_PARAMS[args.variant]
+    if name is None:
+        return Variant(args.variant)
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"{args.variant} needs --{name}")
+    return Variant(args.variant, **{name: value})
 
 
 def _variant_summary(variant: Variant) -> dict:
-    out = {"kind": variant.kind}
-    if variant.r is not None:
-        out["r"] = variant.r
-    if variant.l is not None:
-        out["l"] = variant.l
-    if variant.alpha is not None:
-        out["alpha"] = variant.alpha
-    return out
+    name = VARIANT_PARAMS[variant.kind]
+    if name is None:
+        return {"kind": variant.kind}
+    return {"kind": variant.kind, name: getattr(variant, name)}
 
 
 _DESK_DEFAULTS = {"eta": 32, "tau": 4, "reps": 4, "budget": 200}
@@ -396,9 +384,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_variant_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", default="classical",
-                   choices=["classical", "r_gather", "r_capacity", "chromatic",
-                            "fault_tolerant", "semi_supervised"])
+    p.add_argument("--variant", default="classical", choices=VARIANT_KINDS)
     p.add_argument("--r", type=int, help="bound for r_gather / r_capacity")
     p.add_argument("--l", type=int, help="replica count for fault_tolerant")
     p.add_argument("--alpha", type=float,

@@ -111,6 +111,15 @@ def read_dataset_csv(path) -> Dataset:
     )
 
 
+def _check_groups(n: int, g: int, dim: int) -> None:
+    # before any site is drawn: with no coordinates every pair of sites
+    # coincides, and the nudge loop of _group_sites would never end
+    if dim < 1:
+        raise ValueError("need dim >= 1")
+    if not (1 <= g <= n):
+        raise ValueError("need 1 <= g <= n")
+
+
 def _group_sites(g: int, dim: int, spread: float, rng) -> np.ndarray:
     # well separated sites on a scaled integer lattice, jittered off-grid
     sites = np.zeros((g, dim))
@@ -131,8 +140,7 @@ def duplicate_groups(n: int, g: int, dim: int = 2, spread: float = 10.0, rng=Non
     """
     if rng is None:
         raise ValueError("rng is required")
-    if not (1 <= g <= n):
-        raise ValueError("need 1 <= g <= n")
+    _check_groups(n, g, dim)
     sites = _group_sites(g, dim, spread, rng)
     labels = np.arange(n) % g
     labels.sort()
@@ -153,8 +161,7 @@ def gaussian_groups(n: int, g: int, dim: int = 2, sigma: float = 0.05,
     """n points in g tight gaussian blobs around well separated sites."""
     if rng is None:
         raise ValueError("rng is required")
-    if not (1 <= g <= n):
-        raise ValueError("need 1 <= g <= n")
+    _check_groups(n, g, dim)
     sites = _group_sites(g, dim, spread, rng)
     labels = np.sort(np.arange(n) % g)
     pts = sites[labels] + rng.normal(0.0, sigma, size=(n, dim))
@@ -177,6 +184,7 @@ def grid_groups(n: int, g: int, dim: int = 2, step: float = 0.01,
     """
     if rng is None:
         raise ValueError("rng is required")
+    _check_groups(n, g, dim)
     sites = _group_sites(g, dim, spread, rng)
     labels = np.sort(np.arange(n) % g)
     offsets = rng.integers(-reach, reach + 1, size=(n, dim)) * step
@@ -195,6 +203,8 @@ def grid_groups(n: int, g: int, dim: int = 2, step: float = 0.01,
 def random_uniform(n: int, dim: int = 2, scale: float = 1.0, rng=None) -> Dataset:
     if rng is None:
         raise ValueError("rng is required")
+    if n < 1 or dim < 1:
+        raise ValueError("need n >= 1 and dim >= 1")
     return Dataset(rng.random((n, dim)) * scale)
 
 

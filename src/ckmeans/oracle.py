@@ -17,13 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .data import Dataset
-from .geometry import as_points
-from .partition import (
-    Variant,
-    edge_cost_matrix,
-    quantize_costs,
-    semi_supervised_cost_terms,
-)
+from .geometry import as_points, pairwise_sqdist
+from .partition import Variant, quantize_costs, semi_supervised_cost_terms
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ def opt_constrained(data, centers, variant: Variant,
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
     C = as_points(centers)
     n, k = ds.n, C.shape[0]
-    W = edge_cost_matrix(ds.points, C)
+    W = pairwise_sqdist(ds.points, C)
 
     if variant.kind == "fault_tolerant":
         l = variant.l
@@ -208,7 +203,7 @@ def opt_constrained(data, centers, variant: Variant,
 def fault_tolerant_direct(X, centers, l: int) -> float:
     """Sum over points of the l smallest squared center distances; the
     closed form the reduction path must reproduce."""
-    W = edge_cost_matrix(as_points(X), centers)
+    W = pairwise_sqdist(as_points(X), centers)
     if l > W.shape[1]:
         raise ValueError("l exceeds the number of centers")
     return float(np.sort(W, axis=1)[:, :l].sum())

@@ -21,7 +21,10 @@ against):
                    to centers
 
 The objective throughout is the cost of assigning to fixed centers, not
-the k-means cost of re-centered clusters.
+the k-means cost of re-centered clusters.  Batch assignment and stream
+peeling share one owner/cost rule: raw points are vertices of count 1,
+owners are the centers that carry a vertex's flow, and the real cost is
+summed left to right in point order, then owner order.
 """
 
 from __future__ import annotations
@@ -37,14 +40,23 @@ from .flow import to_fixed_point
 from .geometry import as_points, pairwise_sqdist
 from .hyperbucket import CompressedGraph
 
-VARIANT_KINDS = (
-    "classical",
-    "r_gather",
-    "r_capacity",
-    "chromatic",
-    "fault_tolerant",
-    "semi_supervised",
-)
+# the one parameter each variant kind takes (None: it takes none)
+VARIANT_PARAMS = {
+    "classical": None,
+    "r_gather": "r",
+    "r_capacity": "r",
+    "chromatic": None,
+    "fault_tolerant": "l",
+    "semi_supervised": "alpha",
+}
+VARIANT_KINDS = tuple(VARIANT_PARAMS)
+_PARAM_RANGES = {
+    "r": ("r >= 1", lambda v: v >= 1),
+    "l": ("l >= 1", lambda v: v >= 1),
+    "alpha": ("alpha in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+}
+# the dataset column a kind's kernel reads as left-vertex groups
+_LABEL_COLUMNS = {"chromatic": "color", "semi_supervised": "target"}
 
 
 class InfeasiblePartitionError(Exception):
@@ -59,17 +71,14 @@ class Variant:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
+        if self.kind not in VARIANT_PARAMS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.kind in ("r_gather", "r_capacity"):
-            if self.r is None or self.r < 1:
-                raise ValueError(f"{self.kind} needs r >= 1")
-        if self.kind == "fault_tolerant":
-            if self.l is None or self.l < 1:
-                raise ValueError("fault_tolerant needs l >= 1")
-        if self.kind == "semi_supervised":
-            if self.alpha is None or not (0.0 <= self.alpha <= 1.0):
-                raise ValueError("semi_supervised needs alpha in [0, 1]")
+        name = VARIANT_PARAMS[self.kind]
+        if name is not None:
+            text, ok = _PARAM_RANGES[name]
+            value = getattr(self, name)
+            if value is None or not ok(value):
+                raise ValueError(f"{self.kind} needs {text}")
 
     @staticmethod
     def classical() -> "Variant":
@@ -133,10 +142,6 @@ def quantize_costs(M, precision_bits: int = 32) -> tuple[np.ndarray, float]:
     return vals, scale
 
 
-def edge_cost_matrix(points, centers) -> np.ndarray:
-    return pairwise_sqdist(points, centers)
-
-
 def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
     """Blended edge costs for one matching of targets onto centers.
 
@@ -148,6 +153,34 @@ def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
     targets = np.asarray(targets)
     mismatch = (targets[:, None] != np.asarray(perm)[None, :]).astype(np.float64)
     return alpha * W + (1.0 - alpha) * mismatch
+
+
+def _real_costs(sq, variant: Variant, targets, perm) -> np.ndarray:
+    """The edge costs an emitted assignment pays: squared distances, or
+    under semi_supervised their blend for the winning matching perm."""
+    if variant.kind != "semi_supervised":
+        return sq
+    if targets is None:
+        raise ValueError("semi_supervised peeling needs the target column")
+    return semi_supervised_cost_terms(sq, targets, variant.alpha, perm)
+
+
+def _owner_tuples(owns: np.ndarray, vertex: np.ndarray) -> list:
+    """Owner tuples of the rows of a boolean (rows, k) matrix; row r lies
+    on left vertex vertex[r].  A vertex's owner sets shrink as the rank
+    grows (fault_tolerant) or are one center each, so (vertex, first
+    owner, size) names the set and each distinct set is built once."""
+    k = owns.shape[1]
+    code = (vertex * k + owns.argmax(axis=1)) * (k + 1) + owns.sum(axis=1)
+    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+    sets = [tuple(np.flatnonzero(owns[r]).tolist()) for r in first.tolist()]
+    return [sets[i] for i in which.tolist()]
+
+
+def _running_sum(start, terms):
+    """start + terms[0] + terms[1] + ..., strictly left to right: np.sum
+    would pair terms and change the low bits."""
+    return np.add.accumulate(np.concatenate([[start], terms]))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +197,24 @@ class _LeftSide:
         return int(self.counts.sum())
 
 
-def _left_from_points(data, centers) -> _LeftSide:
-    ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
-    W = edge_cost_matrix(ds.points, centers)
-    return _LeftSide(W, np.ones(ds.n, dtype=np.int64), None), ds
+def _left_side(data, centers, variant: Variant) -> _LeftSide:
+    """The left side a variant is solved on.
+
+    A Dataset or point array gives one vertex of count 1 per point, with
+    the variant's label column as groups; a CompressedGraph (centers
+    ignored) gives its vertices and their group ids.
+    """
+    column = _LABEL_COLUMNS.get(variant.kind)
+    if isinstance(data, CompressedGraph):
+        left, _keys = _left_from_graph(data)
+    else:
+        ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
+        labels = getattr(ds, column + "s") if column else None   # .colors / .targets
+        left = _LeftSide(pairwise_sqdist(ds.points, centers),
+                         np.ones(ds.n, dtype=np.int64), labels)
+    if column and left.groups is None:
+        raise ValueError(f"{variant.kind} partitioning needs a {column} column")
+    return left
 
 
 def _left_from_graph(graph: CompressedGraph) -> tuple[_LeftSide, list]:
@@ -279,8 +326,6 @@ def transport_assign(w_int, forbidden, counts, low: int, cap: int):
 
 
 def _chromatic(w_int, forbidden, left, variant):
-    if left.groups is None:
-        raise ValueError("chromatic needs point colors")
     total = 0
     flows = np.zeros(w_int.shape, dtype=np.int64)
     for color in np.unique(left.groups):
@@ -320,8 +365,6 @@ _KERNELS = {
 
 def _semi_supervised(left: _LeftSide, forbidden, alpha: float, precision_bits: int):
     """Unconstrained, so each of the k! target matchings is a row argmin."""
-    if left.groups is None:
-        raise ValueError("semi_supervised needs target labels")
     W = np.where(forbidden, 0.0, left.weights)
     best = None
     for perm in itertools.permutations(range(W.shape[1])):
@@ -354,32 +397,13 @@ def _solve_left(left: _LeftSide, variant: Variant, precision_bits: int):
 # ---------------------------------------------------------------------------
 # public surface
 
-def _require_labels(ds: Dataset, variant: Variant) -> np.ndarray | None:
-    if variant.kind == "chromatic":
-        if ds.colors is None:
-            raise ValueError("chromatic partitioning needs a color column")
-        return ds.colors
-    if variant.kind == "semi_supervised":
-        if ds.targets is None:
-            raise ValueError("semi_supervised partitioning needs a target column")
-        return ds.targets
-    return None
-
-
 def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
     """Optimal constrained assignment cost, or +inf when infeasible.
 
     data may be a Dataset, a raw point array, or a CompressedGraph built
     against the same centers (in which case centers is ignored).
     """
-    if isinstance(data, CompressedGraph):
-        left, _ = _left_from_graph(data)
-    else:
-        (left, ds) = _left_from_points(data, centers)
-        labels = _require_labels(ds, variant)
-        if labels is not None:
-            left = _LeftSide(left.weights, left.counts, labels)
-    solved = _solve_left(left, variant, precision_bits)
+    solved = _solve_left(_left_side(data, centers, variant), variant, precision_bits)
     if solved is None:
         return math.inf
     int_cost, scale, _flows, _perm = solved
@@ -389,35 +413,22 @@ def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32)
 def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 32) -> Assignment:
     """Optimal constrained assignment with its recomputed real cost.
 
-    Raises InfeasiblePartitionError when the constraints cannot be met.
+    Each point is a vertex of count 1, so its owners are the centers
+    that carry its flow, and owners and cost come out by the rule that
+    CompressedSolution.assign_block peels with.  Raises
+    InfeasiblePartitionError when the constraints cannot be met.
     """
-    C = as_points(centers)
-    ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
-    left, _ = _left_from_points(ds, C)
-    labels = _require_labels(ds, variant)
-    if labels is not None:
-        left = _LeftSide(left.weights, left.counts, labels)
+    if isinstance(data, CompressedGraph):
+        raise TypeError("partition_assign needs points; solve a graph with compressed_partition")
+    left = _left_side(data, centers, variant)
     solved = _solve_left(left, variant, precision_bits)
     if solved is None:
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible assignment")
     _cost, _scale, flows, perm = solved
-    owners = []
-    for v in range(ds.n):
-        own = tuple(int(j) for j in np.flatnonzero(flows[v] > 0))
-        owners.append(own)
-    cost = _real_assignment_cost(ds, C, variant, owners, perm)
-    return Assignment(owners, cost)
-
-
-def _real_assignment_cost(ds: Dataset, C, variant: Variant, owners, perm) -> float:
-    W = edge_cost_matrix(ds.points, C)
-    if variant.kind == "semi_supervised":
-        W = semi_supervised_cost_terms(W, ds.targets, variant.alpha, perm)
-    total = 0.0
-    for v, own in enumerate(owners):
-        for j in own:
-            total += W[v, j]
-    return total
+    owns = flows > 0
+    cost = _real_costs(left.weights, variant, left.groups, perm)
+    return Assignment(_owner_tuples(owns, np.arange(owns.shape[0])),
+                      _running_sum(0.0, cost[owns]))
 
 
 def fault_tolerant_reduce(ds: Dataset, l: int) -> Dataset:
@@ -459,11 +470,7 @@ class CompressedSolution:
         """
         P = as_points(points)
         sq = pairwise_sqdist(P, self.graph.centers)
-        cost = sq
-        if self.variant.kind == "semi_supervised":
-            if groups is None:
-                raise ValueError("semi_supervised peeling needs the target column")
-            cost = semi_supervised_cost_terms(sq, groups, self.variant.alpha, self.perm)
+        cost = _real_costs(sq, self.variant, groups, self.perm)
         keys, inverse, counts = self.graph.block_keys(sq, groups)
         if any(key not in self.remaining for key in keys):
             raise InfeasiblePartitionError("no flow on this point's vertex")
@@ -487,29 +494,20 @@ class CompressedSolution:
             raise InfeasiblePartitionError("no flow left on this point's vertex")
         for key, t in zip(keys, taken):
             self.remaining[key] -= t
-        # a vertex's owner sets shrink as the rank grows (fault_tolerant) or
-        # are one center each, so (vertex, first owner, size) names the set
-        k = owns.shape[1]
-        code = (inverse * k + owns.argmax(axis=1)) * (k + 1) + owns.sum(axis=1)
-        _, first, which = np.unique(code, return_index=True, return_inverse=True)
-        sets = [tuple(np.flatnonzero(owns[r]).tolist()) for r in first.tolist()]
-        # sequential sum in point order, then owner order: np.sum would
-        # pair terms and change the low bits
-        self.peeled_cost = np.add.accumulate(
-            np.concatenate([[self.peeled_cost], cost[owns]]))[-1]
+        # summed in point order, then owner order
+        self.peeled_cost = _running_sum(self.peeled_cost, cost[owns])
         self.peeled += P.shape[0]
-        return [sets[i] for i in which.tolist()]
+        return _owner_tuples(owns, inverse)
 
 
 def compressed_partition(graph: CompressedGraph, variant: Variant,
                          *, precision_bits: int = 32) -> CompressedSolution:
     """Solve a variant over a compressed graph; raises when infeasible."""
-    left, keys = _left_from_graph(graph)
-    solved = _solve_left(left, variant, precision_bits)
+    solved = _solve_left(_left_side(graph, None, variant), variant, precision_bits)
     if solved is None:
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible flow on compressed graph")
     int_cost, scale, flows, perm = solved
-    remaining = {key: flows[i].copy() for i, key in enumerate(keys)}
+    remaining = {key: flows[i].copy() for i, key in enumerate(graph.vertices)}
     return CompressedSolution(graph, variant, int_cost, scale, remaining, perm)
 
 

@@ -71,6 +71,23 @@ def test_gen_colors_and_targets(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind,extra,why", [
+    ("gaussian", ["--dim", "0"], "need dim >= 1"),
+    ("duplicates", ["--dim", "0"], "need dim >= 1"),
+    ("grid", ["--dim", "0"], "need dim >= 1"),
+    ("grid", ["--groups", "0"], "need 1 <= g <= n"),
+    ("grid", ["--n", "2", "--groups", "5"], "need 1 <= g <= n"),
+    ("uniform", ["--n", "0"], "need n >= 1 and dim >= 1"),
+    ("uniform", ["--dim", "0"], "need n >= 1 and dim >= 1"),
+])
+def test_gen_rejects_empty_shapes(tmp_path, capsys, kind, extra, why):
+    out = tmp_path / "x.csv"
+    assert run("gen", "--kind", kind, "--n", "6", *extra, "--seed", "1",
+               "--out", out) == 3
+    assert why in capsys.readouterr().err
+    assert not out.exists()
+
+
 # solve -----------------------------------------------------------------------
 
 def test_solve_round_trip_files_and_schema(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ckmeans.data import Dataset, duplicate_groups
-from ckmeans.geometry import centroid, delta_cost, phi_cost
+from ckmeans.geometry import centroid, delta_cost, pairwise_sqdist, phi_cost
 from ckmeans.oracle import (
     OracleLimit,
     OracleLimitError,
@@ -16,7 +16,7 @@ from ckmeans.oracle import (
     opt_kmeans,
     opt_kmeans_exact,
 )
-from ckmeans.partition import Variant, edge_cost_matrix, quantize_costs
+from ckmeans.partition import Variant, quantize_costs
 
 LIM = OracleLimit(max_n=8, max_k=3)
 
@@ -93,7 +93,7 @@ def test_opt_constrained_classical_is_quantized_voronoi():
     X = rng.normal(size=(6, 2))
     C = rng.normal(size=(2, 2))
     got = opt_constrained(X, C, Variant.classical(), LIM)
-    w_int, scale = quantize_costs(edge_cost_matrix(X, C), 32)
+    w_int, scale = quantize_costs(pairwise_sqdist(X, C), 32)
     want = float(w_int.min(axis=1).sum()) * scale
     assert got == want
 
