@@ -1,8 +1,7 @@
 """Command-line surface: gen / solve / stream / partition / verify.
 
 Every command is deterministic given (input file, flags, seed): JSON is
-emitted with sorted keys, timing goes to stderr only, and --workers
-never changes results (it is validated, but scoring runs serially).
+emitted with sorted keys and timing goes to stderr only.
 
 Exit codes: 0 success, 2 infeasible constraints or a failed verify
 check, 3 validation, 4 I/O, 5 oracle limit.
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -125,6 +123,8 @@ _DESK_DEFAULTS = {"eta": 32, "tau": 4, "reps": 4, "budget": 200}
 
 
 def _config_from(args) -> GoodCentersConfig:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     t = args.t if args.t is not None else args.k
     kw = dict(t=t, epsilon=args.epsilon, alpha=args.list_alpha, preset=args.preset)
     names = {"eta": "eta", "tau": "tau", "reps": "repetitions",
@@ -138,24 +138,6 @@ def _config_from(args) -> GoodCentersConfig:
     if args.anchor_copies is not None:
         kw["anchor_copies"] = args.anchor_copies
     return GoodCentersConfig(**kw)
-
-
-def _check_workers(flag) -> None:
-    """Validate --workers, or $CKMEANS_WORKERS when the flag is absent.
-
-    Both stay accepted, but candidate scoring runs serially: a thread
-    pool measured no gain, and each score is a few numpy calls.
-    """
-    if flag is None:
-        name, raw = "CKMEANS_WORKERS", os.environ.get("CKMEANS_WORKERS", "1")
-    else:
-        name, raw = "--workers", flag
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ValueError(f"{name}={raw!r} is not an integer") from None
-    if w < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +195,6 @@ def cmd_gen(args) -> int:
 # solve (batch)
 
 def cmd_solve(args) -> int:
-    _check_workers(args.workers)
     variant = _variant_from(args)
     cfg = _config_from(args)
     ds = read_dataset_csv(args.data)
@@ -393,7 +374,7 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, help="centers per candidate (default: k)")
+    p.add_argument("--t", type=int, help="centers per candidate (default and only value: k)")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--preset", default="desk", choices=["desk", "formula"])
     p.add_argument("--eta", type=int, help="samples per center slot (desk default 32)")
@@ -442,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("data")
     _add_solver_flags(s)
     _add_variant_flags(s)
-    s.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility (default: "
-                        "$CKMEANS_WORKERS or 1); scoring is serial")
     s.add_argument("--candidates", help="also dump the candidate list CSV here")
     s.add_argument("--out", help="prefix for .json/.centers.csv/.assign.csv")
     s.set_defaults(func=cmd_solve)

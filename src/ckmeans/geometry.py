@@ -7,7 +7,6 @@ array of rows; nothing in here knows about constraints or streams.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def as_points(X) -> np.ndarray:
@@ -90,6 +89,9 @@ def min_cost_matching(M) -> tuple[float, tuple[int, ...]]:
 
     Returns (cost, pi) with pi[i] the column matched to row i.
     """
+    # no solve path matches; importing scipy here keeps it out of start-up
+    from scipy.optimize import linear_sum_assignment
+
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("need a square cost matrix")

@@ -8,13 +8,16 @@ per-center bucket ids; points sharing a key collapse into one weighted
 vertex, so downstream flow problems see a graph whose size no longer
 depends on n.
 
-A block is keyed as one int64 matrix, a row per point and a column per
-center: the bucket id, or the sentinel ZERO_ID (exact zero) or
-EXCLUDED_ID (cut center), plus a last column with the group id when
-groups ride along.  Equal rows are found with one stable lexsort, so
-Python objects are built once per distinct vertex of a block, never per
-point.  The tuple form, with ZERO_BUCKET and EXCLUDED in the slots, is
-kept only as the public vertex key.
+A stream pass keys a block for every candidate graph at once: one
+distance matrix against all graphs' centers stacked, one bucketing of
+it, and one int64 key matrix laid out graph-major, a row per (graph,
+point).  A row holds the graph id, then per center the bucket id or the
+sentinel ZERO_ID (exact zero) or EXCLUDED_ID (cut center), then the
+group id when groups ride along.  Equal rows are found with one stable
+lexsort, so Python objects are built once per distinct vertex of a
+block, never per point; a single graph is the case of one.  The tuple
+form, with ZERO_BUCKET and EXCLUDED in the slots, is kept only as the
+public vertex key.
 
 Aspect-ratio removal replaces raw bucket ids with contracted ones:
 given a scale guess u, squared distances below (u/n^2)^2 are treated as
@@ -142,45 +145,9 @@ class CompressedGraph:
     def n_points(self) -> int:
         return sum(self.vertices.values())
 
-    def _keys_for(self, sq_block: np.ndarray, groups=None) -> np.ndarray:
-        """The block's int64 key matrix: one row per point, one column per
-        center, plus a group column when groups is given."""
-        sq = sq_block
-        if self.contract_below > 0.0:
-            sq = np.where(sq < self.contract_below, 0.0, sq)
-        idx, zero = bucket_indices(sq, self.epsilon)
-        idx[zero] = ZERO_ID
-        if math.isfinite(self.cut_above):
-            cut = sq > self.cut_above
-            # the nearest center always survives the filter
-            cut[np.arange(sq.shape[0]), np.argmin(sq_block, axis=1)] = False
-            idx[cut] = EXCLUDED_ID
-        if groups is None:
-            return idx
-        return np.column_stack([idx, np.asarray(groups).astype(np.int64)])
-
-    def block_keys(self, sq_block: np.ndarray, groups=None):
-        """Distinct vertex keys of a block: (keys, inverse, counts).
-
-        keys holds the (key, group) tuples in order of first occurrence,
-        row r falls into keys[inverse[r]], and counts[i] rows fall into
-        keys[i].
-        """
-        M = self._keys_for(sq_block, groups)
-        first, inverse, counts = _distinct_rows(M)
-        k = self.k
-        keys = [(tuple(map(_SLOTS.get, row[:k], row[:k])),
-                 None if groups is None else row[k])
-                for row in M[first].tolist()]
-        return keys, inverse, counts
-
-    def add_block(self, points, groups=None) -> list[tuple]:
-        """Bucket a block of points into vertices; returns their keys."""
-        P = as_points(points)
-        keys, inverse, counts = self.block_keys(pairwise_sqdist(P, self.centers), groups)
-        for key, c in zip(keys, counts.tolist()):
-            self.vertices[key] = self.vertices.get(key, 0) + c
-        return [keys[i] for i in inverse.tolist()]
+    def add_block(self, points, groups=None) -> None:
+        """Bucket a block of points into vertices."""
+        bucket_block([self], pairwise_sqdist(as_points(points), self.centers), groups)
 
     def vertex_weights(self, full_key) -> np.ndarray:
         """Representative squared distance per center for one vertex.
@@ -206,7 +173,7 @@ class CompressedGraph:
         and its bucket weight; diagnostic for the soundness invariant."""
         P = as_points(points)
         sq = pairwise_sqdist(P, self.centers)
-        keys, inverse, _counts = self.block_keys(sq)
+        keys, inverse, _counts, _owner = block_keys([self], sq)
         if not keys:
             return 0.0
         w = np.array([self.vertex_weights(key) for key in keys])[inverse]
@@ -216,6 +183,61 @@ class CompressedGraph:
             return math.inf
         live &= s != 0.0
         return float((np.abs(w[live] - s[live]) / s[live]).max(initial=0.0))
+
+
+def block_keys(graphs, sq: np.ndarray, groups=None):
+    """Distinct vertex keys of one block under each of several graphs.
+
+    The graphs share k and epsilon.  sq holds the block's squared
+    distances to their centers stacked in graph order, shape (b, m*k).
+    Each graph's contract_below and cut_above apply by broadcasting, and
+    each graph's nearest center survives its cut.  The key matrix is
+    laid out graph-major, a row per (graph, point) with the graph id in
+    front, so one grouping serves every graph.
+
+    Returns (keys, inverse, counts, owner): keys[i] is a (key, group)
+    vertex of graphs[owner[i]], in order of first occurrence; row
+    j*b + r (point r under graph j) falls into keys[inverse[j*b + r]],
+    and counts[i] rows fall into keys[i].  With one graph, inverse maps
+    the block's rows.
+    """
+    m, k, eps = len(graphs), graphs[0].k, graphs[0].epsilon
+    if any(g.k != k or g.epsilon != eps for g in graphs):
+        raise ValueError("graphs bucketed together need the same k and epsilon")
+    b = sq.shape[0]
+    raw = sq.reshape(b, m, k)
+    s = raw
+    below = np.array([g.contract_below for g in graphs])
+    if (below > 0.0).any():
+        s = np.where(raw < below[:, None], 0.0, raw)
+    idx, zero = bucket_indices(s, eps)
+    idx[zero] = ZERO_ID
+    above = np.array([g.cut_above for g in graphs])
+    if np.isfinite(above).any():
+        cut = s > above[:, None]
+        # the nearest center always survives the filter
+        np.put_along_axis(cut, raw.argmin(axis=2)[:, :, None], False, axis=2)
+        idx[cut] = EXCLUDED_ID
+    cols = [np.repeat(np.arange(m, dtype=np.int64), b)[:, None],
+            idx.transpose(1, 0, 2).reshape(m * b, k)]
+    if groups is not None:
+        cols.append(np.tile(np.asarray(groups).astype(np.int64), m)[:, None])
+    M = np.hstack(cols)
+    first, inverse, counts = _distinct_rows(M)
+    rows = M[first].tolist()
+    keys = [(tuple(map(_SLOTS.get, row[1:k + 1], row[1:k + 1])),
+             None if groups is None else row[k + 1])
+            for row in rows]
+    return keys, inverse, counts, [row[0] for row in rows]
+
+
+def bucket_block(graphs, sq: np.ndarray, groups=None) -> None:
+    """Bucket one block into several graphs at once; sq is the block's
+    squared distances to their stacked centers (see block_keys)."""
+    keys, _inverse, counts, owner = block_keys(graphs, sq, groups)
+    for j, key, c in zip(owner, keys, counts.tolist()):
+        vertices = graphs[j].vertices
+        vertices[key] = vertices.get(key, 0) + c
 
 
 def build_compressed(points, centers, epsilon: float, groups=None,

@@ -38,7 +38,7 @@ import numpy as np
 from .data import Dataset
 from .flow import to_fixed_point
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph
+from .hyperbucket import CompressedGraph, block_keys
 
 # the one parameter each variant kind takes (None: it takes none)
 VARIANT_PARAMS = {
@@ -471,7 +471,7 @@ class CompressedSolution:
         P = as_points(points)
         sq = pairwise_sqdist(P, self.graph.centers)
         cost = _real_costs(sq, self.variant, groups, self.perm)
-        keys, inverse, counts = self.graph.block_keys(sq, groups)
+        keys, inverse, counts, _owner = block_keys([self.graph], sq, groups)
         if any(key not in self.remaining for key in keys):
             raise InfeasiblePartitionError("no flow on this point's vertex")
         units = np.array([self.remaining[key] for key in keys],

@@ -4,6 +4,8 @@ The full pipeline spends one pass seeding, one filling reservoirs, one
 building a compressed graph for every candidate (plus an optional scale
 pass when aspect-ratio removal is on), and one peeling the winning
 solution into per-point assignments: 4 passes, 5 with aspect removal.
+The graph and scale passes handle each block once for all candidates,
+against their centers stacked into one matrix.
 Solving happens offline between passes on the compressed graphs, never
 on raw points.  batch_solve is the in-memory pipeline behind
 `ckmeans solve`.  Both draw candidates with listgen.repetition_tuples
@@ -20,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, read_dataset_csv
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph, aspect_graph, aspect_guesses
+from .hyperbucket import CompressedGraph, aspect_graph, aspect_guesses, bucket_block
 from .listgen import CandidateList, GoodCentersConfig, good_centers, repetition_tuples
 from .partition import (
     CompressedSolution,
@@ -166,7 +168,8 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
                           ) -> tuple[CandidateList, SeedSolution, int]:
     """Streaming good_centers: pass 1 seeds, pass 2 fills one reservoir
     per needed sample (with a uniform-fallback twin so a zero potential
-    degrades to uniform sampling exactly like the batch path).  Returns
+    degrades to uniform sampling exactly like the batch path; the twin
+    is fed only while the potential seen so far is zero).  Returns
     (candidates, seed, points_seen)."""
     meter = meter if meter is not None else SpaceMeter()
     p = cfg.resolved()
@@ -194,10 +197,12 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
         seen = 0
         for pts in source.open_points():
             w = pairwise_sqdist(pts, C).min(axis=1)
-            ones = np.ones(len(w))
             for bank, uni in banks:
                 bank.offer_block(pts, w)
-                uni.offer_block(pts, ones)
+                # the twin is read only when its bank ends the pass at
+                # weight 0, and a positive sum never falls back to 0
+                if bank.weight_sum == 0:
+                    uni.offer_block(pts, np.ones(len(w)))
             seen += len(w)
 
         anchor = np.repeat(C, p["copies"], axis=0)
@@ -258,8 +263,11 @@ def select_best(costs, mode: str = "argmin", epsilon: float | None = None,
 
 
 def _check_t(cfg: GoodCentersConfig, k: int) -> None:
+    # a t-tuple below k would be emitted as a (t, d) center set
     if cfg.t > k:
         raise ValueError(f"t={cfg.t} centers per candidate exceeds k={k}")
+    if cfg.t < k:
+        raise ValueError(f"t={cfg.t} centers per candidate is below k={k}")
 
 
 def _winner(costs, select_mode: str, epsilon: float, seed_cost: float) -> int:
@@ -307,14 +315,16 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         raise InfeasiblePartitionError("candidate list came back empty")
     eps = cfg.epsilon
 
+    # every pass measures a block against all candidates' centers at once
+    m = len(cands)
+    stacked = np.vstack([e.centers for e in cands.entries])
     d_star = None
     if aspect_removal:
         with meter.phase("scale"):
-            worst = np.zeros(len(cands))
+            worst = np.zeros(m)
             for pts, _c, _t in source.open():
-                for i, e in enumerate(cands.entries):
-                    near = pairwise_sqdist(pts, e.centers).min(axis=1)
-                    worst[i] = max(worst[i], float(near.max()))
+                near = pairwise_sqdist(pts, stacked).reshape(len(pts), m, -1).min(axis=2)
+                worst = np.maximum(worst, near.max(axis=0))
             d_star = np.sqrt(worst)
 
     # one graph per candidate; with aspect removal its scale guess is the
@@ -332,8 +342,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             if variant.kind == "semi_supervised" and targets is None:
                 raise ValueError("semi_supervised streaming needs a target column")
             groups = targets if variant.kind == "semi_supervised" else None
-            for g in graphs:
-                g.add_block(pts, groups)
+            bucket_block(graphs, pairwise_sqdist(pts, stacked), groups)
         for g in graphs:
             meter.alloc_words(len(g.vertices) * (g.k + 1))
 

@@ -20,7 +20,7 @@ from ckmeans.geometry import (
     pairwise_sqdist,
     psi_cost,
 )
-from ckmeans.hyperbucket import CompressedGraph, build_compressed
+from ckmeans.hyperbucket import CompressedGraph, block_keys, build_compressed
 from ckmeans.listgen import GoodCentersConfig, good_centers
 from ckmeans.oracle import opt_constrained, opt_kmeans
 from ckmeans.partition import Variant, partition_cost
@@ -146,9 +146,9 @@ def test_criterion_3_compression_fidelity():
         X = rng.normal(size=(500, 3)) * 5
         C = rng.normal(size=(4, 3)) * 5
         g = CompressedGraph(C, eps)
-        keys = g.add_block(X)
         true = pairwise_sqdist(X, C)
-        for i, key in enumerate(keys):
+        keys, inverse, _counts, _owner = block_keys([g], true)
+        for i, key in enumerate(keys[j] for j in inverse):
             s = g.vertex_weights(key)
             w = true[i]
             # representatives round down: s <= w < s * (1 + eps)

@@ -1,11 +1,12 @@
 """Array bucket keys and per-vertex peeling against scalar references.
 
-CompressedGraph keys a block as one int64 matrix and groups equal rows;
-CompressedSolution.assign_block peels each vertex's rows at once.  The
-references here are the per-point forms: a key tuple built from
-bucket_index cell by cell, and a greedy peel that takes one point at a
-time from its vertex's remaining units (lowest center first, or every
-center with units left under fault_tolerant).
+block_keys keys a block as one int64 matrix for one or several graphs
+and groups equal rows; CompressedSolution.assign_block peels each
+vertex's rows at once.  The references here are the per-point forms: a
+key tuple built from bucket_index cell by cell, one graph at a time,
+and a greedy peel that takes one point at a time from its vertex's
+remaining units (lowest center first, or every center with units left
+under fault_tolerant).
 """
 
 import copy
@@ -17,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckmeans.geometry import pairwise_sqdist
-from ckmeans.hyperbucket import EXCLUDED, CompressedGraph, bucket_index
+from ckmeans.hyperbucket import (
+    EXCLUDED,
+    CompressedGraph,
+    aspect_graph,
+    block_keys,
+    bucket_block,
+    bucket_index,
+)
 from ckmeans.partition import (
     InfeasiblePartitionError,
     Variant,
@@ -110,13 +118,85 @@ def test_block_keys_match_scalar_keys(inst):
     for P, G in blocks_of(X, groups, bounds):
         sq = pairwise_sqdist(P, C)
         want = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
-        assert g.add_block(P, G) == want
+        keys, inverse, _counts, _owner = block_keys([g], sq, G)
+        assert [keys[i] for i in inverse] == want
+        g.add_block(P, G)
         for key in want:
             ref_vertices[key] = ref_vertices.get(key, 0) + 1
         # same keys, counts and insertion order, also for keys seen in
         # an earlier block
         assert list(g.vertices.items()) == list(ref_vertices.items())
     assert g.max_weight_error(X) == ref_weight_error(g, X)
+
+
+@st.composite
+def stacks(draw):
+    """m graphs of one k over one stream in d dimensions: plain graphs,
+    graphs with a fixed floor and ceiling, and aspect graphs, each with
+    its own scale guess u."""
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
+    grid = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    f = draw(st.sampled_from([1.0, 0.001, 37.5]))
+    n = draw(st.integers(1, 30))
+    centers = [np.array(draw(st.lists(grid, min_size=k, max_size=k)), dtype=float) * f
+               for _ in range(m)]
+    X = np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float) * f
+    for r in range(0, n, 3):                            # exact zeros under some graph
+        j = draw(st.integers(0, m - 1))
+        X[r] = centers[j][draw(st.integers(0, k - 1))]
+    graphs = []
+    for C in centers:
+        shape = draw(st.sampled_from(["plain", "floor", "aspect"]))
+        if shape == "aspect":
+            # n=1 keeps the floor (u/n^2)^2 = u^2 on the grid's scale
+            graphs.append(aspect_graph(C, EPS, draw(st.sampled_from([0.5, 1.0, 2.0])) * f, 1))
+        elif shape == "floor":
+            graphs.append(CompressedGraph(C, EPS, contract_below=1.5 * f * f,
+                                          cut_above=9.0 * f * f))
+        else:
+            graphs.append(CompressedGraph(C, EPS))
+    groups = None
+    if draw(st.booleans()):
+        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    bounds = sorted({0, n, *draw(st.lists(st.integers(1, n), max_size=3))})
+    return graphs, X, groups, bounds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stacks())
+def test_stacked_pass_matches_each_graph_alone(inst):
+    graphs, X, groups, bounds = inst
+    m, k = len(graphs), graphs[0].k
+    stacked = np.vstack([g.centers for g in graphs])
+    refs = [{} for _ in graphs]
+    for P, G in blocks_of(X, groups, bounds):
+        b = P.shape[0]
+        sq = pairwise_sqdist(P, stacked)
+        keys, inverse, counts, owner = block_keys(graphs, sq, G)
+        assert np.bincount(inverse, minlength=len(keys)).tolist() == counts.tolist()
+        for j, g in enumerate(graphs):
+            alone = pairwise_sqdist(P, g.centers)
+            # the stacked distances are the per-graph ones, bit for bit
+            assert np.array_equal(sq[:, j * k:(j + 1) * k], alone)
+            for r in range(b):
+                want = ref_key(g, alone[r], None if G is None else G[r])
+                i = inverse[j * b + r]
+                assert owner[i] == j and keys[i] == want
+                refs[j][want] = refs[j].get(want, 0) + 1
+        bucket_block(graphs, sq, G)
+        # each graph's vertices: same keys, counts and insertion order
+        for g, ref in zip(graphs, refs):
+            assert list(g.vertices.items()) == list(ref.items())
+
+
+def test_stacked_graphs_share_k_and_epsilon():
+    P = np.zeros((2, 2))
+    a = CompressedGraph(np.ones((2, 2)), EPS)
+    for b in (CompressedGraph(np.ones((3, 2)), EPS), CompressedGraph(np.ones((2, 2)), 0.25)):
+        with pytest.raises(ValueError, match="same k and epsilon"):
+            block_keys([a, b], pairwise_sqdist(P, np.vstack([a.centers, b.centers])))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -123,23 +123,6 @@ def test_solve_same_seed_is_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_solve_worker_count_never_changes_output(tmp_path, monkeypatch):
-    data, _ = gen(tmp_path)
-    blobs = []
-    for name, workers in [("w1", "1"), ("w3", "3")]:
-        prefix = tmp_path / name
-        assert run("solve", data, "--k", "3", "--seed", "11", *SMALL,
-                   "--workers", workers, "--out", prefix) == 0
-        blobs.append(Path(str(prefix) + ".json").read_bytes())
-    assert blobs[0] == blobs[1]
-    # the env default goes through the same path
-    monkeypatch.setenv("CKMEANS_WORKERS", "2")
-    prefix = tmp_path / "we"
-    assert run("solve", data, "--k", "3", "--seed", "11", *SMALL,
-               "--out", prefix) == 0
-    assert Path(str(prefix) + ".json").read_bytes() == blobs[0]
-
-
 def test_solve_constrained_variants_and_exit_codes(tmp_path):
     data, _ = gen(tmp_path)
     ok = run("solve", data, "--k", "3", "--seed", "2", *SMALL,
@@ -189,6 +172,24 @@ def test_solve_and_stream_reject_t_above_k(tmp_path, capsys):
         assert not list(tmp_path.glob(command + "*"))
 
 
+def test_solve_and_stream_reject_t_below_k(tmp_path, capsys):
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    for command in ("solve", "stream"):
+        prefix = tmp_path / command
+        assert run(command, data, "--k", "3", "--t", "2", "--seed", "1", *SMALL,
+                   "--out", prefix) == 3
+        assert "t=2 centers per candidate is below k=3" in capsys.readouterr().err
+        assert not list(tmp_path.glob(command + "*"))
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_solve_and_stream_name_k_below_one(tmp_path, capsys, k):
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    for command in ("solve", "stream"):
+        assert run(command, data, "--k", k, "--seed", "1", *SMALL) == 3
+        assert f"--k must be >= 1, got {k}" in capsys.readouterr().err
+
+
 def test_validation_error_leaves_no_output_files(tmp_path):
     data, _ = gen(tmp_path)
     prefix = tmp_path / "nope"
@@ -218,14 +219,6 @@ def test_non_finite_coordinate_is_validation_error(tmp_path, capsys, bad):
         assert f"{data}:5: non-finite coordinate" in capsys.readouterr().err
     with pytest.raises(ValueError, match="point 1 has a non-finite"):
         Dataset(np.array([[0.0, 1.0], [float(bad), 0.0]]))
-
-
-def test_worker_count_is_validated(tmp_path, monkeypatch):
-    data, _ = gen(tmp_path)
-    argv = ["solve", data, "--k", "3", "--seed", "0", *SMALL]
-    assert run(*argv, "--workers", "0") == 3
-    monkeypatch.setenv("CKMEANS_WORKERS", "many")
-    assert run(*argv) == 3
 
 
 # stream ------------------------------------------------------------------------

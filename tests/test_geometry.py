@@ -1,6 +1,10 @@
 """Cost functionals against brute-force oracles and algebraic identities."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ckmeans
 from ckmeans.geometry import (
     as_points,
     centroid,
@@ -162,3 +167,16 @@ def test_as_points_promotes_single_row():
     assert as_points([1.0, 2.0]).shape == (1, 2)
     with pytest.raises(ValueError):
         as_points(np.zeros((2, 2, 2)))
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is imported inside min_cost_matching only; every CLI run
+    # would pay for it otherwise
+    src = str(Path(ckmeans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, ckmeans, ckmeans.cli, ckmeans.streaming; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -16,12 +16,19 @@ from ckmeans.hyperbucket import (
     aspect_graph,
     aspect_guesses,
     aspect_key_survives,
+    block_keys,
     bucket_index,
     bucket_indices,
     bucket_weight,
     build_compressed,
 )
 from ckmeans.partition import Variant, partition_cost
+
+
+def row_keys(g, P):
+    """The vertex key of each row of P under graph g."""
+    keys, inverse, _counts, _owner = block_keys([g], pairwise_sqdist(P, g.centers))
+    return [keys[i] for i in inverse]
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
@@ -107,7 +114,7 @@ def test_soundness_no_violations_small():
 def test_coincident_points_share_a_zero_slot():
     C = np.array([[0.0, 0.0], [7.0, 0.0]])
     g = CompressedGraph(C, 0.5)
-    keys = g.add_block(np.array([[0.0, 0.0], [0.0, 0.0]]))
+    keys = row_keys(g, np.array([[0.0, 0.0], [0.0, 0.0]]))
     assert keys[0] == keys[1]
     key, _group = keys[0]
     assert key[0] is ZERO_BUCKET
@@ -172,7 +179,7 @@ def test_aspect_contraction_and_cut():
     g = aspect_graph(C, 0.5, u, n)
     # a point microscopically off center 0: contracted to the zero slot
     tiny = u / n**2 / 2
-    keys = g.add_block(np.array([[tiny, 0.0]]))
+    keys = row_keys(g, np.array([[tiny, 0.0]]))
     key, _grp = keys[0]
     assert key[0] is ZERO_BUCKET
     # center 1 sits 100 - tiny > 4u = 40 away: cut
@@ -183,7 +190,7 @@ def test_aspect_contraction_and_cut():
 def test_nearest_center_survives_cut():
     C = np.array([[0.0, 0.0], [1000.0, 0.0]])
     g = aspect_graph(C, 0.5, 1.0, 10)
-    keys = g.add_block(np.array([[500.0, 0.0]]))   # far from both
+    keys = row_keys(g, np.array([[500.0, 0.0]]))   # far from both
     key, _grp = keys[0]
     assert key[0] is not EXCLUDED                  # nearest (tie -> lowest index)
     assert key[1] is EXCLUDED
@@ -196,7 +203,7 @@ def test_aspect_key_survives_matches_graph():
     g = aspect_graph(C, 0.5, u, n)
     for _ in range(50):
         p = rng.normal(size=(1, 2)) * 20
-        key, _grp = g.add_block(p)[-1]
+        key, _grp = row_keys(g, p)[-1]
         for j in range(3):
             survives = key[j] is not EXCLUDED
             assert survives == aspect_key_survives(p, C, u, n, j)

@@ -15,9 +15,10 @@ from ckmeans.data import (
 )
 from ckmeans.geometry import pairwise_sqdist, phi_cost
 from ckmeans.hyperbucket import CompressedGraph
-from ckmeans.listgen import GoodCentersConfig, good_centers
+from ckmeans.listgen import GoodCentersConfig, good_centers, repetition_tuples
 from ckmeans.partition import InfeasiblePartitionError, Variant, partition_cost
-from ckmeans.seeding import d2_seed
+from ckmeans.sampling import ReservoirBank
+from ckmeans.seeding import d2_seed, merge_reduce_seed
 from ckmeans.streaming import (
     ArraySource,
     CSVSource,
@@ -139,6 +140,60 @@ def test_two_pass_uniform_fallback_on_zero_potential():
     for e in cands.entries:
         for c in e.centers:
             assert tuple(c) in sites   # tau=1 means every center is a stream point
+
+
+def always_fed_sample_pass(source, k, cfg, rng):
+    """two_pass_good_centers with every uniform twin fed every block:
+    (seed centers, candidate centers)."""
+    p = cfg.resolved()
+    rng_seed, rng_sample = rng.spawn(2)
+    seed = merge_reduce_seed(source.open_points(), k, default_chunk(source.n, k), rng_seed)
+    R = p["eta"] * p["t"]
+    streams = [rs.spawn(3) for rs in rng_sample.spawn(p["repetitions"])]
+    banks = [(ReservoirBank(R, 2, s[0]), ReservoirBank(R, 2, s[1])) for s in streams]
+    for pts in source.open_points():
+        w = pairwise_sqdist(pts, seed.centers).min(axis=1)
+        for bank, uni in banks:
+            bank.offer_block(pts, w)
+            uni.offer_block(pts, np.ones(len(w)))
+    anchor = np.repeat(seed.centers, p["copies"], axis=0)
+    entries = []
+    for r, (bank, uni) in enumerate(banks):
+        samples = (bank if bank.weight_sum > 0 else uni).sampled_points()
+        entries += repetition_tuples(np.vstack([samples, anchor]), r, p, streams[r][2]) or []
+    return seed.centers, [e.centers for e in entries]
+
+
+@pytest.mark.parametrize("tail", [0, 16])
+def test_uniform_twin_fed_only_while_potential_is_zero(monkeypatch, tail):
+    # three heavy sites fill the first blocks; a cluster at the end holds
+    # the only positive potential (none at all with tail=0)
+    rng = np.random.default_rng(7)
+    sites = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
+    X = np.vstack([np.repeat(sites, 16, axis=0),
+                   rng.normal(size=(tail, 2)) + [25.0, 25.0]])
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
+                            eta=4, tau=1, repetitions=3, subset_budget=20)
+    want_seed, want = always_fed_sample_pass(ArraySource(X, block=8), 3, cfg,
+                                             np.random.default_rng(8))
+    offers = []
+    real = ReservoirBank.offer_block
+
+    def spy(bank, pts, w):
+        offers.append(bank)
+        real(bank, pts, w)
+
+    monkeypatch.setattr(ReservoirBank, "offer_block", spy)
+    cands, seed, _ = two_pass_good_centers(ArraySource(X, block=8), 3, cfg,
+                                           np.random.default_rng(8))
+    assert np.array_equal(seed.centers, want_seed)
+    assert [e.centers.tolist() for e in cands.entries] == [c.tolist() for c in want]
+    # the premise: six zero-potential blocks, then positive ones
+    potential = pairwise_sqdist(X, seed.centers).min(axis=1)
+    assert not potential[:48].any()
+    assert all(potential[lo:lo + 8].any() for lo in range(48, len(X), 8))
+    # the twins saw those six blocks only; the D2 banks saw every block
+    assert len(offers) == 3 * 6 * 2 + 3 * tail // 8
 
 
 # select_best ------------------------------------------------------------------
@@ -363,6 +418,16 @@ def test_pipelines_reject_t_above_k():
                       np.random.default_rng(24))
     with pytest.raises(ValueError, match="exceeds k=2"):
         batch_solve(ds, 2, Variant.classical(), CFG, np.random.default_rng(24))
+
+
+def test_pipelines_reject_t_below_k():
+    # a 3-tuple list cannot answer k=4: the pipelines would emit 3 centers
+    ds, _ = planted(23)
+    with pytest.raises(ValueError, match="t=3 centers per candidate is below k=4"):
+        full_pipeline(ArraySource(ds, block=16), 4, Variant.classical(), CFG,
+                      np.random.default_rng(24))
+    with pytest.raises(ValueError, match="is below k=4"):
+        batch_solve(ds, 4, Variant.classical(), CFG, np.random.default_rng(24))
 
 
 def test_pipeline_aspect_feasible_and_close():
