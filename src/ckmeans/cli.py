@@ -37,7 +37,6 @@ from .partition import (
     InfeasiblePartitionError,
     Variant,
     partition_assign,
-    partition_cost,
 )
 from .stability import (
     check_beta_distributed,
@@ -51,6 +50,11 @@ RANDOM_KINDS = ("duplicates", "gaussian", "grid", "uniform")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: a removed flag must not turn into another
+        # one (--t would read as --tau)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse default exits 2; 2 means infeasible here
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -125,8 +129,7 @@ _DESK_DEFAULTS = {"eta": 32, "tau": 4, "reps": 4, "budget": 200}
 def _config_from(args) -> GoodCentersConfig:
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
-    t = args.t if args.t is not None else args.k
-    kw = dict(t=t, epsilon=args.epsilon, alpha=args.list_alpha, preset=args.preset)
+    kw = dict(t=args.k, epsilon=args.epsilon, alpha=args.list_alpha, preset=args.preset)
     names = {"eta": "eta", "tau": "tau", "reps": "repetitions",
              "budget": "subset_budget"}
     for flag, field in names.items():
@@ -290,7 +293,7 @@ def cmd_partition(args) -> int:
         "k": cds.n,
         "variant": _variant_summary(variant),
         "cost": asg.cost,
-        "flow_cost": partition_cost(ds, cds.points, variant, precision_bits=args.bits),
+        "flow_cost": asg.flow_cost,
         "owners": [list(map(int, own)) for own in asg.owners],
     }
     if args.out:
@@ -374,7 +377,6 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", type=int, help="centers per candidate (default and only value: k)")
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--preset", default="desk", choices=["desk", "formula"])
     p.add_argument("--eta", type=int, help="samples per center slot (desk default 32)")

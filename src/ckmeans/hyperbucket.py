@@ -3,21 +3,21 @@
 Squared distances are bucketed geometrically: bucket i holds s with
 (1+eps)^i <= s < (1+eps)^(i+1), and the bucket's representative weight
 (1+eps)^i is within a (1+eps) factor of every member.  Exact zeros get
-their own ZERO bucket with weight 0.  A point's key is its tuple of
-per-center bucket ids; points sharing a key collapse into one weighted
+their own slot ZERO_ID with weight 0, and a center cut by aspect removal
+gets EXCLUDED_ID with weight +inf.  A point's key is its tuple of
+per-center int slots (a bucket id, ZERO_ID or EXCLUDED_ID) plus an
+optional group id; points sharing a key collapse into one weighted
 vertex, so downstream flow problems see a graph whose size no longer
-depends on n.
+depends on n.  This module alone reads the key layout: the solvers get
+a graph's vertices as arrays from CompressedGraph.vertex_arrays.
 
 A stream pass keys a block for every candidate graph at once: one
 distance matrix against all graphs' centers stacked, one bucketing of
 it, and one int64 key matrix laid out graph-major, a row per (graph,
-point).  A row holds the graph id, then per center the bucket id or the
-sentinel ZERO_ID (exact zero) or EXCLUDED_ID (cut center), then the
+point).  A row holds the graph id, then the point's slots, then the
 group id when groups ride along.  Equal rows are found with one stable
 lexsort, so Python objects are built once per distinct vertex of a
-block, never per point; a single graph is the case of one.  The tuple
-form, with ZERO_BUCKET and EXCLUDED in the slots, is kept only as the
-public vertex key.
+block, never per point; a single graph is the case of one.
 
 Aspect-ratio removal replaces raw bucket ids with contracted ones:
 given a scale guess u, squared distances below (u/n^2)^2 are treated as
@@ -29,33 +29,29 @@ the data's aspect ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import as_points, pairwise_sqdist
 
-# key slot markers: ZERO_BUCKET for exact zero distance, EXCLUDED for a
-# center cut by the aspect-removal filter
-ZERO_BUCKET = None
-EXCLUDED = "cut"
-# the same markers in a block's int64 key matrix; no bucket id reaches them
+# key slot markers, out of reach of any bucket id: ZERO_ID for exact zero
+# distance, EXCLUDED_ID for a center cut by the aspect-removal filter
 ZERO_ID = np.iinfo(np.int64).min
 EXCLUDED_ID = ZERO_ID + 1
-_SLOTS = {ZERO_ID: ZERO_BUCKET, EXCLUDED_ID: EXCLUDED}
 
 
-def bucket_index(sqdist: float, epsilon: float):
+def bucket_index(sqdist: float, epsilon: float) -> int:
     """Bucket id i with (1+eps)^i <= sqdist < (1+eps)^(i+1).
 
-    The lower boundary is inclusive; 0.0 maps to ZERO_BUCKET.
+    The lower boundary is inclusive; 0.0 maps to ZERO_ID.
     """
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
     if not (sqdist >= 0) or not math.isfinite(sqdist):
         raise ValueError("squared distance must be finite and non-negative")
     if sqdist == 0.0:
-        return ZERO_BUCKET
+        return ZERO_ID
     b = 1.0 + epsilon
     i = int(math.floor(math.log(sqdist) / math.log(b)))
     while b ** (i + 1) <= sqdist:
@@ -65,11 +61,14 @@ def bucket_index(sqdist: float, epsilon: float):
     return i
 
 
-def bucket_weight(index, epsilon: float) -> float:
-    """Representative squared distance of a bucket id (0.0 for ZERO_BUCKET)."""
-    if index is ZERO_BUCKET:
+def bucket_weight(slot: int, epsilon: float) -> float:
+    """Representative squared distance of a key slot: 0.0 for ZERO_ID,
+    +inf (a forbidden edge) for EXCLUDED_ID."""
+    if slot == ZERO_ID:
         return 0.0
-    return (1.0 + epsilon) ** index
+    if slot == EXCLUDED_ID:
+        return math.inf
+    return (1.0 + epsilon) ** slot
 
 
 def bucket_indices(sq: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -81,15 +80,14 @@ def bucket_indices(sq: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
     b = 1.0 + epsilon
     safe = np.where(zero, 1.0, sq)
     idx = np.floor(np.log(safe) / math.log(b)).astype(np.int64)
-    # float log can land one bucket off in either direction; nudge until exact
-    for _ in range(4):
-        lo = b ** idx.astype(np.float64)
-        too_high = ~zero & (lo > safe)
-        too_low = ~zero & (b ** (idx + 1.0) <= safe)
-        if not (too_high.any() or too_low.any()):
-            break
-        idx[too_high] -= 1
-        idx[too_low] += 1
+    # float log can land a bucket off, and numpy's power can differ from
+    # Python's in the last bit: an entry not clearly inside its bucket
+    # takes bucket_index's id, computed once per distinct value
+    ratio = safe / b ** idx.astype(np.float64)
+    unsure = ~zero & ((ratio <= 1.0 + 1e-14) | (ratio >= b * (1.0 - 1e-14)))
+    if unsure.any():
+        vals, inverse = np.unique(safe[unsure], return_inverse=True)
+        idx[unsure] = np.array([bucket_index(v, epsilon) for v in vals.tolist()])[inverse]
     return idx, zero
 
 
@@ -121,9 +119,10 @@ def _distinct_rows(M: np.ndarray):
 class CompressedGraph:
     """Weighted contraction of (X, C): one vertex per occupied bucket key.
 
-    vertices maps (key, group) -> count where key is a tuple with one
-    slot per center (a bucket id, ZERO_BUCKET, or EXCLUDED) and group is
-    an optional color/target id riding along with the points.
+    vertices maps (slots, group) -> count in insertion order, where
+    slots is a tuple of one int per center (a bucket id, ZERO_ID or
+    EXCLUDED_ID) and group is an optional color/target id riding along
+    with the points, or None.  vertex_arrays turns them into arrays.
     """
 
     centers: np.ndarray
@@ -149,34 +148,30 @@ class CompressedGraph:
         """Bucket a block of points into vertices."""
         bucket_block([self], pairwise_sqdist(as_points(points), self.centers), groups)
 
-    def vertex_weights(self, full_key) -> np.ndarray:
-        """Representative squared distance per center for one vertex.
-
-        Cut centers get +inf, which downstream partitioners treat as a
-        forbidden edge.
-        """
-        key, _group = full_key
-        w = np.empty(self.k)
-        for j, slot in enumerate(key):
-            if slot is EXCLUDED:
-                w[j] = math.inf
-            else:
-                w[j] = bucket_weight(slot, self.epsilon)
-        return w
-
-    def items(self) -> list[tuple[tuple, int]]:
-        """Vertices in insertion order as (full_key, count)."""
-        return list(self.vertices.items())
+    def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The vertices in insertion order as the arrays the solvers run
+        on: weights (L, k), each slot's bucket_weight (+inf at a cut
+        center marks a forbidden edge); counts (L,); groups (L,), or None
+        when no vertex has one (a None group reads as -1 beside others)."""
+        keys = list(self.vertices)
+        slots = np.array([s for s, _g in keys], dtype=np.int64).reshape(-1, self.k)
+        # one Python pow per distinct slot: numpy's vectorized power can
+        # differ in the last bit, which would move quantized costs
+        ids, inverse = np.unique(slots.ravel(), return_inverse=True)
+        weights = np.array([bucket_weight(i, self.epsilon) for i in ids.tolist()])
+        counts = np.fromiter(self.vertices.values(), dtype=np.int64, count=len(keys))
+        groups = None
+        if any(g is not None for _s, g in keys):
+            groups = np.array([-1 if g is None else g for _s, g in keys], dtype=np.int64)
+        return weights[inverse].reshape(slots.shape), counts, groups
 
     def max_weight_error(self, points) -> float:
         """Largest relative gap between a member's true squared distance
         and its bucket weight; diagnostic for the soundness invariant."""
-        P = as_points(points)
-        sq = pairwise_sqdist(P, self.centers)
-        keys, inverse, _counts, _owner = block_keys([self], sq)
-        if not keys:
-            return 0.0
-        w = np.array([self.vertex_weights(key) for key in keys])[inverse]
+        sq = pairwise_sqdist(as_points(points), self.centers)
+        keys, inverse, counts, _owner = block_keys([self], sq)
+        probe = replace(self, vertices=dict(zip(keys, counts.tolist())))
+        w = probe.vertex_arrays()[0][inverse]
         s = np.where(sq < self.contract_below, 0.0, sq)
         live = np.isfinite(w)
         if (live & (s == 0.0) & (w != 0.0)).any():
@@ -225,9 +220,7 @@ def block_keys(graphs, sq: np.ndarray, groups=None):
     M = np.hstack(cols)
     first, inverse, counts = _distinct_rows(M)
     rows = M[first].tolist()
-    keys = [(tuple(map(_SLOTS.get, row[1:k + 1], row[1:k + 1])),
-             None if groups is None else row[k + 1])
-            for row in rows]
+    keys = [(tuple(row[1:k + 1]), None if groups is None else row[k + 1]) for row in rows]
     return keys, inverse, counts, [row[0] for row in rows]
 
 

@@ -108,10 +108,12 @@ class Variant:
 @dataclass
 class Assignment:
     """Owner centers per point (ascending indices, l of them for the
-    fault-tolerant variant) plus the recomputed real cost."""
+    fault-tolerant variant), the recomputed real cost, and the objective
+    of the flow they came from (partition_cost's value)."""
 
     owners: list
     cost: float
+    flow_cost: float
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +208,7 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
     """
     column = _LABEL_COLUMNS.get(variant.kind)
     if isinstance(data, CompressedGraph):
-        left, _keys = _left_from_graph(data)
+        left = _LeftSide(*data.vertex_arrays())
     else:
         ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
         labels = getattr(ds, column + "s") if column else None   # .colors / .targets
@@ -215,22 +217,6 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
     if column and left.groups is None:
         raise ValueError(f"{variant.kind} partitioning needs a {column} column")
     return left
-
-
-def _left_from_graph(graph: CompressedGraph) -> tuple[_LeftSide, list]:
-    items = graph.items()
-    L = len(items)
-    W = np.empty((L, graph.k))
-    counts = np.empty(L, dtype=np.int64)
-    groups = np.empty(L, dtype=np.int64)
-    any_group = False
-    for i, (full_key, cnt) in enumerate(items):
-        W[i] = graph.vertex_weights(full_key)
-        counts[i] = cnt
-        g = full_key[1]
-        groups[i] = -1 if g is None else g
-        any_group = any_group or g is not None
-    return _LeftSide(W, counts, groups if any_group else None), [k for k, _ in items]
 
 
 _NO_EDGE = np.iinfo(np.int64).max   # sorts after every quantized cost
@@ -424,11 +410,11 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
     solved = _solve_left(left, variant, precision_bits)
     if solved is None:
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible assignment")
-    _cost, _scale, flows, perm = solved
+    int_cost, scale, flows, perm = solved
     owns = flows > 0
     cost = _real_costs(left.weights, variant, left.groups, perm)
     return Assignment(_owner_tuples(owns, np.arange(owns.shape[0])),
-                      _running_sum(0.0, cost[owns]))
+                      _running_sum(0.0, cost[owns]), float(int_cost) * scale)
 
 
 def fault_tolerant_reduce(ds: Dataset, l: int) -> Dataset:

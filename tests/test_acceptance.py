@@ -147,9 +147,9 @@ def test_criterion_3_compression_fidelity():
         C = rng.normal(size=(4, 3)) * 5
         g = CompressedGraph(C, eps)
         true = pairwise_sqdist(X, C)
-        keys, inverse, _counts, _owner = block_keys([g], true)
-        for i, key in enumerate(keys[j] for j in inverse):
-            s = g.vertex_weights(key)
+        _keys, inverse, _counts, _owner = block_keys([g], true)
+        g.add_block(X)            # one block: vertices in the keys' order
+        for i, s in enumerate(g.vertex_arrays()[0][inverse]):
             w = true[i]
             # representatives round down: s <= w < s * (1 + eps)
             bad = (s > w + 1e-12) | (s * (1 + eps) < w - 1e-12)

@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import (
-    EXCLUDED,
+    EXCLUDED_ID,
+    ZERO_ID,
     CompressedGraph,
     aspect_graph,
     block_keys,
     bucket_block,
     bucket_index,
+    bucket_weight,
 )
 from ckmeans.partition import (
     InfeasiblePartitionError,
@@ -42,7 +44,7 @@ def ref_key(graph, sq_row, group):
     for j, s in enumerate(sq_row.tolist()):
         s = 0.0 if s < graph.contract_below else s
         if math.isfinite(graph.cut_above) and s > graph.cut_above and j != nearest:
-            key.append(EXCLUDED)
+            key.append(EXCLUDED_ID)
         else:
             key.append(bucket_index(s, graph.epsilon))
     return (tuple(key), None if group is None else int(group))
@@ -52,7 +54,7 @@ def ref_weight_error(graph, X):
     sq = pairwise_sqdist(X, graph.centers)
     worst = 0.0
     for r in range(X.shape[0]):
-        w = graph.vertex_weights(ref_key(graph, sq[r], None))
+        w = [bucket_weight(slot, graph.epsilon) for slot in ref_key(graph, sq[r], None)[0]]
         for j in range(graph.k):
             s = 0.0 if sq[r, j] < graph.contract_below else sq[r, j]
             if not math.isfinite(w[j]):
@@ -126,6 +128,19 @@ def test_block_keys_match_scalar_keys(inst):
         # same keys, counts and insertion order, also for keys seen in
         # an earlier block
         assert list(g.vertices.items()) == list(ref_vertices.items())
+        # the solvers' arrays: weights bit-equal to bucket_weight slot by
+        # slot, +inf at cut centers and 0.0 at zeros
+        W, counts, groups = g.vertex_arrays()
+        slots = np.array([key for key, _grp in ref_vertices]).reshape(-1, g.k)
+        want_w = np.array([[bucket_weight(x, EPS) for x in row] for row in slots.tolist()])
+        assert W.tobytes() == want_w.reshape(W.shape).tobytes()
+        assert np.array_equal(np.isinf(W), slots == EXCLUDED_ID)
+        assert np.array_equal(W == 0.0, slots == ZERO_ID)
+        assert counts.tolist() == list(g.vertices.values())
+        if G is None:
+            assert groups is None
+        else:
+            assert groups.tolist() == [grp for _key, grp in g.vertices]
     assert g.max_weight_error(X) == ref_weight_error(g, X)
 
 

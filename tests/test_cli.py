@@ -9,7 +9,8 @@ import pytest
 from ckmeans.cli import main
 from ckmeans.data import Dataset, read_dataset_csv
 from ckmeans.listgen import GoodCentersConfig
-from ckmeans.partition import Variant
+from ckmeans import partition
+from ckmeans.partition import Variant, partition_cost
 from ckmeans.streaming import batch_solve
 
 
@@ -162,23 +163,14 @@ def test_solve_and_stream_reject_fewer_points_than_k(tmp_path, capsys):
         assert "stream has 60 points, need at least k=70" in capsys.readouterr().err
 
 
-def test_solve_and_stream_reject_t_above_k(tmp_path, capsys):
+def test_solve_and_stream_have_no_t_flag(tmp_path, capsys):
+    # t must equal k, so there is no flag for it; nor may --t abbreviate --tau
     data, _ = gen(tmp_path, kind="gaussian", n=60)
     for command in ("solve", "stream"):
         prefix = tmp_path / command
-        assert run(command, data, "--k", "3", "--t", "5", "--seed", "1", *SMALL,
+        assert run(command, data, "--k", "3", "--t", "3", "--seed", "1", *SMALL,
                    "--out", prefix) == 3
-        assert "t=5 centers per candidate exceeds k=3" in capsys.readouterr().err
-        assert not list(tmp_path.glob(command + "*"))
-
-
-def test_solve_and_stream_reject_t_below_k(tmp_path, capsys):
-    data, _ = gen(tmp_path, kind="gaussian", n=60)
-    for command in ("solve", "stream"):
-        prefix = tmp_path / command
-        assert run(command, data, "--k", "3", "--t", "2", "--seed", "1", *SMALL,
-                   "--out", prefix) == 3
-        assert "t=2 centers per candidate is below k=3" in capsys.readouterr().err
+        assert "unrecognized arguments: --t 3" in capsys.readouterr().err
         assert not list(tmp_path.glob(command + "*"))
 
 
@@ -264,6 +256,20 @@ def test_partition_against_fixed_centers(tmp_path):
     counts = np.bincount([o[0] for o in summary["owners"]], minlength=3)
     assert counts.max() <= 12
     assert summary["cost"] == summary["flow_cost"]
+
+
+def test_partition_solves_once(tmp_path, monkeypatch):
+    data, _ = gen(tmp_path)
+    centers, _ = gen(tmp_path, kind="uniform", n=3, name="centers.csv")
+    calls = []
+    solve = partition._solve_left
+    monkeypatch.setattr(partition, "_solve_left", lambda *a: calls.append(1) or solve(*a))
+    assert run("partition", data, "--centers", centers, "--variant", "r_gather",
+               "--r", "4", "--out", tmp_path / "pa") == 0
+    assert len(calls) == 1
+    summary = json.loads((tmp_path / "pa.json").read_text())
+    assert summary["flow_cost"] == partition_cost(
+        read_dataset_csv(data), read_dataset_csv(centers).points, Variant.r_gather(4))
 
 
 def test_partition_rejects_decorated_centers(tmp_path):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from ckmeans.data import grid_groups
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import (
-    EXCLUDED,
-    ZERO_BUCKET,
+    EXCLUDED_ID,
+    ZERO_ID,
     CompressedGraph,
     aspect_graph,
     aspect_guesses,
@@ -43,8 +43,9 @@ def test_bucket_boundaries_inclusive_below(eps):
 
 
 def test_zero_gets_its_own_bucket():
-    assert bucket_index(0.0, 0.3) is ZERO_BUCKET
-    assert bucket_weight(ZERO_BUCKET, 0.3) == 0.0
+    assert bucket_index(0.0, 0.3) == ZERO_ID
+    assert bucket_weight(ZERO_ID, 0.3) == 0.0
+    assert bucket_weight(EXCLUDED_ID, 0.3) == math.inf
 
 
 def test_bucket_index_validation():
@@ -75,7 +76,7 @@ def test_vectorized_agrees_with_scalar(vals, eps):
     idx, zero = bucket_indices(sq, eps)
     for v, i, z in zip(vals, idx, zero):
         ref = bucket_index(v, eps)
-        if ref is ZERO_BUCKET:
+        if ref == ZERO_ID:
             assert z
         else:
             assert not z and i == ref
@@ -90,6 +91,28 @@ def test_vectorized_handles_exact_powers():
     assert idx.tolist() == list(range(-20, 21))
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.3, 0.25, 0.05, 1.0, 0.01])
+def test_vectorized_agrees_with_scalar_at_every_edge(eps):
+    # numpy's power misses Python's edge (1+eps)^i by an ulp at
+    # i = -172 (eps 0.5), 283 (eps 0.1) and -277 (eps 0.01)
+    edges = [(1.0 + eps) ** i for i in range(-300, 300)]
+    for side in (edges, np.nextafter(edges, 0.0).tolist(), np.nextafter(edges, np.inf).tolist()):
+        idx, zero = bucket_indices(np.array(side), eps)
+        assert not zero.any()
+        assert idx.tolist() == [bucket_index(s, eps) for s in side]
+    assert [bucket_index(s, eps) for s in edges] == list(range(-300, 300))
+
+
+def test_add_block_keys_a_point_on_an_edge():
+    s = 1.1**283
+    P = np.array([[math.sqrt(s)]])
+    g = CompressedGraph(np.zeros((1, 1)), 0.1)
+    assert pairwise_sqdist(P, g.centers)[0, 0] == s      # exactly on the edge
+    g.add_block(P)
+    assert list(g.vertices) == [((283,), None)]
+    assert g.vertex_arrays()[0][0, 0] == s
+
+
 # compressed graphs ----------------------------------------------------------
 
 def test_counts_partition_the_input():
@@ -98,7 +121,7 @@ def test_counts_partition_the_input():
     C = rng.normal(size=(3, 2))
     g = build_compressed(X, C, 0.5)
     assert g.n_points == 200
-    assert sum(c for _k, c in g.items()) == 200
+    assert sum(c for _k, c in g.vertices.items()) == 200
 
 
 def test_soundness_no_violations_small():
@@ -117,8 +140,9 @@ def test_coincident_points_share_a_zero_slot():
     keys = row_keys(g, np.array([[0.0, 0.0], [0.0, 0.0]]))
     assert keys[0] == keys[1]
     key, _group = keys[0]
-    assert key[0] is ZERO_BUCKET
-    assert g.vertex_weights(keys[0])[0] == 0.0
+    assert key[0] == ZERO_ID
+    g.add_block(np.array([[0.0, 0.0]]))
+    assert g.vertex_arrays()[0][0, 0] == 0.0
 
 
 def test_groups_split_vertices():
@@ -126,7 +150,15 @@ def test_groups_split_vertices():
     g = CompressedGraph(C, 0.5)
     g.add_block(np.ones((4, 2)), groups=[0, 0, 1, 1])
     assert len(g.vertices) == 2
-    assert all(c == 2 for _k, c in g.items())
+    assert all(c == 2 for _k, c in g.vertices.items())
+
+
+def test_vertex_without_a_group_reads_as_minus_one_beside_grouped_ones():
+    g = CompressedGraph(np.zeros((1, 2)), 0.5)
+    g.add_block(np.ones((2, 2)))
+    assert g.vertex_arrays()[2] is None
+    g.add_block(np.ones((1, 2)), groups=[2])
+    assert g.vertex_arrays()[2].tolist() == [-1, 2]
 
 
 def test_grid_groups_bucket_count_regression():
@@ -181,10 +213,11 @@ def test_aspect_contraction_and_cut():
     tiny = u / n**2 / 2
     keys = row_keys(g, np.array([[tiny, 0.0]]))
     key, _grp = keys[0]
-    assert key[0] is ZERO_BUCKET
+    assert key[0] == ZERO_ID
     # center 1 sits 100 - tiny > 4u = 40 away: cut
-    assert key[1] is EXCLUDED
-    assert math.isinf(g.vertex_weights(keys[0])[1])
+    assert key[1] == EXCLUDED_ID
+    g.add_block(np.array([[tiny, 0.0]]))
+    assert math.isinf(g.vertex_arrays()[0][0, 1])
 
 
 def test_nearest_center_survives_cut():
@@ -192,8 +225,8 @@ def test_nearest_center_survives_cut():
     g = aspect_graph(C, 0.5, 1.0, 10)
     keys = row_keys(g, np.array([[500.0, 0.0]]))   # far from both
     key, _grp = keys[0]
-    assert key[0] is not EXCLUDED                  # nearest (tie -> lowest index)
-    assert key[1] is EXCLUDED
+    assert key[0] != EXCLUDED_ID                   # nearest (tie -> lowest index)
+    assert key[1] == EXCLUDED_ID
 
 
 def test_aspect_key_survives_matches_graph():
@@ -205,7 +238,7 @@ def test_aspect_key_survives_matches_graph():
         p = rng.normal(size=(1, 2)) * 20
         key, _grp = row_keys(g, p)[-1]
         for j in range(3):
-            survives = key[j] is not EXCLUDED
+            survives = key[j] != EXCLUDED_ID
             assert survives == aspect_key_survives(p, C, u, n, j)
 
 

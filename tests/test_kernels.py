@@ -22,7 +22,7 @@ from ckmeans.oracle import OracleLimit, opt_constrained
 from ckmeans.partition import (
     InfeasiblePartitionError,
     Variant,
-    _left_from_graph,
+    _left_side,
     _LeftSide,
     _solve_left,
     compressed_partition,
@@ -192,7 +192,7 @@ def test_cut_centers_of_an_aspect_graph_match_min_cost_flow():
     C = np.array([[0.0, 0.0], [8.0, 8.0], [0.5, 0.0]])
     g = aspect_graph(C, 0.5, 0.5, len(X))
     g.add_block(X)
-    left, _keys = _left_from_graph(g)
+    left = _left_side(g, None, Variant.classical())
     assert np.isinf(left.weights).any() and (left.counts > 1).any()
     for variant in (Variant.classical(), Variant.r_gather(15), Variant.r_capacity(25),
                     Variant.fault_tolerant(2)):

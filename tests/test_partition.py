@@ -145,16 +145,16 @@ def test_assignment_owner_tuples_sorted_unique():
 
 def test_assignment_valid_catches_violations():
     v = Variant.r_gather(2)
-    good = Assignment([(0,), (0,), (1,), (1,)], 0.0)
+    good = Assignment([(0,), (0,), (1,), (1,)], 0.0, 0.0)
     ok, _ = assignment_valid(good, v, 4, 2)
     assert ok
-    starved = Assignment([(0,), (0,), (0,), (1,)], 0.0)
+    starved = Assignment([(0,), (0,), (0,), (1,)], 0.0, 0.0)
     ok, bad = assignment_valid(starved, v, 4, 2)
     assert not ok and any("r=2" in b for b in bad)
-    malformed = Assignment([(0, 0), (0,), (1,), (1,)], 0.0)
+    malformed = Assignment([(0, 0), (0,), (1,), (1,)], 0.0, 0.0)
     ok, bad = assignment_valid(malformed, Variant.fault_tolerant(2), 4, 2)
     assert not ok
-    wrong_len = Assignment([(0,)], 0.0)
+    wrong_len = Assignment([(0,)], 0.0, 0.0)
     ok, _ = assignment_valid(wrong_len, Variant.classical(), 4, 2)
     assert not ok
 
