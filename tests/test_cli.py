@@ -163,15 +163,27 @@ def test_solve_and_stream_reject_fewer_points_than_k(tmp_path, capsys):
         assert "stream has 60 points, need at least k=70" in capsys.readouterr().err
 
 
-def test_solve_and_stream_have_no_t_flag(tmp_path, capsys):
+def _assert_t_flag_rejected(tmp_path, capsys, t):
     # t must equal k, so there is no flag for it; nor may --t abbreviate --tau
     data, _ = gen(tmp_path, kind="gaussian", n=60)
     for command in ("solve", "stream"):
         prefix = tmp_path / command
-        assert run(command, data, "--k", "3", "--t", "3", "--seed", "1", *SMALL,
+        assert run(command, data, "--k", "3", "--t", t, "--seed", "1", *SMALL,
                    "--out", prefix) == 3
-        assert "unrecognized arguments: --t 3" in capsys.readouterr().err
+        assert f"unrecognized arguments: --t {t}" in capsys.readouterr().err
         assert not list(tmp_path.glob(command + "*"))
+
+
+def test_solve_and_stream_have_no_t_flag(tmp_path, capsys):
+    _assert_t_flag_rejected(tmp_path, capsys, "3")
+
+
+def test_solve_and_stream_reject_t_above_k(tmp_path, capsys):
+    _assert_t_flag_rejected(tmp_path, capsys, "5")
+
+
+def test_solve_and_stream_reject_t_below_k(tmp_path, capsys):
+    _assert_t_flag_rejected(tmp_path, capsys, "2")
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
