@@ -62,7 +62,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """json.dumps(_jsonable(obj), sort_keys=True, indent=2) and a newline.
+    json's indent path runs in Python per element, so a top-level
+    "owners" list is spliced in from one text per distinct owner tuple."""
+    owners = obj.get("owners")
+    if not owners:
+        return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable({**obj, "owners": []}), sort_keys=True, indent=2)
+    listed = "[\n    " + ",\n    ".join(_per_owner_tuple(owners, _owner_json)) + "\n  ]"
+    return text.replace('\n  "owners": []', '\n  "owners": ' + listed, 1) + "\n"
+
+
+def _owner_json(own) -> str:
+    # an owner tuple as json's indent=2 writes it two levels deep
+    if not own:
+        return "[]"
+    return "[\n" + ",\n".join(f"      {int(j)}" for j in own) + "\n    ]"
+
+
+def _per_owner_tuple(owners, fmt) -> list[str]:
+    """[fmt(own) for own in owners], calling fmt once per distinct tuple:
+    the solvers hand out a few shared tuples for all points."""
+    text = {own: fmt(own) for own in dict.fromkeys(owners)}
+    return list(map(text.__getitem__, owners))
 
 
 def _jsonable(v):
@@ -100,10 +122,8 @@ def _emit(args, summary: dict) -> None:
 
 
 def _write_assignment_csv(path, owners) -> None:
-    with open(path, "w") as fh:
-        fh.write("point,owners\n")
-        for i, own in enumerate(owners):
-            fh.write(f"{i},{';'.join(str(int(j)) for j in own)}\n")
+    cells = _per_owner_tuple(owners, lambda own: ";".join(str(int(j)) for j in own))
+    _write_text(path, "point,owners\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells)))
 
 
 def _variant_from(args) -> Variant:
@@ -219,7 +239,7 @@ def cmd_solve(args) -> int:
         "list_size": res.list_size,
         "empty_repetitions": list(res.candidates.empty_repetitions),
         "centers": res.centers,
-        "owners": [list(map(int, own)) for own in res.owners],
+        "owners": res.owners,
     }
     if args.out:
         write_dataset_csv(args.out + ".centers.csv", Dataset(res.centers))
@@ -265,7 +285,7 @@ def cmd_stream(args) -> int:
         "d_star": res.d_star,
         "space": res.space,
         "centers": res.centers,
-        "owners": [list(map(int, own)) for own in res.owners],
+        "owners": res.owners,
     }
     if args.out:
         write_dataset_csv(args.out + ".centers.csv", Dataset(res.centers))
@@ -294,7 +314,7 @@ def cmd_partition(args) -> int:
         "variant": _variant_summary(variant),
         "cost": asg.cost,
         "flow_cost": asg.flow_cost,
-        "owners": [list(map(int, own)) for own in asg.owners],
+        "owners": asg.owners,
     }
     if args.out:
         _write_assignment_csv(args.out + ".assign.csv", asg.owners)

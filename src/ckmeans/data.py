@@ -2,12 +2,15 @@
 
 CSV layout: a header row naming the coordinate columns (x0, x1, ...)
 optionally followed by literal `color` and/or `target` columns, then
-one point per row.  Color and target values are integers.
+one point per row.  Color and target values are non-negative integers.
+There is one reader, iter_dataset_csv, which holds one block of rows at a
+time; read_dataset_csv joins its blocks.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +67,13 @@ def write_dataset_csv(path, ds: Dataset) -> None:
             w.writerow(row)
 
 
-def read_dataset_csv(path) -> Dataset:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+def _read_header(path, reader) -> tuple[int, int, list]:
+    """(coordinate columns, all columns, trailing column names) of a
+    validated header row."""
+    header = next(reader, None)
+    if header is None:
         raise ValueError(f"{path}: empty dataset file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in header]
     extras = [h for h in header if h in ("color", "target")]
     coord_cols = len(header) - len(extras)
     if coord_cols < 1:
@@ -78,37 +82,87 @@ def read_dataset_csv(path) -> Dataset:
         raise ValueError(f"{path}: coordinate columns must be named x0..x{coord_cols - 1}")
     if header[coord_cols:] not in ([], ["color"], ["target"], ["color", "target"]):
         raise ValueError(f"{path}: trailing columns must be color and/or target, in that order")
-    has_color = "color" in extras
-    has_target = "target" in extras
+    return coord_cols, len(header), header[coord_cols:]
 
-    pts, colors, targets = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+
+def _parse_rows(path, columns, records, first_line) -> list:
+    """The row-by-row reading of a block: it names the first bad line in
+    file order (a wrong field count, a value float() or int() rejects, a
+    non-finite coordinate, a negative color or target) and otherwise
+    gives the block's columns."""
+    coord_cols, width, extras = columns
+    pts, cols = [], [[] for _ in extras]
+    for lineno, row in enumerate(records, start=first_line):
         if not row:
             continue
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         try:
-            pts.append([float(v) for v in row[:coord_cols]])
-            at = coord_cols
-            if has_color:
-                colors.append(int(row[at]))
-                at += 1
-            if has_target:
-                targets.append(int(row[at]))
+            p = [float(v) for v in row[:coord_cols]]
+            ints = [int(v) for v in row[coord_cols:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not pts:
-        raise ValueError(f"{path}: no data rows")
-    points = np.asarray(pts, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        lineno = [i for i, row in enumerate(rows[1:], start=2) if row][bad[0]]
-        raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-    return Dataset(
-        points,
-        np.asarray(colors, dtype=np.int64) if has_color else None,
-        np.asarray(targets, dtype=np.int64) if has_target else None,
-    )
+        if not all(map(math.isfinite, p)):
+            raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+        for name, col, v in zip(extras, cols, ints):
+            if v < 0:
+                raise ValueError(f"{path}:{lineno}: {name}s must be non-negative")
+            col.append(v)
+        pts.append(p)
+    return [np.asarray(pts, dtype=np.float64), *(np.asarray(c, dtype=np.int64) for c in cols)]
+
+
+def _parse_block(path, columns, records, first_line) -> Dataset:
+    """One block's columns from one numpy cast of its fields.  The cast
+    calls float() on each string, as the row-by-row reading does, so the
+    same files load; any problem hands the block to that reading, which
+    names the line."""
+    coord_cols, width, extras = columns
+    rows = [r for r in records if r]
+    try:
+        raw = np.array(rows, dtype=np.float64)
+        if raw.shape != (len(rows), width):
+            raise ValueError("wrong field count")
+        pts = np.ascontiguousarray(raw[:, :coord_cols])
+        ints = [np.array([int(r[j]) for r in rows], dtype=np.int64)
+                for j in range(coord_cols, width)]
+        if not np.isfinite(pts).all() or any((c < 0).any() for c in ints):
+            raise ValueError("bad value")
+    except ValueError:
+        pts, *ints = _parse_rows(path, columns, records, first_line)
+    named = dict(zip(extras, ints))
+    return Dataset(pts, named.get("color"), named.get("target"))
+
+
+def iter_dataset_csv(path, block: int):
+    """A dataset CSV as Datasets of `block` data rows each (the last one
+    may be shorter), read one block at a time: memory holds one block,
+    never the file.  The header is checked once, blank rows are skipped,
+    and an error names the first bad line in file order."""
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        columns = _read_header(path, reader)
+        records, filled, first_line, empty = [], 0, 2, True
+        for row in reader:
+            records.append(row)
+            if row:
+                filled += 1
+            if filled == block:
+                yield _parse_block(path, columns, records, first_line)
+                first_line += len(records)
+                records, filled, empty = [], 0, False
+        if filled:
+            yield _parse_block(path, columns, records, first_line)
+        elif empty:
+            raise ValueError(f"{path}: no data rows")
+
+
+def read_dataset_csv(path) -> Dataset:
+    parts = list(iter_dataset_csv(path, block=4096))
+    cols = [[getattr(p, f) for p in parts] for f in ("points", "colors", "targets")]
+    return Dataset(*(None if c[0] is None else np.concatenate(c) for c in cols))
 
 
 def _check_groups(n: int, g: int, dim: int) -> None:

@@ -54,11 +54,20 @@ def bucket_index(sqdist: float, epsilon: float) -> int:
         return ZERO_ID
     b = 1.0 + epsilon
     i = int(math.floor(math.log(sqdist) / math.log(b)))
-    while b ** (i + 1) <= sqdist:
+    while _edge(b, i + 1) <= sqdist:
         i += 1
-    while b**i > sqdist:
+    while _edge(b, i) > sqdist:
         i -= 1
     return i
+
+
+def _edge(b: float, i: int) -> float:
+    # b**i, or +inf where Python's float power overflows (near the
+    # largest float the top bucket's upper edge does)
+    try:
+        return b**i
+    except OverflowError:
+        return math.inf
 
 
 def bucket_weight(slot: int, epsilon: float) -> float:
@@ -82,8 +91,10 @@ def bucket_indices(sq: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarr
     idx = np.floor(np.log(safe) / math.log(b)).astype(np.int64)
     # float log can land a bucket off, and numpy's power can differ from
     # Python's in the last bit: an entry not clearly inside its bucket
-    # takes bucket_index's id, computed once per distinct value
-    ratio = safe / b ** idx.astype(np.float64)
+    # takes bucket_index's id, computed once per distinct value; an edge
+    # past the largest float is +inf, which marks its entry unsure
+    with np.errstate(over="ignore"):
+        ratio = safe / b ** idx.astype(np.float64)
     unsure = ~zero & ((ratio <= 1.0 + 1e-14) | (ratio >= b * (1.0 - 1e-14)))
     if unsure.any():
         vals, inverse = np.unique(safe[unsure], return_inverse=True)

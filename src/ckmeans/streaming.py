@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, read_dataset_csv
+from .data import Dataset, iter_dataset_csv
 from .geometry import as_points, pairwise_sqdist
 from .hyperbucket import CompressedGraph, aspect_graph, aspect_guesses, bucket_block
 from .listgen import CandidateList, GoodCentersConfig, good_centers, repetition_tuples
@@ -44,7 +44,11 @@ class StreamSource:
 
     open() hands out a fresh single-use iterator over the records in a
     fixed order and bumps the pass counter; n is None when the length is
-    not known without reading.
+    not known without reading.  Every pass read to its end is
+    fingerprinted by its row count and a blake2b hash of its blocks'
+    points, colors and targets; a pass that differs from the first
+    raises ValueError, so owners are never peeled from other data than
+    the candidates were scored on.
     """
 
     def __init__(self, block: int):
@@ -52,6 +56,7 @@ class StreamSource:
             raise ValueError(f"block must be >= 1, got {block}")
         self.block = block
         self.passes = 0
+        self._fingerprint = None
 
     @property
     def n(self):
@@ -59,7 +64,26 @@ class StreamSource:
 
     def open(self):
         self.passes += 1
-        return self._blocks()
+        return self._checked(self._blocks(), self.passes)
+
+    def _checked(self, blocks, pass_no: int):
+        import hashlib  # on first use: its OpenSSL binding adds ~4 ms to start-up
+
+        h = hashlib.blake2b(digest_size=16)
+        rows = 0
+        for pts, colors, targets in blocks:
+            rows += len(pts)
+            for a in (pts, colors, targets):
+                h.update(b"-" if a is None else np.ascontiguousarray(a).data)
+            yield pts, colors, targets
+        seen = (rows, h.digest())
+        if self._fingerprint is None:
+            self._fingerprint = seen
+        elif seen != self._fingerprint:
+            before = self._fingerprint[0]
+            what = (f"{rows} rows against {before}" if rows != before
+                    else f"other values in its {rows} rows")
+            raise ValueError(f"stream changed between passes: pass {pass_no} read {what}")
 
     def open_points(self):
         for pts, _colors, _targets in self.open():
@@ -67,13 +91,6 @@ class StreamSource:
 
     def _blocks(self):  # pragma: no cover
         raise NotImplementedError
-
-    def _slices(self, ds: Dataset):
-        for lo in range(0, ds.n, self.block):
-            hi = lo + self.block
-            yield (ds.points[lo:hi],
-                   None if ds.colors is None else ds.colors[lo:hi],
-                   None if ds.targets is None else ds.targets[lo:hi])
 
 
 class ArraySource(StreamSource):
@@ -86,20 +103,27 @@ class ArraySource(StreamSource):
         return self.ds.n
 
     def _blocks(self):
-        return self._slices(self.ds)
+        ds = self.ds
+        for lo in range(0, ds.n, self.block):
+            hi = lo + self.block
+            yield (ds.points[lo:hi],
+                   None if ds.colors is None else ds.colors[lo:hi],
+                   None if ds.targets is None else ds.targets[lo:hi])
 
 
 class CSVSource(StreamSource):
-    """Replays a dataset CSV.  Each pass re-reads and materializes the
-    whole file (the reader validates eagerly) and then slices it into
-    blocks; a reader that holds one block at a time is ROADMAP item 4b."""
+    """Replays a dataset CSV.  Each pass reads the file one block at a
+    time (data.iter_dataset_csv), so memory holds one block of rows,
+    never the file; a bad line fails the pass that reaches it, which is
+    the first one."""
 
     def __init__(self, path, block: int = 256):
         super().__init__(block)
         self.path = path
 
     def _blocks(self):
-        yield from self._slices(read_dataset_csv(self.path))
+        for ds in iter_dataset_csv(self.path, self.block):
+            yield ds.points, ds.colors, ds.targets
 
 
 @dataclass

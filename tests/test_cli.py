@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckmeans.cli import main
+from ckmeans.cli import _dump, _jsonable, main
 from ckmeans.data import Dataset, read_dataset_csv
 from ckmeans.listgen import GoodCentersConfig
 from ckmeans import partition
 from ckmeans.partition import Variant, partition_cost
-from ckmeans.streaming import batch_solve
+from ckmeans.streaming import CSVSource, batch_solve
 
 
 def run(*argv):
@@ -344,3 +344,77 @@ def test_stdout_mode_prints_single_json_document(tmp_path, capsys):
     assert run("verify", data, "--labels", labels, "--beta", "0.5") == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["command"] == "verify" and parsed["passed"] is True
+
+
+# README's exit-code paragraph, clause by clause ------------------------------------
+
+def _edit_line(lineno, text):
+    def edit(path):
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+def _rewrite_on_second_pass(monkeypatch, path):
+    # drops the last data row as pass 2 opens the file
+    blocks = CSVSource._blocks
+
+    def rewriting(self):
+        if self.passes == 2:
+            path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        return blocks(self)
+    monkeypatch.setattr(CSVSource, "_blocks", rewriting)
+
+
+EXIT_CLAUSES = [
+    # (clause, command, extra argv, edit of the data file, what stderr names)
+    ("non-finite coordinate", "solve", [], _edit_line(5, "nan,1"), "{data}:5: non-finite coordinate"),
+    ("non-finite coordinate", "stream", [], _edit_line(40, "1,inf"),
+     "{data}:40: non-finite coordinate"),
+    ("wrong field count", "solve", [], _edit_line(7, "1,2,3"), "{data}:7: expected 2 fields, got 3"),
+    ("wrong field count", "stream", [], _edit_line(61, "1"), "{data}:61: expected 2 fields, got 1"),
+    ("--k below 1", "solve", ["--k", "0"], None, "--k must be >= 1, got 0"),
+    ("--k below 1", "stream", ["--k", "0"], None, "--k must be >= 1, got 0"),
+    ("fewer rows than --k", "solve", ["--k", "70"], None, "stream has 60 points, need at least k=70"),
+    ("fewer rows than --k", "stream", ["--k", "70"], None,
+     "stream has 60 points, need at least k=70"),
+    ("--block below 1", "stream", ["--block", "0"], None, "block must be >= 1, got 0"),
+    ("abbreviated flag", "stream", ["--bloc", "8"], None, "unrecognized arguments: --bloc 8"),
+    ("abbreviated flag", "solve", ["--sel", "range"], None, "unrecognized arguments: --sel range"),
+    ("source changed between passes", "stream", [], "rewrite",
+     "stream changed between passes: pass 2 read 59 rows against 60"),
+]
+
+
+@pytest.mark.parametrize("clause,command,extra,edit,names", EXIT_CLAUSES,
+                         ids=[f"{c[1]}: {c[0]}" for c in EXIT_CLAUSES])
+def test_exit_code_paragraph(tmp_path, capsys, monkeypatch, clause, command, extra, edit,
+                             names):
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    if edit == "rewrite":
+        _rewrite_on_second_pass(monkeypatch, data)
+    elif edit is not None:
+        edit(data)
+    argv = [command, data, "--k", "3", "--seed", "1", *SMALL, *extra, "--out", tmp_path / "out"]
+    assert run(*argv) == 3
+    assert names.format(data=data) in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_exit_code_paragraph_gen_dim_zero(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert run("gen", "--kind", "gaussian", "--n", "6", "--dim", "0", "--seed", "1",
+               "--out", out, "--info", tmp_path / "g.json") == 3
+    assert "need dim >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dump_matches_json_indent_path():
+    owners = [(0,), (2,), (0,), (1, 2), ()]
+    summary = {"owners": owners, "space": {"owners": []}, "centers": np.eye(2),
+               "cost": float("inf"), "n": 5}
+    want = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
+    assert _dump(summary) == want
+    assert _dump({**summary, "owners": []}) == \
+        json.dumps(_jsonable({**summary, "owners": []}), sort_keys=True, indent=2) + "\n"

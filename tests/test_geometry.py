@@ -170,13 +170,14 @@ def test_as_points_promotes_single_row():
 
 
 def test_package_import_loads_no_scipy():
-    # scipy is imported inside min_cost_matching only; every CLI run
-    # would pay for it otherwise
+    # scipy is imported inside min_cost_matching only, and hashlib when a
+    # stream pass is first fingerprinted; every CLI run would pay for
+    # them otherwise
     src = str(Path(ckmeans.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, ckmeans, ckmeans.cli, ckmeans.streaming; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -1,6 +1,7 @@
 """Geometric bucketing: boundary exactness, soundness, compression fidelity."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ def test_vectorized_agrees_with_scalar_at_every_edge(eps):
         assert not zero.any()
         assert idx.tolist() == [bucket_index(s, eps) for s in side]
     assert [bucket_index(s, eps) for s in edges] == list(range(-300, 300))
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.3, 1.0, 0.01, 1e-6, 3.0])
+def test_scalar_and_vectorized_agree_up_to_the_largest_float(eps):
+    # the top bucket's upper edge (1+eps)^(i+1) lies past the largest float
+    big = sys.float_info.max
+    b = 1.0 + eps
+    top = bucket_index(big, eps)
+    edges = [b**i for i in range(top - 3, top + 1)]
+    vals = [big, float(np.nextafter(big, 0.0)), 1.7e308, big / b, 1e300,
+            *edges, *np.nextafter(edges, 0.0).tolist(), *np.nextafter(edges, np.inf).tolist()]
+    idx, zero = bucket_indices(np.array(vals), eps)
+    assert not zero.any()
+    assert idx.tolist() == [bucket_index(v, eps) for v in vals]
+    assert b**top <= big
 
 
 def test_add_block_keys_a_point_on_an_edge():

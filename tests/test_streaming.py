@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,79 @@ def test_sources_reject_nonpositive_block(tmp_path, block):
         ArraySource(ds, block=block)
     with pytest.raises(ValueError, match="block must be >= 1"):
         CSVSource(tmp_path / "never_read.csv", block=block)
+
+
+def _csv_of(path, ds):
+    write_dataset_csv(path, ds)
+    return path
+
+
+def test_csv_rewritten_between_passes_is_detected(tmp_path):
+    ds, _ = planted(2)
+    path = _csv_of(tmp_path / "pts.csv", ds)
+    src = CSVSource(path, block=7)
+    list(src.open())
+    moved = ds.points.copy()
+    moved[30, 1] += 1e-9
+    write_dataset_csv(path, Dataset(moved))
+    with pytest.raises(ValueError, match="stream changed between passes: "
+                                         "pass 2 read other values in its 48 rows"):
+        list(src.open())
+
+
+def test_truncated_csv_is_detected(tmp_path):
+    ds, _ = planted(2)
+    path = _csv_of(tmp_path / "pts.csv", ds)
+    src = CSVSource(path, block=7)
+    list(src.open())
+    list(src.open())
+    write_dataset_csv(path, Dataset(ds.points[:40]))
+    with pytest.raises(ValueError, match="pass 3 read 40 rows against 48"):
+        list(src.open())
+
+
+def test_array_changed_in_place_between_passes_is_detected():
+    ds, _ = planted(2)
+    src = ArraySource(ds, block=10)
+    list(src.open())
+    ds.points[0, 0] = 99.0
+    with pytest.raises(ValueError, match="pass 2 read other values"):
+        list(src.open())
+
+
+@pytest.mark.parametrize("aspect", [False, True])
+def test_pipeline_on_csv_matches_array_source(tmp_path, aspect):
+    ds, _ = planted(3, n=200)
+    ds = with_targets(ds, np.arange(200) % 3)
+    path = _csv_of(tmp_path / "pts.csv", ds)
+    for variant in (Variant.classical(), Variant.fault_tolerant(2),
+                    Variant.semi_supervised(0.5)):
+        a, c = [full_pipeline(src, 3, variant, CFG, np.random.default_rng(4), chunk=50,
+                              aspect_removal=aspect)
+                for src in (ArraySource(ds, block=16), CSVSource(path, block=16))]
+        assert c.owners == a.owners
+        assert c.centers.tobytes() == a.centers.tobytes()
+        assert repr(c.cost) == repr(a.cost) and c.passes_used == a.passes_used
+
+
+def test_csv_pipeline_memory_is_bounded(tmp_path):
+    # the paper's log-space claim on the CLI's path: with a fixed block
+    # and chunk, a stream 4x longer must not need 2x the peak memory
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=4, tau=1,
+                            repetitions=2, subset_budget=5)
+    peaks = []
+    for n in (1000, 4000):
+        ds, _ = gaussian_groups(n, 3, sigma=0.05, rng=np.random.default_rng(0))
+        src = CSVSource(_csv_of(tmp_path / f"{n}.csv", ds), block=64)
+        del ds
+        tracemalloc.start()
+        try:
+            full_pipeline(src, 3, Variant.classical(), cfg, np.random.default_rng(1),
+                          chunk=64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_default_chunk_rules():
