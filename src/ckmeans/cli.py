@@ -44,7 +44,7 @@ from .stability import (
     check_weak_deletion,
     gap_instance,
 )
-from .streaming import CSVSource, SpaceMeter, batch_solve, full_pipeline
+from .streaming import CSVSource, batch_solve, full_pipeline
 
 RANDOM_KINDS = ("duplicates", "gaussian", "grid", "uniform")
 
@@ -215,7 +215,37 @@ def cmd_gen(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# solve (batch)
+# solve (batch) and stream
+
+def _write_solution(args, variant: Variant, cfg: GoodCentersConfig, res, n: int,
+                    **extra) -> None:
+    """The summary and files of `solve` and `stream`; `extra` holds a
+    command's own summary keys."""
+    summary = {
+        "command": args.command,
+        "n": n,
+        "dim": res.centers.shape[1],
+        "k": args.k,
+        "variant": _variant_summary(variant),
+        "params": cfg.resolved(),
+        "seed": args.seed,
+        "select": args.select,
+        "cost": res.cost,
+        "flow_cost": res.flow_cost,
+        "seed_cost": res.seed_cost,
+        "selected": res.selected,
+        "list_size": res.list_size,
+        "centers": res.centers,
+        "owners": res.owners,
+        **extra,
+    }
+    if args.out:
+        write_dataset_csv(args.out + ".centers.csv", Dataset(res.centers))
+        _write_assignment_csv(args.out + ".assign.csv", res.owners)
+    if getattr(args, "candidates", None):
+        res.candidates.to_csv(args.candidates)
+    _emit(args, summary)
+
 
 def cmd_solve(args) -> int:
     variant = _variant_from(args)
@@ -223,35 +253,10 @@ def cmd_solve(args) -> int:
     ds = read_dataset_csv(args.data)
     res = batch_solve(ds, args.k, variant, cfg, np.random.default_rng(args.seed),
                       select_mode=args.select, precision_bits=args.bits)
-    summary = {
-        "command": "solve",
-        "n": ds.n,
-        "dim": ds.dim,
-        "k": args.k,
-        "variant": _variant_summary(variant),
-        "params": cfg.resolved(),
-        "seed": args.seed,
-        "select": args.select,
-        "cost": res.cost,
-        "flow_cost": res.flow_cost,
-        "seed_cost": res.seed_cost,
-        "selected": res.selected,
-        "list_size": res.list_size,
-        "empty_repetitions": list(res.candidates.empty_repetitions),
-        "centers": res.centers,
-        "owners": res.owners,
-    }
-    if args.out:
-        write_dataset_csv(args.out + ".centers.csv", Dataset(res.centers))
-        _write_assignment_csv(args.out + ".assign.csv", res.owners)
-    if args.candidates:
-        res.candidates.to_csv(args.candidates)
-    _emit(args, summary)
+    _write_solution(args, variant, cfg, res, ds.n,
+                    empty_repetitions=list(res.candidates.empty_repetitions))
     return 0
 
-
-# ---------------------------------------------------------------------------
-# stream
 
 def cmd_stream(args) -> int:
     variant = _variant_from(args)
@@ -259,38 +264,12 @@ def cmd_stream(args) -> int:
     if cfg.preset != "desk":
         raise ValueError("stream needs the desk preset")
     source = CSVSource(args.data, block=args.block)
-    rng = np.random.default_rng(args.seed)
-    meter = SpaceMeter()
-    res = full_pipeline(source, args.k, variant, cfg, rng, chunk=args.chunk,
-                        aspect_removal=args.aspect_removal, select_mode=args.select,
-                        precision_bits=args.bits, meter=meter)
-    summary = {
-        "command": "stream",
-        "n": res.n,
-        "dim": res.centers.shape[1],
-        "k": args.k,
-        "variant": _variant_summary(variant),
-        "params": cfg.resolved(),
-        "seed": args.seed,
-        "select": args.select,
-        "chunk": args.chunk,
-        "block": args.block,
-        "aspect_removal": args.aspect_removal,
-        "cost": res.cost,
-        "flow_cost": res.flow_cost,
-        "seed_cost": res.seed_cost,
-        "selected": res.selected,
-        "list_size": res.list_size,
-        "passes": res.passes_used,
-        "d_star": res.d_star,
-        "space": res.space,
-        "centers": res.centers,
-        "owners": res.owners,
-    }
-    if args.out:
-        write_dataset_csv(args.out + ".centers.csv", Dataset(res.centers))
-        _write_assignment_csv(args.out + ".assign.csv", res.owners)
-    _emit(args, summary)
+    res = full_pipeline(source, args.k, variant, cfg, np.random.default_rng(args.seed),
+                        chunk=args.chunk, aspect_removal=args.aspect_removal,
+                        select_mode=args.select, precision_bits=args.bits)
+    _write_solution(args, variant, cfg, res, res.n, chunk=args.chunk, block=args.block,
+                    aspect_removal=args.aspect_removal, passes=res.passes_used,
+                    d_star=res.d_star, space=res.space)
     return 0
 
 

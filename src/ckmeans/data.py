@@ -88,8 +88,8 @@ def _read_header(path, reader) -> tuple[int, int, list]:
 def _parse_rows(path, columns, records, first_line) -> list:
     """The row-by-row reading of a block: it names the first bad line in
     file order (a wrong field count, a value float() or int() rejects, a
-    non-finite coordinate, a negative color or target) and otherwise
-    gives the block's columns."""
+    non-finite coordinate, a color or target below 0 or beyond int64) and
+    otherwise gives the block's columns."""
     coord_cols, width, extras = columns
     pts, cols = [], [[] for _ in extras]
     for lineno, row in enumerate(records, start=first_line):
@@ -107,6 +107,8 @@ def _parse_rows(path, columns, records, first_line) -> list:
         for name, col, v in zip(extras, cols, ints):
             if v < 0:
                 raise ValueError(f"{path}:{lineno}: {name}s must be non-negative")
+            if v >= 2**63:
+                raise ValueError(f"{path}:{lineno}: {name}s must be below 2**63")
             col.append(v)
         pts.append(p)
     return [np.asarray(pts, dtype=np.float64), *(np.asarray(c, dtype=np.int64) for c in cols)]
@@ -128,7 +130,7 @@ def _parse_block(path, columns, records, first_line) -> Dataset:
                 for j in range(coord_cols, width)]
         if not np.isfinite(pts).all() or any((c < 0).any() for c in ints):
             raise ValueError("bad value")
-    except ValueError:
+    except (ValueError, OverflowError):
         pts, *ints = _parse_rows(path, columns, records, first_line)
     named = dict(zip(extras, ints))
     return Dataset(pts, named.get("color"), named.get("target"))
@@ -186,47 +188,36 @@ def _group_sites(g: int, dim: int, spread: float, rng) -> np.ndarray:
     return sites
 
 
+def _planted(kind: str, n: int, g: int, dim: int, spread: float, rng, **info):
+    """(sites, labels, info) of n points planted on g sites: labels are
+    sorted, as equal per site as n allows, and info carries the kind,
+    the sites, the labels and `info`.  A generator draws its offsets
+    after this."""
+    if rng is None:
+        raise ValueError("rng is required")
+    _check_groups(n, g, dim)
+    sites = _group_sites(g, dim, spread, rng)
+    labels = np.sort(np.arange(n) % g)
+    return sites, labels, {"kind": kind, "groups": g, "sites": sites.tolist(),
+                           "labels": labels.tolist(), **info}
+
+
 def duplicate_groups(n: int, g: int, dim: int = 2, spread: float = 10.0, rng=None):
     """n points stacked on g coincident sites, as equal as n allows.
 
     Any k >= g centering of the sites has cost exactly 0, so the
     returned info carries opt_cost 0 and the planted labels.
     """
-    if rng is None:
-        raise ValueError("rng is required")
-    _check_groups(n, g, dim)
-    sites = _group_sites(g, dim, spread, rng)
-    labels = np.arange(n) % g
-    labels.sort()
-    pts = sites[labels]
-    info = {
-        "kind": "duplicate-groups",
-        "groups": g,
-        "sites": sites.tolist(),
-        "labels": labels.tolist(),
-        "opt_cost": 0.0,
-        "opt_cost_applies_to_k_at_least": g,
-    }
-    return Dataset(pts), info
+    sites, labels, info = _planted("duplicate-groups", n, g, dim, spread, rng,
+                                   opt_cost=0.0, opt_cost_applies_to_k_at_least=g)
+    return Dataset(sites[labels]), info
 
 
 def gaussian_groups(n: int, g: int, dim: int = 2, sigma: float = 0.05,
                     spread: float = 10.0, rng=None):
     """n points in g tight gaussian blobs around well separated sites."""
-    if rng is None:
-        raise ValueError("rng is required")
-    _check_groups(n, g, dim)
-    sites = _group_sites(g, dim, spread, rng)
-    labels = np.sort(np.arange(n) % g)
-    pts = sites[labels] + rng.normal(0.0, sigma, size=(n, dim))
-    info = {
-        "kind": "gaussian-groups",
-        "groups": g,
-        "sites": sites.tolist(),
-        "labels": labels.tolist(),
-        "sigma": sigma,
-    }
-    return Dataset(pts), info
+    sites, labels, info = _planted("gaussian-groups", n, g, dim, spread, rng, sigma=sigma)
+    return Dataset(sites[labels] + rng.normal(0.0, sigma, size=(n, dim))), info
 
 
 def grid_groups(n: int, g: int, dim: int = 2, step: float = 0.01,
@@ -236,22 +227,10 @@ def grid_groups(n: int, g: int, dim: int = 2, step: float = 0.01,
     Distances then take few distinct values, which keeps bucket counts
     low; used as the compression regression fixture.
     """
-    if rng is None:
-        raise ValueError("rng is required")
-    _check_groups(n, g, dim)
-    sites = _group_sites(g, dim, spread, rng)
-    labels = np.sort(np.arange(n) % g)
+    sites, labels, info = _planted("grid-groups", n, g, dim, spread, rng,
+                                   step=step, reach=reach)
     offsets = rng.integers(-reach, reach + 1, size=(n, dim)) * step
-    pts = sites[labels] + offsets
-    info = {
-        "kind": "grid-groups",
-        "groups": g,
-        "sites": sites.tolist(),
-        "labels": labels.tolist(),
-        "step": step,
-        "reach": reach,
-    }
-    return Dataset(pts), info
+    return Dataset(sites[labels] + offsets), info
 
 
 def random_uniform(n: int, dim: int = 2, scale: float = 1.0, rng=None) -> Dataset:

@@ -6,7 +6,10 @@ seed center.  Candidate t-tuples are means of t disjoint tau-subsets of
 M.  The formula preset enumerates every such tuple (combinatorially huge
 except at toy sizes, guarded); the desk preset draws a fixed budget of
 random disjoint tuples instead and keeps a prefix property: growing the
-budget under the same seed only appends candidates.
+budget under the same seed only appends candidates.  candidate_list
+turns each repetition's D^2 samples into its tuples; the batch list
+(good_centers) and the streaming one (streaming.two_pass_good_centers)
+differ only in how the samples are drawn.
 """
 
 from __future__ import annotations
@@ -104,7 +107,6 @@ class CandidateList:
     entries: list
     t: int
     dim: int
-    params: dict = field(default_factory=dict)
     empty_repetitions: list = field(default_factory=list)
 
     def __len__(self):
@@ -120,23 +122,6 @@ class CandidateList:
                     ";".join(str(p) for p in e.positions),
                     ";".join(repr(float(v)) for v in e.centers.ravel()),
                 ])
-
-    @staticmethod
-    def from_csv(path) -> "CandidateList":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        entries = []
-        t = dim = None
-        for row in rows[1:]:
-            if not row:
-                continue
-            t, dim = int(row[2]), int(row[3])
-            pos = tuple(int(p) for p in row[4].split(";")) if row[4] else ()
-            coords = np.array([float(v) for v in row[5].split(";")]).reshape(t, dim)
-            entries.append(CandidateEntry(coords, int(row[1]), pos))
-        if t is None:
-            raise ValueError(f"{path}: no candidate rows")
-        return CandidateList(entries, t, dim)
 
 
 def multiset_size(cfg: GoodCentersConfig, num_seed_centers: int) -> int:
@@ -190,7 +175,23 @@ def repetition_tuples(M, r: int, p: dict, rng) -> list[CandidateEntry] | None:
             for flat in flats]
 
 
-def good_centers(X, C, cfg: GoodCentersConfig, rng, guard: int = ENUM_GUARD) -> CandidateList:
+def candidate_list(samples, C, p: dict, rngs) -> CandidateList:
+    """The candidate list around the seed C: repetition r draws its tuples
+    with rngs[r] from samples[r] plus p["copies"] anchor copies of every
+    seed center.  p is GoodCentersConfig.resolved()."""
+    anchor = np.repeat(C, p["copies"], axis=0)
+    entries: list[CandidateEntry] = []
+    empty_reps: list[int] = []
+    for r, (S, rng) in enumerate(zip(samples, rngs)):
+        drawn = repetition_tuples(np.vstack([S, anchor]), r, p, rng)
+        if drawn is None:
+            empty_reps.append(r)
+        else:
+            entries.extend(drawn)
+    return CandidateList(entries, p["t"], C.shape[1], empty_reps)
+
+
+def good_centers(X, C, cfg: GoodCentersConfig, rng) -> CandidateList:
     """The candidate list: means of disjoint tau-subset tuples drawn
     around the seed C, over `repetitions` independent repetitions."""
     X = as_points(X)
@@ -201,19 +202,12 @@ def good_centers(X, C, cfg: GoodCentersConfig, rng, guard: int = ENUM_GUARD) -> 
 
     if cfg.preset == "formula":
         bound = list_size_bound(cfg, C.shape[0])
-        if bound > guard:
+        if bound > ENUM_GUARD:
             raise ValueError(
-                f"formula preset would enumerate {bound} tuples, over the guard of {guard}; "
-                "override eta/tau/repetitions or use the desk preset")
+                f"formula preset would enumerate {bound} tuples, over the guard of "
+                f"{ENUM_GUARD}; override eta/tau/repetitions or use the desk preset")
 
-    anchor = np.repeat(C, p["copies"], axis=0)
-    entries: list[CandidateEntry] = []
-    empty_reps: list[int] = []
-    for r, sub in enumerate(rng.spawn(p["repetitions"])):
-        idx = d2_sample(X, C, p["eta"] * p["t"], sub)
-        drawn = repetition_tuples(np.vstack([X[idx], anchor]), r, p, sub)
-        if drawn is None:
-            empty_reps.append(r)
-        else:
-            entries.extend(drawn)
-    return CandidateList(entries, p["t"], X.shape[1], p, empty_reps)
+    # each repetition's generator draws its samples, then its tuples
+    subs = rng.spawn(p["repetitions"])
+    samples = [X[d2_sample(X, C, p["eta"] * p["t"], sub)] for sub in subs]
+    return candidate_list(samples, C, p, subs)

@@ -439,7 +439,6 @@ class CompressedSolution:
     remaining: dict          # full_key -> int array of flow units per center
     perm: tuple | None = None
     peeled_cost: float = 0.0
-    peeled: int = 0
 
     @property
     def cost(self) -> float:
@@ -482,7 +481,6 @@ class CompressedSolution:
             self.remaining[key] -= t
         # summed in point order, then owner order
         self.peeled_cost = _running_sum(self.peeled_cost, cost[owns])
-        self.peeled += P.shape[0]
         return _owner_tuples(owns, inverse)
 
 

@@ -19,7 +19,6 @@ from .geometry import as_points, pairwise_sqdist
 class SeedSolution:
     centers: np.ndarray
     cost: float          # potential of the data the seed was fit on
-    alpha_claim: str     # label for the guarantee the caller is assuming
 
 
 def d2_seed(X, k: int, oversample: int | None = None, rng=None,
@@ -53,7 +52,7 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
             raise ValueError("weights must not all be zero")
 
     if oversample >= n:
-        return SeedSolution(X.copy(), 0.0, "exhaustive")
+        return SeedSolution(X.copy(), 0.0)
 
     first = int(rng.choice(n, p=w / w.sum()))
     chosen = [first]
@@ -64,62 +63,54 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
         nxt = int(rng.choice(n, p=p))
         chosen.append(nxt)
         pot = np.minimum(pot, w * pairwise_sqdist(X, X[nxt]).ravel())
-    return SeedSolution(X[chosen].copy(), float(pot.sum()), "d2-bi-criteria")
+    return SeedSolution(X[chosen].copy(), float(pot.sum()))
 
 
-def merge_reduce_seed(blocks, k: int, chunk: int, rng, oversample: int | None = None,
-                      meter=None) -> SeedSolution:
+def _chunks(blocks, chunk: int):
+    """The rows of a stream of blocks regrouped into arrays of `chunk`
+    rows, in stream order; the last one may be shorter."""
+    buf: list[np.ndarray] = []
+    held = 0
+    for blk in blocks:
+        blk = as_points(blk)
+        while blk.shape[0]:
+            part, blk = blk[:chunk - held], blk[chunk - held:]
+            buf.append(part)
+            held += part.shape[0]
+            if held == chunk:
+                yield np.vstack(buf)
+                buf, held = [], 0
+    if held:
+        yield np.vstack(buf)
+
+
+def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSolution:
     """Single pass chunked seeding.
 
     blocks: an (n, d) array or an iterable of such blocks in stream
-    order.  Each full chunk of `chunk` points is seeded locally; chunk
-    centers weighted by their Voronoi counts accumulate, and the final
-    seed is drawn from that weighted union.  Space stays within one
-    chunk buffer plus oversample centers per chunk.
+    order.  Each chunk of `chunk` points is seeded locally with 2k
+    centers; chunk centers weighted by their Voronoi counts accumulate,
+    and the final seed is drawn from that weighted union.  Space stays
+    within one chunk plus 2k centers per chunk: the meter is charged a
+    chunk and its centers together, then the chunk is freed.
     """
     if chunk < 1:
         raise ValueError("need chunk >= 1")
-    if oversample is None:
-        oversample = 2 * k
     if isinstance(blocks, np.ndarray):
         blocks = [blocks]
 
-    buf: list[np.ndarray] = []
-    buffered = 0
-    solutions: list[tuple[np.ndarray, np.ndarray]] = []  # (centers, counts)
+    solutions: list[SeedSolution] = []
+    counts: list[np.ndarray] = []
     seen = 0
-
-    def flush(points):
-        nonlocal seen
-        seen += points.shape[0]
-        sol = d2_seed(points, k, oversample, rng)
+    for points in _chunks(blocks, chunk):
+        sol = d2_seed(points, k, 2 * k, rng)
+        if meter is not None:
+            meter.alloc_points(points.shape[0] + sol.centers.shape[0])
+            meter.free_points(points.shape[0])
         labels = np.argmin(pairwise_sqdist(points, sol.centers), axis=1)
-        counts = np.bincount(labels, minlength=sol.centers.shape[0]).astype(np.float64)
-        solutions.append((sol.centers, counts))
-        if meter is not None:
-            meter.alloc_points(sol.centers.shape[0])
-        return sol
-
-    last_sol = None
-    for blk in blocks:
-        blk = as_points(blk)
-        pos = 0
-        while pos < blk.shape[0]:
-            take = min(chunk - buffered, blk.shape[0] - pos)
-            buf.append(blk[pos:pos + take])
-            if meter is not None:
-                meter.alloc_points(take)
-            buffered += take
-            pos += take
-            if buffered == chunk:
-                last_sol = flush(np.vstack(buf))
-                if meter is not None:
-                    meter.free_points(buffered)
-                buf, buffered = [], 0
-    if buffered:
-        last_sol = flush(np.vstack(buf))
-        if meter is not None:
-            meter.free_points(buffered)
+        counts.append(np.bincount(labels, minlength=sol.centers.shape[0]).astype(np.float64))
+        solutions.append(sol)
+        seen += points.shape[0]
 
     if not solutions:
         raise ValueError("empty stream")
@@ -128,12 +119,11 @@ def merge_reduce_seed(blocks, k: int, chunk: int, rng, oversample: int | None = 
 
     if len(solutions) == 1:
         # degenerate merge: the chunk solution is the batch solution
-        return last_sol
+        return solutions[0]
 
-    union = np.vstack([c for c, _ in solutions])
-    wts = np.concatenate([w for _, w in solutions])
-    final = d2_seed(union, k, oversample, rng, weights=wts)
+    union = np.vstack([s.centers for s in solutions])
+    final = d2_seed(union, k, 2 * k, rng, weights=np.concatenate(counts))
     if meter is not None:
-        meter.free_points(sum(c.shape[0] for c, _ in solutions))
+        meter.free_points(union.shape[0])
         meter.alloc_points(final.centers.shape[0])
-    return SeedSolution(final.centers, final.cost, "merge-reduce-bi-criteria")
+    return final

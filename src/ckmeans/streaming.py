@@ -8,8 +8,9 @@ The graph and scale passes handle each block once for all candidates,
 against their centers stacked into one matrix.
 Solving happens offline between passes on the compressed graphs, never
 on raw points.  batch_solve is the in-memory pipeline behind
-`ckmeans solve`.  Both draw candidates with listgen.repetition_tuples
-and pick the winner by the same rule.
+`ckmeans solve`.  Both build their candidate list with
+listgen.candidate_list, from D^2 samples drawn in memory or from
+reservoirs filled in one pass, and pick the winner by the same rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .data import Dataset, iter_dataset_csv
 from .geometry import as_points, pairwise_sqdist
 from .hyperbucket import CompressedGraph, aspect_graph, aspect_guesses, bucket_block
-from .listgen import CandidateList, GoodCentersConfig, good_centers, repetition_tuples
+from .listgen import CandidateList, GoodCentersConfig, candidate_list, good_centers
 from .partition import (
     CompressedSolution,
     InfeasiblePartitionError,
@@ -229,21 +230,12 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
                     uni.offer_block(pts, np.ones(len(w)))
             seen += len(w)
 
-        anchor = np.repeat(C, p["copies"], axis=0)
-        entries = []
-        empty_reps = []
-        for r, (bank, uni) in enumerate(banks):
-            samples = (bank if bank.weight_sum > 0 else uni).sampled_points()
-            M = np.vstack([samples, anchor]) if len(samples) else anchor
-            drawn = repetition_tuples(M, r, p, streams[r][2])
-            if drawn is None:
-                empty_reps.append(r)
-            else:
-                entries.extend(drawn)
+        cands = candidate_list(
+            [(bank if bank.weight_sum > 0 else uni).sampled_points() for bank, uni in banks],
+            C, p, [s[2] for s in streams])
         for _ in banks:
             meter.free_points(2 * R)
-        meter.alloc_points(len(entries) * t)
-    cands = CandidateList(entries, t, d, p, empty_reps)
+        meter.alloc_points(len(cands) * t)
     return cands, seed, seen
 
 

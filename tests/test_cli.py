@@ -356,6 +356,16 @@ def _edit_line(lineno, text):
     return edit
 
 
+def _color_column(lineno, value):
+    # adds a color column of 0s, with `value` on line `lineno`
+    def edit(path):
+        header, *rows = path.read_text().splitlines()
+        lines = [header + ",color"] + [row + ",0" for row in rows]
+        lines[lineno - 1] = rows[lineno - 2] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
 def _rewrite_on_second_pass(monkeypatch, path):
     # drops the last data row as pass 2 opens the file
     blocks = CSVSource._blocks
@@ -374,6 +384,10 @@ EXIT_CLAUSES = [
      "{data}:40: non-finite coordinate"),
     ("wrong field count", "solve", [], _edit_line(7, "1,2,3"), "{data}:7: expected 2 fields, got 3"),
     ("wrong field count", "stream", [], _edit_line(61, "1"), "{data}:61: expected 2 fields, got 1"),
+    ("color or target beyond int64", "solve", [], _color_column(9, "99999999999999999999"),
+     "{data}:9: colors must be below 2**63"),
+    ("color or target beyond int64", "stream", [], _color_column(50, str(2**63)),
+     "{data}:50: colors must be below 2**63"),
     ("--k below 1", "solve", ["--k", "0"], None, "--k must be >= 1, got 0"),
     ("--k below 1", "stream", ["--k", "0"], None, "--k must be >= 1, got 0"),
     ("fewer rows than --k", "solve", ["--k", "70"], None, "stream has 60 points, need at least k=70"),

@@ -36,6 +36,8 @@ def reference_read(path):
         for name, v in zip(extras, ints):
             if v < 0:
                 return f"{path}:{lineno}: {name}s must be non-negative"
+            if v >= 2**63:
+                return f"{path}:{lineno}: {name}s must be below 2**63"
             cols[name].append(v)
         pts.append(p)
     if not pts:
@@ -93,6 +95,9 @@ FILES = {
         f"{r},{i % 3},{i % 2}" for i, r in enumerate(ROWS)) + "\n",
     "color_int_syntax": "x0,color\n1, 2\n3,1_1\n5,０\n",
     "color_not_int": "x0,color\n1,2\n3,1.5\n",
+    "color_beyond_int64": "x0,color\n1,2\n3,99999999999999999999\n",
+    "target_beyond_int64_after_block_edge": "x0,target\n" + "\n".join(
+        f"{i},{i}" for i in range(8)) + "\n8,9223372036854775808\n",
     "negative_target": "x0,target\n" + "\n".join(f"{i},{i}" for i in range(9)) + "\n9,-1\n",
     "header_only": "x0,x1\n",
     "header_and_blanks": "x0,x1\n\n\n",

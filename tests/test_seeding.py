@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ckmeans.data import duplicate_groups, gaussian_groups
-from ckmeans.geometry import phi_cost
+from ckmeans.geometry import pairwise_sqdist, phi_cost
 from ckmeans.oracle import OracleLimit, opt_kmeans
 from ckmeans.sampling import d2_distribution
 from ckmeans.seeding import d2_seed, merge_reduce_seed
@@ -27,7 +27,6 @@ def test_oversample_covering_input_returns_input():
     sol = d2_seed(X, 2, oversample=6, rng=rng)
     assert np.array_equal(sol.centers, X)
     assert sol.cost == 0.0
-    assert sol.alpha_claim == "exhaustive"
 
 
 def test_default_oversample_is_2k():
@@ -100,6 +99,23 @@ def test_merge_reduce_streams_blocks_of_any_shape():
     a = merge_reduce_seed(blocks, 3, chunk=10, rng=np.random.default_rng(11))
     b = merge_reduce_seed(X, 3, chunk=10, rng=np.random.default_rng(11))
     assert np.array_equal(a.centers, b.centers)     # chunking ignores block seams
+
+
+@pytest.mark.parametrize("n,chunk,block", [(61, 10, 7), (60, 10, 1000), (41, 13, 13)])
+def test_merge_reduce_seeds_consecutive_chunks(n, chunk, block):
+    # reference: seed X[lo:lo + chunk] for each lo, weigh by Voronoi counts,
+    # re-seed the union, all on one rng stream
+    X = np.random.default_rng(17).normal(size=(n, 2))
+    rng = np.random.default_rng(18)
+    parts = [X[lo:lo + chunk] for lo in range(0, n, chunk)]
+    sols = [d2_seed(P, 3, rng=rng) for P in parts]
+    counts = [np.bincount(np.argmin(pairwise_sqdist(P, s.centers), axis=1),
+                          minlength=len(s.centers)) for P, s in zip(parts, sols)]
+    want = d2_seed(np.vstack([s.centers for s in sols]), 3, rng=rng,
+                   weights=np.concatenate(counts).astype(np.float64))
+    blocks = [X[lo:lo + block] for lo in range(0, n, block)]
+    got = merge_reduce_seed(blocks, 3, chunk, np.random.default_rng(18))
+    assert np.array_equal(got.centers, want.centers) and got.cost == want.cost
 
 
 def test_merge_reduce_recovers_planted_groups():

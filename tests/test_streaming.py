@@ -472,6 +472,28 @@ def test_pipeline_space_phases_present():
     assert meter.peak_points > 0 and meter.peak_words > 0
 
 
+# (block, chunk, aspect removal) -> the space report; the chunks of 33
+# rows straddle blocks of 7, and chunks of 10 split blocks of 1,000
+PINNED_SPACE = {
+    (7, 33, False): (546, 15556, {"seed": (69, 0), "sample": (546, 0), "graph": (546, 15556),
+                                  "assign": (546, 184)}),
+    (1000, 10, True): (546, 15132, {"seed": (130, 0), "sample": (546, 0), "scale": (546, 0),
+                                    "graph": (546, 15132), "assign": (546, 204)}),
+}
+
+
+@pytest.mark.parametrize("block,chunk,aspect", sorted(PINNED_SPACE))
+def test_pipeline_space_report_is_pinned(block, chunk, aspect):
+    ds, _ = planted(31, n=200)
+    res = full_pipeline(ArraySource(ds, block=block), 3, Variant.classical(), CFG,
+                        np.random.default_rng(32), chunk=chunk, aspect_removal=aspect)
+    peak_points, peak_words, phases = PINNED_SPACE[block, chunk, aspect]
+    assert res.space == {
+        "peak_points": peak_points, "peak_words": peak_words,
+        "phases": [{"name": name, "peak_points": pp, "peak_words": pw}
+                   for name, (pp, pw) in phases.items()]}
+
+
 def test_pipeline_frees_losing_candidates_before_assign():
     ds, _ = planted(23)
     for aspect in (False, True):
