@@ -261,8 +261,6 @@ def cmd_solve(args) -> int:
 def cmd_stream(args) -> int:
     variant = _variant_from(args)
     cfg = _config_from(args)
-    if cfg.preset != "desk":
-        raise ValueError("stream needs the desk preset")
     source = CSVSource(args.data, block=args.block)
     res = full_pipeline(source, args.k, variant, cfg, np.random.default_rng(args.seed),
                         chunk=args.chunk, aspect_removal=args.aspect_removal,

@@ -3,13 +3,12 @@
 Squared distances are bucketed geometrically: bucket i holds s with
 (1+eps)^i <= s < (1+eps)^(i+1), and the bucket's representative weight
 (1+eps)^i is within a (1+eps) factor of every member.  Exact zeros get
-their own slot ZERO_ID with weight 0, and a center cut by aspect removal
-gets EXCLUDED_ID with weight +inf.  A point's key is its tuple of
-per-center int slots (a bucket id, ZERO_ID or EXCLUDED_ID) plus an
-optional group id; points sharing a key collapse into one weighted
-vertex, so downstream flow problems see a graph whose size no longer
-depends on n.  This module alone reads the key layout: the solvers get
-a graph's vertices as arrays from CompressedGraph.vertex_arrays.
+their own slot ZERO_ID with weight 0.  A point's key is its tuple of
+per-center int slots (a bucket id or ZERO_ID) plus an optional group
+id; points sharing a key collapse into one weighted vertex, so
+downstream flow problems see a graph whose size no longer depends on
+n.  This module alone reads the key layout: the solvers get a graph's
+vertices as arrays from CompressedGraph.vertex_arrays.
 
 A stream pass keys a block for every candidate graph at once: one
 distance matrix against all graphs' centers stacked, one bucketing of
@@ -19,11 +18,11 @@ group id when groups ride along.  Equal rows are found with one stable
 lexsort, so Python objects are built once per distinct vertex of a
 block, never per point; a single graph is the case of one.
 
-Aspect-ratio removal replaces raw bucket ids with contracted ones:
-given a scale guess u, squared distances below (u/n^2)^2 are treated as
-zero and centers farther than 4u (other than the nearest) are cut from
-the key entirely, which caps the spread of bucket ids independently of
-the data's aspect ratio.
+Aspect-ratio removal is a contraction floor: squared distances below
+(u/n^2)^2 count as zero for a scale guess u.  The pipeline's u is at
+least every center gap and every point's nearest-center distance, so
+every point lies within 2u of every center: bucket ids span a range
+independent of the data's aspect ratio, and every weight is finite.
 """
 
 from __future__ import annotations
@@ -35,10 +34,8 @@ import numpy as np
 
 from .geometry import as_points, pairwise_sqdist
 
-# key slot markers, out of reach of any bucket id: ZERO_ID for exact zero
-# distance, EXCLUDED_ID for a center cut by the aspect-removal filter
+# key slot marker for an exact zero distance, out of reach of any bucket id
 ZERO_ID = np.iinfo(np.int64).min
-EXCLUDED_ID = ZERO_ID + 1
 
 
 def bucket_index(sqdist: float, epsilon: float) -> int:
@@ -71,12 +68,9 @@ def _edge(b: float, i: int) -> float:
 
 
 def bucket_weight(slot: int, epsilon: float) -> float:
-    """Representative squared distance of a key slot: 0.0 for ZERO_ID,
-    +inf (a forbidden edge) for EXCLUDED_ID."""
+    """Representative squared distance of a key slot: 0.0 for ZERO_ID."""
     if slot == ZERO_ID:
         return 0.0
-    if slot == EXCLUDED_ID:
-        return math.inf
     return (1.0 + epsilon) ** slot
 
 
@@ -131,15 +125,14 @@ class CompressedGraph:
     """Weighted contraction of (X, C): one vertex per occupied bucket key.
 
     vertices maps (slots, group) -> count in insertion order, where
-    slots is a tuple of one int per center (a bucket id, ZERO_ID or
-    EXCLUDED_ID) and group is an optional color/target id riding along
-    with the points, or None.  vertex_arrays turns them into arrays.
+    slots is a tuple of one int per center (a bucket id or ZERO_ID) and
+    group is an optional color/target id riding along with the points,
+    or None.  vertex_arrays turns them into arrays.
     """
 
     centers: np.ndarray
     epsilon: float
     contract_below: float = 0.0  # squared-distance floor; below it counts as zero
-    cut_above: float = math.inf  # squared-distance ceiling; beyond it centers are cut
     vertices: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -161,9 +154,9 @@ class CompressedGraph:
 
     def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The vertices in insertion order as the arrays the solvers run
-        on: weights (L, k), each slot's bucket_weight (+inf at a cut
-        center marks a forbidden edge); counts (L,); groups (L,), or None
-        when no vertex has one (a None group reads as -1 beside others)."""
+        on: weights (L, k), each slot's bucket_weight; counts (L,);
+        groups (L,), or None when no vertex has one (a None group reads
+        as -1 beside others)."""
         keys = list(self.vertices)
         slots = np.array([s for s, _g in keys], dtype=np.int64).reshape(-1, self.k)
         # one Python pow per distinct slot: numpy's vectorized power can
@@ -184,10 +177,9 @@ class CompressedGraph:
         probe = replace(self, vertices=dict(zip(keys, counts.tolist())))
         w = probe.vertex_arrays()[0][inverse]
         s = np.where(sq < self.contract_below, 0.0, sq)
-        live = np.isfinite(w)
-        if (live & (s == 0.0) & (w != 0.0)).any():
+        if ((s == 0.0) & (w != 0.0)).any():
             return math.inf
-        live &= s != 0.0
+        live = s != 0.0
         return float((np.abs(w[live] - s[live]) / s[live]).max(initial=0.0))
 
 
@@ -196,9 +188,8 @@ def block_keys(graphs, sq: np.ndarray, groups=None):
 
     The graphs share k and epsilon.  sq holds the block's squared
     distances to their centers stacked in graph order, shape (b, m*k).
-    Each graph's contract_below and cut_above apply by broadcasting, and
-    each graph's nearest center survives its cut.  The key matrix is
-    laid out graph-major, a row per (graph, point) with the graph id in
+    Each graph's contract_below applies by broadcasting.  The key matrix
+    is laid out graph-major, a row per (graph, point) with the graph id in
     front, so one grouping serves every graph.
 
     Returns (keys, inverse, counts, owner): keys[i] is a (key, group)
@@ -211,19 +202,12 @@ def block_keys(graphs, sq: np.ndarray, groups=None):
     if any(g.k != k or g.epsilon != eps for g in graphs):
         raise ValueError("graphs bucketed together need the same k and epsilon")
     b = sq.shape[0]
-    raw = sq.reshape(b, m, k)
-    s = raw
+    s = sq.reshape(b, m, k)
     below = np.array([g.contract_below for g in graphs])
     if (below > 0.0).any():
-        s = np.where(raw < below[:, None], 0.0, raw)
+        s = np.where(s < below[:, None], 0.0, s)
     idx, zero = bucket_indices(s, eps)
     idx[zero] = ZERO_ID
-    above = np.array([g.cut_above for g in graphs])
-    if np.isfinite(above).any():
-        cut = s > above[:, None]
-        # the nearest center always survives the filter
-        np.put_along_axis(cut, raw.argmin(axis=2)[:, :, None], False, axis=2)
-        idx[cut] = EXCLUDED_ID
     cols = [np.repeat(np.arange(m, dtype=np.int64), b)[:, None],
             idx.transpose(1, 0, 2).reshape(m * b, k)]
     if groups is not None:
@@ -270,21 +254,8 @@ def aspect_guesses(centers, d_star: float | None = None) -> list[float]:
 
 
 def aspect_graph(centers, epsilon: float, u: float, n: int) -> CompressedGraph:
-    """Empty compressed graph whose keys contract below u/n^2 and cut
-    centers beyond 4u; feed it blocks like any other graph."""
+    """Empty compressed graph whose keys contract below u/n^2; feed it
+    blocks like any other graph."""
     if not (u > 0) or n < 1:
         raise ValueError("need a positive scale guess and n >= 1")
-    return CompressedGraph(
-        centers, epsilon,
-        contract_below=(u / n**2) ** 2,
-        cut_above=(4.0 * u) ** 2,
-    )
-
-
-def aspect_key_survives(point, centers, u: float, n: int, assign_to: int) -> bool:
-    """Whether assigning point to center index assign_to survives the
-    4u cut for scale guess u (the nearest center always survives)."""
-    sq = pairwise_sqdist(point, centers)[0]
-    if assign_to == int(np.argmin(sq)):
-        return True
-    return sq[assign_to] <= (4.0 * u) ** 2
+    return CompressedGraph(centers, epsilon, contract_below=(u / n**2) ** 2)

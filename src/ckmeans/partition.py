@@ -15,16 +15,17 @@ against):
   chromatic        at most one point of each color per center; the
                    transport kernel with cap 1, once per color class
   fault_tolerant   each point owned by l distinct centers: its l
-                   cheapest allowed ones, in closed form
+                   cheapest ones, in closed form
   semi_supervised  cost alpha * dist^2 + (1 - alpha) * [target mismatch],
                    a row argmin for each of the k! matchings of targets
                    to centers
 
 The objective throughout is the cost of assigning to fixed centers, not
-the k-means cost of re-centered clusters.  Batch assignment and stream
-peeling share one owner/cost rule: raw points are vertices of count 1,
-owners are the centers that carry a vertex's flow, and the real cost is
-summed left to right in point order, then owner order.
+the k-means cost of re-centered clusters, and every edge cost is finite.
+Batch assignment and stream peeling share one owner/cost rule: raw
+points are vertices of count 1, owners are the centers that carry a
+vertex's flow, and the real cost is summed left to right in point
+order, then owner order.
 """
 
 from __future__ import annotations
@@ -122,26 +123,12 @@ class Assignment:
 def quantize_costs(M, precision_bits: int = 32) -> tuple[np.ndarray, float]:
     """Fixed-point edge costs and the scale that maps them back.
 
-    +inf entries mark forbidden edges and stay +inf-like via a separate
-    mask; everything finite is scaled so the max lands on
+    Costs must be finite and non-negative; the max lands on
     2**precision_bits.  real cost == int cost * scale exactly as floats.
     """
-    M = np.asarray(M, dtype=np.float64)
-    finite = np.isfinite(M)
-    if np.any(M[finite] < 0):
-        raise ValueError("costs must be non-negative")
-    vals = np.zeros(M.shape, dtype=np.int64)
-    if finite.any():
-        fmax = float(M[finite].max())
-        if fmax > 0.0:
-            vals[finite] = to_fixed_point(
-                np.where(finite, M, 0.0), precision_bits)[finite]
-            scale = fmax / float(2**precision_bits)
-        else:
-            scale = 0.0
-    else:
-        scale = 0.0
-    return vals, scale
+    vals = to_fixed_point(M, precision_bits)
+    fmax = float(np.max(M, initial=0.0))
+    return vals, fmax / float(2**precision_bits)
 
 
 def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
@@ -190,7 +177,7 @@ def _running_sum(start, terms):
 
 @dataclass
 class _LeftSide:
-    weights: np.ndarray          # (L, k) real costs, +inf forbidden
+    weights: np.ndarray          # (L, k) real costs, all finite
     counts: np.ndarray           # (L,) multiplicities
     groups: np.ndarray | None    # (L,) color / target ids where relevant
 
@@ -203,7 +190,8 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
     """The left side a variant is solved on.
 
     A Dataset or point array gives one vertex of count 1 per point, with
-    the variant's label column as groups; a CompressedGraph (centers
+    the variant's label column as groups; a squared distance that
+    overflows float64 raises ValueError.  A CompressedGraph (centers
     ignored) gives its vertices and their group ids.
     """
     column = _LABEL_COLUMNS.get(variant.kind)
@@ -212,14 +200,16 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
     else:
         ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
         labels = getattr(ds, column + "s") if column else None   # .colors / .targets
-        left = _LeftSide(pairwise_sqdist(ds.points, centers),
-                         np.ones(ds.n, dtype=np.int64), labels)
+        sq = pairwise_sqdist(ds.points, centers)
+        if not np.isfinite(sq).all():
+            raise ValueError("a squared distance overflows float64")
+        left = _LeftSide(sq, np.ones(ds.n, dtype=np.int64), labels)
     if column and left.groups is None:
         raise ValueError(f"{variant.kind} partitioning needs a {column} column")
     return left
 
 
-_NO_EDGE = np.iinfo(np.int64).max   # sorts after every quantized cost
+_NO_EDGE = np.iinfo(np.int64).max   # marks a center where a vertex holds no flow
 
 
 def _exact_total(flows, w_int) -> int:
@@ -229,11 +219,11 @@ def _exact_total(flows, w_int) -> int:
     return sum(f * w for f, w in zip(flows[nz].tolist(), w_int[nz].tolist()))
 
 
-def transport_assign(w_int, forbidden, counts, low: int, cap: int):
+def transport_assign(w_int, counts, low: int, cap: int):
     """Cheapest integral assignment of counts[v] units of every left vertex
-    v to its allowed centers, each center receiving between low and cap
-    units.  Returns (int_cost, flows), int_cost an exact Python int, or
-    None when infeasible.
+    v to the centers, each center receiving between low and cap units.
+    Returns (int_cost, flows), int_cost an exact Python int, or None when
+    infeasible.
 
     The row argmin (ties to the lowest center) is optimal without bounds.
     Bound violations are then repaired by successive shortest paths on
@@ -245,11 +235,10 @@ def transport_assign(w_int, forbidden, counts, low: int, cap: int):
     """
     L, k = w_int.shape
     n = int(counts.sum())
-    live = counts > 0
-    if low > cap or k * low > n or k * cap < n or forbidden[live].all(axis=1).any():
+    if low > cap or k * low > n or k * cap < n:
         return None
     flows = np.zeros((L, k), dtype=np.int64)
-    flows[np.arange(L), np.where(forbidden, _NO_EDGE, w_int).argmin(axis=1)] = counts
+    flows[np.arange(L), w_int.argmin(axis=1)] = counts
     load = flows.sum(axis=0).tolist()
     y = [min(max(x, low), cap) for x in load]      # sink arc flows
     sink = k
@@ -260,9 +249,8 @@ def transport_assign(w_int, forbidden, counts, low: int, cap: int):
         if not any(excess):
             return _exact_total(flows, w_int), flows
         if diff is None:
-            # diff[v, a, b] = w[v, b] - w[v, a] where edge (v, b) exists
-            diff = np.where(~forbidden[:, None, :],
-                            w_int[:, None, :] - w_int[:, :, None], _NO_EDGE)
+            # diff[v, a, b] = w[v, b] - w[v, a]
+            diff = w_int[:, None, :] - w_int[:, :, None]
         held = np.where(flows[:, :, None] > 0, diff, _NO_EDGE)
         via = held.argmin(axis=0)
         hop = np.take_along_axis(held, via[None], axis=0)[0].tolist()
@@ -311,12 +299,12 @@ def transport_assign(w_int, forbidden, counts, low: int, cap: int):
                 load[b] += push
 
 
-def _chromatic(w_int, forbidden, left, variant):
+def _chromatic(w_int, left, variant):
     total = 0
     flows = np.zeros(w_int.shape, dtype=np.int64)
     for color in np.unique(left.groups):
         rows = np.flatnonzero(left.groups == color)
-        sub = transport_assign(w_int[rows], forbidden[rows], left.counts[rows], 0, 1)
+        sub = transport_assign(w_int[rows], left.counts[rows], 0, 1)
         if sub is None:
             return None
         total += sub[0]
@@ -324,40 +312,34 @@ def _chromatic(w_int, forbidden, left, variant):
     return total, flows
 
 
-def _fault_tolerant(w_int, forbidden, left, variant):
-    """Closed form: every point takes its l cheapest allowed centers
-    (stable sort, so ties go to the lowest index)."""
+def _fault_tolerant(w_int, left, variant):
+    """Closed form: every point takes its l cheapest centers (stable
+    sort, so ties go to the lowest index)."""
     L, k = w_int.shape
     if variant.l > k:
         return None
-    rows = np.arange(L)[:, None]
-    pick = np.argsort(np.where(forbidden, _NO_EDGE, w_int), axis=1,
-                      kind="stable")[:, :variant.l]
-    if forbidden[rows, pick][left.counts > 0].any():
-        return None
+    pick = np.argsort(w_int, axis=1, kind="stable")[:, :variant.l]
     flows = np.zeros((L, k), dtype=np.int64)
-    flows[rows, pick] = left.counts[:, None]
+    flows[np.arange(L)[:, None], pick] = left.counts[:, None]
     return _exact_total(flows, w_int), flows
 
 
 _KERNELS = {
-    "classical": lambda w, f, left, v: transport_assign(w, f, left.counts, 0, left.total),
-    "r_gather": lambda w, f, left, v: transport_assign(w, f, left.counts, v.r, left.total),
-    "r_capacity": lambda w, f, left, v: transport_assign(w, f, left.counts, 0, v.r),
+    "classical": lambda w, left, v: transport_assign(w, left.counts, 0, left.total),
+    "r_gather": lambda w, left, v: transport_assign(w, left.counts, v.r, left.total),
+    "r_capacity": lambda w, left, v: transport_assign(w, left.counts, 0, v.r),
     "chromatic": _chromatic,
     "fault_tolerant": _fault_tolerant,
 }
 
 
-def _semi_supervised(left: _LeftSide, forbidden, alpha: float, precision_bits: int):
+def _semi_supervised(left: _LeftSide, alpha: float, precision_bits: int):
     """Unconstrained, so each of the k! target matchings is a row argmin."""
-    W = np.where(forbidden, 0.0, left.weights)
     best = None
-    for perm in itertools.permutations(range(W.shape[1])):
-        M = np.where(forbidden, math.inf,
-                     semi_supervised_cost_terms(W, left.groups, alpha, perm))
+    for perm in itertools.permutations(range(left.weights.shape[1])):
+        M = semi_supervised_cost_terms(left.weights, left.groups, alpha, perm)
         w_int, scale = quantize_costs(M, precision_bits)
-        solved = transport_assign(w_int, forbidden, left.counts, 0, left.total)
+        solved = transport_assign(w_int, left.counts, 0, left.total)
         if solved is None:
             return None
         if best is None or solved[0] * scale < best[0] * best[1]:
@@ -372,11 +354,10 @@ def _solve_left(left: _LeftSide, variant: Variant, precision_bits: int):
     flows is (L, k) integral; perm is the winning target matching for
     semi_supervised and None otherwise.
     """
-    forbidden = ~np.isfinite(left.weights)
     if variant.kind == "semi_supervised":
-        return _semi_supervised(left, forbidden, variant.alpha, precision_bits)
+        return _semi_supervised(left, variant.alpha, precision_bits)
     w_int, scale = quantize_costs(left.weights, precision_bits)
-    solved = _KERNELS[variant.kind](w_int, forbidden, left, variant)
+    solved = _KERNELS[variant.kind](w_int, left, variant)
     return None if solved is None else (solved[0], scale, solved[1], None)
 
 

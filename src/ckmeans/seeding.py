@@ -59,6 +59,8 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
     pot = w * pairwise_sqdist(X, X[first]).ravel()
     for _ in range(oversample - 1):
         total = pot.sum()
+        if not np.isfinite(total):
+            raise ValueError("a squared distance overflows float64")
         p = (w / w.sum()) if total == 0.0 else (pot / total)
         nxt = int(rng.choice(n, p=p))
         chosen.append(nxt)

@@ -97,25 +97,22 @@ def check_beta_distributed(X, labels, beta: float) -> StabilityReport:
     if beta < 0:
         raise ValueError("beta must be non-negative")
     X = as_points(X)
-    parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
+    _parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
     kk = len(sizes)
     margin = math.inf
     witnesses = []
-    owner = np.empty(X.shape[0], dtype=np.int64)
-    for c, members in enumerate(parts):
-        owner[members] = c
+    # each point's cluster index, clusters in cluster_stats' sorted label order
+    owner = np.unique(np.asarray(labels), return_inverse=True)[1]
     sq = pairwise_sqdist(X, means)
     for i in range(kk):
         outside = np.flatnonzero(owner != i)
-        for x in outside:
-            lhs = sq[x, i]
-            rhs = beta * opt / sizes[i]
-            if opt > 0:
-                margin = min(margin, lhs * sizes[i] / opt)
-            elif lhs == 0.0:
-                margin = min(margin, 0.0)
-            if lhs < rhs:
-                witnesses.append((i, int(owner[x]), int(x)))
+        lhs = sq[outside, i]
+        if opt > 0:
+            margin = min(margin, (lhs * sizes[i] / opt).min(initial=math.inf))
+        elif (lhs == 0.0).any():
+            margin = min(margin, 0.0)
+        for x in outside[lhs < beta * opt / sizes[i]].tolist():
+            witnesses.append((i, int(owner[x]), x))
     return StabilityReport(not witnesses, margin, witnesses)
 
 
@@ -182,10 +179,8 @@ def gap_merged_cost_exact(inst: GapInstance) -> Fraction:
     d = n + 1
     half = [i for i in range(n) if inst.labels[i] == 1]
     mu = [sum(pts[i][j] for i in half) / len(half) for j in range(d)]
-    keep = [i for i in range(n) if inst.labels[i] == 1]
-    move = [i for i in range(n) if inst.labels[i] == 0]
     total = Fraction(0)
-    for i in keep + move:
+    for i in range(n):
         total += sum((pts[i][j] - mu[j]) ** 2 for j in range(d))
     return total
 
@@ -227,10 +222,10 @@ def brute_force_cheap_solver(reference_labels=None, limit: OracleLimit | None = 
         X = as_points(X)
         if reference_labels is None:
             ref_cost, ref_labels = opt_kmeans(X, k, limit)
+            means = cluster_stats(X, ref_labels)[2]
         else:
             ref_labels = np.asarray(reference_labels)
-            _p, _s, _m, _d, ref_cost = cluster_stats(X, ref_labels)
-        _parts, _sizes, means, _deltas, _opt = cluster_stats(X, ref_labels)
+            _parts, _sizes, means, _deltas, ref_cost = cluster_stats(X, ref_labels)
         _exp, cheap, _thr = cheap_expensive_split(X, ref_labels, beta, epsilon)
         pool = [np.asarray(q) for q in q_init] + [means[i] for i in cheap]
         if not pool:

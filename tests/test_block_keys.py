@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import (
-    EXCLUDED_ID,
     ZERO_ID,
     CompressedGraph,
     aspect_graph,
@@ -39,14 +38,10 @@ EPS = 0.5
 
 
 def ref_key(graph, sq_row, group):
-    nearest = int(np.argmin(sq_row))
     key = []
-    for j, s in enumerate(sq_row.tolist()):
+    for s in sq_row.tolist():
         s = 0.0 if s < graph.contract_below else s
-        if math.isfinite(graph.cut_above) and s > graph.cut_above and j != nearest:
-            key.append(EXCLUDED_ID)
-        else:
-            key.append(bucket_index(s, graph.epsilon))
+        key.append(bucket_index(s, graph.epsilon))
     return (tuple(key), None if group is None else int(group))
 
 
@@ -57,8 +52,6 @@ def ref_weight_error(graph, X):
         w = [bucket_weight(slot, graph.epsilon) for slot in ref_key(graph, sq[r], None)[0]]
         for j in range(graph.k):
             s = 0.0 if sq[r, j] < graph.contract_below else sq[r, j]
-            if not math.isfinite(w[j]):
-                continue
             if s == 0.0:
                 worst = math.inf if w[j] != 0.0 else worst
                 continue
@@ -97,13 +90,11 @@ def instances(draw):
     groups = None
     if draw(st.booleans()):
         groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    # in grid units: contract a squared distance of 1 to zero, cut centers
-    # more than 3 away
-    contract, cut = draw(st.sampled_from([(0.0, math.inf), (1.5, math.inf),
-                                          (0.0, 9.0), (1.5, 9.0)]))
+    # in grid units: contract a squared distance of 1 to zero
+    contract = draw(st.sampled_from([0.0, 1.5]))
     f = draw(st.sampled_from([1.0, 0.001, 37.5]))
     bounds = sorted({0, n, *draw(st.lists(st.integers(1, n), max_size=3))})
-    return C * f, X * f, groups, contract * f * f, cut * f * f, bounds
+    return C * f, X * f, groups, contract * f * f, bounds
 
 
 def blocks_of(X, groups, bounds):
@@ -114,8 +105,8 @@ def blocks_of(X, groups, bounds):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(instances())
 def test_block_keys_match_scalar_keys(inst):
-    C, X, groups, contract, cut, bounds = inst
-    g = CompressedGraph(C, EPS, contract_below=contract, cut_above=cut)
+    C, X, groups, contract, bounds = inst
+    g = CompressedGraph(C, EPS, contract_below=contract)
     ref_vertices = {}
     for P, G in blocks_of(X, groups, bounds):
         sq = pairwise_sqdist(P, C)
@@ -129,12 +120,12 @@ def test_block_keys_match_scalar_keys(inst):
         # an earlier block
         assert list(g.vertices.items()) == list(ref_vertices.items())
         # the solvers' arrays: weights bit-equal to bucket_weight slot by
-        # slot, +inf at cut centers and 0.0 at zeros
+        # slot, all finite, and 0.0 at zeros
         W, counts, groups = g.vertex_arrays()
         slots = np.array([key for key, _grp in ref_vertices]).reshape(-1, g.k)
         want_w = np.array([[bucket_weight(x, EPS) for x in row] for row in slots.tolist()])
         assert W.tobytes() == want_w.reshape(W.shape).tobytes()
-        assert np.array_equal(np.isinf(W), slots == EXCLUDED_ID)
+        assert np.isfinite(W).all()
         assert np.array_equal(W == 0.0, slots == ZERO_ID)
         assert counts.tolist() == list(g.vertices.values())
         if G is None:
@@ -147,8 +138,8 @@ def test_block_keys_match_scalar_keys(inst):
 @st.composite
 def stacks(draw):
     """m graphs of one k over one stream in d dimensions: plain graphs,
-    graphs with a fixed floor and ceiling, and aspect graphs, each with
-    its own scale guess u."""
+    graphs with a fixed floor, and aspect graphs, each with its own scale
+    guess u."""
     m = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
     d = draw(st.integers(1, 5))
@@ -168,8 +159,7 @@ def stacks(draw):
             # n=1 keeps the floor (u/n^2)^2 = u^2 on the grid's scale
             graphs.append(aspect_graph(C, EPS, draw(st.sampled_from([0.5, 1.0, 2.0])) * f, 1))
         elif shape == "floor":
-            graphs.append(CompressedGraph(C, EPS, contract_below=1.5 * f * f,
-                                          cut_above=9.0 * f * f))
+            graphs.append(CompressedGraph(C, EPS, contract_below=1.5 * f * f))
         else:
             graphs.append(CompressedGraph(C, EPS))
     groups = None
@@ -218,7 +208,7 @@ def test_stacked_graphs_share_k_and_epsilon():
 @given(instances(), st.sampled_from(["classical", "r_gather", "fault_tolerant",
                                      "semi_supervised"]))
 def test_peel_matches_greedy_per_point_peel(inst, kind):
-    C, X, groups, contract, cut, bounds = inst
+    C, X, groups, contract, bounds = inst
     k = C.shape[0]
     if kind == "semi_supervised":
         groups = np.arange(X.shape[0]) % k if groups is None else groups
@@ -228,7 +218,7 @@ def test_peel_matches_greedy_per_point_peel(inst, kind):
                "r_gather": Variant.r_gather(max(1, X.shape[0] // k)),
                "fault_tolerant": Variant.fault_tolerant(min(2, k)),
                "semi_supervised": Variant.semi_supervised(0.5)}[kind]
-    g = CompressedGraph(C, EPS, contract_below=contract, cut_above=cut)
+    g = CompressedGraph(C, EPS, contract_below=contract)
     for P, G in blocks_of(X, groups, bounds):
         g.add_block(P, G)
     try:

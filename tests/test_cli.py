@@ -225,6 +225,24 @@ def test_non_finite_coordinate_is_validation_error(tmp_path, capsys, bad):
         Dataset(np.array([[0.0, 1.0], [float(bad), 0.0]]))
 
 
+@pytest.mark.parametrize("variant,params", [("classical", []), ("r_gather", ["--r", "2"]),
+                                            ("fault_tolerant", ["--l", "2"])],
+                         ids=["classical", "r_gather", "fault_tolerant"])
+def test_partition_rejects_an_overflowing_distance(tmp_path, capsys, variant, params):
+    # 30 points near the origin, 30 at (1e200, 1e200): every squared
+    # distance between the two groups overflows float64, which is invalid
+    # input, not an edge to leave out
+    rng = np.random.default_rng(3)
+    data, centers = tmp_path / "far.csv", tmp_path / "far.centers.csv"
+    near = [f"{x!r},{y!r}" for x, y in rng.normal(size=(30, 2)).tolist()]
+    data.write_text("\n".join(["x0,x1", *near, *["1e200,1e200"] * 30]) + "\n")
+    centers.write_text("x0,x1\n0.0,0.0\n1e200,1e200\n")
+    assert run("partition", data, "--centers", centers, "--variant", variant, *params,
+               "--out", tmp_path / "out") == 3
+    assert "a squared distance overflows float64" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 # stream ------------------------------------------------------------------------
 
 def test_stream_summary_reports_passes_and_space(tmp_path):
@@ -246,7 +264,11 @@ def test_stream_summary_reports_passes_and_space(tmp_path):
 
 def test_stream_rejects_paper_preset_and_chromatic(tmp_path, capsys):
     data, _ = gen(tmp_path, n=30)
-    assert run("stream", data, "--k", "3", "--seed", "4", "--preset", "formula") == 3
+    # rejected by the stream's list generation before any pass
+    assert run("stream", data, "--k", "3", "--seed", "4", "--preset", "formula",
+               "--out", tmp_path / "out") == 3
+    assert "needs the desk preset" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
     assert run("stream", data, "--k", "3", "--seed", "4", *SMALL,
                "--variant", "chromatic") == 3
     for block in ("0", "-5"):
@@ -366,6 +388,13 @@ def _color_column(lineno, value):
     return edit
 
 
+def _far_half(path):
+    # moves the second half of the rows to (1e200, 1e200)
+    lines = path.read_text().splitlines()
+    half = (len(lines) + 1) // 2
+    path.write_text("\n".join(lines[:half] + ["1e200,1e200"] * (len(lines) - half)) + "\n")
+
+
 def _rewrite_on_second_pass(monkeypatch, path):
     # drops the last data row as pass 2 opens the file
     blocks = CSVSource._blocks
@@ -398,6 +427,8 @@ EXIT_CLAUSES = [
     ("abbreviated flag", "solve", ["--sel", "range"], None, "unrecognized arguments: --sel range"),
     ("source changed between passes", "stream", [], "rewrite",
      "stream changed between passes: pass 2 read 59 rows against 60"),
+    ("squared distance overflows", "solve", [], _far_half, "a squared distance overflows float64"),
+    ("squared distance overflows", "stream", [], _far_half, "a squared distance overflows float64"),
 ]
 
 

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from ckmeans.data import grid_groups
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import (
-    EXCLUDED_ID,
     ZERO_ID,
     CompressedGraph,
     aspect_graph,
     aspect_guesses,
-    aspect_key_survives,
     block_keys,
     bucket_index,
     bucket_indices,
@@ -46,7 +44,6 @@ def test_bucket_boundaries_inclusive_below(eps):
 def test_zero_gets_its_own_bucket():
     assert bucket_index(0.0, 0.3) == ZERO_ID
     assert bucket_weight(ZERO_ID, 0.3) == 0.0
-    assert bucket_weight(EXCLUDED_ID, 0.3) == math.inf
 
 
 def test_bucket_index_validation():
@@ -221,57 +218,45 @@ def test_aspect_guesses_contents():
     assert len(g2) <= C.shape[0] ** 2 + 1
 
 
-def test_aspect_contraction_and_cut():
+def test_aspect_contraction():
     C = np.array([[0.0, 0.0], [100.0, 0.0]])
     u, n = 10.0, 100
     g = aspect_graph(C, 0.5, u, n)
-    # a point microscopically off center 0: contracted to the zero slot
+    # a point microscopically off center 0: contracted to the zero slot;
+    # center 1 keeps its plain bucket
     tiny = u / n**2 / 2
-    keys = row_keys(g, np.array([[tiny, 0.0]]))
+    P = np.array([[tiny, 0.0]])
+    keys = row_keys(g, P)
     key, _grp = keys[0]
     assert key[0] == ZERO_ID
-    # center 1 sits 100 - tiny > 4u = 40 away: cut
-    assert key[1] == EXCLUDED_ID
-    g.add_block(np.array([[tiny, 0.0]]))
-    assert math.isinf(g.vertex_arrays()[0][0, 1])
+    assert key[1] == bucket_index(pairwise_sqdist(P, C)[0, 1], 0.5)
+    g.add_block(P)
+    assert g.vertex_arrays()[0][0].tolist() == [0.0, bucket_weight(key[1], 0.5)]
 
 
-def test_nearest_center_survives_cut():
-    C = np.array([[0.0, 0.0], [1000.0, 0.0]])
-    g = aspect_graph(C, 0.5, 1.0, 10)
-    keys = row_keys(g, np.array([[500.0, 0.0]]))   # far from both
-    key, _grp = keys[0]
-    assert key[0] != EXCLUDED_ID                   # nearest (tie -> lowest index)
-    assert key[1] == EXCLUDED_ID
-
-
-def test_aspect_key_survives_matches_graph():
-    rng = np.random.default_rng(11)
-    C = rng.normal(size=(3, 2)) * 5
-    u, n = 2.0, 50
-    g = aspect_graph(C, 0.5, u, n)
-    for _ in range(50):
-        p = rng.normal(size=(1, 2)) * 20
-        key, _grp = row_keys(g, p)[-1]
-        for j in range(3):
-            survives = key[j] != EXCLUDED_ID
-            assert survives == aspect_key_survives(p, C, u, n, j)
-
-
-def test_aspect_solution_survives_max_guess():
-    """At the largest guess every point keeps a feasible center, so the
-    contracted graph never goes infeasible for classical assignment."""
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        X = rng.normal(size=(30, 2)) * rng.uniform(0.1, 40)
-        C = rng.normal(size=(3, 2)) * rng.uniform(0.1, 40)
-        worst = float(pairwise_sqdist(X, C).min(axis=1).max())
-        guesses = aspect_guesses(C, d_star=math.sqrt(worst))
-        u = max(gu for gu in guesses if gu > 0)
-        g = aspect_graph(C, 0.5, u, 30)
-        g.add_block(X)
-        cost = partition_cost(g, C, Variant.classical())
-        assert math.isfinite(cost)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "cauchy", "coincident"]),
+       st.integers(1, 4), st.integers(1, 40), st.integers(1, 4))
+def test_aspect_solution_survives_max_guess(seed, kind, k, n, d):
+    """At the scale guess full_pipeline takes (the largest positive one
+    of aspect_guesses with d_star), every point lies within 2u of every
+    center by the triangle inequality, so a cut of centers beyond 4u
+    could never fire.  A smaller guess breaks this premise."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6, 6)
+    if kind == "gaussian":
+        X, C = rng.normal(size=(n, d)) * scale, rng.normal(size=(k, d)) * scale
+    elif kind == "cauchy":           # heavy tails: aspect ratios up to ~1e6 and beyond
+        X = rng.standard_cauchy(size=(n, d)) * scale
+        C = rng.standard_cauchy(size=(k, d)) * scale
+    else:                            # every point sits on a center: d_star = 0
+        C = rng.normal(size=(k, d)) * scale
+        X = C[rng.integers(k, size=n)]
+    sq = pairwise_sqdist(X, C)
+    d_star = np.sqrt(sq.min(axis=1).max())
+    u = max((gu for gu in aspect_guesses(C, float(d_star)) if gu > 0), default=1.0)
+    # (d_star + largest center gap)^2 <= 4u^2, up to a few ulps of rounding
+    assert sq.max() <= 4.0 * u * u * (1 + 1e-12)
 
 
 def test_aspect_contraction_error_is_negligible():

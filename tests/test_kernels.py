@@ -4,7 +4,7 @@ The partition module solves each variant with its own exact kernel on
 the quantized integer costs.  The reference here is the bipartite
 network every variant used to be built as, solved by
 solve_min_cost_flow; the exhaustive oracle is a third, independent
-search wherever it applies (it knows no forbidden edges).
+search on every generated instance.
 """
 
 import itertools
@@ -17,15 +17,11 @@ from hypothesis import strategies as st
 from ckmeans.data import Dataset
 from ckmeans.flow import FlowNetwork, solve_min_cost_flow
 from ckmeans.geometry import pairwise_sqdist
-from ckmeans.hyperbucket import aspect_graph
 from ckmeans.oracle import OracleLimit, opt_constrained
 from ckmeans.partition import (
-    InfeasiblePartitionError,
     Variant,
-    _left_side,
     _LeftSide,
     _solve_left,
-    compressed_partition,
     quantize_costs,
     semi_supervised_cost_terms,
     transport_assign,
@@ -35,7 +31,7 @@ KINDS = ("classical", "r_gather", "r_capacity", "chromatic", "fault_tolerant",
          "semi_supervised")
 
 
-def ssp_assign(w_int, forbidden, counts, low, cap):
+def ssp_assign(w_int, counts, low, cap):
     """Exact int cost of the left-vertex / center / sink network, or None."""
     L, k = w_int.shape
     s, t = 0, 1 + L + k
@@ -45,8 +41,7 @@ def ssp_assign(w_int, forbidden, counts, low, cap):
             continue
         net.add_arc(s, 1 + v, int(counts[v]), 0)
         for j in range(k):
-            if not forbidden[v, j]:
-                net.add_arc(1 + v, 1 + L + j, int(counts[v]), int(w_int[v, j]))
+            net.add_arc(1 + v, 1 + L + j, int(counts[v]), int(w_int[v, j]))
     for j in range(k):
         net.add_arc(1 + L + j, t, int(cap), 0, lower=int(min(low, cap)))
     res = solve_min_cost_flow(net)
@@ -56,44 +51,40 @@ def ssp_assign(w_int, forbidden, counts, low, cap):
 def reference(left, variant, bits=32):
     """(int_cost, scale) of the optimum by min-cost flow, or None."""
     W = left.weights
-    forbidden = ~np.isfinite(W)
     L, k = W.shape
     n = left.total
     if variant.kind == "semi_supervised":
         best = None
         for perm in itertools.permutations(range(k)):
-            M = np.where(forbidden, math.inf, semi_supervised_cost_terms(
-                np.where(forbidden, 0.0, W), left.groups, variant.alpha, perm))
+            M = semi_supervised_cost_terms(W, left.groups, variant.alpha, perm)
             w, scale = quantize_costs(M, bits)
-            c = ssp_assign(w, forbidden, left.counts, 0, n)
+            c = ssp_assign(w, left.counts, 0, n)
             if c is not None and (best is None or c * scale < best[0] * best[1]):
                 best = (c, scale)
         return best
     w, scale = quantize_costs(W, bits)
     if variant.kind == "chromatic":
-        parts = [ssp_assign(w[rows], forbidden[rows], left.counts[rows], 0, 1)
+        parts = [ssp_assign(w[rows], left.counts[rows], 0, 1)
                  for rows in (np.flatnonzero(left.groups == g)
                               for g in np.unique(left.groups))]
         total = None if None in parts else sum(parts)
     elif variant.kind == "fault_tolerant":
         # l replicas of each point, one per center at most
         l = variant.l
-        parts = [ssp_assign(np.repeat(w[v][None], l, 0), np.repeat(forbidden[v][None], l, 0),
-                            np.ones(l, dtype=np.int64), 0, 1)
+        parts = [ssp_assign(np.repeat(w[v][None], l, 0), np.ones(l, dtype=np.int64), 0, 1)
                  for v in range(L)]
         total = None if None in parts else sum(
             c * int(m) for c, m in zip(parts, left.counts))
     else:
         low, cap = {"classical": (0, n), "r_gather": (variant.r, n),
                     "r_capacity": (0, variant.r)}[variant.kind]
-        total = ssp_assign(w, forbidden, left.counts, low, cap)
+        total = ssp_assign(w, left.counts, low, cap)
     return None if total is None else (total, scale)
 
 
 def check_flows(left, variant, flows):
-    forbidden = ~np.isfinite(left.weights)
     per_point = variant.l if variant.kind == "fault_tolerant" else 1
-    assert (flows >= 0).all() and not flows[forbidden].any()
+    assert (flows >= 0).all()
     assert (flows.sum(axis=1) == left.counts * per_point).all()
     load = flows.sum(axis=0)
     if variant.kind == "r_gather":
@@ -121,7 +112,7 @@ def variant_of(kind, n, k, param):
 def instances(draw):
     """A few points and centers on a 4x4 grid (exact ties, duplicate
     points, zero distances), multiplicities up to 3 and at most 6 points
-    in all, optionally with forbidden edges like those of cut centers."""
+    in all."""
     k = draw(st.integers(1, 3))
     cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
     L = draw(st.integers(1, 4))
@@ -131,20 +122,18 @@ def instances(draw):
     keep = np.cumsum(counts) <= 6
     points, counts = points[keep], counts[keep]
     L = len(counts)
-    cut = np.array(draw(st.lists(st.booleans(), min_size=L * k, max_size=L * k)))
-    cut = cut.reshape(L, k) & draw(st.booleans())
     colors = np.array(draw(st.lists(st.integers(0, 2), min_size=L, max_size=L)))
     targets = np.array(draw(st.lists(st.integers(0, k - 1), min_size=L, max_size=L)))
     params = draw(st.lists(st.integers(0, 20), min_size=len(KINDS), max_size=len(KINDS)))
-    return points, centers, counts, cut, colors, targets, params
+    return points, centers, counts, colors, targets, params
 
 
 @settings(deadline=None, derandomize=True, max_examples=120)
 @given(instances())
 def test_kernels_match_min_cost_flow_and_oracle(inst):
-    points, centers, counts, cut, colors, targets, params = inst
+    points, centers, counts, colors, targets, params = inst
     n, k = int(counts.sum()), centers.shape[0]
-    W = np.where(cut, math.inf, pairwise_sqdist(points, centers))
+    W = pairwise_sqdist(points, centers)
     expanded = Dataset(np.repeat(points, counts, axis=0), np.repeat(colors, counts),
                        np.repeat(targets, counts))
     for kind, param in zip(KINDS, params):
@@ -162,9 +151,8 @@ def test_kernels_match_min_cost_flow_and_oracle(inst):
             assert cost == float(want[0]) * want[1], variant
             if kind != "semi_supervised":
                 assert (got[0], got[1]) == want, variant
-        if not cut.any():
-            oracle = opt_constrained(expanded, centers, variant, OracleLimit(max_n=6))
-            assert cost == oracle, variant
+        oracle = opt_constrained(expanded, centers, variant, OracleLimit(max_n=6))
+        assert cost == oracle, variant
 
 
 def test_kernel_totals_exact_at_62_bits():
@@ -174,32 +162,12 @@ def test_kernel_totals_exact_at_62_bits():
     W = pairwise_sqdist(X, C)
     w, _scale = quantize_costs(W, 62)
     ones = np.ones(40, dtype=np.int64)
-    no_cut = np.zeros(w.shape, dtype=bool)
     for low, cap in [(12, 40), (0, 14), (0, 40)]:
-        got = transport_assign(w, no_cut, ones, low, cap)
-        assert got[0] == ssp_assign(w, no_cut, ones, low, cap)
+        got = transport_assign(w, ones, low, cap)
+        assert got[0] == ssp_assign(w, ones, low, cap)
         assert got[0] > 2**63          # an int64 sum would have wrapped
     left = _LeftSide(W, ones, None)
     for variant in (Variant.r_gather(12), Variant.fault_tolerant(2)):
         solved = _solve_left(left, variant, 62)
         assert (solved[0], solved[1]) == reference(left, variant, 62)
 
-
-def test_cut_centers_of_an_aspect_graph_match_min_cost_flow():
-    rng = np.random.default_rng(5)
-    X = np.concatenate([rng.normal(0, 0.05, (30, 2)), rng.normal(8, 0.05, (30, 2)),
-                        [[3.0, 3.0]] * 4])
-    C = np.array([[0.0, 0.0], [8.0, 8.0], [0.5, 0.0]])
-    g = aspect_graph(C, 0.5, 0.5, len(X))
-    g.add_block(X)
-    left = _left_side(g, None, Variant.classical())
-    assert np.isinf(left.weights).any() and (left.counts > 1).any()
-    for variant in (Variant.classical(), Variant.r_gather(15), Variant.r_capacity(25),
-                    Variant.fault_tolerant(2)):
-        want = reference(left, variant)
-        try:
-            sol = compressed_partition(g, variant)
-        except InfeasiblePartitionError:
-            assert want is None, variant
-            continue
-        assert (sol.int_cost, sol.scale) == want, variant

@@ -198,17 +198,15 @@ def test_quantize_costs_roundtrip_exact_in_float():
     assert np.max(np.abs(back - M)) <= scale / 2 + 1e-12
 
 
-def test_quantize_costs_infinite_edges_excluded_from_scale():
-    # forbidden (+inf) entries do not distort the scale; callers mask them
-    M = np.array([[1.0, np.inf], [2.0, 4.0]])
-    w, scale = quantize_costs(M, 8)
-    assert scale == 4.0 / 2**8
-    assert w[1, 1] == 2**8
-    assert w[0, 1] == 0  # carries no cost; the flow builder forbids the edge
+def test_quantize_costs_rejects_inf():
+    # every edge the solvers see is finite; +inf is not a forbidden edge
+    for M in (np.array([[1.0, np.inf], [2.0, 4.0]]), np.full((1, 1), np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_costs(M, 8)
 
 
 def test_quantize_costs_all_zero_or_empty():
     w, scale = quantize_costs(np.zeros((2, 2)), 8)
     assert scale == 0.0 and np.all(w == 0)
-    w, scale = quantize_costs(np.full((1, 1), np.inf), 8)
-    assert scale == 0.0
+    w, scale = quantize_costs(np.zeros((0, 3)), 8)
+    assert scale == 0.0 and w.shape == (0, 3)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ckmeans import streaming
 from ckmeans.data import (
     Dataset,
     duplicate_groups,
@@ -424,6 +425,33 @@ def test_pipeline_aspect_builds_one_graph_per_candidate(monkeypatch):
     pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
                        np.random.default_rng(34), aspect_removal=True)
     assert len(built) == pr.list_size
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "cauchy", "duplicates"])
+def test_pipeline_aspect_guess_keeps_every_center_within_2u(monkeypatch, kind):
+    """The scale guess u that full_pipeline hands aspect_graph keeps every
+    point within 2u of every center of its candidate; aspect removal
+    relies on it to need no cut of far centers."""
+    guesses = []
+    build = streaming.aspect_graph
+
+    def recording(centers, epsilon, u, n):
+        guesses.append((centers, u))
+        return build(centers, epsilon, u, n)
+
+    monkeypatch.setattr(streaming, "aspect_graph", recording)
+    rng = np.random.default_rng(41)
+    if kind == "gaussian":
+        ds, _ = planted(41)
+    elif kind == "cauchy":
+        ds = Dataset(rng.standard_cauchy(size=(48, 2)))
+    else:
+        ds, _ = duplicate_groups(48, 3, rng=rng)
+    full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
+                  np.random.default_rng(42), aspect_removal=True)
+    assert guesses
+    for C, u in guesses:
+        assert pairwise_sqdist(ds.points, C).max() <= 4.0 * u * u * (1 + 1e-12)
 
 
 def test_pipeline_infeasible_raises():
