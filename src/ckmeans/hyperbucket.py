@@ -77,8 +77,12 @@ def bucket_weight(slot: int, epsilon: float) -> float:
 def bucket_indices(sq: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized bucket_index.  Returns (ids, zero_mask); ids where zero_mask is junk."""
     sq = np.asarray(sq, dtype=np.float64)
-    if not np.all(np.isfinite(sq)) or np.any(sq < 0):
-        raise ValueError("squared distances must be finite and non-negative")
+    if not np.all(np.isfinite(sq)):
+        # coordinates are finite (the readers reject others), so only
+        # their squared distance can have overflowed
+        raise ValueError("a squared distance overflows float64")
+    if np.any(sq < 0):
+        raise ValueError("squared distances must be non-negative")
     zero = sq == 0.0
     b = 1.0 + epsilon
     safe = np.where(zero, 1.0, sq)

@@ -11,7 +11,8 @@ against):
   r_gather         every center receives at least r points
   r_capacity       every center receives at most r points
                    (both: the transport kernel, row argmin repaired by
-                   shortest paths on the graph contracted to k centers)
+                   shortest paths on the graph contracted to k centers,
+                   each center pair's cheapest move kept in a lazy heap)
   chromatic        at most one point of each color per center; the
                    transport kernel with cap 1, once per color class
   fault_tolerant   each point owned by l distinct centers: its l
@@ -30,6 +31,7 @@ order, then owner order.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -209,9 +211,6 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
     return left
 
 
-_NO_EDGE = np.iinfo(np.int64).max   # marks a center where a vertex holds no flow
-
-
 def _exact_total(flows, w_int) -> int:
     """sum(flows * w_int) in Python ints: at 62 precision bits an int64
     sum wraps silently."""
@@ -232,6 +231,14 @@ def transport_assign(w_int, counts, low: int, cap: int):
     sink arcs carry y_j in [low, cap].  Edges go negative after moves, but
     the flow stays optimal for its loads, so Bellman-Ford meets no
     negative cycle.
+
+    The cheapest a -> b move comes from a lazy min-heap per ordered pair
+    (a, b) of (w[v, b] - w[v, a], v).  Invariant: every vertex holding
+    flow on a has an entry in each heap (a, .); entries of vertices that
+    have since left a are stale and popped when they reach the top.  The
+    tuple order breaks cost ties to the lowest vertex.  The heaps are
+    built at the first repair in O(L*k), so an unbounded call never pays
+    for them; a repair then costs O(k^2 log L) amortized.
     """
     L, k = w_int.shape
     n = int(counts.sum())
@@ -242,20 +249,32 @@ def transport_assign(w_int, counts, low: int, cap: int):
     load = flows.sum(axis=0).tolist()
     y = [min(max(x, low), cap) for x in load]      # sink arc flows
     sink = k
-    diff = None
+    heaps = None
     while True:
         # imbalance: positive at nodes with excess, negative at deficits
         excess = [x - t for x, t in zip(load, y)] + [sum(y) - n]
         if not any(excess):
             return _exact_total(flows, w_int), flows
-        if diff is None:
-            # diff[v, a, b] = w[v, b] - w[v, a]
-            diff = w_int[:, None, :] - w_int[:, :, None]
-        held = np.where(flows[:, :, None] > 0, diff, _NO_EDGE)
-        via = held.argmin(axis=0)
-        hop = np.take_along_axis(held, via[None], axis=0)[0].tolist()
-        arcs = [[(b, hop[a][b]) for b in range(k) if b != a and hop[a][b] != _NO_EDGE]
-                + ([(sink, 0)] if y[a] < cap else []) for a in range(k)]
+        if heaps is None:
+            heaps = [[[] for _ in range(k)] for _ in range(k)]   # (a, a) stays empty
+            for a in range(k):
+                rows = np.flatnonzero(flows[:, a])
+                vs = rows.tolist()
+                for b in range(k):
+                    if b != a:
+                        heaps[a][b] = list(zip((w_int[rows, b] - w_int[rows, a]).tolist(), vs))
+                        heapq.heapify(heaps[a][b])
+        via = {}
+        arcs = []
+        for a, row in enumerate(heaps):
+            out = []
+            for b, heap in enumerate(row):
+                while heap and flows[heap[0][1], a] == 0:
+                    heapq.heappop(heap)      # stale: its vertex has left a
+                if heap:
+                    cost, via[a, b] = heap[0]
+                    out.append((b, cost))
+            arcs.append(out + ([(sink, 0)] if y[a] < cap else []))
         arcs.append([(b, 0) for b in range(k) if y[b] > low])
         # Bellman-Ford from every node with excess (a zero-cost super source)
         dist = [0 if e > 0 else None for e in excess]
@@ -293,6 +312,12 @@ def transport_assign(w_int, counts, low: int, cap: int):
                 y[a] += push
             else:
                 v = via[a, b]
+                if flows[v, b] == 0:
+                    # v arrives on b: enter it in every heap (b, .)
+                    wv = w_int[v].tolist()
+                    for c in range(k):
+                        if c != b:
+                            heapq.heappush(heaps[b][c], (wv[c] - wv[b], v))
                 flows[v, a] -= push
                 flows[v, b] += push
                 load[a] -= push

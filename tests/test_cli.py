@@ -395,6 +395,11 @@ def _far_half(path):
     path.write_text("\n".join(lines[:half] + ["1e200,1e200"] * (len(lines) - half)) + "\n")
 
 
+def _four_rows_two_far(path):
+    # 4 rows, so --k 2 seeds on the points themselves and sums no distance
+    path.write_text("x0,x1\n0,0\n0.5,0.1\n1e200,1e200\n1e200,1e200\n")
+
+
 def _rewrite_on_second_pass(monkeypatch, path):
     # drops the last data row as pass 2 opens the file
     blocks = CSVSource._blocks
@@ -429,6 +434,8 @@ EXIT_CLAUSES = [
      "stream changed between passes: pass 2 read 59 rows against 60"),
     ("squared distance overflows", "solve", [], _far_half, "a squared distance overflows float64"),
     ("squared distance overflows", "stream", [], _far_half, "a squared distance overflows float64"),
+    ("squared distance overflows, at most 2k rows", "stream", ["--k", "2"], _four_rows_two_far,
+     "a squared distance overflows float64"),
 ]
 
 

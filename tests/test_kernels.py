@@ -4,7 +4,9 @@ The partition module solves each variant with its own exact kernel on
 the quantized integer costs.  The reference here is the bipartite
 network every variant used to be built as, solved by
 solve_min_cost_flow; the exhaustive oracle is a third, independent
-search on every generated instance.
+search on every generated instance.  transport_assign's flows, which
+owners are read from, are compared with numpy_repair_reference, the
+repair loop it replaced.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from ckmeans.geometry import pairwise_sqdist
 from ckmeans.oracle import OracleLimit, opt_constrained
 from ckmeans.partition import (
     Variant,
+    _exact_total,
     _LeftSide,
     _solve_left,
     quantize_costs,
@@ -46,6 +49,88 @@ def ssp_assign(w_int, counts, low, cap):
         net.add_arc(1 + L + j, t, int(cap), 0, lower=int(min(low, cap)))
     res = solve_min_cost_flow(net)
     return res.total_cost if res.feasible and low <= cap else None
+
+
+_NO_EDGE = np.iinfo(np.int64).max   # marks a center where a vertex holds no flow
+
+
+def numpy_repair_reference(w_int, counts, low: int, cap: int):
+    """transport_assign as it was before its lazy heaps: after every
+    repair the (L, k, k) exchange tensor is rebuilt over all rows, and
+    held.argmin picks the cheapest move of each center pair, ties to the
+    lowest vertex."""
+    L, k = w_int.shape
+    n = int(counts.sum())
+    if low > cap or k * low > n or k * cap < n:
+        return None
+    flows = np.zeros((L, k), dtype=np.int64)
+    flows[np.arange(L), w_int.argmin(axis=1)] = counts
+    load = flows.sum(axis=0).tolist()
+    y = [min(max(x, low), cap) for x in load]      # sink arc flows
+    sink = k
+    diff = None
+    while True:
+        # imbalance: positive at nodes with excess, negative at deficits
+        excess = [x - t for x, t in zip(load, y)] + [sum(y) - n]
+        if not any(excess):
+            return _exact_total(flows, w_int), flows
+        if diff is None:
+            # diff[v, a, b] = w[v, b] - w[v, a]
+            diff = w_int[:, None, :] - w_int[:, :, None]
+        held = np.where(flows[:, :, None] > 0, diff, _NO_EDGE)
+        via = held.argmin(axis=0)
+        hop = np.take_along_axis(held, via[None], axis=0)[0].tolist()
+        arcs = [[(b, hop[a][b]) for b in range(k) if b != a and hop[a][b] != _NO_EDGE]
+                + ([(sink, 0)] if y[a] < cap else []) for a in range(k)]
+        arcs.append([(b, 0) for b in range(k) if y[b] > low])
+        # Bellman-Ford from every node with excess (a zero-cost super source)
+        dist = [0 if e > 0 else None for e in excess]
+        pred = [-1] * (k + 1)
+        for _ in range(k + 1):
+            changed = False
+            for a, da in enumerate(dist):
+                if da is None:
+                    continue
+                for b, c in arcs[a]:
+                    if dist[b] is None or da + c < dist[b]:
+                        dist[b], pred[b], changed = da + c, a, True
+            if not changed:
+                break
+        ends = [b for b in range(k + 1) if excess[b] < 0 and dist[b] is not None]
+        if not ends:
+            return None
+        b = min(ends, key=lambda j: dist[j])
+        path = [b]
+        while pred[path[-1]] >= 0:
+            path.append(pred[path[-1]])
+        path.reverse()
+        push = min(excess[path[0]], -excess[b])
+        for a, b in zip(path, path[1:]):
+            if a == sink:
+                push = min(push, y[b] - low)
+            elif b == sink:
+                push = min(push, cap - y[a])
+            else:
+                push = min(push, int(flows[via[a, b], a]))
+        for a, b in zip(path, path[1:]):
+            if a == sink:
+                y[b] -= push
+            elif b == sink:
+                y[a] += push
+            else:
+                v = via[a, b]
+                flows[v, a] -= push
+                flows[v, b] += push
+                load[a] -= push
+                load[b] += push
+
+
+def assert_same_transport(got, want):
+    """Equal (int_cost, flows), or both None."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
 
 
 def reference(left, variant, bits=32):
@@ -164,6 +249,7 @@ def test_kernel_totals_exact_at_62_bits():
     ones = np.ones(40, dtype=np.int64)
     for low, cap in [(12, 40), (0, 14), (0, 40)]:
         got = transport_assign(w, ones, low, cap)
+        assert_same_transport(got, numpy_repair_reference(w, ones, low, cap))
         assert got[0] == ssp_assign(w, ones, low, cap)
         assert got[0] > 2**63          # an int64 sum would have wrapped
     left = _LeftSide(W, ones, None)
@@ -171,3 +257,41 @@ def test_kernel_totals_exact_at_62_bits():
         solved = _solve_left(left, variant, 62)
         assert (solved[0], solved[1]) == reference(left, variant, 62)
 
+
+
+@st.composite
+def transport_instances(draw):
+    """Up to 40 vertices of count 1-5 over up to 5 centers, costs in
+    {0..3} (ties everywhere) scaled by 1 or 2**60, and bounds drawn
+    around the balanced load n / k, so most draws need repairs and some
+    are infeasible."""
+    k = draw(st.integers(1, 5))
+    L = draw(st.integers(1, 40))
+    cells = draw(st.lists(st.integers(0, 3), min_size=L * k, max_size=L * k))
+    w = np.array(cells, dtype=np.int64).reshape(L, k) * draw(st.sampled_from([1, 2**60]))
+    counts = np.array(draw(st.lists(st.integers(1, 5), min_size=L, max_size=L)))
+    n = int(counts.sum())
+    low = draw(st.integers(0, n // k + 1))
+    cap = draw(st.integers(max(0, -(-n // k) - 1), n))
+    return w, counts, low, cap
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(transport_instances())
+def test_transport_flows_match_numpy_repair(inst):
+    w, counts, low, cap = inst
+    assert_same_transport(transport_assign(w, counts, low, cap),
+                          numpy_repair_reference(w, counts, low, cap))
+
+
+def test_long_repair_sequence_flows_match_numpy_repair():
+    # two of three centers 0.01 apart: about n/3 single-unit repairs,
+    # each leaving stale heap entries behind
+    rng = np.random.default_rng(3000)
+    X = rng.normal(scale=0.3, size=(3000, 2))
+    C = np.array([[0.0, 0.0], [0.01, 0.0], [1.0, 1.0]])
+    w, _scale = quantize_costs(pairwise_sqdist(X, C), 32)
+    ones = np.ones(3000, dtype=np.int64)
+    got = transport_assign(w, ones, 1000, 3000)
+    assert_same_transport(got, numpy_repair_reference(w, ones, 1000, 3000))
+    assert (got[1].sum(axis=0) == 1000).all()
