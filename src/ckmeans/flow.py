@@ -3,11 +3,13 @@
 Successive shortest augmenting paths with Johnson potentials.  Lower
 bounds are folded into node imbalances up front (the usual excess
 transformation), so the solver itself only ever sees plain capacities.
-Costs must be non-negative integers; to_fixed_point maps real costs
-there.  Infeasibility is reported in the result, never raised.
+Costs must be non-negative integers (partition.quantize_costs maps real
+costs there).  Infeasibility is reported in the result, never raised.
 
-No pipeline path calls solve_min_cost_flow: the per-variant kernels in
-partition solve the same networks, and the tests hold them to it.
+A test reference: no pipeline path imports this module.  The
+per-variant kernels in partition solve the same networks, and the tests
+hold them to it; it stays in the package only because the benchmark
+hooks solve_min_cost_flow by its module path.
 """
 
 from __future__ import annotations
@@ -15,29 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import numpy as np
-
 INF = float("inf")
-
-
-def to_fixed_point(costs, precision_bits: int = 32) -> np.ndarray:
-    """Scale non-negative real costs to integers in [0, 2**precision_bits].
-
-    The maximum cost lands exactly on 2**precision_bits, zero stays
-    zero, and order is preserved up to quantization.  All-zero input
-    maps to all zeros.
-    """
-    a = np.asarray(costs, dtype=np.float64)
-    if a.size and (not np.all(np.isfinite(a)) or np.any(a < 0)):
-        raise ValueError("costs must be finite and non-negative")
-    if precision_bits < 1 or precision_bits > 62:
-        raise ValueError("precision_bits out of range")
-    if a.size == 0:
-        return np.zeros(a.shape, dtype=np.int64)
-    m = float(a.max())
-    if m == 0.0:
-        return np.zeros(a.shape, dtype=np.int64)
-    return np.rint(a / m * float(2**precision_bits)).astype(np.int64)
 
 
 @dataclass

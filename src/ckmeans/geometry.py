@@ -19,15 +19,6 @@ def as_points(X) -> np.ndarray:
     return A
 
 
-def squared_dist(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.dot(d, d))
-
-
 def pairwise_sqdist(X, C) -> np.ndarray:
     """All squared distances, shape (len(X), len(C)).
 
@@ -69,19 +60,6 @@ def delta_cost(X) -> float:
     X = as_points(X)
     diff = X - centroid(X)
     return float(np.einsum("ij,ij->", diff, diff))
-
-
-def voronoi_labels(X, C) -> np.ndarray:
-    """Index of the nearest center per point; ties go to the lowest index."""
-    return np.argmin(pairwise_sqdist(X, C), axis=1)
-
-
-def voronoi_partition(X, C) -> tuple[np.ndarray, float]:
-    """Nearest-center assignment.  Returns (labels, total cost)."""
-    D = pairwise_sqdist(X, C)
-    labels = np.argmin(D, axis=1)
-    cost = float(D[np.arange(len(labels)), labels].sum())
-    return labels, cost
 
 
 def min_cost_matching(M) -> tuple[float, tuple[int, ...]]:

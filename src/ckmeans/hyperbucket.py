@@ -28,7 +28,7 @@ independent of the data's aspect ratio, and every weight is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,19 +172,6 @@ class CompressedGraph:
         if any(g is not None for _s, g in keys):
             groups = np.array([-1 if g is None else g for _s, g in keys], dtype=np.int64)
         return weights[inverse].reshape(slots.shape), counts, groups
-
-    def max_weight_error(self, points) -> float:
-        """Largest relative gap between a member's true squared distance
-        and its bucket weight; diagnostic for the soundness invariant."""
-        sq = pairwise_sqdist(as_points(points), self.centers)
-        keys, inverse, counts, _owner = block_keys([self], sq)
-        probe = replace(self, vertices=dict(zip(keys, counts.tolist())))
-        w = probe.vertex_arrays()[0][inverse]
-        s = np.where(sq < self.contract_below, 0.0, sq)
-        if ((s == 0.0) & (w != 0.0)).any():
-            return math.inf
-        live = s != 0.0
-        return float((np.abs(w[live] - s[live]) / s[live]).max(initial=0.0))
 
 
 def block_keys(graphs, sq: np.ndarray, groups=None):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,50 +74,6 @@ def opt_kmeans(X, k: int, limit: OracleLimit | None = None) -> tuple[float, tupl
             best_idx = int(idx[j])
     digits = tuple(int(best_idx // r) % k for r in radix)
     return best_cost, digits
-
-
-def opt_kmeans_exact(points, k: int, limit: OracleLimit | None = None) -> tuple[Fraction, tuple]:
-    """opt_kmeans over exact rational coordinates (lists of Fractions)."""
-    pts = [tuple(Fraction(v) for v in row) for row in points]
-    n = len(pts)
-    if n == 0 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    _guard(n, k, float(k) ** n, limit)
-    d = len(pts[0])
-    sq = [sum(v * v for v in p) for p in pts]
-    best = None
-    for labels in itertools.product(range(k), repeat=n):
-        cost = Fraction(0)
-        for c in range(k):
-            members = [i for i, lb in enumerate(labels) if lb == c]
-            if not members:
-                continue
-            m = len(members)
-            sums = [sum(pts[i][j] for i in members) for j in range(d)]
-            cost += sum(sq[i] for i in members) - sum(s * s for s in sums) / m
-        if best is None or cost < best[0]:
-            best = (cost, labels)
-    return best
-
-
-def cluster_cost_exact(points, labels, centers=None) -> Fraction:
-    """Exact cost of a fixed labeling; centers default to the centroids."""
-    pts = [tuple(Fraction(v) for v in row) for row in points]
-    n, d = len(pts), len(pts[0])
-    ks = sorted(set(labels))
-    total = Fraction(0)
-    for c in ks:
-        members = [i for i in range(n) if labels[i] == c]
-        if not members:
-            continue
-        if centers is None:
-            m = len(members)
-            ctr = [sum(pts[i][j] for i in members) / m for j in range(d)]
-        else:
-            ctr = [Fraction(v) for v in centers[c]]
-        for i in members:
-            total += sum((pts[i][j] - ctr[j]) ** 2 for j in range(d))
-    return total
 
 
 def _feasible(labels, variant: Variant, k: int, colors) -> bool:
@@ -198,12 +153,3 @@ def opt_constrained(data, centers, variant: Variant,
         if best is None or tot < best:
             best = tot
     return math.inf if best is None else float(best) * scale
-
-
-def fault_tolerant_direct(X, centers, l: int) -> float:
-    """Sum over points of the l smallest squared center distances; the
-    closed form the reduction path must reproduce."""
-    W = pairwise_sqdist(as_points(X), centers)
-    if l > W.shape[1]:
-        raise ValueError("l exceeds the number of centers")
-    return float(np.sort(W, axis=1)[:, :l].sum())

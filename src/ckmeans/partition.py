@@ -3,9 +3,7 @@
 Points (or compressed bucket vertices) sit on the left, centers on the
 right, with squared distances as edge costs in fixed-point integers.
 The integral min-cost flow on that bipartite graph is the exact
-reduction; each variant is solved on it by its own exact kernel
-(flow.solve_min_cost_flow stays as the reference the tests compare
-against):
+reduction; each variant is solved on it by its own exact kernel:
 
   classical        row argmin, the Voronoi assignment
   r_gather         every center receives at least r points
@@ -39,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .flow import to_fixed_point
 from .geometry import as_points, pairwise_sqdist
 from .hyperbucket import CompressedGraph, block_keys
 
@@ -125,12 +122,21 @@ class Assignment:
 def quantize_costs(M, precision_bits: int = 32) -> tuple[np.ndarray, float]:
     """Fixed-point edge costs and the scale that maps them back.
 
-    Costs must be finite and non-negative; the max lands on
-    2**precision_bits.  real cost == int cost * scale exactly as floats.
+    Costs must be finite and non-negative.  The max lands exactly on
+    2**precision_bits, zero stays zero, and order is preserved up to
+    quantization; all-zero or empty input maps to zeros.  real cost ==
+    int cost * scale exactly as floats.
     """
-    vals = to_fixed_point(M, precision_bits)
-    fmax = float(np.max(M, initial=0.0))
-    return vals, fmax / float(2**precision_bits)
+    a = np.asarray(M, dtype=np.float64)
+    if a.size and (not np.all(np.isfinite(a)) or np.any(a < 0)):
+        raise ValueError("costs must be finite and non-negative")
+    if precision_bits < 1 or precision_bits > 62:
+        raise ValueError("precision_bits out of range")
+    m = float(a.max(initial=0.0))
+    if m == 0.0:
+        return np.zeros(a.shape, dtype=np.int64), 0.0
+    top = float(2**precision_bits)
+    return np.rint(a / m * top).astype(np.int64), m / top
 
 
 def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
@@ -423,17 +429,6 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
                       _running_sum(0.0, cost[owns]), float(int_cost) * scale)
 
 
-def fault_tolerant_reduce(ds: Dataset, l: int) -> Dataset:
-    """l replicas per point, contiguous, with a fresh color per original
-    point; solving the resulting chromatic instance spreads each point's
-    replicas over l distinct centers."""
-    if l < 1:
-        raise ValueError("need l >= 1")
-    pts = np.repeat(ds.points, l, axis=0)
-    colors = np.repeat(np.arange(ds.n, dtype=np.int64), l)
-    return Dataset(pts, colors, None)
-
-
 @dataclass
 class CompressedSolution:
     """A solved flow over a compressed graph, ready for assignment peeling."""
@@ -499,40 +494,3 @@ def compressed_partition(graph: CompressedGraph, variant: Variant,
     int_cost, scale, flows, perm = solved
     remaining = {key: flows[i].copy() for i, key in enumerate(graph.vertices)}
     return CompressedSolution(graph, variant, int_cost, scale, remaining, perm)
-
-
-def assignment_valid(assignment: Assignment, variant: Variant, n: int, k: int,
-                     colors=None, targets=None) -> tuple[bool, list]:
-    """Structural and constraint checks for an assignment; returns
-    (ok, list of violation descriptions)."""
-    bad = []
-    if len(assignment.owners) != n:
-        return False, [f"expected {n} owner tuples, got {len(assignment.owners)}"]
-    want = variant.l if variant.kind == "fault_tolerant" else 1
-    per_center = np.zeros(k, dtype=np.int64)
-    seen_color = {}
-    for i, own in enumerate(assignment.owners):
-        if len(own) != want or len(set(own)) != len(own) or tuple(sorted(own)) != tuple(own):
-            bad.append(f"point {i}: owner tuple {own} malformed")
-            continue
-        for j in own:
-            if not (0 <= j < k):
-                bad.append(f"point {i}: center {j} out of range")
-                continue
-            per_center[j] += 1
-            if variant.kind == "chromatic":
-                key = (j, int(colors[i]))
-                seen_color[key] = seen_color.get(key, 0) + 1
-    if variant.kind == "r_gather":
-        for j in range(k):
-            if per_center[j] < variant.r:
-                bad.append(f"center {j} has {per_center[j]} < r={variant.r} points")
-    if variant.kind == "r_capacity":
-        for j in range(k):
-            if per_center[j] > variant.r:
-                bad.append(f"center {j} has {per_center[j]} > r={variant.r} points")
-    if variant.kind == "chromatic":
-        for (j, c), cnt in seen_color.items():
-            if cnt > 1:
-                bad.append(f"center {j} holds {cnt} points of color {c}")
-    return (not bad), bad

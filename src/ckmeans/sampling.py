@@ -1,4 +1,4 @@
-"""D^2 sampling and single-slot weighted reservoirs.
+"""D^2 sampling and a vectorized bank of weighted reservoirs.
 
 The reservoir rule: after items 1..i with weights w_1..w_i, the held
 item is item j with probability w_j / sum_{m<=i} w_m.  Offering item i
@@ -14,6 +14,26 @@ import numpy as np
 from .geometry import as_points, pairwise_sqdist
 
 
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """weights as float64; raises ValueError unless they are
+    non-negative, finite and one per point."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,) or np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be non-negative, finite, one per point")
+    return w
+
+
+def point_weights(weights, n: int) -> np.ndarray:
+    """The weights a D^2 draw over n points runs on: ones when None,
+    otherwise the given weights, checked and not all zero."""
+    if weights is None:
+        return np.ones(n)
+    w = _checked_weights(weights, n)
+    if w.sum() == 0:
+        raise ValueError("weights must not all be zero")
+    return w
+
+
 def d2_distribution(X, C=None, weights=None) -> np.ndarray:
     """Sampling distribution proportional to (weighted) squared distance
     to the nearest center.  With no centers, or when every potential is
@@ -22,14 +42,7 @@ def d2_distribution(X, C=None, weights=None) -> np.ndarray:
     n = X.shape[0]
     if n == 0:
         raise ValueError("cannot sample from an empty point set")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,) or np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be non-negative, finite, one per point")
-        if w.sum() == 0:
-            raise ValueError("weights must not all be zero")
+    w = point_weights(weights, n)
     if C is None or as_points(C).shape[0] == 0:
         p = w.copy()
     else:
@@ -45,23 +58,6 @@ def d2_sample(X, C, count: int, rng, weights=None) -> np.ndarray:
         raise ValueError("count must be non-negative")
     p = d2_distribution(X, C, weights)
     return rng.choice(len(p), size=count, replace=True, p=p)
-
-
-class Reservoir:
-    """Single-slot weighted reservoir over one pass of a stream."""
-
-    def __init__(self):
-        self.held = None  # (index, item) once any positive weight arrives
-        self.weight_sum = 0.0
-
-    def offer(self, item, weight: float, rng, index=None):
-        if not (weight >= 0.0) or not np.isfinite(weight):
-            raise ValueError("weight must be finite and non-negative")
-        self.weight_sum += weight
-        # replace with probability weight / weight_sum; zero weight never wins
-        if weight > 0.0 and rng.random() * self.weight_sum < weight:
-            self.held = (index, item)
-        return self
 
 
 class ReservoirBank:
@@ -88,9 +84,7 @@ class ReservoirBank:
 
     def offer_block(self, points, weights) -> None:
         P = as_points(points)
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (P.shape[0],) or np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be non-negative, finite, one per point")
+        w = _checked_weights(weights, P.shape[0])
         B = P.shape[0]
         if B == 0:
             return

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import as_points, pairwise_sqdist
+from .sampling import point_weights
 
 
 @dataclass
@@ -42,14 +43,7 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
         raise ValueError("need oversample >= 1")
     if rng is None:
         raise ValueError("rng is required")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,) or np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be non-negative, finite, one per point")
-        if w.sum() == 0:
-            raise ValueError("weights must not all be zero")
+    w = point_weights(weights, n)
 
     if oversample >= n:
         return SeedSolution(X.copy(), 0.0)

@@ -59,16 +59,6 @@ def cluster_stats(X, labels):
     return parts, sizes, np.array(means), deltas, float(sum(deltas))
 
 
-def deletion_cost(X, labels, i: int, j: int) -> float:
-    """Cost of the optimal clustering after cluster i is deleted and its
-    points handed wholesale to center j: OPT + |X_i| * ||mu_i - mu_j||^2."""
-    _parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
-    if i == j:
-        raise ValueError("need two distinct clusters")
-    gap = means[i] - means[j]
-    return opt + sizes[i] * float(np.dot(gap, gap))
-
-
 def check_weak_deletion(X, labels, gamma: float) -> StabilityReport:
     """All pairwise deletion costs must exceed (1 + gamma) * OPT strictly."""
     if gamma < 0:

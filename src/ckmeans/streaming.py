@@ -380,9 +380,17 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
 
     owners: list = []
     with meter.phase("assign"):
-        for pts, colors, targets in source.open():
+        blocks = source.open()
+        for pts, colors, targets in blocks:
             groups = targets if variant.kind == "semi_supervised" else None
-            owners.extend(sol.assign_block(pts, groups))
+            try:
+                owners.extend(sol.assign_block(pts, groups))
+            except InfeasiblePartitionError:
+                # a source changed since the graph pass can overdraw a
+                # vertex: the pass read to its end names the change
+                for _ in blocks:
+                    pass
+                raise
 
     return PipelineResult(
         centers=cands.entries[winner].centers,

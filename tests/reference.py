@@ -1,0 +1,198 @@
+"""Reference code the tests trust the package by, and no pipeline runs.
+
+Brute-force optima in exact arithmetic, per-point checkers and scalar
+forms of vectorized steps.  The name does not start with test_, so
+pytest imports this module from the tests but never collects it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+
+from ckmeans.data import Dataset
+from ckmeans.geometry import as_points, pairwise_sqdist
+from ckmeans.hyperbucket import block_keys
+from ckmeans.oracle import OracleLimit, _guard
+from ckmeans.partition import Assignment, Variant
+from ckmeans.stability import cluster_stats
+
+
+# geometry --------------------------------------------------------------------
+
+def squared_dist(a, b) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.dot(d, d))
+
+
+def voronoi_labels(X, C) -> np.ndarray:
+    """Index of the nearest center per point; ties go to the lowest index."""
+    return np.argmin(pairwise_sqdist(X, C), axis=1)
+
+
+def voronoi_partition(X, C) -> tuple[np.ndarray, float]:
+    """Nearest-center assignment.  Returns (labels, total cost)."""
+    D = pairwise_sqdist(X, C)
+    labels = np.argmin(D, axis=1)
+    cost = float(D[np.arange(len(labels)), labels].sum())
+    return labels, cost
+
+
+# sampling --------------------------------------------------------------------
+
+class Reservoir:
+    """Single-slot weighted reservoir over one pass of a stream."""
+
+    def __init__(self):
+        self.held = None  # (index, item) once any positive weight arrives
+        self.weight_sum = 0.0
+
+    def offer(self, item, weight: float, rng, index=None):
+        if not (weight >= 0.0) or not np.isfinite(weight):
+            raise ValueError("weight must be finite and non-negative")
+        self.weight_sum += weight
+        # replace with probability weight / weight_sum; zero weight never wins
+        if weight > 0.0 and rng.random() * self.weight_sum < weight:
+            self.held = (index, item)
+        return self
+
+
+# hyperbucket -----------------------------------------------------------------
+
+def max_weight_error(graph, points) -> float:
+    """Largest relative gap between a member's true squared distance
+    and its bucket weight; diagnostic for the soundness invariant."""
+    sq = pairwise_sqdist(as_points(points), graph.centers)
+    keys, inverse, counts, _owner = block_keys([graph], sq)
+    probe = replace(graph, vertices=dict(zip(keys, counts.tolist())))
+    w = probe.vertex_arrays()[0][inverse]
+    s = np.where(sq < graph.contract_below, 0.0, sq)
+    if ((s == 0.0) & (w != 0.0)).any():
+        return math.inf
+    live = s != 0.0
+    return float((np.abs(w[live] - s[live]) / s[live]).max(initial=0.0))
+
+
+# partition -------------------------------------------------------------------
+
+def fault_tolerant_reduce(ds: Dataset, l: int) -> Dataset:
+    """l replicas per point, contiguous, with a fresh color per original
+    point; solving the resulting chromatic instance spreads each point's
+    replicas over l distinct centers."""
+    if l < 1:
+        raise ValueError("need l >= 1")
+    pts = np.repeat(ds.points, l, axis=0)
+    colors = np.repeat(np.arange(ds.n, dtype=np.int64), l)
+    return Dataset(pts, colors, None)
+
+
+def assignment_valid(assignment: Assignment, variant: Variant, n: int, k: int,
+                     colors=None, targets=None) -> tuple[bool, list]:
+    """Structural and constraint checks for an assignment; returns
+    (ok, list of violation descriptions)."""
+    bad = []
+    if len(assignment.owners) != n:
+        return False, [f"expected {n} owner tuples, got {len(assignment.owners)}"]
+    want = variant.l if variant.kind == "fault_tolerant" else 1
+    per_center = np.zeros(k, dtype=np.int64)
+    seen_color = {}
+    for i, own in enumerate(assignment.owners):
+        if len(own) != want or len(set(own)) != len(own) or tuple(sorted(own)) != tuple(own):
+            bad.append(f"point {i}: owner tuple {own} malformed")
+            continue
+        for j in own:
+            if not (0 <= j < k):
+                bad.append(f"point {i}: center {j} out of range")
+                continue
+            per_center[j] += 1
+            if variant.kind == "chromatic":
+                key = (j, int(colors[i]))
+                seen_color[key] = seen_color.get(key, 0) + 1
+    if variant.kind == "r_gather":
+        for j in range(k):
+            if per_center[j] < variant.r:
+                bad.append(f"center {j} has {per_center[j]} < r={variant.r} points")
+    if variant.kind == "r_capacity":
+        for j in range(k):
+            if per_center[j] > variant.r:
+                bad.append(f"center {j} has {per_center[j]} > r={variant.r} points")
+    if variant.kind == "chromatic":
+        for (j, c), cnt in seen_color.items():
+            if cnt > 1:
+                bad.append(f"center {j} holds {cnt} points of color {c}")
+    return (not bad), bad
+
+
+# oracle ----------------------------------------------------------------------
+
+def opt_kmeans_exact(points, k: int, limit: OracleLimit | None = None) -> tuple[Fraction, tuple]:
+    """opt_kmeans over exact rational coordinates (lists of Fractions)."""
+    pts = [tuple(Fraction(v) for v in row) for row in points]
+    n = len(pts)
+    if n == 0 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    _guard(n, k, float(k) ** n, limit)
+    d = len(pts[0])
+    sq = [sum(v * v for v in p) for p in pts]
+    best = None
+    for labels in itertools.product(range(k), repeat=n):
+        cost = Fraction(0)
+        for c in range(k):
+            members = [i for i, lb in enumerate(labels) if lb == c]
+            if not members:
+                continue
+            m = len(members)
+            sums = [sum(pts[i][j] for i in members) for j in range(d)]
+            cost += sum(sq[i] for i in members) - sum(s * s for s in sums) / m
+        if best is None or cost < best[0]:
+            best = (cost, labels)
+    return best
+
+
+def cluster_cost_exact(points, labels, centers=None) -> Fraction:
+    """Exact cost of a fixed labeling; centers default to the centroids."""
+    pts = [tuple(Fraction(v) for v in row) for row in points]
+    n, d = len(pts), len(pts[0])
+    ks = sorted(set(labels))
+    total = Fraction(0)
+    for c in ks:
+        members = [i for i in range(n) if labels[i] == c]
+        if not members:
+            continue
+        if centers is None:
+            m = len(members)
+            ctr = [sum(pts[i][j] for i in members) / m for j in range(d)]
+        else:
+            ctr = [Fraction(v) for v in centers[c]]
+        for i in members:
+            total += sum((pts[i][j] - ctr[j]) ** 2 for j in range(d))
+    return total
+
+
+def fault_tolerant_direct(X, centers, l: int) -> float:
+    """Sum over points of the l smallest squared center distances; the
+    closed form the reduction path must reproduce."""
+    W = pairwise_sqdist(as_points(X), centers)
+    if l > W.shape[1]:
+        raise ValueError("l exceeds the number of centers")
+    return float(np.sort(W, axis=1)[:, :l].sum())
+
+
+# stability -------------------------------------------------------------------
+
+def deletion_cost(X, labels, i: int, j: int) -> float:
+    """Cost of the optimal clustering after cluster i is deleted and its
+    points handed wholesale to center j: OPT + |X_i| * ||mu_i - mu_j||^2."""
+    _parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
+    if i == j:
+        raise ValueError("need two distinct clusters")
+    gap = means[i] - means[j]
+    return opt + sizes[i] * float(np.dot(gap, gap))

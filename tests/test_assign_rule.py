@@ -24,12 +24,12 @@ from ckmeans.partition import (
     Variant,
     _LeftSide,
     _solve_left,
-    assignment_valid,
     compressed_partition,
     partition_assign,
     partition_cost,
     semi_supervised_cost_terms,
 )
+from reference import assignment_valid
 
 
 @st.composite

@@ -33,6 +33,7 @@ from ckmeans.partition import (
     compressed_partition,
     semi_supervised_cost_terms,
 )
+from reference import max_weight_error
 
 EPS = 0.5
 
@@ -132,7 +133,7 @@ def test_block_keys_match_scalar_keys(inst):
             assert groups is None
         else:
             assert groups.tolist() == [grp for _key, grp in g.vertices]
-    assert g.max_weight_error(X) == ref_weight_error(g, X)
+    assert max_weight_error(g, X) == ref_weight_error(g, X)
 
 
 @st.composite

@@ -400,13 +400,29 @@ def _four_rows_two_far(path):
     path.write_text("x0,x1\n0,0\n0.5,0.1\n1e200,1e200\n1e200,1e200\n")
 
 
-def _rewrite_on_second_pass(monkeypatch, path):
-    # drops the last data row as pass 2 opens the file
+def _drop_last_row(path):
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+
+
+def _append_last_row(path):
+    text = path.read_text()
+    path.write_text(text + text.splitlines()[-1] + "\n")
+
+
+def _move_last_row(path):
+    # every coordinate of the last row + 50
+    *lines, last = path.read_text().splitlines()
+    lines.append(",".join(repr(float(v) + 50) for v in last.split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _rewrite_on_pass(monkeypatch, path, pass_no, edit):
+    # applies edit to the data file as pass pass_no opens it
     blocks = CSVSource._blocks
 
     def rewriting(self):
-        if self.passes == 2:
-            path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        if self.passes == pass_no:
+            edit(path)
         return blocks(self)
     monkeypatch.setattr(CSVSource, "_blocks", rewriting)
 
@@ -430,8 +446,13 @@ EXIT_CLAUSES = [
     ("--block below 1", "stream", ["--block", "0"], None, "block must be >= 1, got 0"),
     ("abbreviated flag", "stream", ["--bloc", "8"], None, "unrecognized arguments: --bloc 8"),
     ("abbreviated flag", "solve", ["--sel", "range"], None, "unrecognized arguments: --sel range"),
-    ("source changed between passes", "stream", [], "rewrite",
+    ("source changed between passes", "stream", [], (2, _drop_last_row),
      "stream changed between passes: pass 2 read 59 rows against 60"),
+    # the assign pass peels owners before the pass's end compares fingerprints
+    ("append before pass 4", "stream", [], (4, _append_last_row),
+     "stream changed between passes: pass 4 read 61 rows against 60"),
+    ("move before pass 4", "stream", [], (4, _move_last_row),
+     "stream changed between passes: pass 4 read other values in its 60 rows"),
     ("squared distance overflows", "solve", [], _far_half, "a squared distance overflows float64"),
     ("squared distance overflows", "stream", [], _far_half, "a squared distance overflows float64"),
     ("squared distance overflows, at most 2k rows", "stream", ["--k", "2"], _four_rows_two_far,
@@ -444,8 +465,8 @@ EXIT_CLAUSES = [
 def test_exit_code_paragraph(tmp_path, capsys, monkeypatch, clause, command, extra, edit,
                              names):
     data, _ = gen(tmp_path, kind="gaussian", n=60)
-    if edit == "rewrite":
-        _rewrite_on_second_pass(monkeypatch, data)
+    if isinstance(edit, tuple):
+        _rewrite_on_pass(monkeypatch, data, *edit)
     elif edit is not None:
         edit(data)
     argv = [command, data, "--k", "3", "--seed", "1", *SMALL, *extra, "--out", tmp_path / "out"]

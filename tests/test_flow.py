@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ckmeans.flow import FlowNetwork, solve_min_cost_flow, to_fixed_point
+from ckmeans.flow import FlowNetwork, solve_min_cost_flow
+from ckmeans.partition import quantize_costs
 
 
 def enumerate_min_cost(net):
@@ -143,21 +144,21 @@ def test_arc_validation():
 
 def test_fixed_point_endpoints():
     bits = 16
-    q = to_fixed_point([0.0, 2.5, 5.0], bits)
+    q = quantize_costs([0.0, 2.5, 5.0], bits)[0]
     assert q[0] == 0
     assert q[2] == 2**bits
     assert q[1] == 2**(bits - 1)
 
 
 def test_fixed_point_all_zero_and_empty():
-    assert to_fixed_point(np.zeros(4)).tolist() == [0, 0, 0, 0]
-    assert to_fixed_point(np.zeros(0)).shape == (0,)
+    assert quantize_costs(np.zeros(4))[0].tolist() == [0, 0, 0, 0]
+    assert quantize_costs(np.zeros(0))[0].shape == (0,)
 
 
 def test_fixed_point_preserves_order_up_to_ties():
     rng = np.random.default_rng(11)
     a = np.sort(rng.random(50) * 1000)
-    q = to_fixed_point(a, 32)
+    q = quantize_costs(a, 32)[0]
     assert np.all(np.diff(q) >= 0)
 
 
@@ -165,20 +166,20 @@ def test_fixed_point_relative_error_bound():
     rng = np.random.default_rng(13)
     a = rng.random(100) * 7 + 0.5
     bits = 32
-    q = to_fixed_point(a, bits)
+    q = quantize_costs(a, bits)[0]
     scale = a.max() / 2**bits
     assert np.max(np.abs(q * scale - a)) <= scale / 2 + 1e-15
 
 
 def test_fixed_point_validation():
     with pytest.raises(ValueError):
-        to_fixed_point([-1.0])
+        quantize_costs([-1.0])
     with pytest.raises(ValueError):
-        to_fixed_point([np.inf])
+        quantize_costs([np.inf])
     with pytest.raises(ValueError):
-        to_fixed_point([1.0], precision_bits=0)
+        quantize_costs([1.0], precision_bits=0)
     with pytest.raises(ValueError):
-        to_fixed_point([1.0], precision_bits=63)
+        quantize_costs([1.0], precision_bits=63)
 
 
 def test_quantized_solve_tracks_rational_solution():
@@ -198,7 +199,7 @@ def test_quantized_solve_tracks_rational_solution():
         exact = FlowNetwork(net.num_nodes, net.source, net.sink, net.required_value)
         for (tail, head, lower, cap, _c), f in zip(net.arcs, fracs):
             exact.add_arc(tail, head, cap, int(f * den), lower)
-        q = to_fixed_point(raw, 40)
+        q = quantize_costs(raw, 40)[0]
         quant = FlowNetwork(net.num_nodes, net.source, net.sink, net.required_value)
         for (tail, head, lower, cap, _c), w in zip(net.arcs, q):
             quant.add_arc(tail, head, cap, int(w), lower)

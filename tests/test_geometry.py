@@ -21,10 +21,8 @@ from ckmeans.geometry import (
     pairwise_sqdist,
     phi_cost,
     psi_cost,
-    squared_dist,
-    voronoi_labels,
-    voronoi_partition,
 )
+from reference import squared_dist, voronoi_labels, voronoi_partition
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -172,12 +170,13 @@ def test_as_points_promotes_single_row():
 def test_package_import_loads_no_scipy():
     # scipy is imported inside min_cost_matching only, and hashlib when a
     # stream pass is first fingerprinted; every CLI run would pay for
-    # them otherwise
+    # them otherwise.  ckmeans.flow is a test reference no pipeline runs
     src = str(Path(ckmeans.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, ckmeans, ckmeans.cli, ckmeans.streaming; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')))")
+            "print(sorted(m for m in sys.modules if m == 'ckmeans.flow' "
+            "or m.split('.')[0] in ('scipy', 'hashlib')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

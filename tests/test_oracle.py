@@ -7,16 +7,9 @@ import pytest
 
 from ckmeans.data import Dataset, duplicate_groups
 from ckmeans.geometry import centroid, delta_cost, pairwise_sqdist, phi_cost
-from ckmeans.oracle import (
-    OracleLimit,
-    OracleLimitError,
-    cluster_cost_exact,
-    fault_tolerant_direct,
-    opt_constrained,
-    opt_kmeans,
-    opt_kmeans_exact,
-)
+from ckmeans.oracle import OracleLimit, OracleLimitError, opt_constrained, opt_kmeans
 from ckmeans.partition import Variant, quantize_costs
+from reference import cluster_cost_exact, fault_tolerant_direct, opt_kmeans_exact
 
 LIM = OracleLimit(max_n=8, max_k=3)
 

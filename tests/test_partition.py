@@ -11,17 +11,21 @@ import numpy as np
 import pytest
 
 from ckmeans.data import Dataset
-from ckmeans.geometry import pairwise_sqdist, voronoi_partition
-from ckmeans.oracle import OracleLimit, fault_tolerant_direct, opt_constrained
+from ckmeans.geometry import pairwise_sqdist
+from ckmeans.oracle import OracleLimit, opt_constrained
 from ckmeans.partition import (
     Assignment,
     InfeasiblePartitionError,
     Variant,
-    assignment_valid,
-    fault_tolerant_reduce,
     partition_assign,
     partition_cost,
     quantize_costs,
+)
+from reference import (
+    assignment_valid,
+    fault_tolerant_direct,
+    fault_tolerant_reduce,
+    voronoi_partition,
 )
 
 LIM = OracleLimit(max_n=8, max_k=3)

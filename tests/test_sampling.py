@@ -8,11 +8,11 @@ from scipy import stats
 
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.sampling import (
-    Reservoir,
     ReservoirBank,
     d2_distribution,
     d2_sample,
 )
+from reference import Reservoir
 
 CHI2_LEVEL = 0.99
 TRIALS = 100_000

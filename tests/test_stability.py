@@ -18,12 +18,12 @@ from ckmeans.stability import (
     check_weak_deletion,
     cheap_expensive_split,
     cluster_stats,
-    deletion_cost,
     expensive_budget,
     faster_ptas,
     gap_instance,
     gap_merged_cost_exact,
 )
+from reference import deletion_cost
 
 
 # exact 2-means brute force over rational points ------------------------------
