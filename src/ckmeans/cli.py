@@ -29,7 +29,7 @@ from .data import (
     with_targets,
     write_dataset_csv,
 )
-from .listgen import GoodCentersConfig
+from .listgen import DESK_DEFAULTS, GoodCentersConfig
 from .oracle import OracleLimit, OracleLimitError, opt_kmeans
 from .partition import (
     VARIANT_KINDS,
@@ -103,9 +103,6 @@ def _jsonable(v):
             return "inf" if v > 0 else "-inf"
         if math.isnan(v):
             return "nan"
-        return v
-    if isinstance(v, Fraction):
-        return str(v)
     return v
 
 
@@ -143,24 +140,13 @@ def _variant_summary(variant: Variant) -> dict:
     return {"kind": variant.kind, name: getattr(variant, name)}
 
 
-_DESK_DEFAULTS = {"eta": 32, "tau": 4, "reps": 4, "budget": 200}
-
-
 def _config_from(args) -> GoodCentersConfig:
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
-    kw = dict(t=args.k, epsilon=args.epsilon, alpha=args.list_alpha, preset=args.preset)
-    names = {"eta": "eta", "tau": "tau", "reps": "repetitions",
-             "budget": "subset_budget"}
-    for flag, field in names.items():
-        v = getattr(args, flag)
-        if v is None and args.preset == "desk":
-            v = _DESK_DEFAULTS[flag]
-        if v is not None:
-            kw[field] = v
-    if args.anchor_copies is not None:
-        kw["anchor_copies"] = args.anchor_copies
-    return GoodCentersConfig(**kw)
+    return GoodCentersConfig(t=args.k, epsilon=args.epsilon, alpha=args.list_alpha,
+                             preset=args.preset, eta=args.eta, tau=args.tau,
+                             repetitions=args.reps, subset_budget=args.budget,
+                             anchor_copies=args.anchor_copies)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +295,9 @@ def _load_labels(path):
         data = data["labels"]
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list of labels")
+    # type() and not isinstance(): a JSON true is a bool, which is an int
+    if not all(type(v) is int and -2**63 <= v < 2**63 for v in data):
+        raise ValueError(f"{path}: labels must be JSON integers within int64")
     return np.asarray(data, dtype=np.int64)
 
 
@@ -323,33 +312,26 @@ def cmd_verify(args) -> int:
         labels = _load_labels(args.labels)
         if labels.shape != (ds.n,):
             raise ValueError("labels length disagrees with dataset")
-    checks: dict = {}
     needs_labels = args.beta is not None or args.weak_deletion is not None
     if needs_labels and labels is None:
         if args.k is None:
             raise ValueError("--k is required to brute-force a labeling")
         _cost, labels = opt_kmeans(ds.points, args.k, limit)
+    if args.irreducible is not None and args.k is None:
+        raise ValueError("--irreducible needs --k")
 
-    if args.beta is not None:
-        rep = check_beta_distributed(ds.points, labels, args.beta)
-        checks["beta_distributed"] = {
-            "requested": args.beta, "passed": rep.passed,
-            "margin": rep.margin, "witnesses": rep.witnesses,
-        }
-    if args.weak_deletion is not None:
-        rep = check_weak_deletion(ds.points, labels, args.weak_deletion)
-        checks["weak_deletion"] = {
-            "requested": args.weak_deletion, "passed": rep.passed,
-            "margin": rep.margin, "witnesses": rep.witnesses,
-        }
-    if args.irreducible is not None:
-        if args.k is None:
-            raise ValueError("--irreducible needs --k")
-        rep = check_irreducible(ds.points, args.k, args.irreducible, limit)
-        checks["irreducible"] = {
-            "requested": args.irreducible, "passed": rep.passed,
-            "margin": rep.margin, "witnesses": rep.witnesses,
-        }
+    checks: dict = {}
+    for name, value, check in (
+            ("beta_distributed", args.beta,
+             lambda v: check_beta_distributed(ds.points, labels, v)),
+            ("weak_deletion", args.weak_deletion,
+             lambda v: check_weak_deletion(ds.points, labels, v)),
+            ("irreducible", args.irreducible,
+             lambda v: check_irreducible(ds.points, args.k, v, limit))):
+        if value is not None:
+            rep = check(value)
+            checks[name] = {"requested": value, "passed": rep.passed,
+                            "margin": rep.margin, "witnesses": rep.witnesses}
     all_passed = all(c["passed"] for c in checks.values())
     summary = {
         "command": "verify",
@@ -376,10 +358,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--preset", default="desk", choices=["desk", "formula"])
-    p.add_argument("--eta", type=int, help="samples per center slot (desk default 32)")
-    p.add_argument("--tau", type=int, help="subset size (desk default 4)")
-    p.add_argument("--reps", type=int, help="repetitions (desk default 4)")
-    p.add_argument("--budget", type=int, help="tuples per repetition (desk default 200)")
+    for flag, name, text in (("--eta", "eta", "samples per center slot"),
+                             ("--tau", "tau", "subset size"),
+                             ("--reps", "repetitions", "repetitions"),
+                             ("--budget", "subset_budget", "tuples per repetition")):
+        p.add_argument(flag, type=int, help=f"{text} (desk default {DESK_DEFAULTS[name]})")
     p.add_argument("--anchor-copies", type=int, dest="anchor_copies")
     p.add_argument("--list-alpha", type=float, default=2.0, dest="list_alpha",
                    help="seed approximation factor used by the formula preset")

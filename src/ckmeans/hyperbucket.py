@@ -19,9 +19,11 @@ lexsort, so Python objects are built once per distinct vertex of a
 block, never per point; a single graph is the case of one.
 
 Aspect-ratio removal is a contraction floor: squared distances below
-(u/n^2)^2 count as zero for a scale guess u.  The pipeline's u is at
-least every center gap and every point's nearest-center distance, so
-every point lies within 2u of every center: bucket ids span a range
+(u/n^2)^2 count as zero for a scale guess u.  aspect_graph takes u as
+the largest positive guess of aspect_guesses, 1.0 when none is
+positive.  Given the largest nearest-center distance d_star, that u is
+at least every center gap and every point's nearest-center distance,
+so every point lies within 2u of every center: bucket ids span a range
 independent of the data's aspect ratio, and every weight is finite.
 """
 
@@ -148,10 +150,6 @@ class CompressedGraph:
     def k(self) -> int:
         return self.centers.shape[0]
 
-    @property
-    def n_points(self) -> int:
-        return sum(self.vertices.values())
-
     def add_block(self, points, groups=None) -> None:
         """Bucket a block of points into vertices."""
         bucket_block([self], pairwise_sqdist(as_points(points), self.centers), groups)
@@ -230,23 +228,24 @@ def build_compressed(points, centers, epsilon: float, groups=None,
     return g
 
 
-def aspect_guesses(centers, d_star: float | None = None) -> list[float]:
+def aspect_guesses(centers, d_star: float) -> list[float]:
     """Candidate scale guesses u: all pairwise center distances, plus the
-    largest nearest-center distance d_star when one pass has computed it.
+    largest nearest-center distance d_star that the scale pass computed.
     At most k^2 + 1 values (k*(k-1)/2 distinct pairs plus d_star)."""
     C = as_points(centers)
     out = []
     for i in range(C.shape[0]):
         for j in range(i + 1, C.shape[0]):
             out.append(math.sqrt(float(np.dot(C[i] - C[j], C[i] - C[j]))))
-    if d_star is not None:
-        out.append(float(d_star))
+    out.append(float(d_star))
     return out
 
 
-def aspect_graph(centers, epsilon: float, u: float, n: int) -> CompressedGraph:
-    """Empty compressed graph whose keys contract below u/n^2; feed it
-    blocks like any other graph."""
-    if not (u > 0) or n < 1:
-        raise ValueError("need a positive scale guess and n >= 1")
+def aspect_graph(centers, epsilon: float, d_star: float, n: int) -> CompressedGraph:
+    """Empty compressed graph of n points whose keys contract below
+    u/n^2, u the largest positive of aspect_guesses(centers, d_star) or
+    1.0 when none is; feed it blocks like any other graph."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    u = max((g for g in aspect_guesses(centers, d_star) if g > 0), default=1.0)
     return CompressedGraph(centers, epsilon, contract_below=(u / n**2) ** 2)

@@ -25,6 +25,8 @@ from .geometry import as_points
 from .sampling import d2_sample
 
 ENUM_GUARD = 200_000
+# the desk preset's list-size knobs where none is given
+DESK_DEFAULTS = {"eta": 32, "tau": 4, "repetitions": 4, "subset_budget": 200}
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,10 @@ class GoodCentersConfig:
     eta = ceil(2^16 * alpha * t / eps^4), tau = ceil(128 / eps),
     repetitions = 2^t, and every disjoint tuple is enumerated.  Explicit
     overrides are honored (that is what makes toy-size literal runs
-    possible).  desk preset: all three must be given along with
-    subset_budget, and tuples are sampled instead of enumerated.
-    anchor_copies overrides the ceil(128 t / eps) anchor count in either
-    preset.
+    possible).  desk preset: eta, tau, repetitions and subset_budget
+    default to DESK_DEFAULTS, and tuples are sampled instead of
+    enumerated.  anchor_copies overrides the ceil(128 t / eps) anchor
+    count in either preset.
     """
 
     t: int
@@ -56,7 +58,7 @@ class GoodCentersConfig:
             raise ValueError("need t >= 1")
         if not (0.0 < self.epsilon <= 0.5):
             raise ValueError("epsilon must lie in (0, 1/2]")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:   # NaN fails too
             raise ValueError("alpha is an approximation factor, need alpha >= 1")
         if self.preset not in ("formula", "desk"):
             raise ValueError("preset must be 'formula' or 'desk'")
@@ -64,18 +66,18 @@ class GoodCentersConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be >= 1 when given")
-        if self.preset == "desk":
-            missing = [n for n in ("eta", "tau", "repetitions", "subset_budget")
-                       if getattr(self, n) is None]
-            if missing:
-                raise ValueError(f"desk preset requires explicit {', '.join(missing)}")
 
     def resolved(self) -> dict:
         """Concrete parameter values after preset defaults."""
-        eta = self.eta if self.eta is not None else math.ceil(
-            2**16 * self.alpha * self.t / self.epsilon**4)
-        tau = self.tau if self.tau is not None else math.ceil(128 / self.epsilon)
-        reps = self.repetitions if self.repetitions is not None else 2**self.t
+        if self.preset == "desk":
+            p = dict(DESK_DEFAULTS)
+        else:
+            p = {"eta": math.ceil(2**16 * self.alpha * self.t / self.epsilon**4),
+                 "tau": math.ceil(128 / self.epsilon), "repetitions": 2**self.t,
+                 "subset_budget": None}
+        for name in p:
+            if getattr(self, name) is not None:
+                p[name] = getattr(self, name)
         copies = (self.anchor_copies if self.anchor_copies is not None
                   else math.ceil(128 * self.t / self.epsilon))
         return {
@@ -83,11 +85,11 @@ class GoodCentersConfig:
             "epsilon": self.epsilon,
             "alpha": self.alpha,
             "preset": self.preset,
-            "eta": int(eta),
-            "tau": int(tau),
-            "repetitions": int(reps),
+            "eta": int(p["eta"]),
+            "tau": int(p["tau"]),
+            "repetitions": int(p["repetitions"]),
             "copies": int(copies),
-            "subset_budget": self.subset_budget,
+            "subset_budget": p["subset_budget"],
         }
 
 
@@ -96,10 +98,6 @@ class CandidateEntry:
     centers: np.ndarray           # (t, d) subset means, in tuple order
     repetition: int
     positions: tuple              # flat positions into that repetition's M
-
-    @property
-    def t(self) -> int:
-        return self.centers.shape[0]
 
 
 @dataclass

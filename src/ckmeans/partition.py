@@ -105,6 +105,18 @@ class Variant:
         return Variant("semi_supervised", alpha=alpha)
 
 
+def variant_groups(variant: Variant, colors, targets):
+    """The left-vertex groups the variant's kernel reads: its label
+    column, or None when it reads none.  A missing column raises."""
+    column = _LABEL_COLUMNS.get(variant.kind)
+    if column is None:
+        return None
+    groups = colors if column == "color" else targets
+    if groups is None:
+        raise ValueError(f"{variant.kind} needs a {column} column")
+    return groups
+
+
 @dataclass
 class Assignment:
     """Owner centers per point (ascending indices, l of them for the
@@ -157,8 +169,6 @@ def _real_costs(sq, variant: Variant, targets, perm) -> np.ndarray:
     under semi_supervised their blend for the winning matching perm."""
     if variant.kind != "semi_supervised":
         return sq
-    if targets is None:
-        raise ValueError("semi_supervised peeling needs the target column")
     return semi_supervised_cost_terms(sq, targets, variant.alpha, perm)
 
 
@@ -200,21 +210,18 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
     A Dataset or point array gives one vertex of count 1 per point, with
     the variant's label column as groups; a squared distance that
     overflows float64 raises ValueError.  A CompressedGraph (centers
-    ignored) gives its vertices and their group ids.
+    ignored) gives its vertices, grouped by the column it was bucketed
+    with.
     """
-    column = _LABEL_COLUMNS.get(variant.kind)
     if isinstance(data, CompressedGraph):
-        left = _LeftSide(*data.vertex_arrays())
-    else:
-        ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
-        labels = getattr(ds, column + "s") if column else None   # .colors / .targets
-        sq = pairwise_sqdist(ds.points, centers)
-        if not np.isfinite(sq).all():
-            raise ValueError("a squared distance overflows float64")
-        left = _LeftSide(sq, np.ones(ds.n, dtype=np.int64), labels)
-    if column and left.groups is None:
-        raise ValueError(f"{variant.kind} partitioning needs a {column} column")
-    return left
+        weights, counts, groups = data.vertex_arrays()
+        return _LeftSide(weights, counts, variant_groups(variant, groups, groups))
+    ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
+    sq = pairwise_sqdist(ds.points, centers)
+    if not np.isfinite(sq).all():
+        raise ValueError("a squared distance overflows float64")
+    return _LeftSide(sq, np.ones(ds.n, dtype=np.int64),
+                     variant_groups(variant, ds.colors, ds.targets))
 
 
 def _exact_total(flows, w_int) -> int:

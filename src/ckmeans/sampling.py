@@ -34,29 +34,23 @@ def point_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def d2_distribution(X, C=None, weights=None) -> np.ndarray:
-    """Sampling distribution proportional to (weighted) squared distance
-    to the nearest center.  With no centers, or when every potential is
-    zero, fall back to the (weighted) uniform distribution."""
+def d2_distribution(X, C) -> np.ndarray:
+    """Sampling distribution proportional to squared distance to the
+    nearest center of C; uniform when every potential is zero."""
     X = as_points(X)
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise ValueError("cannot sample from an empty point set")
-    w = point_weights(weights, n)
-    if C is None or as_points(C).shape[0] == 0:
-        p = w.copy()
-    else:
-        p = w * pairwise_sqdist(X, C).min(axis=1)
-        if p.sum() == 0.0:
-            p = w.copy()
+    p = pairwise_sqdist(X, C).min(axis=1)
+    if p.sum() == 0.0:
+        p = np.ones(X.shape[0])
     return p / p.sum()
 
 
-def d2_sample(X, C, count: int, rng, weights=None) -> np.ndarray:
+def d2_sample(X, C, count: int, rng) -> np.ndarray:
     """count independent D^2 draws; returns indices into X."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    p = d2_distribution(X, C, weights)
+    p = d2_distribution(X, C)
     return rng.choice(len(p), size=count, replace=True, p=p)
 
 

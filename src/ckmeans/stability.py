@@ -61,8 +61,8 @@ def cluster_stats(X, labels):
 
 def check_weak_deletion(X, labels, gamma: float) -> StabilityReport:
     """All pairwise deletion costs must exceed (1 + gamma) * OPT strictly."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not gamma >= 0:   # NaN fails too
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
     _parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
     kk = len(sizes)
     margin = math.inf
@@ -84,8 +84,8 @@ def check_weak_deletion(X, labels, gamma: float) -> StabilityReport:
 
 def check_beta_distributed(X, labels, beta: float) -> StabilityReport:
     """Every outside point must sit at least beta * OPT / |X_i| from mu_i."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    if not beta >= 0:   # NaN fails too
+        raise ValueError(f"beta must be non-negative, got {beta}")
     X = as_points(X)
     _parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
     kk = len(sizes)
@@ -111,8 +111,8 @@ def check_irreducible(X, k: int, gamma: float,
     """OPT_{k-1} >= (1 + gamma) * OPT_k, optima by brute force."""
     if k < 2:
         raise ValueError("irreducibility needs k >= 2")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not gamma >= 0:   # NaN fails too
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
     opt_k, _ = opt_kmeans(X, k, limit)
     opt_km1, _ = opt_kmeans(X, k - 1, limit)
     margin = math.inf if opt_k == 0 else opt_km1 / opt_k - 1.0
@@ -269,8 +269,7 @@ def faster_ptas(X, k: int, epsilon: float, beta: float, rng,
 
     if cfg is None:
         cfg = GoodCentersConfig(t=t, epsilon=min(epsilon, 0.5), preset="desk",
-                                eta=32, tau=4, repetitions=4, subset_budget=64,
-                                anchor_copies=4)
+                                subset_budget=64, anchor_copies=4)
     elif cfg.t != t:
         raise ValueError(f"config t={cfg.t} disagrees with computed t={t}")
     seed = d2_seed(X, k, rng=rng)

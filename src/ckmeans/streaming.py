@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Dataset, iter_dataset_csv
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph, aspect_graph, aspect_guesses, bucket_block
+from .hyperbucket import CompressedGraph, aspect_graph, bucket_block
 from .listgen import CandidateList, GoodCentersConfig, candidate_list, good_centers
 from .partition import (
     CompressedSolution,
@@ -32,6 +32,7 @@ from .partition import (
     compressed_partition,
     partition_assign,
     partition_cost,
+    variant_groups,
 )
 from .sampling import ReservoirBank
 from .seeding import SeedSolution, d2_seed, merge_reduce_seed
@@ -343,22 +344,16 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
                 worst = np.maximum(worst, near.max(axis=0))
             d_star = np.sqrt(worst)
 
-    # one graph per candidate; with aspect removal its scale guess is the
-    # largest positive one of the candidate
     graphs: list[CompressedGraph] = []
     with meter.phase("graph"):
         for i, e in enumerate(cands.entries):
             if aspect_removal:
-                u = max((gu for gu in aspect_guesses(e.centers, float(d_star[i])) if gu > 0),
-                        default=1.0)
-                graphs.append(aspect_graph(e.centers, eps, u, max(n, 1)))
+                graphs.append(aspect_graph(e.centers, eps, float(d_star[i]), max(n, 1)))
             else:
                 graphs.append(CompressedGraph(e.centers, eps))
         for pts, colors, targets in source.open():
-            if variant.kind == "semi_supervised" and targets is None:
-                raise ValueError("semi_supervised streaming needs a target column")
-            groups = targets if variant.kind == "semi_supervised" else None
-            bucket_block(graphs, pairwise_sqdist(pts, stacked), groups)
+            bucket_block(graphs, pairwise_sqdist(pts, stacked),
+                         variant_groups(variant, colors, targets))
         for g in graphs:
             meter.alloc_words(len(g.vertices) * (g.k + 1))
 
@@ -382,9 +377,8 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     with meter.phase("assign"):
         blocks = source.open()
         for pts, colors, targets in blocks:
-            groups = targets if variant.kind == "semi_supervised" else None
             try:
-                owners.extend(sol.assign_block(pts, groups))
+                owners.extend(sol.assign_block(pts, variant_groups(variant, colors, targets)))
             except InfeasiblePartitionError:
                 # a source changed since the graph pass can overdraw a
                 # vertex: the pass read to its end names the change

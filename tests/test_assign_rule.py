@@ -95,7 +95,7 @@ def test_label_columns_and_graphs_are_checked_once():
     C = np.array([[0.0, 0.0], [5.0, 0.0]])
     for variant, column in ((Variant.chromatic(), "color"),
                             (Variant.semi_supervised(0.5), "target")):
-        message = f"{variant.kind} partitioning needs a {column} column"
+        message = f"{variant.kind} needs a {column} column"
         for call in (partition_cost, partition_assign):
             with pytest.raises(ValueError, match=message):
                 call(X, C, variant)

@@ -139,8 +139,8 @@ def test_block_keys_match_scalar_keys(inst):
 @st.composite
 def stacks(draw):
     """m graphs of one k over one stream in d dimensions: plain graphs,
-    graphs with a fixed floor, and aspect graphs, each with its own scale
-    guess u."""
+    graphs with a fixed floor, and aspect graphs, each with its own
+    d_star."""
     m = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
     d = draw(st.integers(1, 5))
@@ -157,7 +157,8 @@ def stacks(draw):
     for C in centers:
         shape = draw(st.sampled_from(["plain", "floor", "aspect"]))
         if shape == "aspect":
-            # n=1 keeps the floor (u/n^2)^2 = u^2 on the grid's scale
+            # n=1 keeps the floor (u/n^2)^2 = u^2 on the grid's scale, u the
+            # larger of d_star and the largest center gap
             graphs.append(aspect_graph(C, EPS, draw(st.sampled_from([0.5, 1.0, 2.0])) * f, 1))
         elif shape == "floor":
             graphs.append(CompressedGraph(C, EPS, contract_below=1.5 * f * f))

@@ -416,6 +416,13 @@ def _move_last_row(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _labels_file(labels):
+    # writes {data}.labels.json beside the data file
+    def edit(path):
+        Path(f"{path}.labels.json").write_text(json.dumps(labels))
+    return edit
+
+
 def _rewrite_on_pass(monkeypatch, path, pass_no, edit):
     # applies edit to the data file as pass pass_no opens it
     blocks = CSVSource._blocks
@@ -457,6 +464,26 @@ EXIT_CLAUSES = [
     ("squared distance overflows", "stream", [], _far_half, "a squared distance overflows float64"),
     ("squared distance overflows, at most 2k rows", "stream", ["--k", "2"], _four_rows_two_far,
      "a squared distance overflows float64"),
+    ("NaN --list-alpha", "solve", ["--list-alpha", "nan"], None,
+     "alpha is an approximation factor, need alpha >= 1"),
+    ("NaN --list-alpha", "stream", ["--list-alpha", "nan"], None,
+     "alpha is an approximation factor, need alpha >= 1"),
+    # verify reads the planted labels from gen's sidecar
+    ("NaN --beta", "verify", ["--labels", "{data}.info.json", "--beta", "nan"], None,
+     "beta must be non-negative, got nan"),
+    ("NaN --weak-deletion", "verify", ["--labels", "{data}.info.json", "--weak-deletion", "nan"],
+     None, "gamma must be non-negative, got nan"),
+    ("NaN --irreducible", "verify", ["--k", "2", "--irreducible", "nan"], None,
+     "gamma must be non-negative, got nan"),
+    ("fractional labels", "verify", ["--labels", "{data}.labels.json", "--beta", "0.5"],
+     _labels_file([0.4] * 30 + [1.9] * 30),
+     "{data}.labels.json: labels must be JSON integers within int64"),
+    ("boolean labels", "verify", ["--labels", "{data}.labels.json", "--beta", "0.5"],
+     _labels_file([False] * 30 + [True] * 30),
+     "{data}.labels.json: labels must be JSON integers within int64"),
+    ("labels beyond int64", "verify", ["--labels", "{data}.labels.json", "--beta", "0.5"],
+     _labels_file([0] * 30 + [2**63] * 30),
+     "{data}.labels.json: labels must be JSON integers within int64"),
 ]
 
 
@@ -469,7 +496,9 @@ def test_exit_code_paragraph(tmp_path, capsys, monkeypatch, clause, command, ext
         _rewrite_on_pass(monkeypatch, data, *edit)
     elif edit is not None:
         edit(data)
-    argv = [command, data, "--k", "3", "--seed", "1", *SMALL, *extra, "--out", tmp_path / "out"]
+    solver = [] if command == "verify" else ["--k", "3", "--seed", "1", *SMALL]
+    extra = [a.format(data=data) for a in extra]
+    argv = [command, data, *solver, *extra, "--out", tmp_path / "out"]
     assert run(*argv) == 3
     assert names.format(data=data) in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))

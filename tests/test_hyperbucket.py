@@ -134,7 +134,6 @@ def test_counts_partition_the_input():
     X = rng.normal(size=(200, 2))
     C = rng.normal(size=(3, 2))
     g = build_compressed(X, C, 0.5)
-    assert g.n_points == 200
     assert sum(c for _k, c in g.vertices.items()) == 200
 
 
@@ -180,7 +179,7 @@ def test_grid_groups_bucket_count_regression():
     ds, _info = grid_groups(400, 3, rng=np.random.default_rng(1234))
     C = np.asarray(_info["sites"])
     g = build_compressed(ds.points, C, 0.5)
-    assert g.n_points == 400
+    assert sum(g.vertices.values()) == 400
     assert len(g.vertices) < 60
     assert len(g.vertices) == len(build_compressed(ds.points, C, 0.5).vertices)
 
@@ -212,17 +211,19 @@ def test_compressed_r_gather_matches_exact_structure():
 
 def test_aspect_guesses_contents():
     C = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]])
-    g = aspect_guesses(C)
-    assert sorted(g) == pytest.approx([5.0, 5.0, 10.0])
-    g2 = aspect_guesses(C, d_star=42.0)
-    assert 42.0 in g2 and len(g2) == 4
-    assert len(g2) <= C.shape[0] ** 2 + 1
+    g = aspect_guesses(C, d_star=42.0)
+    assert sorted(g) == pytest.approx([5.0, 5.0, 10.0, 42.0])
+    assert len(g) <= C.shape[0] ** 2 + 1
 
 
 def test_aspect_contraction():
     C = np.array([[0.0, 0.0], [100.0, 0.0]])
-    u, n = 10.0, 100
-    g = aspect_graph(C, 0.5, u, n)
+    n = 100
+    g = aspect_graph(C, 0.5, 10.0, n)
+    u = 100.0                            # the center gap beats d_star = 10
+    assert g.contract_below == (u / n**2) ** 2
+    # no positive guess (one center, d_star 0): u = 1.0
+    assert aspect_graph(C[:1], 0.5, 0.0, 1).contract_below == 1.0
     # a point microscopically off center 0: contracted to the zero slot;
     # center 1 keeps its plain bucket
     tiny = u / n**2 / 2
@@ -239,10 +240,11 @@ def test_aspect_contraction():
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["gaussian", "cauchy", "coincident"]),
        st.integers(1, 4), st.integers(1, 40), st.integers(1, 4))
 def test_aspect_solution_survives_max_guess(seed, kind, k, n, d):
-    """At the scale guess full_pipeline takes (the largest positive one
+    """At the scale guess aspect_graph takes (the largest positive one
     of aspect_guesses with d_star), every point lies within 2u of every
     center by the triangle inequality, so a cut of centers beyond 4u
-    could never fire.  A smaller guess breaks this premise."""
+    could never fire.  A smaller guess breaks this premise.  At n = 1
+    the graph's floor (u/n^2)^2 is u^2."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-6, 6)
     if kind == "gaussian":
@@ -255,9 +257,9 @@ def test_aspect_solution_survives_max_guess(seed, kind, k, n, d):
         X = C[rng.integers(k, size=n)]
     sq = pairwise_sqdist(X, C)
     d_star = np.sqrt(sq.min(axis=1).max())
-    u = max((gu for gu in aspect_guesses(C, float(d_star)) if gu > 0), default=1.0)
+    u_squared = aspect_graph(C, 0.5, float(d_star), 1).contract_below
     # (d_star + largest center gap)^2 <= 4u^2, up to a few ulps of rounding
-    assert sq.max() <= 4.0 * u * u * (1 + 1e-12)
+    assert sq.max() <= 4.0 * u_squared * (1 + 1e-12)
 
 
 def test_aspect_contraction_error_is_negligible():
@@ -265,13 +267,12 @@ def test_aspect_contraction_error_is_negligible():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(50, 2))
     C = rng.normal(size=(2, 2))
-    worst = float(pairwise_sqdist(X, C).min(axis=1).max())
-    u = math.sqrt(worst)
+    d_star = math.sqrt(float(pairwise_sqdist(X, C).min(axis=1).max()))
     n = 50
-    g = aspect_graph(C, 0.1, u, n)
+    g = aspect_graph(C, 0.1, d_star, n)
     g.add_block(X)
     exact = partition_cost(X, C, Variant.classical())
     comp = partition_cost(g, C, Variant.classical())
-    slack = n * (u / n**2) ** 2          # total contraction budget
+    slack = n * g.contract_below         # total contraction budget
     assert comp <= exact * 1.000001 + slack
     assert exact <= comp * (1 + 3 * 0.1) + slack

@@ -41,13 +41,19 @@ def test_config_validation():
         GoodCentersConfig(t=0, epsilon=0.5)
     with pytest.raises(ValueError):
         GoodCentersConfig(t=1, epsilon=0.6)       # epsilon capped at 1/2
-    with pytest.raises(ValueError):
-        GoodCentersConfig(t=1, epsilon=0.5, alpha=0.5)
-    with pytest.raises(ValueError):
-        GoodCentersConfig(t=1, epsilon=0.5, preset="desk", eta=4)  # missing knobs
+    for alpha in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="need alpha >= 1"):
+            GoodCentersConfig(t=1, epsilon=0.5, alpha=alpha)
     with pytest.raises(ValueError):
         GoodCentersConfig(t=1, epsilon=0.5, preset="desk", eta=4, tau=1,
                           repetitions=0, subset_budget=4)
+
+
+def test_desk_preset_fills_its_defaults():
+    p = GoodCentersConfig(t=2, epsilon=0.5, preset="desk").resolved()
+    assert (p["eta"], p["tau"], p["repetitions"], p["subset_budget"]) == (32, 4, 4, 200)
+    p = GoodCentersConfig(t=2, epsilon=0.5, preset="desk", tau=1, subset_budget=9).resolved()
+    assert (p["eta"], p["tau"], p["repetitions"], p["subset_budget"]) == (32, 1, 4, 9)
 
 
 def test_multiset_and_bound_arithmetic():

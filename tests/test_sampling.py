@@ -51,25 +51,12 @@ def test_d2_distribution_exact_values():
     assert p == pytest.approx([0.0, 0.1, 0.9])
 
 
-def test_d2_distribution_weighted():
-    X = np.array([[1.0, 0], [2.0, 0]])
-    C = np.array([[0.0, 0.0]])
-    p = d2_distribution(X, C, weights=[4.0, 1.0])
-    assert p == pytest.approx([0.5, 0.5])
-
-
 def test_d2_distribution_fallback_rules():
     X = np.array([[1.0, 1.0], [2.0, 2.0]])
-    # no centers -> weighted uniform
-    assert d2_distribution(X, None, weights=[3.0, 1.0]) == pytest.approx([0.75, 0.25])
     # centers on top of every point -> uniform fallback
     assert d2_distribution(X, X) == pytest.approx([0.5, 0.5])
     with pytest.raises(ValueError):
-        d2_distribution(np.zeros((0, 2)), None)
-    with pytest.raises(ValueError):
-        d2_distribution(X, None, weights=[0.0, 0.0])
-    with pytest.raises(ValueError):
-        d2_distribution(X, None, weights=[-1.0, 2.0])
+        d2_distribution(np.zeros((0, 2)), X)
 
 
 def test_d2_sample_chi_square():

@@ -6,7 +6,6 @@ import pytest
 from ckmeans.data import duplicate_groups, gaussian_groups
 from ckmeans.geometry import pairwise_sqdist, phi_cost
 from ckmeans.oracle import OracleLimit, opt_kmeans
-from ckmeans.sampling import d2_distribution
 from ckmeans.seeding import d2_seed, merge_reduce_seed
 from ckmeans.streaming import SpaceMeter
 
@@ -56,6 +55,8 @@ def test_seed_validation():
         d2_seed(X, 1)  # rng mandatory
     with pytest.raises(ValueError):
         d2_seed(X, 1, rng=rng, weights=np.zeros(3))
+    with pytest.raises(ValueError):
+        d2_seed(X, 1, rng=rng, weights=[-1.0, 2.0, 1.0])
 
 
 def test_weighted_seeding_prefers_heavy_points():
@@ -161,10 +162,3 @@ def test_iterative_potential_never_increases():
         sol = d2_seed(X, 2, oversample=m, rng=np.random.default_rng(16))
         costs.append(sol.cost)
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
-
-
-def test_first_draw_matches_d2_distribution_contract():
-    # with no prior centers the distribution is weighted-uniform
-    X = np.array([[0.0, 0], [1.0, 0], [2.0, 0]])
-    p = d2_distribution(X, None, weights=[1.0, 1.0, 2.0])
-    assert p == pytest.approx([0.25, 0.25, 0.5])

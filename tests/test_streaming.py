@@ -337,11 +337,32 @@ def test_pipeline_rejects_chromatic():
                       np.random.default_rng(0))
 
 
+class _TargetsGoneOnPass(ArraySource):
+    """Drops the target column from pass `gone` on."""
+
+    def __init__(self, ds, gone):
+        super().__init__(ds, block=16)
+        self.gone = gone
+
+    def _blocks(self):
+        for pts, colors, targets in super()._blocks():
+            yield pts, colors, None if self.passes >= self.gone else targets
+
+
 def test_pipeline_semi_supervised_needs_targets():
-    ds, _ = planted(10)
-    with pytest.raises(ValueError):
-        full_pipeline(ArraySource(ds), 3, Variant.semi_supervised(0.5), CFG,
-                      np.random.default_rng(0))
+    """One message for a missing target column: in batch, in the graph
+    pass and in the assign pass."""
+    ds, info = planted(10)
+    message = "semi_supervised needs a target column"
+    with pytest.raises(ValueError, match=message):
+        batch_solve(ds, 3, Variant.semi_supervised(0.5), CFG, np.random.default_rng(0))
+    labeled = with_targets(ds, info["labels"])
+    for gone in (3, 4):         # the graph pass, then the assign pass
+        source = _TargetsGoneOnPass(labeled, gone)
+        with pytest.raises(ValueError, match=message):
+            full_pipeline(source, 3, Variant.semi_supervised(0.5), CFG,
+                          np.random.default_rng(0))
+        assert source.passes == gone
 
 
 def test_pipeline_replay_determinism():
@@ -429,15 +450,17 @@ def test_pipeline_aspect_builds_one_graph_per_candidate(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["gaussian", "cauchy", "duplicates"])
 def test_pipeline_aspect_guess_keeps_every_center_within_2u(monkeypatch, kind):
-    """The scale guess u that full_pipeline hands aspect_graph keeps every
-    point within 2u of every center of its candidate; aspect removal
-    relies on it to need no cut of far centers."""
+    """The scale guess u of the aspect graphs full_pipeline builds keeps
+    every point within 2u of every center of its candidate; aspect
+    removal relies on it to need no cut of far centers.  u is read back
+    from the graph's floor (u/n^2)^2."""
     guesses = []
     build = streaming.aspect_graph
 
-    def recording(centers, epsilon, u, n):
-        guesses.append((centers, u))
-        return build(centers, epsilon, u, n)
+    def recording(centers, epsilon, d_star, n):
+        g = build(centers, epsilon, d_star, n)
+        guesses.append((centers, g.contract_below * n**4))
+        return g
 
     monkeypatch.setattr(streaming, "aspect_graph", recording)
     rng = np.random.default_rng(41)
@@ -450,8 +473,8 @@ def test_pipeline_aspect_guess_keeps_every_center_within_2u(monkeypatch, kind):
     full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
                   np.random.default_rng(42), aspect_removal=True)
     assert guesses
-    for C, u in guesses:
-        assert pairwise_sqdist(ds.points, C).max() <= 4.0 * u * u * (1 + 1e-12)
+    for C, u_squared in guesses:
+        assert pairwise_sqdist(ds.points, C).max() <= 4.0 * u_squared * (1 + 1e-12)
 
 
 def test_pipeline_infeasible_raises():
