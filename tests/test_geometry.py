@@ -180,3 +180,36 @@ def test_package_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_solve_and_stream_never_load_numpy_ma(tmp_path):
+    # np.unique(..., axis=0) imports numpy.ma on first use, about 0.8 MB
+    # of resident memory that every CLI run would pay for
+    src = str(Path(ckmeans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = f"""
+import sys
+import numpy as np
+from ckmeans.cli import main
+from ckmeans.data import gaussian_groups, write_dataset_csv
+from ckmeans.listgen import GoodCentersConfig
+from ckmeans.partition import Variant
+from ckmeans.streaming import ArraySource, full_pipeline
+
+ds, _ = gaussian_groups(120, 3, sigma=0.5, rng=np.random.default_rng(0))
+path = {str(tmp_path / "data.csv")!r}
+write_dataset_csv(path, ds)
+knobs = ["--k", "3", "--seed", "1", "--eta", "4", "--tau", "1", "--reps", "2",
+         "--budget", "4"]
+assert main(["solve", path, *knobs, "--out", path + ".solve"]) == 0
+assert main(["stream", path, *knobs, "--aspect-removal", "--out", path + ".stream"]) == 0
+cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=4, tau=1,
+                        repetitions=2, subset_budget=4)
+full_pipeline(ArraySource(ds, block=32), 3, Variant.classical(), cfg,
+              np.random.default_rng(1))
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
