@@ -10,12 +10,14 @@ downstream flow problems see a graph whose size no longer depends on
 n.  This module alone reads the key layout: the solvers get a graph's
 vertices as arrays from CompressedGraph.vertex_arrays.
 
-A stream pass keys a block for every candidate graph at once: one
-distance matrix against all graphs' centers stacked, one bucketing of
-it, and one int64 key matrix laid out graph-major, a row per (graph,
-point).  A row holds the graph id, then the point's slots, then the
-group id when groups ride along.  Equal rows are found with one stable
-lexsort, so Python objects are built once per distinct vertex of a
+A stream pass keys a block for every candidate graph at once, with one
+KeyBuilder.  The candidates of a list share most of their centers, so
+the block is measured once per distinct center: one distance matrix,
+one bucketing and one grouping of the block's int64 slot rows (plus
+the group id when groups ride along) by a stable lexsort.  Its few
+distinct rows are then projected onto each graph's columns and
+regrouped graph-major, a row per (graph, distinct row) with the graph
+id in front.  Python objects are built once per distinct vertex of a
 block, never per point; a single graph is the case of one.
 
 Aspect-ratio removal is a contraction floor: squared distances below
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -150,9 +154,15 @@ class CompressedGraph:
     def k(self) -> int:
         return self.centers.shape[0]
 
+    @cached_property
+    def key_builder(self) -> "KeyBuilder":
+        """The graph's own KeyBuilder, built on first use."""
+        return KeyBuilder([self])
+
     def add_block(self, points, groups=None) -> None:
         """Bucket a block of points into vertices."""
-        bucket_block([self], pairwise_sqdist(as_points(points), self.centers), groups)
+        kb = self.key_builder
+        kb.bucket_block(pairwise_sqdist(as_points(points), kb.centers), groups)
 
     def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The vertices in insertion order as the arrays the solvers run
@@ -172,49 +182,110 @@ class CompressedGraph:
         return weights[inverse].reshape(slots.shape), counts, groups
 
 
-def block_keys(graphs, sq: np.ndarray, groups=None):
-    """Distinct vertex keys of one block under each of several graphs.
+def distinct_centers(C) -> tuple[np.ndarray, np.ndarray]:
+    """(U, col): the distinct rows U of a center matrix, in order of
+    first occurrence, and the column map with C[j] == U[col[j]] bit for
+    bit, so pairwise_sqdist(X, U)[:, col] == pairwise_sqdist(X, C).
+    Rows are compared on their int64 bit view; np.unique(axis=0) would
+    import numpy.ma on first use."""
+    C = np.ascontiguousarray(as_points(C))
+    first, col, _counts = _distinct_rows(C.view(np.int64))
+    return C[first], col
 
-    The graphs share k and epsilon.  sq holds the block's squared
-    distances to their centers stacked in graph order, shape (b, m*k).
-    Each graph's contract_below applies by broadcasting.  The key matrix
-    is laid out graph-major, a row per (graph, point) with the graph id in
-    front, so one grouping serves every graph.
 
-    Returns (keys, inverse, counts, owner): keys[i] is a (key, group)
-    vertex of graphs[owner[i]], in order of first occurrence; row
-    j*b + r (point r under graph j) falls into keys[inverse[j*b + r]],
-    and counts[i] rows fall into keys[i].  With one graph, inverse maps
-    the block's rows.
+class KeyBuilder:
+    """Keys blocks of points for several graphs of one k and epsilon.
+
+    The graphs' stacked centers are deduplicated once into centers (U)
+    with a column map col, so a block is measured, bucketed and grouped
+    once per distinct center; the block's distinct rows are then
+    projected onto each graph's columns.  A graph's floor applies in
+    the same grouping: each distinct center takes the lowest floor of
+    its graphs before bucketing, and a center whose graphs have higher
+    floors gets one more column, the count of those floors at or below
+    the squared distance; a graph's slot is zero where that count falls
+    short of its floor's rank.
     """
-    m, k, eps = len(graphs), graphs[0].k, graphs[0].epsilon
-    if any(g.k != k or g.epsilon != eps for g in graphs):
-        raise ValueError("graphs bucketed together need the same k and epsilon")
-    b = sq.shape[0]
-    s = sq.reshape(b, m, k)
-    below = np.array([g.contract_below for g in graphs])
-    if (below > 0.0).any():
-        s = np.where(s < below[:, None], 0.0, s)
-    idx, zero = bucket_indices(s, eps)
-    idx[zero] = ZERO_ID
-    cols = [np.repeat(np.arange(m, dtype=np.int64), b)[:, None],
-            idx.transpose(1, 0, 2).reshape(m * b, k)]
-    if groups is not None:
-        cols.append(np.tile(np.asarray(groups).astype(np.int64), m)[:, None])
-    M = np.hstack(cols)
-    first, inverse, counts = _distinct_rows(M)
-    rows = M[first].tolist()
-    keys = [(tuple(row[1:k + 1]), None if groups is None else row[k + 1]) for row in rows]
-    return keys, inverse, counts, [row[0] for row in rows]
 
+    def __init__(self, graphs):
+        k, eps = graphs[0].k, graphs[0].epsilon
+        if any(g.k != k or g.epsilon != eps for g in graphs):
+            raise ValueError("graphs bucketed together need the same k and epsilon")
+        self.graphs, self.k, self.epsilon = graphs, k, eps
+        self.centers, self.col = distinct_centers(np.vstack([g.centers for g in graphs]))
+        width, col = self.centers.shape[0], self.col.tolist()
+        below = [g.contract_below for g in graphs for _ in range(k)]
+        floors = [set() for _ in range(width)]
+        for u, f in zip(col, below):
+            floors[u].add(f)
+        floors = [sorted(f) for f in floors]
+        lowest = np.array([f[0] for f in floors])
+        self.lowest = lowest if (lowest > 0.0).any() else None
+        # per distinct center with several floors: its higher floors and
+        # the key column counting them
+        self.steps = [(u, np.array(f[1:])) for u, f in enumerate(floors) if len(f) > 1]
+        count_col = np.zeros(width, dtype=np.int64)
+        for i, (u, _f) in enumerate(self.steps):
+            count_col[u] = width + i
+        rank = np.array([floors[u].index(f) for u, f in zip(col, below)])
+        self.floored = np.flatnonzero(rank > 0)    # stacked columns a count can zero
+        self.count_of = count_col[self.col[self.floored]]
+        self.rank = rank[self.floored]
+        # without count columns, a graph that reads every distinct center
+        # keeps distinct rows distinct
+        self.injective = not self.steps and all(
+            len(set(col[j * k:(j + 1) * k])) == width for j in range(len(graphs)))
 
-def bucket_block(graphs, sq: np.ndarray, groups=None) -> None:
-    """Bucket one block into several graphs at once; sq is the block's
-    squared distances to their stacked centers (see block_keys)."""
-    keys, _inverse, counts, owner = block_keys(graphs, sq, groups)
-    for j, key, c in zip(owner, keys, counts.tolist()):
-        vertices = graphs[j].vertices
-        vertices[key] = vertices.get(key, 0) + c
+    def block_keys(self, sq: np.ndarray, groups=None):
+        """Distinct vertex keys of one block under each graph.
+
+        sq holds the block's squared distances to self.centers, shape
+        (b, len(self.centers)).  Returns (keys, inverse, counts, owner):
+        keys[i] is a (slots, group) vertex of graphs[owner[i]], graph by
+        graph and in order of first occurrence; point r under graph j
+        falls into keys[inverse[j*b + r]], and counts[i] points fall into
+        keys[i].  With one graph, inverse maps the block's rows.
+        """
+        m, k = len(self.graphs), self.k
+        if self.lowest is not None:
+            sq = np.where(sq < self.lowest, 0.0, sq)
+        idx, zero = bucket_indices(sq, self.epsilon)
+        idx[zero] = ZERO_ID
+        cols = [idx] + [np.searchsorted(f, sq[:, u], side="right")[:, None]
+                        for u, f in self.steps]
+        if groups is not None:
+            cols.append(np.asarray(groups).astype(np.int64)[:, None])
+        M = np.hstack(cols) if len(cols) > 1 else idx
+        first, inverse, counts = _distinct_rows(M)
+        R = M[first]
+        D = R.shape[0]
+        slots = R[:, self.col]
+        if self.floored.size:
+            part = slots[:, self.floored]
+            part[R[:, self.count_of] < self.rank] = ZERO_ID
+            slots[:, self.floored] = part
+        # the D distinct rows under every graph, graph-major
+        S = slots.reshape(D, m, k).transpose(1, 0, 2).reshape(m * D, k)
+        G = None if groups is None else np.tile(R[:, -1], m)
+        owner = np.repeat(np.arange(m), D)
+        inverse = (np.arange(m)[:, None] * D + inverse).ravel()
+        counts = np.tile(counts, m)
+        if not self.injective:
+            P = np.hstack([owner[:, None], S] + ([] if G is None else [G[:, None]]))
+            first, again, _rows = _distinct_rows(P)
+            owner, S = owner[first], S[first]
+            G = None if G is None else G[first]
+            inverse = again[inverse]
+            counts = np.bincount(again, weights=counts).astype(np.int64)
+        keys = list(zip(map(tuple, S.tolist()), repeat(None) if G is None else G.tolist()))
+        return keys, inverse, counts, owner.tolist()
+
+    def bucket_block(self, sq: np.ndarray, groups=None) -> None:
+        """Bucket one block into every graph; sq as for block_keys."""
+        keys, _inverse, counts, owner = self.block_keys(sq, groups)
+        for j, key, c in zip(owner, keys, counts.tolist()):
+            vertices = self.graphs[j].vertices
+            vertices[key] = vertices.get(key, 0) + c
 
 
 def build_compressed(points, centers, epsilon: float, groups=None,

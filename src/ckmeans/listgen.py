@@ -25,6 +25,7 @@ from .geometry import as_points
 from .sampling import d2_sample
 
 ENUM_GUARD = 200_000
+INT64_MAX = 2**63 - 1
 # the desk preset's list-size knobs where none is given
 DESK_DEFAULTS = {"eta": 32, "tau": 4, "repetitions": 4, "subset_budget": 200}
 
@@ -68,18 +69,30 @@ class GoodCentersConfig:
                 raise ValueError(f"{name} must be >= 1 when given")
 
     def resolved(self) -> dict:
-        """Concrete parameter values after preset defaults."""
+        """Concrete parameter values after preset defaults.  A default
+        given by a formula (eps^4 underflowing to 0 makes eta +inf) must
+        be a finite integer within int64, or ValueError names its knob;
+        an explicit value takes its place."""
         if self.preset == "desk":
             p = dict(DESK_DEFAULTS)
         else:
-            p = {"eta": math.ceil(2**16 * self.alpha * self.t / self.epsilon**4),
-                 "tau": math.ceil(128 / self.epsilon), "repetitions": 2**self.t,
+            q = self.epsilon**4
+            p = {"eta": 2**16 * self.alpha * self.t / q if q > 0 else math.inf,
+                 "tau": 128 / self.epsilon, "repetitions": 2**self.t,
                  "subset_budget": None}
-        for name in p:
+        p["anchor_copies"] = 128 * self.t / self.epsilon
+        for name, default in p.items():
             if getattr(self, name) is not None:
                 p[name] = getattr(self, name)
-        copies = (self.anchor_copies if self.anchor_copies is not None
-                  else math.ceil(128 * self.t / self.epsilon))
+            elif default is not None:
+                if isinstance(default, float):
+                    default = math.ceil(default) if math.isfinite(default) else math.inf
+                p[name] = default
+                if default > INT64_MAX:
+                    raise ValueError(
+                        f"the {self.preset} preset's {name} is not a finite integer within "
+                        f"int64 at t={self.t}, epsilon={self.epsilon!r}, alpha={self.alpha!r}; "
+                        f"give {name}")
         return {
             "t": self.t,
             "epsilon": self.epsilon,
@@ -88,7 +101,7 @@ class GoodCentersConfig:
             "eta": int(p["eta"]),
             "tau": int(p["tau"]),
             "repetitions": int(p["repetitions"]),
-            "copies": int(copies),
+            "copies": int(p["anchor_copies"]),
             "subset_budget": p["subset_budget"],
         }
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .data import Dataset
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph, block_keys
+from .hyperbucket import CompressedGraph
 
 # the one parameter each variant kind takes (None: it takes none)
 VARIANT_PARAMS = {
@@ -461,10 +461,10 @@ class CompressedSolution:
         fault_tolerant, rank r owns every center j with units[j] > r.
         A block that overdraws a vertex raises before any unit is taken.
         """
-        P = as_points(points)
-        sq = pairwise_sqdist(P, self.graph.centers)
-        cost = _real_costs(sq, self.variant, groups, self.perm)
-        keys, inverse, counts, _owner = block_keys([self.graph], sq, groups)
+        kb = self.graph.key_builder
+        sq = pairwise_sqdist(as_points(points), kb.centers)
+        cost = _real_costs(sq[:, kb.col], self.variant, groups, self.perm)
+        keys, inverse, counts, _owner = kb.block_keys(sq, groups)
         if any(key not in self.remaining for key in keys):
             raise InfeasiblePartitionError("no flow on this point's vertex")
         units = np.array([self.remaining[key] for key in keys],

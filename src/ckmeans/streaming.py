@@ -4,8 +4,9 @@ The full pipeline spends one pass seeding, one filling reservoirs, one
 building a compressed graph for every candidate (plus an optional scale
 pass when aspect-ratio removal is on), and one peeling the winning
 solution into per-point assignments: 4 passes, 5 with aspect removal.
-The graph and scale passes handle each block once for all candidates,
-against their centers stacked into one matrix.
+The graph and scale passes handle each block once for all candidates:
+they measure it against the list's distinct centers and project onto
+each candidate's columns.
 Solving happens offline between passes on the compressed graphs, never
 on raw points.  batch_solve is the in-memory pipeline behind
 `ckmeans solve`.  Both build their candidate list with
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, iter_dataset_csv
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph, aspect_graph, bucket_block
+from .hyperbucket import CompressedGraph, KeyBuilder, aspect_graph, distinct_centers
 from .listgen import CandidateList, GoodCentersConfig, candidate_list, good_centers
 from .partition import (
     CompressedSolution,
@@ -332,15 +333,16 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         raise InfeasiblePartitionError("candidate list came back empty")
     eps = cfg.epsilon
 
-    # every pass measures a block against all candidates' centers at once
+    # every pass measures a block once per distinct center of the list
+    # and projects onto each candidate's columns
     m = len(cands)
-    stacked = np.vstack([e.centers for e in cands.entries])
     d_star = None
     if aspect_removal:
+        U, col = distinct_centers(np.vstack([e.centers for e in cands.entries]))
         with meter.phase("scale"):
             worst = np.zeros(m)
             for pts, _c, _t in source.open():
-                near = pairwise_sqdist(pts, stacked).reshape(len(pts), m, -1).min(axis=2)
+                near = pairwise_sqdist(pts, U)[:, col].reshape(len(pts), m, -1).min(axis=2)
                 worst = np.maximum(worst, near.max(axis=0))
             d_star = np.sqrt(worst)
 
@@ -351,9 +353,10 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
                 graphs.append(aspect_graph(e.centers, eps, float(d_star[i]), max(n, 1)))
             else:
                 graphs.append(CompressedGraph(e.centers, eps))
+        kb = KeyBuilder(graphs)
         for pts, colors, targets in source.open():
-            bucket_block(graphs, pairwise_sqdist(pts, stacked),
-                         variant_groups(variant, colors, targets))
+            kb.bucket_block(pairwise_sqdist(pts, kb.centers),
+                            variant_groups(variant, colors, targets))
         for g in graphs:
             meter.alloc_words(len(g.vertices) * (g.k + 1))
 

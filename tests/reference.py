@@ -16,7 +16,6 @@ import numpy as np
 
 from ckmeans.data import Dataset
 from ckmeans.geometry import as_points, pairwise_sqdist
-from ckmeans.hyperbucket import block_keys
 from ckmeans.oracle import OracleLimit, _guard
 from ckmeans.partition import Assignment, Variant
 from ckmeans.stability import cluster_stats
@@ -71,7 +70,8 @@ def max_weight_error(graph, points) -> float:
     """Largest relative gap between a member's true squared distance
     and its bucket weight; diagnostic for the soundness invariant."""
     sq = pairwise_sqdist(as_points(points), graph.centers)
-    keys, inverse, counts, _owner = block_keys([graph], sq)
+    kb = graph.key_builder
+    keys, inverse, counts, _owner = kb.block_keys(pairwise_sqdist(as_points(points), kb.centers))
     probe = replace(graph, vertices=dict(zip(keys, counts.tolist())))
     w = probe.vertex_arrays()[0][inverse]
     s = np.where(sq < graph.contract_below, 0.0, sq)

@@ -20,7 +20,7 @@ from ckmeans.geometry import (
     pairwise_sqdist,
     psi_cost,
 )
-from ckmeans.hyperbucket import CompressedGraph, block_keys, build_compressed
+from ckmeans.hyperbucket import CompressedGraph, build_compressed
 from ckmeans.listgen import GoodCentersConfig, good_centers
 from ckmeans.oracle import opt_constrained, opt_kmeans
 from ckmeans.partition import Variant, partition_cost
@@ -147,7 +147,8 @@ def test_criterion_3_compression_fidelity():
         C = rng.normal(size=(4, 3)) * 5
         g = CompressedGraph(C, eps)
         true = pairwise_sqdist(X, C)
-        _keys, inverse, _counts, _owner = block_keys([g], true)
+        kb = g.key_builder        # C's rows are distinct: kb.centers is C
+        _keys, inverse, _counts, _owner = kb.block_keys(pairwise_sqdist(X, kb.centers))
         g.add_block(X)            # one block: vertices in the keys' order
         for i, s in enumerate(g.vertex_arrays()[0][inverse]):
             w = true[i]

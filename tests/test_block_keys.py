@@ -1,8 +1,9 @@
 """Array bucket keys and per-vertex peeling against scalar references.
 
-block_keys keys a block as one int64 matrix for one or several graphs
-and groups equal rows; CompressedSolution.assign_block peels each
-vertex's rows at once.  The references here are the per-point forms: a
+KeyBuilder keys a block for one or several graphs: it groups the
+block's rows once over the graphs' distinct centers and projects the
+distinct rows onto each graph; CompressedSolution.assign_block peels
+each vertex's rows at once.  The references here are the per-point forms: a
 key tuple built from bucket_index cell by cell, one graph at a time,
 and a greedy peel that takes one point at a time from its vertex's
 remaining units (lowest center first, or every center with units left
@@ -21,9 +22,8 @@ from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import (
     ZERO_ID,
     CompressedGraph,
+    KeyBuilder,
     aspect_graph,
-    block_keys,
-    bucket_block,
     bucket_index,
     bucket_weight,
 )
@@ -112,7 +112,8 @@ def test_block_keys_match_scalar_keys(inst):
     for P, G in blocks_of(X, groups, bounds):
         sq = pairwise_sqdist(P, C)
         want = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
-        keys, inverse, _counts, _owner = block_keys([g], sq, G)
+        kb = g.key_builder
+        keys, inverse, _counts, _owner = kb.block_keys(pairwise_sqdist(P, kb.centers), G)
         assert [keys[i] for i in inverse] == want
         g.add_block(P, G)
         for key in want:
@@ -171,39 +172,99 @@ def stacks(draw):
     return graphs, X, groups, bounds
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(stacks())
-def test_stacked_pass_matches_each_graph_alone(inst):
-    graphs, X, groups, bounds = inst
-    m, k = len(graphs), graphs[0].k
+def check_stacked_pass(graphs, X, groups, bounds):
+    """Key every block for all graphs at once and compare each graph's
+    keys, counts and vertices with the scalar reference, block by block."""
+    k = graphs[0].k
+    kb = KeyBuilder(graphs)
     stacked = np.vstack([g.centers for g in graphs])
+    assert np.array_equal(kb.centers[kb.col].view(np.int64), stacked.view(np.int64))
     refs = [{} for _ in graphs]
     for P, G in blocks_of(X, groups, bounds):
         b = P.shape[0]
-        sq = pairwise_sqdist(P, stacked)
-        keys, inverse, counts, owner = block_keys(graphs, sq, G)
+        sq = pairwise_sqdist(P, kb.centers)
+        keys, inverse, counts, owner = kb.block_keys(sq, G)
+        assert len(set(zip(owner, keys))) == len(keys)      # distinct per graph
         assert np.bincount(inverse, minlength=len(keys)).tolist() == counts.tolist()
         for j, g in enumerate(graphs):
             alone = pairwise_sqdist(P, g.centers)
-            # the stacked distances are the per-graph ones, bit for bit
-            assert np.array_equal(sq[:, j * k:(j + 1) * k], alone)
+            # the projected distances are the per-graph ones, bit for bit
+            assert np.array_equal(sq[:, kb.col[j * k:(j + 1) * k]], alone)
             for r in range(b):
                 want = ref_key(g, alone[r], None if G is None else G[r])
                 i = inverse[j * b + r]
                 assert owner[i] == j and keys[i] == want
                 refs[j][want] = refs[j].get(want, 0) + 1
-        bucket_block(graphs, sq, G)
+        kb.bucket_block(sq, G)
         # each graph's vertices: same keys, counts and insertion order
         for g, ref in zip(graphs, refs):
             assert list(g.vertices.items()) == list(ref.items())
+    return kb
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stacks())
+def test_stacked_pass_matches_each_graph_alone(inst):
+    check_stacked_pass(*inst)
+
+
+@st.composite
+def shared_stacks(draw):
+    """m graphs whose centers come from one pool of 2k points, as a
+    list's candidates do from the 2k seed centers: graph 0 repeats a
+    center, and a plain, a floor and an aspect graph share pool point 0,
+    so one distinct center carries several floors."""
+    k = draw(st.integers(2, 3))
+    m = draw(st.integers(3, 6))
+    d = draw(st.integers(1, 3))
+    f = draw(st.sampled_from([1.0, 0.001, 37.5]))
+    grid = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    pool = np.array(draw(st.lists(grid, min_size=2 * k, max_size=2 * k)), dtype=float) * f
+    picks = [draw(st.lists(st.integers(0, 2 * k - 1), min_size=k, max_size=k))
+             for _ in range(m)]
+    picks[0][1] = picks[0][0]
+    for j in range(3):
+        picks[j][draw(st.integers(0, k - 1))] = 0
+    n = draw(st.integers(1, 30))
+    X = np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float) * f
+    for r in range(0, n, 2):                            # exact zeros on pool points
+        X[r] = pool[draw(st.integers(0, 2 * k - 1))]
+    shapes = ["plain", "floor", "aspect"] + [
+        draw(st.sampled_from(["plain", "floor", "aspect"])) for _ in range(m - 3)]
+    graphs = []
+    for pick, shape in zip(picks, shapes):
+        C = pool[pick]
+        if shape == "aspect":
+            graphs.append(aspect_graph(C, EPS, draw(st.sampled_from([0.5, 1.0, 2.0])) * f, 1))
+        elif shape == "floor":
+            below = draw(st.sampled_from([0.5, 1.5, 2.5, 4.5]))
+            graphs.append(CompressedGraph(C, EPS, contract_below=below * f * f))
+        else:
+            graphs.append(CompressedGraph(C, EPS))
+    groups = None
+    if draw(st.booleans()):
+        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    bounds = sorted({0, n, *draw(st.lists(st.integers(1, n), max_size=3))})
+    return graphs, X, groups, bounds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shared_stacks())
+def test_shared_centers_key_like_each_graph_alone(inst):
+    graphs, X, _groups, _bounds = inst
+    kb = check_stacked_pass(*inst)
+    m, k = len(graphs), graphs[0].k
+    assert len(kb.centers) < m * k
+    # pool point 0 is one distinct center with three floors: 0, a fixed
+    # floor and an aspect floor
+    assert len({g.contract_below for g in graphs[:3]}) == 3
 
 
 def test_stacked_graphs_share_k_and_epsilon():
-    P = np.zeros((2, 2))
     a = CompressedGraph(np.ones((2, 2)), EPS)
     for b in (CompressedGraph(np.ones((3, 2)), EPS), CompressedGraph(np.ones((2, 2)), 0.25)):
         with pytest.raises(ValueError, match="same k and epsilon"):
-            block_keys([a, b], pairwise_sqdist(P, np.vstack([a.centers, b.centers])))
+            KeyBuilder([a, b])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -464,6 +464,11 @@ EXIT_CLAUSES = [
     ("squared distance overflows", "stream", [], _far_half, "a squared distance overflows float64"),
     ("squared distance overflows, at most 2k rows", "stream", ["--k", "2"], _four_rows_two_far,
      "a squared distance overflows float64"),
+    # SMALL gives --eta, --tau and --reps, so the anchor copies overflow
+    ("preset default beyond int64", "solve", ["--preset", "formula", "--epsilon", "1e-100"], None,
+     "the formula preset's anchor_copies is not a finite integer within int64"),
+    ("preset default beyond int64", "stream", ["--epsilon", "1e-100"], None,
+     "the desk preset's anchor_copies is not a finite integer within int64"),
     ("NaN --list-alpha", "solve", ["--list-alpha", "nan"], None,
      "alpha is an approximation factor, need alpha >= 1"),
     ("NaN --list-alpha", "stream", ["--list-alpha", "nan"], None,
@@ -502,6 +507,28 @@ def test_exit_code_paragraph(tmp_path, capsys, monkeypatch, clause, command, ext
     assert run(*argv) == 3
     assert names.format(data=data) in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("extra,name", [
+    (["--list-alpha", "inf"], "eta"),
+    (["--epsilon", "1e-100"], "eta"),
+    (["--epsilon", "1e-100", "--eta", "4"], "tau"),
+])
+def test_exit_code_paragraph_formula_defaults(tmp_path, capsys, extra, name):
+    # without SMALL's knobs the formula preset computes eta and tau itself
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    assert run("solve", data, "--k", "3", "--seed", "1", "--preset", "formula", *extra,
+               "--out", tmp_path / "out") == 3
+    assert f"the formula preset's {name} is not a finite integer within int64" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_desk_preset_runs_at_list_alpha_inf(tmp_path):
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    assert run("solve", data, "--k", "3", "--seed", "1", *SMALL, "--list-alpha", "inf",
+               "--out", tmp_path / "out") == 0
+    assert json.loads((tmp_path / "out.json").read_text())["params"]["alpha"] == "inf"
 
 
 def test_exit_code_paragraph_gen_dim_zero(tmp_path, capsys):

@@ -15,7 +15,6 @@ from ckmeans.hyperbucket import (
     CompressedGraph,
     aspect_graph,
     aspect_guesses,
-    block_keys,
     bucket_index,
     bucket_indices,
     bucket_weight,
@@ -27,7 +26,8 @@ from reference import max_weight_error
 
 def row_keys(g, P):
     """The vertex key of each row of P under graph g."""
-    keys, inverse, _counts, _owner = block_keys([g], pairwise_sqdist(P, g.centers))
+    kb = g.key_builder
+    keys, inverse, _counts, _owner = kb.block_keys(pairwise_sqdist(P, kb.centers))
     return [keys[i] for i in inverse]
 
 

@@ -36,6 +36,31 @@ def test_explicit_overrides_survive_resolution():
     assert (p["eta"], p["tau"], p["repetitions"], p["copies"]) == (3, 1, 2, 1)
 
 
+@pytest.mark.parametrize("preset,knobs,name", [
+    ("formula", {"alpha": math.inf}, "eta"),
+    ("formula", {"alpha": 1e308, "tau": 1}, "eta"),
+    ("formula", {"epsilon": 1e-100}, "eta"),            # eps^4 underflows to 0
+    ("formula", {"epsilon": 1e-20}, "eta"),             # finite, beyond int64
+    ("formula", {"epsilon": 1e-100, "eta": 4}, "tau"),
+    ("formula", {"t": 64, "eta": 4, "tau": 1}, "repetitions"),
+    ("formula", {"epsilon": 1e-100, "eta": 4, "tau": 1, "repetitions": 2}, "anchor_copies"),
+    ("desk", {"epsilon": 1e-320}, "anchor_copies"),     # 128 t / eps is +inf
+])
+def test_formula_defaults_beyond_int64_name_their_knob(preset, knobs, name):
+    cfg = GoodCentersConfig(**{"t": 3, "epsilon": 0.5, "preset": preset, **knobs})
+    with pytest.raises(ValueError, match=f"preset's {name} is not a finite integer within int64"):
+        cfg.resolved()
+
+
+def test_explicit_knobs_replace_a_formula_beyond_int64():
+    cfg = GoodCentersConfig(t=3, epsilon=1e-100, alpha=math.inf, preset="formula",
+                            eta=4, tau=1, repetitions=2, anchor_copies=3)
+    assert cfg.resolved()["copies"] == 3
+    # the desk preset never reads alpha
+    assert GoodCentersConfig(t=3, epsilon=0.5, alpha=math.inf, preset="desk").resolved()[
+        "alpha"] == math.inf
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GoodCentersConfig(t=0, epsilon=0.5)
