@@ -231,10 +231,6 @@ class KeyBuilder:
         self.floored = np.flatnonzero(rank > 0)    # stacked columns a count can zero
         self.count_of = count_col[self.col[self.floored]]
         self.rank = rank[self.floored]
-        # without count columns, a graph that reads every distinct center
-        # keeps distinct rows distinct
-        self.injective = not self.steps and all(
-            len(set(col[j * k:(j + 1) * k])) == width for j in range(len(graphs)))
 
     def block_keys(self, sq: np.ndarray, groups=None):
         """Distinct vertex keys of one block under each graph.
@@ -270,7 +266,10 @@ class KeyBuilder:
         owner = np.repeat(np.arange(m), D)
         inverse = (np.arange(m)[:, None] * D + inverse).ravel()
         counts = np.tile(counts, m)
-        if not self.injective:
+        if m > 1:
+            # a graph that skips some distinct centers, or zeroes one
+            # below its floor, can merge distinct rows; one graph reads
+            # every distinct center under its one floor and cannot
             P = np.hstack([owner[:, None], S] + ([] if G is None else [G[:, None]]))
             first, again, _rows = _distinct_rows(P)
             owner, S = owner[first], S[first]
