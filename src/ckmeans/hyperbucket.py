@@ -213,23 +213,19 @@ class KeyBuilder:
             raise ValueError("graphs bucketed together need the same k and epsilon")
         self.graphs, self.k, self.epsilon = graphs, k, eps
         self.centers, self.col = distinct_centers(np.vstack([g.centers for g in graphs]))
-        width, col = self.centers.shape[0], self.col.tolist()
-        below = [g.contract_below for g in graphs for _ in range(k)]
-        floors = [set() for _ in range(width)]
-        for u, f in zip(col, below):
-            floors[u].add(f)
-        floors = [sorted(f) for f in floors]
+        width = self.centers.shape[0]
+        below = np.repeat([g.contract_below for g in graphs], k)
+        floors = [sorted(set(below[self.col == u].tolist())) for u in range(width)]
         lowest = np.array([f[0] for f in floors])
         self.lowest = lowest if (lowest > 0.0).any() else None
-        # per distinct center with several floors: its higher floors and
+        # per distinct center with several floors: its higher floors, and
         # the key column counting them
         self.steps = [(u, np.array(f[1:])) for u, f in enumerate(floors) if len(f) > 1]
-        count_col = np.zeros(width, dtype=np.int64)
-        for i, (u, _f) in enumerate(self.steps):
-            count_col[u] = width + i
-        rank = np.array([floors[u].index(f) for u, f in zip(col, below)])
+        count_col = {u: width + i for i, (u, _f) in enumerate(self.steps)}
+        rank = np.array([floors[u].index(f) for u, f in zip(self.col.tolist(), below.tolist())])
         self.floored = np.flatnonzero(rank > 0)    # stacked columns a count can zero
-        self.count_of = count_col[self.col[self.floored]]
+        self.count_of = np.array([count_col[u] for u in self.col[self.floored].tolist()],
+                                 dtype=np.int64)
         self.rank = rank[self.floored]
 
     def block_keys(self, sq: np.ndarray, groups=None):
