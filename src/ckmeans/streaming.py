@@ -199,9 +199,9 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
     is fed only while the potential seen so far is zero).  Returns
     (candidates, seed, points_seen)."""
     meter = meter if meter is not None else SpaceMeter()
-    p = cfg.resolved()
     if cfg.preset != "desk":
         raise ValueError("streaming list generation needs the desk preset")
+    p = cfg.resolved()
     rng_seed, rng_sample = rng.spawn(2)
 
     if chunk is None:

@@ -269,6 +269,10 @@ def test_stream_rejects_paper_preset_and_chromatic(tmp_path, capsys):
                "--out", tmp_path / "out") == 3
     assert "needs the desk preset" in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
+    # also where the formula's own defaults are beyond int64
+    assert run("stream", data, "--k", "3", "--seed", "4", "--preset", "formula",
+               "--list-alpha", "inf") == 3
+    assert "needs the desk preset" in capsys.readouterr().err
     assert run("stream", data, "--k", "3", "--seed", "4", *SMALL,
                "--variant", "chromatic") == 3
     for block in ("0", "-5"):
