@@ -10,15 +10,20 @@ downstream flow problems see a graph whose size no longer depends on
 n.  This module alone reads the key layout: the solvers get a graph's
 vertices as arrays from CompressedGraph.vertex_arrays.
 
-A stream pass keys a block for every candidate graph at once, with one
-KeyBuilder.  The candidates of a list share most of their centers, so
-the block is measured once per distinct center: one distance matrix,
-one bucketing and one grouping of the block's int64 slot rows (plus
-the group id when groups ride along) by a stable lexsort.  Its few
-distinct rows are then projected onto each graph's columns and
-regrouped graph-major, a row per (graph, distinct row) with the graph
-id in front.  Python objects are built once per distinct vertex of a
-block, never per point; a single graph is the case of one.
+A stream pass keys its blocks for every candidate graph at once, with
+one KeyBuilder.  The candidates of a list share most of their centers,
+so a block is measured once per distinct center: one distance matrix
+and one bucketing into int64 slot rows (plus the group id when groups
+ride along).  The graph pass counts the rows, keyed by their bytes,
+into the pass's row table, which keeps rows in order of first
+occurrence and holds at most as many as a block.  When it is full, and
+at the end of the pass, the table is projected onto each graph's
+columns and regrouped graph-major by a stable lexsort, a row per
+(graph, table row) with the graph id in front.  First occurrence in
+the table is first occurrence in the stream, so every graph's vertices
+come out in the same order as if each block were projected alone.
+Key tuples are built once per distinct vertex of a table, never per
+point; a single graph is the case of one.
 
 Aspect-ratio removal is a contraction floor: squared distances below
 (u/n^2)^2 count as zero for a scale guess u.  aspect_graph takes u as
@@ -32,6 +37,7 @@ independent of the data's aspect ratio, and every weight is finite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -163,6 +169,7 @@ class CompressedGraph:
         """Bucket a block of points into vertices."""
         kb = self.key_builder
         kb.bucket_block(pairwise_sqdist(as_points(points), kb.centers), groups)
+        kb.flush()
 
     def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The vertices in insertion order as the arrays the solvers run
@@ -197,10 +204,10 @@ class KeyBuilder:
     """Keys blocks of points for several graphs of one k and epsilon.
 
     The graphs' stacked centers are deduplicated once into centers (U)
-    with a column map col, so a block is measured, bucketed and grouped
-    once per distinct center; the block's distinct rows are then
+    with a column map col, so a block is measured and bucketed once per
+    distinct center; its distinct rows, or a row table's, are then
     projected onto each graph's columns.  A graph's floor applies in
-    the same grouping: each distinct center takes the lowest floor of
+    the same rows: each distinct center takes the lowest floor of
     its graphs before bucketing, and a center whose graphs have higher
     floors gets one more column, the count of those floors at or below
     the squared distance; a graph's slot is zero where that count falls
@@ -227,18 +234,17 @@ class KeyBuilder:
         self.count_of = np.array([count_col[u] for u in self.col[self.floored].tolist()],
                                  dtype=np.int64)
         self.rank = rank[self.floored]
+        # bucket_block's row table: a slot row's bytes -> its points, and
+        # whether its rows end in a group
+        self.table: dict = {}
+        self.grouped = False
 
-    def block_keys(self, sq: np.ndarray, groups=None):
-        """Distinct vertex keys of one block under each graph.
-
-        sq holds the block's squared distances to self.centers, shape
-        (b, len(self.centers)).  Returns (keys, inverse, counts, owner):
-        keys[i] is a (slots, group) vertex of graphs[owner[i]], graph by
-        graph and in order of first occurrence; point r under graph j
-        falls into keys[inverse[j*b + r]], and counts[i] points fall into
-        keys[i].  With one graph, inverse maps the block's rows.
-        """
-        m, k = len(self.graphs), self.k
+    def slot_rows(self, sq: np.ndarray, groups=None) -> np.ndarray:
+        """The block's int64 slot rows, one per point: a bucket id or
+        ZERO_ID per distinct center under its lowest floor, a count
+        column per center with higher floors, and the group last when
+        groups ride along.  sq holds the block's squared distances to
+        self.centers, shape (b, len(self.centers))."""
         if self.lowest is not None:
             sq = np.where(sq < self.lowest, 0.0, sq)
         idx, zero = bucket_indices(sq, self.epsilon)
@@ -247,9 +253,16 @@ class KeyBuilder:
                         for u, f in self.steps]
         if groups is not None:
             cols.append(np.asarray(groups).astype(np.int64)[:, None])
-        M = np.hstack(cols) if len(cols) > 1 else idx
-        first, inverse, counts = _distinct_rows(M)
-        R = M[first]
+        return np.hstack(cols) if len(cols) > 1 else idx
+
+    def project(self, R: np.ndarray, counts: np.ndarray, grouped: bool):
+        """Distinct slot rows R, counts[i] points on row i, under every
+        graph.  Returns (keys, again, counts, owner): keys[i] is a
+        (slots, group) vertex of graphs[owner[i]], graph by graph and in
+        R's order of first occurrence; row i under graph j falls into
+        keys[again[j*len(R) + i]], and counts[i] points fall into keys[i].
+        """
+        m, k = len(self.graphs), self.k
         D = R.shape[0]
         slots = R[:, self.col]
         if self.floored.size:
@@ -258,9 +271,9 @@ class KeyBuilder:
             slots[:, self.floored] = part
         # the D distinct rows under every graph, graph-major
         S = slots.reshape(D, m, k).transpose(1, 0, 2).reshape(m * D, k)
-        G = None if groups is None else np.tile(R[:, -1], m)
+        G = np.tile(R[:, -1], m) if grouped else None
         owner = np.repeat(np.arange(m), D)
-        inverse = (np.arange(m)[:, None] * D + inverse).ravel()
+        again = np.arange(m * D)
         counts = np.tile(counts, m)
         if m > 1:
             # a graph that skips some distinct centers, or zeroes one
@@ -270,14 +283,54 @@ class KeyBuilder:
             first, again, _rows = _distinct_rows(P)
             owner, S = owner[first], S[first]
             G = None if G is None else G[first]
-            inverse = again[inverse]
             counts = np.bincount(again, weights=counts).astype(np.int64)
         keys = list(zip(map(tuple, S.tolist()), repeat(None) if G is None else G.tolist()))
-        return keys, inverse, counts, owner.tolist()
+        return keys, again, counts, owner.tolist()
+
+    def block_keys(self, sq: np.ndarray, groups=None):
+        """Distinct vertex keys of one block under each graph.
+
+        sq as for slot_rows.  Returns (keys, inverse, counts, owner) as
+        project does, with point r under graph j falling into
+        keys[inverse[j*b + r]].  With one graph, inverse maps the
+        block's rows.
+        """
+        M = self.slot_rows(sq, groups)
+        first, inverse, counts = _distinct_rows(M)
+        keys, again, counts, owner = self.project(M[first], counts, groups is not None)
+        rows = (np.arange(len(self.graphs))[:, None] * first.size + inverse).ravel()
+        return keys, again[rows], counts, owner
 
     def bucket_block(self, sq: np.ndarray, groups=None) -> None:
-        """Bucket one block into every graph; sq as for block_keys."""
-        keys, _inverse, counts, owner = self.block_keys(sq, groups)
+        """Count one block's slot rows into the row table; sq as for
+        slot_rows.  The table keeps rows in order of first occurrence
+        over the stream, so projecting it keeps each graph's vertex
+        order.  A new row that finds the table holding as many rows as
+        the block projects it first; so does a block that brings or
+        drops the group column.  Call flush at the end of the pass."""
+        M = np.ascontiguousarray(self.slot_rows(sq, groups))
+        if (groups is not None) != self.grouped:
+            self.flush()
+            self.grouped = groups is not None
+        table, b = self.table, M.shape[0]
+        # a row's bytes stand for it: int64 rows are equal iff their bytes are
+        rows = Counter(M.view(np.dtype((np.void, 8 * M.shape[1]))).ravel().tolist())
+        for row, c in rows.items():
+            if row in table:
+                table[row] += c
+                continue
+            if len(table) >= b:
+                self.flush()
+            table[row] = c
+
+    def flush(self) -> None:
+        """Project the row table onto every graph's vertices and empty it."""
+        if not self.table:
+            return
+        R = np.frombuffer(b"".join(self.table), dtype=np.int64).reshape(len(self.table), -1)
+        counts = np.fromiter(self.table.values(), dtype=np.int64, count=R.shape[0])
+        self.table.clear()
+        keys, _again, counts, owner = self.project(R, counts, self.grouped)
         for j, key, c in zip(owner, keys, counts.tolist()):
             vertices = self.graphs[j].vertices
             vertices[key] = vertices.get(key, 0) + c

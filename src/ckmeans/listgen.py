@@ -141,19 +141,27 @@ def multiset_size(cfg: GoodCentersConfig, num_seed_centers: int) -> int:
 
 
 def list_size_bound(cfg: GoodCentersConfig, num_seed_centers: int) -> int:
-    """Upper bound on the number of emitted candidate tuples."""
+    """Upper bound on the number of emitted candidate tuples.  Under the
+    formula preset it is the exact count up to ENUM_GUARD; past the
+    guard, counting stops at the first partial count above it."""
     p = cfg.resolved()
     m = multiset_size(cfg, num_seed_centers)
     if m < p["tau"] * p["t"]:
         return 0
     if cfg.preset == "desk":
         return p["repetitions"] * p["subset_budget"]
-    per_rep = 1
+    # repetitions * prod comb(left, tau), one factor of each comb at a
+    # time: every partial product is an integer no larger than the count
+    count = p["repetitions"]
     left = m
     for _ in range(p["t"]):
-        per_rep *= math.comb(left, p["tau"])
+        below = min(p["tau"], left - p["tau"])
+        for i in range(1, below + 1):
+            count = count * (left - below + i) // i
+            if count > ENUM_GUARD:
+                return count
         left -= p["tau"]
-    return p["repetitions"] * per_rep
+    return count
 
 
 def _enumerate_tuples(m: int, t: int, tau: int):
@@ -215,8 +223,8 @@ def good_centers(X, C, cfg: GoodCentersConfig, rng) -> CandidateList:
         bound = list_size_bound(cfg, C.shape[0])
         if bound > ENUM_GUARD:
             raise ValueError(
-                f"formula preset would enumerate {bound} tuples, over the guard of "
-                f"{ENUM_GUARD}; override eta/tau/repetitions or use the desk preset")
+                f"formula preset would enumerate more tuples than the guard of {ENUM_GUARD}; "
+                "override eta/tau/repetitions or use the desk preset")
 
     # each repetition's generator draws its samples, then its tuples
     subs = rng.spawn(p["repetitions"])

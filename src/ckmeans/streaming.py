@@ -6,7 +6,8 @@ pass when aspect-ratio removal is on), and one peeling the winning
 solution into per-point assignments: 4 passes, 5 with aspect removal.
 The graph and scale passes handle each block once for all candidates:
 they measure it against the list's distinct centers and project onto
-each candidate's columns.
+each candidate's columns, the graph pass a table of up to a block's
+distinct rows at a time.
 Solving happens offline between passes on the compressed graphs, never
 on raw points.  batch_solve is the in-memory pipeline behind
 `ckmeans solve`.  Both build their candidate list with
@@ -357,6 +358,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         for pts, colors, targets in source.open():
             kb.bucket_block(pairwise_sqdist(pts, kb.centers),
                             variant_groups(variant, colors, targets))
+        kb.flush()
         for g in graphs:
             meter.alloc_words(len(g.vertices) * (g.k + 1))
 

@@ -2,8 +2,10 @@
 
 KeyBuilder keys a block for one or several graphs: it groups the
 block's rows once over the graphs' distinct centers and projects the
-distinct rows onto each graph; CompressedSolution.assign_block peels
-each vertex's rows at once.  The references here are the per-point forms: a
+distinct rows onto each graph.  A stream pass counts its blocks' rows
+into a row table first and projects the table when it is full and at
+the end of the pass.  CompressedSolution.assign_block peels each
+vertex's rows at once.  The references here are the per-point forms: a
 key tuple built from bucket_index cell by cell, one graph at a time,
 and a greedy peel that takes one point at a time from its vertex's
 remaining units (lowest center first, or every center with units left
@@ -196,6 +198,7 @@ def check_stacked_pass(graphs, X, groups, bounds):
                 assert owner[i] == j and keys[i] == want
                 refs[j][want] = refs[j].get(want, 0) + 1
         kb.bucket_block(sq, G)
+        kb.flush()
         # each graph's vertices: same keys, counts and insertion order
         for g, ref in zip(graphs, refs):
             assert list(g.vertices.items()) == list(ref.items())
@@ -258,6 +261,96 @@ def test_shared_centers_key_like_each_graph_alone(inst):
     # pool point 0 is one distinct center with three floors: 0, a fixed
     # floor and an aspect floor
     assert len({g.contract_below for g in graphs[:3]}) == 3
+
+
+@st.composite
+def table_streams(draw):
+    """A shared stack fed in blocks of 1, 7 or more than n rows, with no
+    groups, groups, or ungrouped blocks followed by grouped ones."""
+    graphs, X, _groups, _bounds = draw(shared_stacks())
+    n = X.shape[0]
+    b = draw(st.sampled_from([1, 7, n + 5]))
+    groups = draw(st.sampled_from(["none", "all", "later"]))
+    G = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    blocks = []
+    for lo in range(0, n, b):
+        grouped = groups == "all" or (groups == "later" and lo >= n // 2)
+        blocks.append((X[lo:lo + b], G[lo:lo + b] if grouped else None))
+    return graphs, blocks
+
+
+def feed_table(kb, blocks):
+    """Count every block into kb's row table and flush once at the end.
+    Pins the table's bound after each block and records every flush of
+    a non-empty table as (its rows, the rows of the block being
+    counted, or None at the end of the pass)."""
+    flushes, current = [], [None, None]
+    flush = kb.flush
+
+    def spy():
+        b, grouped = current
+        if kb.table:
+            # mid-pass, only a full table or a change of the group
+            # column projects the table
+            assert b is None or len(kb.table) >= b or kb.grouped != grouped
+            flushes.append((len(kb.table), b))
+        flush()
+    kb.flush = spy
+    for P, G in blocks:
+        b = P.shape[0]
+        current[:] = b, G is not None
+        before = list(kb.table)
+        kb.bucket_block(pairwise_sqdist(P, kb.centers), G)
+        # a block leaves at most its own row count in the table, or only
+        # added points to rows already there
+        assert len(kb.table) <= b or list(kb.table) == before
+    current[:] = None, None
+    kb.flush()
+    assert not kb.table
+    return flushes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table_streams())
+def test_row_table_spans_blocks_like_each_graph_alone(inst):
+    graphs, blocks = inst
+    kb = KeyBuilder(graphs)
+    feed_table(kb, blocks)
+    refs = [{} for _ in graphs]
+    for P, G in blocks:
+        for g, ref in zip(graphs, refs):
+            alone = pairwise_sqdist(P, g.centers)
+            for r in range(P.shape[0]):
+                key = ref_key(g, alone[r], None if G is None else G[r])
+                ref[key] = ref.get(key, 0) + 1
+    # each graph's vertices: same keys, counts and insertion order
+    for g, ref in zip(graphs, refs):
+        assert list(g.vertices.items()) == list(ref.items())
+
+
+def test_row_table_holds_at_most_a_block():
+    # one center at 0 and points at 1.5^i: every point has its own
+    # bucket, so every row of the stream is new
+    g = CompressedGraph(np.zeros((1, 1)), EPS)
+    X = 1.5 ** np.arange(12.0)[:, None]
+    kb = KeyBuilder([g])
+    flushes = feed_table(kb, [(X[lo:lo + 4], None) for lo in range(0, 12, 4)])
+    # the table fills to a block's 4 rows; the next new row projects it
+    assert flushes == [(4, 4), (4, 4), (4, None)]
+    assert list(g.vertices.values()) == [1] * 12
+    # rows already in a full table only add points: no projection
+    g = CompressedGraph(np.zeros((1, 1)), EPS)
+    kb = KeyBuilder([g])
+    flushes = feed_table(kb, [(X[:4], None), (X[3::-1], None), (X[:2], None)])
+    assert flushes == [(4, None)]
+    assert list(g.vertices.values()) == [3, 3, 2, 2]
+    # a smaller block is a smaller bound: its first new row projects a
+    # table that a larger block filled
+    g = CompressedGraph(np.zeros((1, 1)), EPS)
+    kb = KeyBuilder([g])
+    flushes = feed_table(kb, [(X[:4], None), (X[:1], None), (X[4:5], None)])
+    assert flushes == [(4, 1), (1, None)]
+    assert len(kb.graphs[0].vertices) == 5
 
 
 def test_stacked_graphs_share_k_and_epsilon():

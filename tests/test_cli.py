@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ckmeans
 from ckmeans.cli import _dump, _jsonable, main
 from ckmeans.data import Dataset, read_dataset_csv
 from ckmeans.listgen import GoodCentersConfig
@@ -427,6 +431,22 @@ def _labels_file(labels):
     return edit
 
 
+# edit marker: the row runs the CLI in a child process under a timeout,
+# so a command that never ends fails its row instead of hanging the run
+IN_CHILD = "in a child process"
+CHILD_TIMEOUT_S = 60
+
+
+def _run_in_child(argv):
+    src = str(Path(ckmeans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys; from ckmeans.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    return done.returncode, done.stderr
+
+
 def _rewrite_on_pass(monkeypatch, path, pass_no, edit):
     # applies edit to the data file as pass pass_no opens it
     blocks = CSVSource._blocks
@@ -473,6 +493,12 @@ EXIT_CLAUSES = [
      "the formula preset's anchor_copies is not a finite integer within int64"),
     ("preset default beyond int64", "stream", ["--epsilon", "1e-100"], None,
      "the desk preset's anchor_copies is not a finite integer within int64"),
+    # the formula's own eta, tau and repetitions at epsilon 1e-3, in
+    # place of SMALL's: counting the list's tuples used to never end
+    ("formula preset list over the enumeration guard", "solve",
+     ["--preset", "formula", "--epsilon", "1e-3", "--eta", "393216000000000000",
+      "--tau", "128000", "--reps", "8"], IN_CHILD,
+     "formula preset would enumerate more tuples than the guard of 200000"),
     ("NaN --list-alpha", "solve", ["--list-alpha", "nan"], None,
      "alpha is an approximation factor, need alpha >= 1"),
     ("NaN --list-alpha", "stream", ["--list-alpha", "nan"], None,
@@ -503,13 +529,17 @@ def test_exit_code_paragraph(tmp_path, capsys, monkeypatch, clause, command, ext
     data, _ = gen(tmp_path, kind="gaussian", n=60)
     if isinstance(edit, tuple):
         _rewrite_on_pass(monkeypatch, data, *edit)
-    elif edit is not None:
+    elif edit not in (None, IN_CHILD):
         edit(data)
     solver = [] if command == "verify" else ["--k", "3", "--seed", "1", *SMALL]
     extra = [a.format(data=data) for a in extra]
     argv = [command, data, *solver, *extra, "--out", tmp_path / "out"]
-    assert run(*argv) == 3
-    assert names.format(data=data) in capsys.readouterr().err
+    if edit == IN_CHILD:
+        code, err = _run_in_child(argv)
+    else:
+        code, err = run(*argv), capsys.readouterr().err
+    assert code == 3
+    assert names.format(data=data) in err
     assert not list(tmp_path.glob("out*"))
 
 

@@ -93,6 +93,22 @@ def test_multiset_and_bound_arithmetic():
     assert list_size_bound(desk, 3) == 3 * 17
 
 
+@pytest.mark.parametrize("t,eta,tau,reps,copies", [
+    (t, eta, tau, reps, copies)
+    for t in (1, 2, 3) for eta in (1, 3, 40) for tau in (1, 2, 5)
+    for reps in (1, 8) for copies in (1, 7)])
+def test_bound_is_exact_up_to_the_guard(t, eta, tau, reps, copies):
+    cfg = GoodCentersConfig(t=t, epsilon=0.5, preset="formula", eta=eta, tau=tau,
+                            repetitions=reps, anchor_copies=copies)
+    m = multiset_size(cfg, 2 * t)
+    want = 0
+    if m >= tau * t:
+        want = reps * math.prod(math.comb(m - i * tau, tau) for i in range(t))
+    got = list_size_bound(cfg, 2 * t)
+    # past the guard the count stops early, at a partial count above it
+    assert got == want if want <= ENUM_GUARD else ENUM_GUARD < got <= want
+
+
 def test_enumerate_tuples_shape_and_disjointness():
     tuples = list(_enumerate_tuples(5, 2, 2))
     # C(5,2) * C(3,2) ordered pairs of disjoint 2-subsets
