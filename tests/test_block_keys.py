@@ -350,7 +350,7 @@ def test_row_table_holds_at_most_a_block():
     kb = KeyBuilder([g])
     flushes = feed_table(kb, [(X[:4], None), (X[:1], None), (X[4:5], None)])
     assert flushes == [(4, 1), (1, None)]
-    assert len(kb.graphs[0].vertices) == 5
+    assert len(g.vertices) == 5
 
 
 def test_stacked_graphs_share_k_and_epsilon():

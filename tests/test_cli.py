@@ -494,7 +494,7 @@ EXIT_CLAUSES = [
     ("preset default beyond int64", "stream", ["--epsilon", "1e-100"], None,
      "the desk preset's anchor_copies is not a finite integer within int64"),
     # the formula's own eta, tau and repetitions at epsilon 1e-3, in
-    # place of SMALL's: counting the list's tuples used to never end
+    # place of SMALL's: the exact tuple count has millions of digits
     ("formula preset list over the enumeration guard", "solve",
      ["--preset", "formula", "--epsilon", "1e-3", "--eta", "393216000000000000",
       "--tau", "128000", "--reps", "8"], IN_CHILD,
