@@ -158,7 +158,13 @@ def cmd_gen(args) -> int:
     rng = None if args.seed is None else np.random.default_rng(args.seed)
     info: dict = {}
     if args.kind == "gap":
-        inst = gap_instance(args.n, Fraction(args.gap_eps))
+        try:
+            eps = Fraction(args.gap_eps)
+            float(args.n * (1 + 2 * eps**2))    # the instance's largest value, its merged cost
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"--gap-eps must be a fraction like 1/10 whose gap instance "
+                             f"fits float64, got {args.gap_eps!r}") from None
+        inst = gap_instance(args.n, eps)
         ds = inst.dataset
         info = {
             "kind": "gap",

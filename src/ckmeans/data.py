@@ -33,6 +33,12 @@ class Dataset:
             v = getattr(self, name)
             if v is None:
                 continue
+            v = np.asarray(v)
+            if v.dtype.kind not in "bi":
+                # a cast would truncate 1.7 to 1, or wrap or overflow past int64
+                x = v if v.dtype.kind == "u" else v.astype(np.float64)
+                if not ((x == np.trunc(x)) & (np.abs(x) < 2**63)).all():
+                    raise ValueError(f"{name} must be integers within int64")
             v = np.asarray(v, dtype=np.int64)
             if v.shape != (self.points.shape[0],):
                 raise ValueError(f"{name} must have one entry per point")

@@ -257,10 +257,11 @@ class KeyBuilder:
 
     def project(self, R: np.ndarray, counts: np.ndarray, grouped: bool):
         """Distinct slot rows R, counts[i] points on row i, under every
-        graph.  Returns (keys, again, counts, owner): keys[i] is a
-        (slots, group) vertex of graphs[owner[i]], graph by graph and in
-        R's order of first occurrence; row i under graph j falls into
-        keys[again[j*len(R) + i]], and counts[i] points fall into keys[i].
+        graph.  Returns (keys, counts, owner): keys[i] is a (slots,
+        group) vertex of graphs[owner[i]] holding counts[i] points,
+        graph by graph and in R's order of first occurrence.  With one
+        graph, keys[i] is row i's vertex: the graph reads every distinct
+        center under its one floor, so distinct rows keep distinct keys.
         """
         m, k = len(self.graphs), self.k
         D = R.shape[0]
@@ -273,33 +274,17 @@ class KeyBuilder:
         S = slots.reshape(D, m, k).transpose(1, 0, 2).reshape(m * D, k)
         G = np.tile(R[:, -1], m) if grouped else None
         owner = np.repeat(np.arange(m), D)
-        again = np.arange(m * D)
         counts = np.tile(counts, m)
         if m > 1:
             # a graph that skips some distinct centers, or zeroes one
-            # below its floor, can merge distinct rows; one graph reads
-            # every distinct center under its one floor and cannot
+            # below its floor, can merge distinct rows
             P = np.hstack([owner[:, None], S] + ([] if G is None else [G[:, None]]))
             first, again, _rows = _distinct_rows(P)
             owner, S = owner[first], S[first]
             G = None if G is None else G[first]
             counts = np.bincount(again, weights=counts).astype(np.int64)
         keys = list(zip(map(tuple, S.tolist()), repeat(None) if G is None else G.tolist()))
-        return keys, again, counts, owner.tolist()
-
-    def block_keys(self, sq: np.ndarray, groups=None):
-        """Distinct vertex keys of one block under each graph.
-
-        sq as for slot_rows.  Returns (keys, inverse, counts, owner) as
-        project does, with point r under graph j falling into
-        keys[inverse[j*b + r]].  With one graph, inverse maps the
-        block's rows.
-        """
-        M = self.slot_rows(sq, groups)
-        first, inverse, counts = _distinct_rows(M)
-        keys, again, counts, owner = self.project(M[first], counts, groups is not None)
-        rows = (np.arange(len(self.graphs))[:, None] * first.size + inverse).ravel()
-        return keys, again[rows], counts, owner
+        return keys, counts, owner.tolist()
 
     def bucket_block(self, sq: np.ndarray, groups=None) -> None:
         """Count one block's slot rows into the row table; sq as for
@@ -330,7 +315,7 @@ class KeyBuilder:
         R = np.frombuffer(b"".join(self.table), dtype=np.int64).reshape(len(self.table), -1)
         counts = np.fromiter(self.table.values(), dtype=np.int64, count=R.shape[0])
         self.table.clear()
-        keys, _again, counts, owner = self.project(R, counts, self.grouped)
+        keys, counts, owner = self.project(R, counts, self.grouped)
         for j, key, c in zip(owner, keys, counts.tolist()):
             vertices = self.graphs[j].vertices
             vertices[key] = vertices.get(key, 0) + c

@@ -24,7 +24,8 @@ the k-means cost of re-centered clusters, and every edge cost is finite.
 Batch assignment and stream peeling share one owner/cost rule: raw
 points are vertices of count 1, owners are the centers that carry a
 vertex's flow, and the real cost is summed left to right in point
-order, then owner order.
+order, then owner order.  Peeling takes units off the solver's flow
+array, its rows found through the winner's own vertex keys.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .data import Dataset
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph
+from .hyperbucket import CompressedGraph, _distinct_rows
 
 # the one parameter each variant kind takes (None: it takes none)
 VARIANT_PARAMS = {
@@ -172,14 +173,11 @@ def _real_costs(sq, variant: Variant, targets, perm) -> np.ndarray:
     return semi_supervised_cost_terms(sq, targets, variant.alpha, perm)
 
 
-def _owner_tuples(owns: np.ndarray, vertex: np.ndarray) -> list:
-    """Owner tuples of the rows of a boolean (rows, k) matrix; row r lies
-    on left vertex vertex[r].  A vertex's owner sets shrink as the rank
-    grows (fault_tolerant) or are one center each, so (vertex, first
-    owner, size) names the set and each distinct set is built once."""
-    k = owns.shape[1]
-    code = (vertex * k + owns.argmax(axis=1)) * (k + 1) + owns.sum(axis=1)
-    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+def _owner_tuples(owns: np.ndarray) -> list:
+    """Owner tuples of the rows of a boolean (rows, k) matrix.  A row is
+    coded by its owner set, packed eight centers to a byte so that any
+    k fits, and each distinct set's tuple is built once."""
+    first, which, _counts = _distinct_rows(np.packbits(owns, axis=1))
     sets = [tuple(np.flatnonzero(owns[r]).tolist()) for r in first.tolist()]
     return [sets[i] for i in which.tolist()]
 
@@ -432,19 +430,21 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
     int_cost, scale, flows, perm = solved
     owns = flows > 0
     cost = _real_costs(left.weights, variant, left.groups, perm)
-    return Assignment(_owner_tuples(owns, np.arange(owns.shape[0])),
-                      _running_sum(0.0, cost[owns]), float(int_cost) * scale)
+    return Assignment(_owner_tuples(owns), _running_sum(0.0, cost[owns]), float(int_cost) * scale)
 
 
 @dataclass
 class CompressedSolution:
-    """A solved flow over a compressed graph, ready for assignment peeling."""
+    """A solved flow over a compressed graph, ready for assignment peeling:
+    flows is the solver's (L, k) array in graph.vertices order, and each
+    peeled block takes its units off in place."""
 
     graph: CompressedGraph
     variant: Variant
     int_cost: int
     scale: float
-    remaining: dict          # full_key -> int array of flow units per center
+    flows: np.ndarray
+    row: dict                # vertex key -> its row of flows
     perm: tuple | None = None
     peeled_cost: float = 0.0
 
@@ -464,11 +464,13 @@ class CompressedSolution:
         kb = self.graph.key_builder
         sq = pairwise_sqdist(as_points(points), kb.centers)
         cost = _real_costs(sq[:, kb.col], self.variant, groups, self.perm)
-        keys, inverse, counts, _owner = kb.block_keys(sq, groups)
-        if any(key not in self.remaining for key in keys):
+        M = kb.slot_rows(sq, groups)
+        first, inverse, counts = _distinct_rows(M)
+        keys, _counts, _owner = kb.project(M[first], counts, groups is not None)
+        vertex = [self.row.get(key) for key in keys]
+        if None in vertex:
             raise InfeasiblePartitionError("no flow on this point's vertex")
-        units = np.array([self.remaining[key] for key in keys],
-                         dtype=np.int64).reshape(-1, self.graph.k)
+        units = self.flows[vertex]
         order = np.argsort(inverse, kind="stable")
         rank = np.empty_like(inverse)
         rank[order] = np.arange(inverse.size) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -485,11 +487,10 @@ class CompressedSolution:
             taken = np.minimum(upto, c) - np.minimum(below, c)
         if short.any():
             raise InfeasiblePartitionError("no flow left on this point's vertex")
-        for key, t in zip(keys, taken):
-            self.remaining[key] -= t
+        self.flows[vertex] -= taken
         # summed in point order, then owner order
         self.peeled_cost = _running_sum(self.peeled_cost, cost[owns])
-        return _owner_tuples(owns, inverse)
+        return _owner_tuples(owns)
 
 
 def compressed_partition(graph: CompressedGraph, variant: Variant,
@@ -499,5 +500,5 @@ def compressed_partition(graph: CompressedGraph, variant: Variant,
     if solved is None:
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible flow on compressed graph")
     int_cost, scale, flows, perm = solved
-    remaining = {key: flows[i].copy() for i, key in enumerate(graph.vertices)}
-    return CompressedSolution(graph, variant, int_cost, scale, remaining, perm)
+    row = {key: i for i, key in enumerate(graph.vertices)}
+    return CompressedSolution(graph, variant, int_cost, scale, flows, row, perm)

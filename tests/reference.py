@@ -16,6 +16,7 @@ import numpy as np
 
 from ckmeans.data import Dataset
 from ckmeans.geometry import as_points, pairwise_sqdist
+from ckmeans.hyperbucket import _distinct_rows
 from ckmeans.oracle import OracleLimit, _guard
 from ckmeans.partition import Assignment, Variant
 from ckmeans.stability import cluster_stats
@@ -66,14 +67,25 @@ class Reservoir:
 
 # hyperbucket -----------------------------------------------------------------
 
+def row_keys(graph, points, groups=None) -> list:
+    """The vertex key of each point under graph, keyed the way
+    CompressedSolution.assign_block keys a block: the graph's own
+    KeyBuilder groups the slot rows and projects the distinct ones."""
+    kb = graph.key_builder
+    M = kb.slot_rows(pairwise_sqdist(as_points(points), kb.centers), groups)
+    first, inverse, counts = _distinct_rows(M)
+    keys, _counts, _owner = kb.project(M[first], counts, groups is not None)
+    return [keys[i] for i in inverse.tolist()]
+
+
 def max_weight_error(graph, points) -> float:
     """Largest relative gap between a member's true squared distance
     and its bucket weight; diagnostic for the soundness invariant."""
     sq = pairwise_sqdist(as_points(points), graph.centers)
-    kb = graph.key_builder
-    keys, inverse, counts, _owner = kb.block_keys(pairwise_sqdist(as_points(points), kb.centers))
-    probe = replace(graph, vertices=dict(zip(keys, counts.tolist())))
-    w = probe.vertex_arrays()[0][inverse]
+    keys = row_keys(graph, points)
+    probe = replace(graph, vertices=dict.fromkeys(keys, 1))
+    row = {key: i for i, key in enumerate(probe.vertices)}
+    w = probe.vertex_arrays()[0][[row[key] for key in keys]]
     s = np.where(sq < graph.contract_below, 0.0, sq)
     if ((s == 0.0) & (w != 0.0)).any():
         return math.inf

@@ -34,6 +34,7 @@ from ckmeans.stability import (
     gap_merged_cost_exact,
 )
 from ckmeans.streaming import ArraySource, SpaceMeter, batch_solve, full_pipeline
+from reference import row_keys
 
 
 def report(num, label, ok, detail):
@@ -147,10 +148,10 @@ def test_criterion_3_compression_fidelity():
         C = rng.normal(size=(4, 3)) * 5
         g = CompressedGraph(C, eps)
         true = pairwise_sqdist(X, C)
-        kb = g.key_builder        # C's rows are distinct: kb.centers is C
-        _keys, inverse, _counts, _owner = kb.block_keys(pairwise_sqdist(X, kb.centers))
-        g.add_block(X)            # one block: vertices in the keys' order
-        for i, s in enumerate(g.vertex_arrays()[0][inverse]):
+        keys = row_keys(g, X)
+        g.add_block(X)
+        row = {key: i for i, key in enumerate(g.vertices)}
+        for i, s in enumerate(g.vertex_arrays()[0][[row[key] for key in keys]]):
             w = true[i]
             # representatives round down: s <= w < s * (1 + eps)
             bad = (s > w + 1e-12) | (s * (1 + eps) < w - 1e-12)

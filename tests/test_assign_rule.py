@@ -29,7 +29,7 @@ from ckmeans.partition import (
     partition_cost,
     semi_supervised_cost_terms,
 )
-from reference import assignment_valid
+from reference import assignment_valid, row_keys
 
 
 @st.composite
@@ -88,6 +88,29 @@ def test_partition_assign_matches_per_point_loop(inst, param, bits):
         assert repr(asg.cost) == repr(total), variant       # bit-equal, same order
         ok, bad = assignment_valid(asg, variant, n, k, colors=ds.colors, targets=ds.targets)
         assert ok, bad
+
+
+def test_owner_sets_beyond_64_centers():
+    """fault_tolerant owner sets over k = 70 centers: a code that packed
+    a set into one int64 would overflow from center 63 up."""
+    rng = np.random.default_rng(5)
+    k, n = 70, 700
+    C = rng.uniform(-10.0, 10.0, size=(k, 2))
+    X = rng.uniform(-10.0, 10.0, size=(n, 2))
+    variant = Variant.fault_tolerant(3)
+    # batch: each point's owners read off its own flow row
+    flows = _solve_left(_LeftSide(pairwise_sqdist(X, C), np.ones(n, dtype=np.int64), None),
+                        variant, 32)[2]
+    want = [tuple(np.flatnonzero(row).tolist()) for row in flows > 0]
+    assert len({own for own in want if max(own) >= 63}) > 10
+    assert partition_assign(X, C, variant).owners == want
+    # stream: each point's owners read off its vertex's flow row
+    graph = build_compressed(X, C, 0.5)
+    sol = compressed_partition(graph, variant)
+    units = dict(zip(graph.vertices, sol.flows > 0))
+    want = [tuple(np.flatnonzero(units[key]).tolist()) for key in row_keys(graph, X)]
+    assert len({own for own in want if max(own) >= 63}) > 10
+    assert sol.assign_block(X) == want
 
 
 def test_label_columns_and_graphs_are_checked_once():

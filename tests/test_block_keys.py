@@ -12,7 +12,6 @@ remaining units (lowest center first, or every center with units left
 under fault_tolerant).
 """
 
-import copy
 import math
 
 import numpy as np
@@ -25,6 +24,7 @@ from ckmeans.hyperbucket import (
     ZERO_ID,
     CompressedGraph,
     KeyBuilder,
+    _distinct_rows,
     aspect_graph,
     bucket_index,
     bucket_weight,
@@ -35,7 +35,7 @@ from ckmeans.partition import (
     compressed_partition,
     semi_supervised_cost_terms,
 )
-from reference import max_weight_error
+from reference import max_weight_error, row_keys
 
 EPS = 0.5
 
@@ -114,9 +114,7 @@ def test_block_keys_match_scalar_keys(inst):
     for P, G in blocks_of(X, groups, bounds):
         sq = pairwise_sqdist(P, C)
         want = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
-        kb = g.key_builder
-        keys, inverse, _counts, _owner = kb.block_keys(pairwise_sqdist(P, kb.centers), G)
-        assert [keys[i] for i in inverse] == want
+        assert row_keys(g, P, G) == want
         g.add_block(P, G)
         for key in want:
             ref_vertices[key] = ref_vertices.get(key, 0) + 1
@@ -176,7 +174,8 @@ def stacks(draw):
 
 def check_stacked_pass(graphs, X, groups, bounds):
     """Key every block for all graphs at once and compare each graph's
-    keys, counts and vertices with the scalar reference, block by block."""
+    keys, counts and vertices with the scalar reference, block by block:
+    the block's distinct slot rows projected alone, and the row table."""
     k = graphs[0].k
     kb = KeyBuilder(graphs)
     stacked = np.vstack([g.centers for g in graphs])
@@ -185,18 +184,22 @@ def check_stacked_pass(graphs, X, groups, bounds):
     for P, G in blocks_of(X, groups, bounds):
         b = P.shape[0]
         sq = pairwise_sqdist(P, kb.centers)
-        keys, inverse, counts, owner = kb.block_keys(sq, G)
+        M = kb.slot_rows(sq, G)
+        first, _inverse, counts = _distinct_rows(M)
+        keys, counts, owner = kb.project(M[first], counts, G is not None)
         assert len(set(zip(owner, keys))) == len(keys)      # distinct per graph
-        assert np.bincount(inverse, minlength=len(keys)).tolist() == counts.tolist()
         for j, g in enumerate(graphs):
             alone = pairwise_sqdist(P, g.centers)
             # the projected distances are the per-graph ones, bit for bit
             assert np.array_equal(sq[:, kb.col[j * k:(j + 1) * k]], alone)
+            block = {}
             for r in range(b):
                 want = ref_key(g, alone[r], None if G is None else G[r])
-                i = inverse[j * b + r]
-                assert owner[i] == j and keys[i] == want
+                block[want] = block.get(want, 0) + 1
                 refs[j][want] = refs[j].get(want, 0) + 1
+            # graph j's keys and counts, in order of first occurrence
+            assert [(key, c) for key, c, o in zip(keys, counts.tolist(), owner)
+                    if o == j] == list(block.items())
         kb.bucket_block(sq, G)
         kb.flush()
         # each graph's vertices: same keys, counts and insertion order
@@ -381,7 +384,8 @@ def test_peel_matches_greedy_per_point_peel(inst, kind):
         sol = compressed_partition(g, variant)
     except InfeasiblePartitionError:
         return
-    ref = copy.deepcopy(sol.remaining)
+    ref_flows = sol.flows.copy()
+    ref = dict(zip(g.vertices, ref_flows))      # rows of ref_flows, peeled in place
     ref_total = sol.peeled_cost
     # two passes over the stream: the second one runs out of flow
     for _pass in range(2):
@@ -393,16 +397,16 @@ def test_peel_matches_greedy_per_point_peel(inst, kind):
             try:
                 want, ref_total = ref_peel(ref, kind, keys, cost, ref_total)
             except InfeasiblePartitionError:
-                before = copy.deepcopy(sol.remaining)
+                before = sol.flows.copy()
                 with pytest.raises(InfeasiblePartitionError):
                     sol.assign_block(P, G)
                 # an overdrawn block takes no unit
-                assert all(np.array_equal(before[v], sol.remaining[v]) for v in before)
+                assert np.array_equal(before, sol.flows)
                 assert _pass == 1
                 return
             assert sol.assign_block(P, G) == want
             assert sol.peeled_cost == ref_total         # bit-equal, same order
-            assert all(np.array_equal(ref[v], sol.remaining[v]) for v in ref)
+            assert np.array_equal(ref_flows, sol.flows)
     pytest.fail("the second pass never ran out of flow")
 
 
@@ -414,3 +418,17 @@ def test_peel_rejects_a_vertex_outside_the_graph():
     with pytest.raises(InfeasiblePartitionError):
         sol.assign_block(np.array([[1.0, 0.0], [4.0, 3.0]]))
     assert sol.assign_block(np.array([[9.0, 0.0], [1.0, 0.0]])) == [(1,), (0,)]
+
+
+@pytest.mark.parametrize("variant, owners", [(Variant.classical(), [(1,), (0,)]),
+                                             (Variant.fault_tolerant(2), [(0, 1), (0, 1)])])
+def test_an_overdrawn_block_takes_no_unit(variant, owners):
+    # the block overdraws the vertex at (1, 0) while the one at (9, 0)
+    # still has its unit: neither may lose a unit
+    C = np.array([[0.0, 0.0], [10.0, 0.0]])
+    g = CompressedGraph(C, EPS)
+    g.add_block(np.array([[1.0, 0.0], [9.0, 0.0]]))
+    sol = compressed_partition(g, variant)
+    with pytest.raises(InfeasiblePartitionError, match="no flow left"):
+        sol.assign_block(np.array([[9.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+    assert sol.assign_block(np.array([[9.0, 0.0], [1.0, 0.0]])) == owners

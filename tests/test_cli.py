@@ -573,6 +573,15 @@ def test_exit_code_paragraph_gen_dim_zero(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("eps", ["1/0", "1e400", "1e200"])
+def test_exit_code_paragraph_gen_gap_eps_beyond_float64(tmp_path, capsys, eps):
+    assert run("gen", "--kind", "gap", "--n", "8", "--gap-eps", eps,
+               "--out", tmp_path / "g.csv", "--info", tmp_path / "g.json") == 3
+    assert f"--gap-eps must be a fraction like 1/10 whose gap instance fits float64, " \
+           f"got {eps!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_dump_matches_json_indent_path():
     owners = [(0,), (2,), (0,), (1, 2), ()]
     summary = {"owners": owners, "space": {"owners": []}, "centers": np.eye(2),

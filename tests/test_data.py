@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ckmeans.data import iter_dataset_csv, read_dataset_csv
+from ckmeans.data import Dataset, iter_dataset_csv, read_dataset_csv
 from ckmeans.streaming import CSVSource
 
 
@@ -138,3 +138,18 @@ def test_read_dataset_csv_and_csv_source_agree_with_blocks(tmp_path):
 def test_block_reader_rejects_nonpositive_block(tmp_path):
     with pytest.raises(ValueError, match="block must be >= 1"):
         next(iter_dataset_csv(tmp_path / "never_read.csv", 0))
+
+
+@pytest.mark.parametrize("name", ["colors", "targets"])
+def test_dataset_labels_are_integers_within_int64(name):
+    pts = np.zeros((3, 2))
+    for bad in ([0.5, 1.7, 2.0], [1e30, 0, 0], [math.nan, 0, 0], [math.inf, 0, 0],
+                [2**70, 0, 0], np.array([2**63, 0, 0], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=f"{name} must be integers within int64"):
+            Dataset(pts, **{name: bad})
+    for good in ([0, 1, 2], [0.0, 1.0, 2.0], np.array([0, 1, 2], dtype=np.uint8)):
+        v = getattr(Dataset(pts, **{name: good}), name)
+        assert v.dtype == np.int64 and v.tolist() == [0, 1, 2]
+    big = 2**63 - 1
+    for good in ([big, 0, 0], np.array([big, 0, 0], dtype=np.uint64)):
+        assert getattr(Dataset(pts, **{name: good}), name).tolist() == [big, 0, 0]

@@ -21,14 +21,7 @@ from ckmeans.hyperbucket import (
     build_compressed,
 )
 from ckmeans.partition import Variant, partition_cost
-from reference import max_weight_error
-
-
-def row_keys(g, P):
-    """The vertex key of each row of P under graph g."""
-    kb = g.key_builder
-    keys, inverse, _counts, _owner = kb.block_keys(pairwise_sqdist(P, kb.centers))
-    return [keys[i] for i in inverse]
+from reference import max_weight_error, row_keys
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
