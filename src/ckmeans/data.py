@@ -3,8 +3,11 @@
 CSV layout: a header row naming the coordinate columns (x0, x1, ...)
 optionally followed by literal `color` and/or `target` columns, then
 one point per row.  Color and target values are non-negative integers.
+Files are UTF-8; a leading byte-order mark is skipped.
 There is one reader, iter_dataset_csv, which holds one block of rows at a
-time; read_dataset_csv joins its blocks.
+time; read_dataset_csv joins its blocks.  A block goes through numpy's
+C reader; from the first block that reader declines, the csv record
+loop reads the rest of the file.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -142,28 +146,97 @@ def _parse_block(path, columns, records, first_line) -> Dataset:
     return Dataset(pts, named.get("color"), named.get("target"))
 
 
+# a quote starts a csv field that may span lines; numpy strips the
+# information separators \x1c-\x1f as whitespace, which float() and
+# int() reject.  Non-ASCII text is declined as a whole: numpy's int64
+# parser reads some letters as digits (U+01FE as 462) and crashes on
+# some code points past U+FFFF.
+_DECLINED = '"\x1c\x1d\x1e\x1f'
+
+
+def _take(fh, block: int) -> tuple[list, int]:
+    """The next lines of a file up to and including its `block`-th
+    non-blank one (fewer at the end), and how many are non-blank.  A
+    csv-blank line is exactly a line ending."""
+    got, filled = [], 0
+    while filled < block:
+        more = list(islice(fh, block - filled))
+        if not more:
+            break
+        got += more
+        filled += len(more) - more.count("\n") - more.count("\r\n") - more.count("\r")
+    return got, filled
+
+
+def _fast_block(columns, lines, filled) -> Dataset | None:
+    """One block of lines through numpy's C reader, with the color and
+    target columns read as int64.  None wherever the record loop could
+    read the block otherwise or reject it: non-ASCII text, a character
+    of _DECLINED, a line past csv's field size limit, a value loadtxt
+    rejects, a row count other than `filled`, a non-finite coordinate,
+    a negative label."""
+    coord_cols, _, extras = columns
+    text, limit = "".join(lines), csv.field_size_limit()
+    if (not text.isascii() or any(c in text for c in _DECLINED)
+            or len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    dtype = np.dtype([("x", np.float64, (coord_cols,)), *((e, np.int64) for e in extras)])
+    try:
+        raw = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                         ndmin=1)
+    except ValueError:
+        return None
+    pts, *ints = (np.ascontiguousarray(raw[f]) for f in dtype.names)
+    if raw.shape != (filled,) or not np.isfinite(pts).all() or any((c < 0).any() for c in ints):
+        return None
+    named = dict(zip(extras, ints))
+    return Dataset(pts, named.get("color"), named.get("target"))
+
+
+def _record_blocks(path, columns, reader, block: int, first_line: int):
+    """The record loop: csv records in blocks of `block` non-blank ones,
+    each cast by _parse_block, numbered from `first_line`."""
+    records, filled = [], 0
+    for row in reader:
+        records.append(row)
+        if row:
+            filled += 1
+        if filled == block:
+            yield _parse_block(path, columns, records, first_line)
+            first_line += len(records)
+            records, filled = [], 0
+    if filled:
+        yield _parse_block(path, columns, records, first_line)
+
+
 def iter_dataset_csv(path, block: int):
     """A dataset CSV as Datasets of `block` data rows each (the last one
     may be shorter), read one block at a time: memory holds one block,
     never the file.  The header is checked once, blank rows are skipped,
-    and an error names the first bad line in file order."""
+    and an error names the first bad line in file order.
+
+    Each block's lines go through numpy's C reader (_fast_block).  The
+    first block it declines hands its lines and the rest of the file to
+    the csv record loop: a quoted field there may span lines and block
+    edges, fields are read by float() and int(), and an error names its
+    line."""
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        columns = _read_header(path, reader)
-        records, filled, first_line, empty = [], 0, 2, True
-        for row in reader:
-            records.append(row)
-            if row:
-                filled += 1
-            if filled == block:
-                yield _parse_block(path, columns, records, first_line)
-                first_line += len(records)
-                records, filled, empty = [], 0, False
-        if filled:
-            yield _parse_block(path, columns, records, first_line)
-        elif empty:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        columns = _read_header(path, csv.reader(fh))
+        first_line = 2
+        while True:
+            lines, filled = _take(fh, block)
+            if not filled:
+                break
+            ds = _fast_block(columns, lines, filled)
+            if ds is None:
+                yield from _record_blocks(path, columns, csv.reader(chain(lines, fh)), block,
+                                          first_line)
+                return
+            yield ds
+            first_line += len(lines)
+        if first_line == 2:  # no block was read
             raise ValueError(f"{path}: no data rows")
 
 

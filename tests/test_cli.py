@@ -475,6 +475,8 @@ EXIT_CLAUSES = [
     ("fewer rows than --k", "stream", ["--k", "70"], None,
      "stream has 60 points, need at least k=70"),
     ("--block below 1", "stream", ["--block", "0"], None, "block must be >= 1, got 0"),
+    ("--bits outside 1..62", "solve", ["--bits", "63"], None, "precision_bits out of range"),
+    ("--bits outside 1..62", "stream", ["--bits", "0"], None, "precision_bits out of range"),
     ("abbreviated flag", "stream", ["--bloc", "8"], None, "unrecognized arguments: --bloc 8"),
     ("abbreviated flag", "solve", ["--sel", "range"], None, "unrecognized arguments: --sel range"),
     ("source changed between passes", "stream", [], (2, _drop_last_row),

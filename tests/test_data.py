@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ckmeans.data
 from ckmeans.data import Dataset, iter_dataset_csv, read_dataset_csv
 from ckmeans.streaming import CSVSource
 
@@ -99,6 +102,24 @@ FILES = {
     "target_beyond_int64_after_block_edge": "x0,target\n" + "\n".join(
         f"{i},{i}" for i in range(8)) + "\n8,9223372036854775808\n",
     "negative_target": "x0,target\n" + "\n".join(f"{i},{i}" for i in range(9)) + "\n9,-1\n",
+    # a quoted field holding a newline opens on line 8, the last of the
+    # first 7-row block, and closes on line 9
+    "quoted_newline_across_block_edge": "x0,x1\n" + "\n".join(ROWS[:6]) + '\n"0.5\n",1\n'
+                                        + "\n".join(ROWS) + "\n",
+    "all_quoted": '"x0","x1","color"\n' + "\n".join(
+        '"' + r.replace(",", '","') + f'","{i % 4}"' for i, r in enumerate(ROWS)) + "\n",
+    "crlf": "x0,x1\r\n" + "\r\n".join(ROWS[:9]) + "\r\n\r\n" + "\r\n".join(ROWS[9:]) + "\r\n",
+    "cr_only": "x0,x1\r" + "\r".join(ROWS[:9]) + "\r\r" + "\r".join(ROWS[9:]) + "\r",
+    "nul_in_coordinate": "x0,x1\n" + "\n".join(ROWS[:8]) + "\n1\x00,2\n" + "\n".join(ROWS) + "\n",
+    "whitespace_row_after_first_block": "x0,x1\n" + "\n".join(ROWS[:9]) + "\n  \n"
+                                        + "\n".join(ROWS[9:]) + "\n",
+    "colors_targets_over_1000_rows": "x0,x1,color,target\n" + "\n".join(
+        f"{i / 7},{-i * 0.5},{i % 5},{(i * 7919) % 1009}" for i in range(1200)) + "\n",
+    # numpy strips these as whitespace; float() and int() do not
+    "information_separator_in_coordinate": "x0,x1\n" + "\n".join(ROWS[:8]) + "\n2,\x1c3\n",
+    "information_separator_in_color": "x0,color\n1,2\n3,4\x1f\n",
+    # numpy's int64 parser reads U+01FE as 462
+    "letter_as_color": "x0,color\n1,2\n3,\u01fe\n",
     "header_only": "x0,x1\n",
     "header_and_blanks": "x0,x1\n\n\n",
     "empty": "",
@@ -112,6 +133,95 @@ def test_block_reader_matches_row_by_row(tmp_path, name, block):
     path.write_text(FILES[name], encoding="utf-8")
     got, want = block_read(path, block), reference_read(path)
     assert same(got, want), (got, want)
+
+
+# fields that csv, float(), int() and numpy's reader may each take
+# differently: a core value wrapped in whitespace, NUL or the separators
+# numpy strips as whitespace; or quoted, with a quote spanning lines, or
+# with an unbalanced quote
+CORES = ["1", "-0.0", ".5", "+7", "1e5", "1_0", "\uff15", "\u0661", "\u01fe", "0x10", "1.0", "-1", "abc",
+         "", "1 2", "nan", "-inf", "1e400", "9223372036854775807", "9223372036854775808"]
+WRAPS = ["", " ", "\t", "\x0c", "\xa0", "\x00", "\x1c", "\x1f"]
+QUOTES = ['"{}"', '"{}\n"', '"{}\r\n', '{}"']
+TRICKY = st.one_of(
+    st.builds(lambda a, core, b: a + core + b, st.sampled_from(WRAPS), st.sampled_from(CORES),
+              st.sampled_from(WRAPS)),
+    st.builds(str.format, st.sampled_from(QUOTES), st.sampled_from(CORES)))
+COORDS = ["0.25", "-3", "7", "1e-3", "2"]
+LABELS = ["0", "2", "13"]
+HEADERS = ["x0", "x0,x1", '"x0","x1"', "x0,color", "x0,x1,target", "x0,color,target"]
+# lines that csv gives as a blank row, a whitespace field, or a row of
+# one or four fields
+ODD_LINES = ["", "   ", "\t", "7", "1,2,3,4"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid file, then up to three defects: a field swapped for a
+    TRICKY one, or an ODD_LINES line put in; each line with its own
+    ending, the last one maybe without."""
+    header = draw(st.sampled_from(HEADERS))
+    columns = [COORDS if h.strip('"')[0] == "x" else LABELS for h in header.split(",")]
+    rows = [[draw(st.sampled_from(c)) for c in columns]
+            for _ in range(draw(st.integers(0, 16)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(TRICKY)
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from(ODD_LINES))])
+    lines = [header] + [",".join(r) for r in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_block_reader_matches_row_by_row_on_tricky_text(tmp_path, text):
+    path = tmp_path / "h.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = reference_read(path)
+    for block in (1, 7, 1000):
+        got = block_read(path, block)
+        assert same(got, want), (block, text, got, want)
+
+
+@pytest.mark.parametrize("name", ["plain", "colors_targets", "colors_targets_over_1000_rows",
+                                  "crlf", "cr_only"])
+def test_plain_blocks_never_reach_the_record_loop(tmp_path, monkeypatch, name):
+    # a reader that always fell back would pass every comparison above
+    def refuse(*args):
+        raise AssertionError("the record loop read a plain block")
+    monkeypatch.setattr(ckmeans.data, "_parse_block", refuse)
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(FILES[name].encode("utf-8"))
+    for block in (1, 7, 1000):
+        assert same(block_read(path, block), reference_read(path))
+
+
+def test_a_field_past_the_csv_limit_fails_as_in_the_record_loop(tmp_path):
+    # numpy's reader has no field size limit; csv's stops the record loop
+    path = tmp_path / "long.csv"
+    path.write_text("x0,x1\n" + "\n".join(ROWS) + "\n" + "0" * csv.field_size_limit() + "1,2\n")
+    with pytest.raises(csv.Error) as want:
+        reference_read(path)
+    for block in (1, 7, 1000):
+        with pytest.raises(csv.Error) as got:
+            list(iter_dataset_csv(path, block))
+        assert str(got.value) == str(want.value)
+
+
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(FILES["colors_targets"].encode("utf-8"))
+    marked.write_bytes(FILES["colors_targets"].encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    a, b = read_dataset_csv(plain), read_dataset_csv(marked)
+    assert same((b.points, b.colors, b.targets), (a.points, a.colors, a.targets))
+    assert b.colors is not None and b.targets is not None
 
 
 def test_first_bad_line_in_file_order_is_reported(tmp_path):

@@ -337,6 +337,23 @@ def test_pipeline_rejects_chromatic():
                       np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bits", [0, 63])
+def test_precision_bits_are_checked_before_the_first_pass(monkeypatch, bits):
+    ds, _ = planted(9)
+    source = ArraySource(ds)
+    with pytest.raises(ValueError, match="precision_bits out of range"):
+        full_pipeline(source, 3, Variant.classical(), CFG, np.random.default_rng(0),
+                      precision_bits=bits)
+    assert source.passes == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch_solve seeded before checking precision_bits")
+    monkeypatch.setattr(streaming, "d2_seed", refuse)
+    with pytest.raises(ValueError, match="precision_bits out of range"):
+        batch_solve(ds, 3, Variant.classical(), CFG, np.random.default_rng(0),
+                    precision_bits=bits)
+
+
 class _TargetsGoneOnPass(ArraySource):
     """Drops the target column from pass `gone` on."""
 
