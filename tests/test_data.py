@@ -139,8 +139,9 @@ def test_block_reader_matches_row_by_row(tmp_path, name, block):
 # differently: a core value wrapped in whitespace, NUL or the separators
 # numpy strips as whitespace; or quoted, with a quote spanning lines, or
 # with an unbalanced quote
-CORES = ["1", "-0.0", ".5", "+7", "1e5", "1_0", "\uff15", "\u0661", "\u01fe", "0x10", "1.0", "-1", "abc",
-         "", "1 2", "nan", "-inf", "1e400", "9223372036854775807", "9223372036854775808"]
+CORES = ["1", "-0.0", ".5", "+7", "1e5", "1_0", "\uff15", "\u0661", "\u01fe", "0x10", "1.0",
+         "-1", "abc", "", "1 2", "nan", "-inf", "1e400", "9223372036854775807",
+         "9223372036854775808"]
 WRAPS = ["", " ", "\t", "\x0c", "\xa0", "\x00", "\x1c", "\x1f"]
 QUOTES = ['"{}"', '"{}\n"', '"{}\r\n', '{}"']
 TRICKY = st.one_of(
