@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -173,7 +174,7 @@ def _fast_block(columns, lines, filled) -> Dataset | None:
     target columns read as int64.  None wherever the record loop could
     read the block otherwise or reject it: non-ASCII text, a character
     of _DECLINED, a line past csv's field size limit, a value loadtxt
-    rejects, a row count other than `filled`, a non-finite coordinate,
+    rejects or warns about, a row count other than `filled`, a non-finite coordinate,
     a negative label."""
     coord_cols, _, extras = columns
     text, limit = "".join(lines), csv.field_size_limit()
@@ -181,10 +182,14 @@ def _fast_block(columns, lines, filled) -> Dataset | None:
             or len(text) > limit and max(map(len, lines)) > limit):
         return None
     dtype = np.dtype([("x", np.float64, (coord_cols,)), *((e, np.int64) for e in extras)])
+    # numpy before 2.0 reads a failed int64 field through float, truncates
+    # it and only warns ("1.5" as color 1); any warning declines the block
     try:
-        raw = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                         ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                             quotechar=None, ndmin=1)
+    except (ValueError, Warning):
         return None
     pts, *ints = (np.ascontiguousarray(raw[f]) for f in dtype.names)
     if raw.shape != (filled,) or not np.isfinite(pts).all() or any((c < 0).any() for c in ints):

@@ -132,6 +132,13 @@ class Assignment:
 # ---------------------------------------------------------------------------
 # shared objective plumbing (the oracle reuses these, its search is its own)
 
+def check_precision_bits(precision_bits: int) -> None:
+    """The fixed-point width quantize_costs accepts: 1..62 bits.  The
+    pipelines call it before their first pass."""
+    if not 1 <= precision_bits <= 62:
+        raise ValueError("precision_bits out of range")
+
+
 def quantize_costs(M, precision_bits: int = 32) -> tuple[np.ndarray, float]:
     """Fixed-point edge costs and the scale that maps them back.
 
@@ -143,8 +150,7 @@ def quantize_costs(M, precision_bits: int = 32) -> tuple[np.ndarray, float]:
     a = np.asarray(M, dtype=np.float64)
     if a.size and (not np.all(np.isfinite(a)) or np.any(a < 0)):
         raise ValueError("costs must be finite and non-negative")
-    if precision_bits < 1 or precision_bits > 62:
-        raise ValueError("precision_bits out of range")
+    check_precision_bits(precision_bits)
     m = float(a.max(initial=0.0))
     if m == 0.0:
         return np.zeros(a.shape, dtype=np.int64), 0.0

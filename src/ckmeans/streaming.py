@@ -31,6 +31,7 @@ from .partition import (
     CompressedSolution,
     InfeasiblePartitionError,
     Variant,
+    check_precision_bits,
     compressed_partition,
     partition_assign,
     partition_cost,
@@ -289,12 +290,6 @@ def _check_t(cfg: GoodCentersConfig, k: int) -> None:
         raise ValueError(f"t={cfg.t} centers per candidate is below k={k}")
 
 
-def _check_bits(precision_bits: int) -> None:
-    # before the first pass: quantize_costs would say so only after the list
-    if not 1 <= precision_bits <= 62:
-        raise ValueError("precision_bits out of range")
-
-
 def _winner(costs, select_mode: str, epsilon: float, seed_cost: float) -> int:
     """The winner rule of both pipelines.  Range mode caps at the seed
     cost, else at the largest finite cost; when that cap is 0 every
@@ -334,7 +329,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         raise ValueError(f"variant {variant.kind!r} is not streamable "
                          "(chromatic needs same-colored points batched per color)")
     _check_t(cfg, k)
-    _check_bits(precision_bits)
+    check_precision_bits(precision_bits)
     meter = meter if meter is not None else SpaceMeter()
     cands, seed, n = two_pass_good_centers(source, k, cfg, rng, chunk=chunk, meter=meter)
     if not len(cands):
@@ -434,7 +429,7 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
     exact (uncompressed) partition of every candidate, best one wins.
     This is also what `ckmeans solve` runs."""
     _check_t(cfg, k)
-    _check_bits(precision_bits)
+    check_precision_bits(precision_bits)
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
     if ds.n < k:
         raise ValueError(f"stream has {ds.n} points, need at least k={k}")

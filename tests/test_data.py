@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,24 @@ def test_plain_blocks_never_reach_the_record_loop(tmp_path, monkeypatch, name):
     path.write_bytes(FILES[name].encode("utf-8"))
     for block in (1, 7, 1000):
         assert same(block_read(path, block), reference_read(path))
+
+
+def test_a_block_numpy_warns_about_goes_to_the_record_loop(tmp_path, monkeypatch):
+    # numpy before 2.0 reads an int64 field that fails through float,
+    # truncates it and only warns: "1.5" became color 1
+    real = np.loadtxt
+
+    def warning_loadtxt(lines, **kw):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return real([line.replace("1.5", "1") for line in lines], **kw)
+    monkeypatch.setattr(ckmeans.data.np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "color_not_int.csv"
+    path.write_text(FILES["color_not_int"])
+    want = reference_read(path)
+    assert isinstance(want, str)
+    for block in (1, 7, 1000):
+        assert block_read(path, block) == want
 
 
 def test_a_field_past_the_csv_limit_fails_as_in_the_record_loop(tmp_path):
