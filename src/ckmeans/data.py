@@ -81,7 +81,10 @@ def write_dataset_csv(path, ds: Dataset) -> None:
 def _read_header(path, reader) -> tuple[int, int, list]:
     """(coordinate columns, all columns, trailing column names) of a
     validated header row."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: empty dataset file")
     header = [h.strip() for h in header]
@@ -200,16 +203,20 @@ def _fast_block(columns, lines, filled) -> Dataset | None:
 
 def _record_blocks(path, columns, reader, block: int, first_line: int):
     """The record loop: csv records in blocks of `block` non-blank ones,
-    each cast by _parse_block, numbered from `first_line`."""
+    each cast by _parse_block, numbered from `first_line`.  A record csv
+    cannot read (a field past its size limit) fails naming its line."""
     records, filled = [], 0
-    for row in reader:
-        records.append(row)
-        if row:
-            filled += 1
-        if filled == block:
-            yield _parse_block(path, columns, records, first_line)
-            first_line += len(records)
-            records, filled = [], 0
+    try:
+        for row in reader:
+            records.append(row)
+            if row:
+                filled += 1
+            if filled == block:
+                yield _parse_block(path, columns, records, first_line)
+                first_line += len(records)
+                records, filled = [], 0
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{first_line + len(records)}: {exc}") from None
     if filled:
         yield _parse_block(path, columns, records, first_line)
 
@@ -227,22 +234,40 @@ def iter_dataset_csv(path, block: int):
     line."""
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        columns = _read_header(path, csv.reader(fh))
-        first_line = 2
-        while True:
-            lines, filled = _take(fh, block)
-            if not filled:
-                break
-            ds = _fast_block(columns, lines, filled)
-            if ds is None:
-                yield from _record_blocks(path, columns, csv.reader(chain(lines, fh)), block,
-                                          first_line)
-                return
-            yield ds
-            first_line += len(lines)
-        if first_line == 2:  # no block was read
-            raise ValueError(f"{path}: no data rows")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            columns = _read_header(path, csv.reader(fh))
+            first_line = 2
+            while True:
+                lines, filled = _take(fh, block)
+                if not filled:
+                    break
+                ds = _fast_block(columns, lines, filled)
+                if ds is None:
+                    yield from _record_blocks(path, columns, csv.reader(chain(lines, fh)),
+                                              block, first_line)
+                    return
+                yield ds
+                first_line += len(lines)
+            if first_line == 2:  # no block was read
+                raise ValueError(f"{path}: no data rows")
+    except UnicodeDecodeError as exc:
+        # the decoder's position counts from its current chunk: name the line
+        raise _undecodable(path, exc) from None
+
+
+def _undecodable(path, exc) -> ValueError:
+    """The error for a file that is not valid UTF-8, naming its first
+    such line.  Read as latin-1, one character per byte, the file splits
+    into the lines the reader sees: no UTF-8 sequence holds a line-ending
+    byte."""
+    with open(path, newline="", encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError:
+                return ValueError(f"{path}:{lineno}: not valid UTF-8")
+    return ValueError(f"{path}: {exc}")  # the file changed since the failed read
 
 
 def read_dataset_csv(path) -> Dataset:

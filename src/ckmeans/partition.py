@@ -25,7 +25,8 @@ Batch assignment and stream peeling share one owner/cost rule: raw
 points are vertices of count 1, owners are the centers that carry a
 vertex's flow, and the real cost is summed left to right in point
 order, then owner order.  Peeling takes units off the solver's flow
-array, its rows found through the winner's own vertex keys.
+array, its rows found by slot-row bytes through a dict per solution
+that the winner's own vertex keys fill.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph, _distinct_rows
+from .hyperbucket import CompressedGraph
 
 # the one parameter each variant kind takes (None: it takes none)
 VARIANT_PARAMS = {
@@ -179,13 +180,15 @@ def _real_costs(sq, variant: Variant, targets, perm) -> np.ndarray:
     return semi_supervised_cost_terms(sq, targets, variant.alpha, perm)
 
 
-def _owner_tuples(owns: np.ndarray) -> list:
+def _owner_tuples(owns: np.ndarray, sets: dict) -> list:
     """Owner tuples of the rows of a boolean (rows, k) matrix.  A row is
     coded by its owner set, packed eight centers to a byte so that any
-    k fits, and each distinct set's tuple is built once."""
-    first, which, _counts = _distinct_rows(np.packbits(owns, axis=1))
-    sets = [tuple(np.flatnonzero(owns[r]).tolist()) for r in first.tolist()]
-    return [sets[i] for i in which.tolist()]
+    k fits; sets maps a code to its tuple and gains each new set once."""
+    packed = np.packbits(owns, axis=1)
+    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    for code in set(codes).difference(sets):
+        sets[code] = tuple(np.flatnonzero(owns[codes.index(code)]).tolist())
+    return [sets[code] for code in codes]
 
 
 def _running_sum(start, terms):
@@ -436,7 +439,7 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
     int_cost, scale, flows, perm = solved
     owns = flows > 0
     cost = _real_costs(left.weights, variant, left.groups, perm)
-    return Assignment(_owner_tuples(owns), _running_sum(0.0, cost[owns]), float(int_cost) * scale)
+    return Assignment(_owner_tuples(owns, {}), _running_sum(0.0, cost[owns]), float(int_cost) * scale)
 
 
 @dataclass
@@ -453,6 +456,9 @@ class CompressedSolution:
     row: dict                # vertex key -> its row of flows
     perm: tuple | None = None
     peeled_cost: float = 0.0
+    # assign_block's lookups: slot-row bytes -> row of flows, owner-set code -> tuple
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
+    _sets: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cost(self) -> float:
@@ -471,32 +477,53 @@ class CompressedSolution:
         sq = pairwise_sqdist(as_points(points), kb.centers)
         cost = _real_costs(sq[:, kb.col], self.variant, groups, self.perm)
         M = kb.slot_rows(sq, groups)
-        first, inverse, counts = _distinct_rows(M)
-        keys, _counts, _owner = kb.project(M[first], counts, groups is not None)
-        vertex = [self.row.get(key) for key in keys]
-        if None in vertex:
-            raise InfeasiblePartitionError("no flow on this point's vertex")
+        # one stable lexsort: equal rows form runs, each in point order
+        order = np.lexsort(M.T)
+        S = M[order]
+        starts = np.ones(S.shape[0], dtype=bool)
+        starts[1:] = (S[1:] != S[:-1]).any(axis=1)
+        at = np.flatnonzero(starts)
+        run = np.cumsum(starts) - 1
+        counts = np.bincount(run)
+        vertex = self._vertex_rows(S[at], groups is not None)
         units = self.flows[vertex]
-        order = np.argsort(inverse, kind="stable")
-        rank = np.empty_like(inverse)
-        rank[order] = np.arange(inverse.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rank = (np.arange(S.shape[0]) - at[run])[:, None]     # in sorted order
         c = counts[:, None]
         if self.variant.kind == "fault_tolerant":
-            owns = units[inverse] > rank[:, None]
+            owned = units[run] > rank
             short = counts > units.max(axis=1, initial=0)
             taken = np.minimum(units, c)
         else:
             upto = np.cumsum(units, axis=1)
             below = upto - units
-            owns = (below[inverse] <= rank[:, None]) & (upto[inverse] > rank[:, None])
+            owned = (below[run] <= rank) & (upto[run] > rank)
             short = counts > upto[:, -1]
             taken = np.minimum(upto, c) - np.minimum(below, c)
         if short.any():
             raise InfeasiblePartitionError("no flow left on this point's vertex")
         self.flows[vertex] -= taken
+        owns = np.empty_like(owned)
+        owns[order] = owned
         # summed in point order, then owner order
         self.peeled_cost = _running_sum(self.peeled_cost, cost[owns])
-        return _owner_tuples(owns)
+        return _owner_tuples(owns, self._sets)
+
+    def _vertex_rows(self, R: np.ndarray, grouped: bool) -> np.ndarray:
+        """The flows row of each distinct slot row of R.  A row's bytes
+        are looked up in a dict that a miss fills through project and
+        self.row; one graph keeps distinct rows on distinct vertices,
+        so the dict never outgrows the graph."""
+        keys = np.ascontiguousarray(R).view(np.dtype((np.void, 8 * R.shape[1]))).ravel().tolist()
+        rows = self._rows
+        missing = [i for i, key in enumerate(keys) if key not in rows]
+        if missing:
+            found, _counts, _owner = self.graph.key_builder.project(
+                R[missing], np.ones(len(missing), dtype=np.int64), grouped)
+            for i, key in zip(missing, found):
+                if key not in self.row:
+                    raise InfeasiblePartitionError("no flow on this point's vertex")
+                rows[keys[i]] = self.row[key]
+        return np.array([rows[key] for key in keys], dtype=np.intp)
 
 
 def compressed_partition(graph: CompressedGraph, variant: Variant,

@@ -8,6 +8,7 @@ same rng stream, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .sampling import point_weights
 class SeedSolution:
     centers: np.ndarray
     cost: float          # potential of the data the seed was fit on
+    labels: np.ndarray   # each row's nearest center there, ties to the lowest
 
 
 def d2_seed(X, k: int, oversample: int | None = None, rng=None,
@@ -30,6 +32,8 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
     oversample is the number of centers to emit (default 2k).  weights
     multiply both the potentials and the reported cost.  When oversample
     covers the whole input the points themselves come back, cost 0.
+    Each draw is Generator.choice(n, p=p)'s own algorithm without its
+    per-call validation of p, so centers and rng state match choice's.
     """
     X = as_points(X)
     n = X.shape[0]
@@ -46,20 +50,29 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
     w = point_weights(weights, n)
 
     if oversample >= n:
-        return SeedSolution(X.copy(), 0.0)
+        return SeedSolution(X.copy(), 0.0, np.argmin(pairwise_sqdist(X, X), axis=1))
 
-    first = int(rng.choice(n, p=w / w.sum()))
-    chosen = [first]
-    pot = w * pairwise_sqdist(X, X[first]).ravel()
+    def draw(p) -> int:
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
+
+    def sqdist(j: int) -> np.ndarray:
+        # pairwise_sqdist(X, X[j]).ravel(), bit for bit
+        diff = X - X[j]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    chosen = [draw(w / w.sum())]
+    dists = [sqdist(chosen[0])]
+    pot = dists[0].copy() if weights is None else w * dists[0]
     for _ in range(oversample - 1):
-        total = pot.sum()
-        if not np.isfinite(total):
+        total = float(pot.sum())
+        if not math.isfinite(total):
             raise ValueError("a squared distance overflows float64")
-        p = (w / w.sum()) if total == 0.0 else (pot / total)
-        nxt = int(rng.choice(n, p=p))
-        chosen.append(nxt)
-        pot = np.minimum(pot, w * pairwise_sqdist(X, X[nxt]).ravel())
-    return SeedSolution(X[chosen].copy(), float(pot.sum()))
+        chosen.append(draw((w / w.sum()) if total == 0.0 else (pot / total)))
+        dists.append(sqdist(chosen[-1]))
+        np.minimum(pot, dists[-1] if weights is None else w * dists[-1], out=pot)
+    return SeedSolution(X[chosen].copy(), float(pot.sum()), np.argmin(dists, axis=0))
 
 
 def _chunks(blocks, chunk: int):
@@ -103,8 +116,7 @@ def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSoluti
         if meter is not None:
             meter.alloc_points(points.shape[0] + sol.centers.shape[0])
             meter.free_points(points.shape[0])
-        labels = np.argmin(pairwise_sqdist(points, sol.centers), axis=1)
-        counts.append(np.bincount(labels, minlength=sol.centers.shape[0]).astype(np.float64))
+        counts.append(np.bincount(sol.labels, minlength=sol.centers.shape[0]).astype(np.float64))
         solutions.append(sol)
         seen += points.shape[0]
 

@@ -65,12 +65,54 @@ class Reservoir:
         return self
 
 
+# seeding ---------------------------------------------------------------------
+
+def d2_seed_choice(X, k: int, oversample: int, rng, weights=None) -> tuple[np.ndarray, float]:
+    """D^2 seeding as the package first wrote it: every draw through
+    rng.choice(n, p=p), each distance through pairwise_sqdist.
+    Returns (centers, cost)."""
+    X = as_points(X)
+    n = X.shape[0]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if oversample >= n:
+        return X.copy(), 0.0
+    first = int(rng.choice(n, p=w / w.sum()))
+    chosen = [first]
+    pot = w * pairwise_sqdist(X, X[first]).ravel()
+    for _ in range(oversample - 1):
+        total = pot.sum()
+        if not np.isfinite(total):
+            raise ValueError("a squared distance overflows float64")
+        p = (w / w.sum()) if total == 0.0 else (pot / total)
+        nxt = int(rng.choice(n, p=p))
+        chosen.append(nxt)
+        pot = np.minimum(pot, w * pairwise_sqdist(X, X[nxt]).ravel())
+    return X[chosen].copy(), float(pot.sum())
+
+
+def merge_reduce_seed_choice(X, k: int, chunk: int, rng) -> tuple[np.ndarray, float]:
+    """merge_reduce_seed over one array through d2_seed_choice: each
+    chunk's centers weighted by their Voronoi counts (ties to the lowest
+    center), then one weighted seeding of their union."""
+    X = as_points(X)
+    centers, counts = [], []
+    for lo in range(0, X.shape[0], chunk):
+        C, cost = d2_seed_choice(X[lo:lo + chunk], k, 2 * k, rng)
+        if X.shape[0] <= chunk:
+            return C, cost
+        labels = voronoi_labels(X[lo:lo + chunk], C)
+        centers.append(C)
+        counts.append(np.bincount(labels, minlength=C.shape[0]).astype(np.float64))
+    return d2_seed_choice(np.vstack(centers), k, 2 * k, rng, np.concatenate(counts))
+
+
 # hyperbucket -----------------------------------------------------------------
 
 def row_keys(graph, points, groups=None) -> list:
     """The vertex key of each point under graph, keyed the way
-    CompressedSolution.assign_block keys a block: the graph's own
-    KeyBuilder groups the slot rows and projects the distinct ones."""
+    CompressedSolution.assign_block keys the rows its dict misses: the
+    graph's own KeyBuilder groups the slot rows and projects the
+    distinct ones."""
     kb = graph.key_builder
     M = kb.slot_rows(pairwise_sqdist(as_points(points), kb.centers), groups)
     first, inverse, counts = _distinct_rows(M)

@@ -432,3 +432,42 @@ def test_an_overdrawn_block_takes_no_unit(variant, owners):
     with pytest.raises(InfeasiblePartitionError, match="no flow left"):
         sol.assign_block(np.array([[9.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
     assert sol.assign_block(np.array([[9.0, 0.0], [1.0, 0.0]])) == owners
+
+
+@pytest.mark.parametrize("case", ["r_gather with colors", "aspect graph"])
+def test_assign_pass_dicts_stay_within_the_winner(case):
+    # the row dict maps each slot row to its vertex's row of flows and
+    # never outgrows the graph; a block whose rows it already holds, one
+    # of them on a vertex with no units left, takes no unit
+    rng = np.random.default_rng(5)
+    C = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+    X = C[rng.integers(0, 3, size=240)] + rng.integers(-3, 4, size=(240, 2)) * 0.5
+    if case == "aspect graph":
+        g, variant, groups = aspect_graph(C, EPS, 2.0, 4), Variant.classical(), None
+        assert g.contract_below > 0
+    else:
+        g, variant = CompressedGraph(C, EPS), Variant.r_gather(60)
+        groups = rng.integers(0, 3, size=240)
+    blocks = list(blocks_of(X, groups, [0, 50, 100, 150, 200, 240]))
+    for P, G in blocks:
+        g.add_block(P, G)
+    sol = compressed_partition(g, variant)
+    kb = g.key_builder
+    M = kb.slot_rows(pairwise_sqdist(X, kb.centers), groups)
+    rows = [r.tobytes() for r in M]
+    keys = row_keys(g, X, groups)
+    for P, G in blocks[:-1]:
+        sol.assign_block(P, G)
+    assert 0 < len(sol._rows) <= len(g.vertices)
+    assert all(sol._rows[rows[i]] == sol.row[keys[i]] for i in range(200))
+    spent = [i for i in range(200) if not sol.flows[sol.row[keys[i]]].any()]
+    assert spent
+    P, G = blocks[-1]
+    before = sol.flows.copy()
+    with pytest.raises(InfeasiblePartitionError, match="no flow left"):
+        sol.assign_block(np.vstack([P, X[spent[:1]]]),
+                         None if G is None else np.append(G, groups[spent[0]]))
+    assert np.array_equal(before, sol.flows)
+    sol.assign_block(P, G)
+    assert not sol.flows.any()
+    assert len(sol._rows) <= len(g.vertices)

@@ -386,6 +386,14 @@ def _edit_line(lineno, text):
     return edit
 
 
+def _edit_bytes(lineno, raw):
+    def edit(path):
+        lines = path.read_bytes().splitlines()
+        lines[lineno - 1] = raw
+        path.write_bytes(b"\n".join(lines) + b"\n")
+    return edit
+
+
 def _color_column(lineno, value):
     # adds a color column of 0s, with `value` on line `lineno`
     def edit(path):
@@ -469,6 +477,12 @@ EXIT_CLAUSES = [
      "{data}:9: colors must be below 2**63"),
     ("color or target beyond int64", "stream", [], _color_column(50, str(2**63)),
      "{data}:50: colors must be below 2**63"),
+    ("field past csv's size limit", "solve", [], _edit_line(12, "0" * 140_000 + "1,2"),
+     "{data}:12: field larger than field limit (131072)"),
+    ("field past csv's size limit", "stream", [], _edit_line(33, "0" * 140_000 + "1,2"),
+     "{data}:33: field larger than field limit (131072)"),
+    ("invalid UTF-8", "solve", [], _edit_bytes(20, b"1,\xff"), "{data}:20: not valid UTF-8"),
+    ("invalid UTF-8", "stream", [], _edit_bytes(61, b"\xc3(,1"), "{data}:61: not valid UTF-8"),
     ("--k below 1", "solve", ["--k", "0"], None, "--k must be >= 1, got 0"),
     ("--k below 1", "stream", ["--k", "0"], None, "--k must be >= 1, got 0"),
     ("fewer rows than --k", "solve", ["--k", "70"], None, "stream has 60 points, need at least k=70"),

@@ -223,15 +223,35 @@ def test_a_block_numpy_warns_about_goes_to_the_record_loop(tmp_path, monkeypatch
 
 
 def test_a_field_past_the_csv_limit_fails_as_in_the_record_loop(tmp_path):
-    # numpy's reader has no field size limit; csv's stops the record loop
+    # numpy's reader has no field size limit; csv's stops the record loop,
+    # which names the line
     path = tmp_path / "long.csv"
     path.write_text("x0,x1\n" + "\n".join(ROWS) + "\n" + "0" * csv.field_size_limit() + "1,2\n")
     with pytest.raises(csv.Error) as want:
         reference_read(path)
     for block in (1, 7, 1000):
-        with pytest.raises(csv.Error) as got:
+        with pytest.raises(ValueError) as got:
             list(iter_dataset_csv(path, block))
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"{path}:{len(ROWS) + 2}: {want.value}"
+    header = tmp_path / "long_header.csv"
+    header.write_text("x0,x1" + "0" * csv.field_size_limit() + "\n1,2\n")
+    with pytest.raises(ValueError, match=r":1: field larger than field limit"):
+        list(iter_dataset_csv(header, 7))
+
+
+def test_an_invalid_utf8_byte_names_its_line(tmp_path):
+    # the decoder fails thousands of lines ahead of the parser, at an
+    # offset into its own chunk; the error names the line
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x0,x1\n" + b"1,2\n" * 3000 + b"1,\xff\n")
+    for block in (1, 7, 1000):
+        with pytest.raises(ValueError) as got:
+            list(iter_dataset_csv(path, block))
+        assert str(got.value) == f"{path}:3002: not valid UTF-8"
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"x0,x1\r\n1,2\r1,\xe2\x82\r\n1,2\r\n")
+    with pytest.raises(ValueError, match=r":3: not valid UTF-8"):
+        read_dataset_csv(crlf)
 
 
 def test_byte_order_mark_is_not_part_of_the_header(tmp_path):

@@ -1,13 +1,18 @@
 """Seeding: planted recovery, merge-reduce degeneration, space accounting."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckmeans.data import duplicate_groups, gaussian_groups
 from ckmeans.geometry import pairwise_sqdist, phi_cost
 from ckmeans.oracle import OracleLimit, opt_kmeans
 from ckmeans.seeding import d2_seed, merge_reduce_seed
 from ckmeans.streaming import SpaceMeter
+from reference import d2_seed_choice, merge_reduce_seed_choice
 
 
 def test_duplicates_are_seeded_exactly():
@@ -162,3 +167,88 @@ def test_iterative_potential_never_increases():
         sol = d2_seed(X, 2, oversample=m, rng=np.random.default_rng(16))
         costs.append(sol.cost)
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
+
+
+@st.composite
+def seed_inputs(draw):
+    """Points in d = 1, 2, 3, 7, 16 or 64 at magnitudes 1e-3 to 1e3: spread,
+    on a small grid (a point is often equidistant from two centers), some
+    rows coincident, or all of them (the potential drops to 0 and draws
+    fall back to the weights)."""
+    d = draw(st.sampled_from([1, 2, 3, 7, 16, 64]))
+    n = draw(st.integers(1, 60))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = data.normal(size=(n, d)) * 10.0 ** draw(st.integers(-3, 3))
+    shape = draw(st.sampled_from(["spread", "grid", "coincident", "one site"]))
+    if shape == "grid":
+        X = data.integers(-1, 2, size=(n, d)) * 10.0 ** draw(st.integers(-3, 3))
+    elif shape == "coincident":
+        X = X[data.integers(0, max(1, n // 3), size=n)]
+    elif shape == "one site":
+        X[:] = X[0]
+    return X, data
+
+
+def same_seed(got, want, got_rng, want_rng):
+    centers, cost = want
+    return (got.centers.tobytes() == centers.tobytes()
+            and np.float64(got.cost).tobytes() == np.float64(cost).tobytes()
+            and got_rng.random() == want_rng.random())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed_inputs(), st.integers(1, 4), st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+def test_d2_seed_matches_its_choice_form(inp, k, oversample, weighted, s):
+    # centers, cost bits and the generator's state after the call all match
+    X, data = inp
+    w = None
+    if weighted:
+        w = data.integers(0, 3, size=X.shape[0]).astype(np.float64)   # zeros included
+        w[data.integers(X.shape[0])] = 1.0
+    got_rng, want_rng = np.random.default_rng(s), np.random.default_rng(s)
+    got = d2_seed(X, k, oversample, got_rng, weights=w)
+    assert same_seed(got, d2_seed_choice(X, k, oversample, want_rng, w), got_rng, want_rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed_inputs(), st.integers(1, 3), st.sampled_from([1, 2, 5, 7, 16, 33, 100]),
+       st.integers(0, 2**32 - 1))
+def test_merge_reduce_seed_matches_its_choice_form(inp, k, chunk, s):
+    X, _data = inp
+    if X.shape[0] < k:
+        return
+    got_rng, want_rng = np.random.default_rng(s), np.random.default_rng(s)
+    got = merge_reduce_seed(X, k, chunk, got_rng)
+    assert same_seed(got, merge_reduce_seed_choice(X, k, chunk, want_rng), got_rng, want_rng)
+
+
+class ScriptedGenerator(np.random.Generator):
+    """A generator whose random() returns the given values in turn, so a
+    draw can land exactly on an edge of its cumulative distribution;
+    Generator.choice calls this random() too."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self.values = list(values)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        v = self.values.pop(0)
+        return v if size is None else np.full(size, v)
+
+
+EDGES = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+
+
+@pytest.mark.parametrize("X", [
+    # the unit square's corners: every cumulative sum here is exact, so
+    # an edge value is a tie that only side="right" breaks as choice does
+    np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+    # ten uniform draws of 0.1 sum to 1 - 2**-53; only the normalized cdf
+    # keeps the largest uniform inside the range
+    np.arange(10.0)[:, None],
+])
+def test_d2_draws_on_cdf_edges_match_choice(X):
+    for values in itertools.product(EDGES, repeat=3):
+        got = d2_seed(X, 1, 3, ScriptedGenerator(values))
+        centers, cost = d2_seed_choice(X, 1, 3, ScriptedGenerator(values))
+        assert got.centers.tobytes() == centers.tobytes() and got.cost == cost
