@@ -25,12 +25,17 @@ def _checked_weights(weights, n: int) -> np.ndarray:
 
 def point_weights(weights, n: int) -> np.ndarray:
     """The weights a D^2 draw over n points runs on: ones when None,
-    otherwise the given weights, checked and not all zero."""
+    otherwise the given weights, checked, not all zero and with a finite
+    sum (the draws normalize by it)."""
     if weights is None:
         return np.ones(n)
     w = _checked_weights(weights, n)
-    if w.sum() == 0:
+    with np.errstate(over="ignore"):    # an overflowing sum is rejected below
+        total = w.sum()
+    if total == 0:
         raise ValueError("weights must not all be zero")
+    if not np.isfinite(total):
+        raise ValueError("weights must sum below float64's largest value")
     return w
 
 

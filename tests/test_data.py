@@ -240,8 +240,8 @@ def test_a_field_past_the_csv_limit_fails_as_in_the_record_loop(tmp_path):
 
 
 def test_an_invalid_utf8_byte_names_its_line(tmp_path):
-    # the decoder fails thousands of lines ahead of the parser, at an
-    # offset into its own chunk; the error names the line
+    # the decoder reads 8 KB chunks ahead of the parser and reports an
+    # offset into its chunk; the error names the line
     path = tmp_path / "bad.csv"
     path.write_bytes(b"x0,x1\n" + b"1,2\n" * 3000 + b"1,\xff\n")
     for block in (1, 7, 1000):

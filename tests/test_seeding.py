@@ -62,6 +62,8 @@ def test_seed_validation():
         d2_seed(X, 1, rng=rng, weights=np.zeros(3))
     with pytest.raises(ValueError):
         d2_seed(X, 1, rng=rng, weights=[-1.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="weights must sum below"):
+        d2_seed(X, 1, rng=rng, weights=np.full(3, 1e308))
 
 
 def test_weighted_seeding_prefers_heavy_points():
