@@ -25,8 +25,7 @@ Batch assignment and stream peeling share one owner/cost rule: raw
 points are vertices of count 1, owners are the centers that carry a
 vertex's flow, and the real cost is summed left to right in point
 order, then owner order.  Peeling takes units off the solver's flow
-array, its rows found by slot-row bytes through a dict per solution
-that the winner's own vertex keys fill.
+array, its rows found through a dict per solution from slot-row bytes.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from .data import Dataset
 from .geometry import as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph
+from .hyperbucket import CompressedGraph, _distinct_rows
 
 # the one parameter each variant kind takes (None: it takes none)
 VARIANT_PARAMS = {
@@ -180,15 +179,13 @@ def _real_costs(sq, variant: Variant, targets, perm) -> np.ndarray:
     return semi_supervised_cost_terms(sq, targets, variant.alpha, perm)
 
 
-def _owner_tuples(owns: np.ndarray, sets: dict) -> list:
+def _owner_tuples(owns: np.ndarray) -> list:
     """Owner tuples of the rows of a boolean (rows, k) matrix.  A row is
     coded by its owner set, packed eight centers to a byte so that any
-    k fits; sets maps a code to its tuple and gains each new set once."""
-    packed = np.packbits(owns, axis=1)
-    codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-    for code in set(codes).difference(sets):
-        sets[code] = tuple(np.flatnonzero(owns[codes.index(code)]).tolist())
-    return [sets[code] for code in codes]
+    k fits, and each distinct set's tuple is built once."""
+    first, which, _counts = _distinct_rows(np.packbits(owns, axis=1))
+    sets = [tuple(np.flatnonzero(owns[r]).tolist()) for r in first.tolist()]
+    return [sets[i] for i in which.tolist()]
 
 
 def _running_sum(start, terms):
@@ -439,7 +436,7 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
     int_cost, scale, flows, perm = solved
     owns = flows > 0
     cost = _real_costs(left.weights, variant, left.groups, perm)
-    return Assignment(_owner_tuples(owns, {}), _running_sum(0.0, cost[owns]), float(int_cost) * scale)
+    return Assignment(_owner_tuples(owns), _running_sum(0.0, cost[owns]), float(int_cost) * scale)
 
 
 @dataclass
@@ -506,13 +503,17 @@ class CompressedSolution:
         owns[order] = owned
         # summed in point order, then owner order
         self.peeled_cost = _running_sum(self.peeled_cost, cost[owns])
-        return _owner_tuples(owns, self._sets)
+        # _owner_tuples through _sets: a set is new once per solution
+        packed = np.packbits(owns, axis=1)
+        codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        for code in set(codes).difference(self._sets):
+            self._sets[code] = tuple(np.flatnonzero(owns[codes.index(code)]).tolist())
+        return [self._sets[code] for code in codes]
 
     def _vertex_rows(self, R: np.ndarray, grouped: bool) -> np.ndarray:
-        """The flows row of each distinct slot row of R.  A row's bytes
-        are looked up in a dict that a miss fills through project and
-        self.row; one graph keeps distinct rows on distinct vertices,
-        so the dict never outgrows the graph."""
+        """The flows row of each distinct slot row of R, by row bytes.  A
+        miss goes through project and self.row; with one graph distinct
+        rows are distinct vertices, so _rows never outgrows the graph."""
         keys = np.ascontiguousarray(R).view(np.dtype((np.void, 8 * R.shape[1]))).ravel().tolist()
         rows = self._rows
         missing = [i for i, key in enumerate(keys) if key not in rows]
