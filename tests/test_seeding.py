@@ -245,8 +245,8 @@ EDGES = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
     # the unit square's corners: every cumulative sum here is exact, so
     # an edge value is a tie that only side="right" breaks as choice does
     np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
-    # ten uniform draws of 0.1 sum to 1 - 2**-53; only the normalized cdf
-    # keeps the largest uniform inside the range
+    # ten probabilities of 0.1 cumulate to 1 - 2**-53; only the normalized
+    # cdf keeps the largest uniform inside the range
     np.arange(10.0)[:, None],
 ])
 def test_d2_draws_on_cdf_edges_match_choice(X):
