@@ -234,40 +234,64 @@ def iter_dataset_csv(path, block: int):
     line."""
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
+    read = 0
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            columns = _read_header(path, csv.reader(fh))
-            first_line = 2
-            while True:
-                lines, filled = _take(fh, block)
-                if not filled:
-                    break
-                ds = _fast_block(columns, lines, filled)
-                if ds is None:
-                    yield from _record_blocks(path, columns, csv.reader(chain(lines, fh)),
-                                              block, first_line)
-                    return
+            for ds in _dataset_blocks(path, fh, block):
+                read += 1
                 yield ds
-                first_line += len(lines)
-            if first_line == 2:  # no block was read
-                raise ValueError(f"{path}: no data rows")
     except UnicodeDecodeError as exc:
-        # the decoder's position counts from its current chunk: name the line
-        raise _undecodable(path, exc) from None
+        # the decoder reads ahead of the parse and counts its position
+        # from its current chunk: name the line, after any earlier error
+        raise _undecodable(path, block, exc) from None
+    if not read:
+        raise ValueError(f"{path}: no data rows")
 
 
-def _undecodable(path, exc) -> ValueError:
-    """The error for a file that is not valid UTF-8, naming its first
-    such line.  Read as latin-1, one character per byte, the file splits
-    into the lines the reader sees: no UTF-8 sequence holds a line-ending
-    byte."""
+def _dataset_blocks(path, fh, block: int):
+    """iter_dataset_csv's blocks read from the text lines fh."""
+    columns = _read_header(path, csv.reader(fh))
+    first_line = 2
+    while True:
+        lines, filled = _take(fh, block)
+        if not filled:
+            return
+        ds = _fast_block(columns, lines, filled)
+        if ds is None:
+            yield from _record_blocks(path, columns, csv.reader(chain(lines, fh)),
+                                      block, first_line)
+            return
+        yield ds
+        first_line += len(lines)
+
+
+def _undecodable(path, block: int, exc) -> ValueError:
+    """The error for a file that is not valid UTF-8.  The lines before
+    its first undecodable one form a valid file, read again: its first
+    error comes first in file order, else the error names the line.
+    Read as latin-1, one character per byte, the file splits into the
+    lines the reader sees: no UTF-8 sequence holds a line-ending byte."""
+    def utf8(lines):
+        for lineno, line in enumerate(lines, start=1):
+            yield line.encode("latin-1").decode("utf-8-sig" if lineno == 1 else "utf-8")
+
     with open(path, newline="", encoding="latin-1") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        bad = 1
+        try:
+            for _ in utf8(fh):
+                bad += 1
+        except UnicodeDecodeError:
+            pass
+        else:
+            return ValueError(f"{path}: {exc}")  # the file changed since the failed read
+    if bad > 1:
+        with open(path, newline="", encoding="latin-1") as fh:
             try:
-                line.encode("latin-1").decode("utf-8")
-            except UnicodeDecodeError:
-                return ValueError(f"{path}:{lineno}: not valid UTF-8")
-    return ValueError(f"{path}: {exc}")  # the file changed since the failed read
+                for _ in _dataset_blocks(path, utf8(islice(fh, bad - 1)), block):
+                    pass
+            except ValueError as err:
+                return err
+    return ValueError(f"{path}:{bad}: not valid UTF-8")
 
 
 def read_dataset_csv(path) -> Dataset:

@@ -16,7 +16,7 @@ so a block is measured once per distinct center: one distance matrix
 and one bucketing into int64 slot rows (plus the group id when groups
 ride along).  The graph pass counts the rows, keyed by their bytes,
 into the pass's row table, which keeps rows in order of first
-occurrence and holds at most as many as a block.  When it is full, and
+occurrence and holds at most as many as a stream block.  When it is full, and
 at the end of the pass, the table is projected onto each graph's
 columns and regrouped graph-major by a stable lexsort, a row per
 (graph, table row) with the graph id in front.  First occurrence in
@@ -286,18 +286,19 @@ class KeyBuilder:
         keys = list(zip(map(tuple, S.tolist()), repeat(None) if G is None else G.tolist()))
         return keys, counts, owner.tolist()
 
-    def bucket_block(self, sq: np.ndarray, groups=None) -> None:
+    def bucket_block(self, sq: np.ndarray, groups=None, bound: int | None = None) -> None:
         """Count one block's slot rows into the row table; sq as for
         slot_rows.  The table keeps rows in order of first occurrence
         over the stream, so projecting it keeps each graph's vertex
-        order.  A new row that finds the table holding as many rows as
-        the block projects it first; so does a block that brings or
-        drops the group column.  Call flush at the end of the pass."""
+        order.  A new row that finds the table holding `bound` rows
+        (default the block's) projects it first; so does a block that
+        brings or drops the group column.  Call flush at the end of the
+        pass."""
         M = np.ascontiguousarray(self.slot_rows(sq, groups))
         if (groups is not None) != self.grouped:
             self.flush()
             self.grouped = groups is not None
-        table, b = self.table, M.shape[0]
+        table, b = self.table, M.shape[0] if bound is None else bound
         # a row's bytes stand for it: int64 rows are equal iff their bytes are
         rows = Counter(M.view(np.dtype((np.void, 8 * M.shape[1]))).ravel().tolist())
         for row, c in rows.items():

@@ -75,22 +75,31 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
     return SeedSolution(X[chosen].copy(), float(pot.sum()), np.argmin(dists, axis=0))
 
 
-def _chunks(blocks, chunk: int):
-    """The rows of a stream of blocks regrouped into arrays of `chunk`
-    rows, in stream order; the last one may be shorter."""
-    buf: list[np.ndarray] = []
+def chunks(blocks, chunk: int):
+    """The rows of a stream of blocks regrouped into `chunk` rows, in
+    stream order; the last chunk may be shorter.  A block is a tuple of
+    arrays over the same rows, None for a column that no block has, and
+    so is a chunk; a chunk that is one block's rows is that block's
+    arrays, not a copy."""
+    buf: list[tuple] = []
     held = 0
     for blk in blocks:
-        blk = as_points(blk)
-        while blk.shape[0]:
-            part, blk = blk[:chunk - held], blk[chunk - held:]
-            buf.append(part)
-            held += part.shape[0]
+        while len(blk[0]):
+            cut = chunk - held
+            buf.append(tuple(None if a is None else a[:cut] for a in blk))
+            blk = tuple(None if a is None else a[cut:] for a in blk)
+            held += len(buf[-1][0])
             if held == chunk:
-                yield np.vstack(buf)
+                yield _joined(buf)
                 buf, held = [], 0
     if held:
-        yield np.vstack(buf)
+        yield _joined(buf)
+
+
+def _joined(parts: list[tuple]) -> tuple:
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
 
 
 def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSolution:
@@ -111,7 +120,7 @@ def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSoluti
     solutions: list[SeedSolution] = []
     counts: list[np.ndarray] = []
     seen = 0
-    for points in _chunks(blocks, chunk):
+    for (points,) in chunks(((as_points(b),) for b in blocks), chunk):
         sol = d2_seed(points, k, 2 * k, rng)
         if meter is not None:
             meter.alloc_points(points.shape[0] + sol.centers.shape[0])

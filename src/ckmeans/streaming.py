@@ -4,8 +4,10 @@ The full pipeline spends one pass seeding, one filling reservoirs, one
 building a compressed graph for every candidate (plus an optional scale
 pass when aspect-ratio removal is on), and one peeling the winning
 solution into per-point assignments: 4 passes, 5 with aspect removal.
-The graph and scale passes handle each block once for all candidates:
-they measure it against the list's distinct centers and project onto
+The scale, graph and assign passes join consecutive blocks into arrays
+of max(block, ENTRIES // (|U|·d)) rows, U the list's distinct centers.
+The graph and scale passes handle each array
+once for all candidates: they measure it against U and project onto
 each candidate's columns, the graph pass a table of up to a block's
 distinct rows at a time.
 Solving happens offline between passes on the compressed graphs, never
@@ -38,9 +40,13 @@ from .partition import (
     variant_groups,
 )
 from .sampling import ReservoirBank
-from .seeding import SeedSolution, d2_seed, merge_reduce_seed
+from .seeding import SeedSolution, chunks, d2_seed, merge_reduce_seed
 
 STREAM_VARIANTS = ("classical", "r_gather", "r_capacity", "fault_tolerant", "semi_supervised")
+
+# float64 entries (128 KB) of the (rows, |U|, d) difference temporary
+# that sets how many rows the passes after sampling join
+ENTRIES = 2**14
 
 
 class StreamSource:
@@ -336,18 +342,26 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         raise InfeasiblePartitionError("candidate list came back empty")
     eps = cfg.epsilon
 
-    # every pass measures a block once per distinct center of the list
-    # and projects onto each candidate's columns
+    # the passes after sampling measure arrays of `rows` joined points
+    # against the list's distinct centers U; owners are peeled and costs
+    # summed in point order, so the join moves no output
     m = len(cands)
+    U, col = distinct_centers(np.vstack([e.centers for e in cands.entries]))
+    rows = max(source.block, ENTRIES // U.size)
+
+    def grouped(blocks):
+        # each block's groups are checked as it arrives, before a join reads on
+        return chunks(((pts, variant_groups(variant, c, t)) for pts, c, t in blocks), rows)
+
     d_star = None
     if aspect_removal:
-        U, col = distinct_centers(np.vstack([e.centers for e in cands.entries]))
         with meter.phase("scale"):
             worst = np.zeros(m)
-            for pts, _c, _t in source.open():
+            for (pts,) in chunks(((pts,) for pts, _c, _t in source.open()), rows):
                 near = pairwise_sqdist(pts, U)[:, col].reshape(len(pts), m, -1).min(axis=2)
                 worst = np.maximum(worst, near.max(axis=0))
             d_star = np.sqrt(worst)
+    del U, col  # the graph pass's KeyBuilder holds its own
 
     graphs: list[CompressedGraph] = []
     with meter.phase("graph"):
@@ -357,9 +371,9 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             else:
                 graphs.append(CompressedGraph(e.centers, eps))
         kb = KeyBuilder(graphs)
-        for pts, colors, targets in source.open():
-            kb.bucket_block(pairwise_sqdist(pts, kb.centers),
-                            variant_groups(variant, colors, targets))
+        for pts, groups in grouped(source.open()):
+            # the row table stays within one source block
+            kb.bucket_block(pairwise_sqdist(pts, kb.centers), groups, source.block)
         kb.flush()
         for g in graphs:
             meter.alloc_words(len(g.vertices) * (g.k + 1))
@@ -383,9 +397,9 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     owners: list = []
     with meter.phase("assign"):
         blocks = source.open()
-        for pts, colors, targets in blocks:
+        for pts, groups in grouped(blocks):
             try:
-                owners.extend(sol.assign_block(pts, variant_groups(variant, colors, targets)))
+                owners.extend(sol.assign_block(pts, groups))
             except InfeasiblePartitionError:
                 # a source changed since the graph pass can overdraw a
                 # vertex: the pass read to its end names the change

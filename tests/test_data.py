@@ -254,6 +254,29 @@ def test_an_invalid_utf8_byte_names_its_line(tmp_path):
         read_dataset_csv(crlf)
 
 
+def test_a_bad_line_before_an_invalid_utf8_byte_is_named_first(tmp_path):
+    # the decoder fails on line 9 while the parse is still at the header:
+    # the lines before line 9 are read as the valid file they form
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x0,x1\n" + b"1,2\n" * 3 + b"abc,1\n" + b"1,2\n" * 3 + b"1,\xff\n")
+    valid = tmp_path / "valid.csv"
+    valid.write_bytes(path.read_bytes().replace(b"\xff", b"2"))
+    for block in (1, 2, 4096):
+        assert block_read(path, block) == f"{path}:5: could not convert string to float: 'abc'"
+        assert block_read(valid, block) == f"{valid}:5: could not convert string to float: 'abc'"
+    # a bad header comes first as well; with nothing bad before it, the
+    # undecodable line is named, header line included
+    for text, line in ((b"x1,x0\n1,\xff\n", None), (b"x0,x1\n\xff,1\n", 2),
+                       (b"x0,\xff\n1,2\n", 1), (b"\xef\xbb\xbfx0,x1\n1,2\n1,\xff\n", 3)):
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as got:
+            list(iter_dataset_csv(path, 1))
+        if line is None:
+            assert "coordinate columns must be named" in str(got.value)
+        else:
+            assert str(got.value) == f"{path}:{line}: not valid UTF-8"
+
+
 def test_byte_order_mark_is_not_part_of_the_header(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(FILES["colors_targets"].encode("utf-8"))

@@ -16,9 +16,14 @@ from ckmeans.data import (
     write_dataset_csv,
 )
 from ckmeans.geometry import pairwise_sqdist, phi_cost
-from ckmeans.hyperbucket import CompressedGraph
+from ckmeans.hyperbucket import CompressedGraph, KeyBuilder
 from ckmeans.listgen import GoodCentersConfig, good_centers, repetition_tuples
-from ckmeans.partition import InfeasiblePartitionError, Variant, partition_cost
+from ckmeans.partition import (
+    CompressedSolution,
+    InfeasiblePartitionError,
+    Variant,
+    partition_cost,
+)
 from ckmeans.sampling import ReservoirBank
 from ckmeans.seeding import d2_seed, merge_reduce_seed
 from ckmeans.streaming import (
@@ -609,3 +614,88 @@ def test_range_selection_end_to_end():
     pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
                        np.random.default_rng(28), select_mode="range")
     assert math.isfinite(pr.cost)
+
+
+# joined passes -----------------------------------------------------------------
+
+JOIN_CFG = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=4, tau=1,
+                             repetitions=2, subset_budget=4)
+
+
+def spread_groups(n, dim=2):
+    # wide groups: a block of them holds many distinct slot rows
+    ds, info = gaussian_groups(n, 3, dim=dim, sigma=0.5, rng=np.random.default_rng(2))
+    return with_targets(ds, info["labels"])
+
+
+def joined_run(monkeypatch, ds, block, variant, aspect):
+    """full_pipeline on ds in `block`-row source blocks, and what its
+    graph and assign passes saw: the rows of each array that reached
+    bucket_block and assign_block, the row table's size after every
+    bucket_block call, and the list's |U|·d."""
+    seen = {"graph": [], "assign": [], "table": []}
+    bucket, assign = KeyBuilder.bucket_block, CompressedSolution.assign_block
+
+    def bucket_spy(kb, sq, groups=None, bound=None):
+        seen["graph"].append(len(sq))
+        seen["entries"] = kb.centers.size
+        bucket(kb, sq, groups, bound)
+        seen["table"].append(len(kb.table))
+
+    def assign_spy(sol, points, groups=None):
+        seen["assign"].append(len(points))
+        return assign(sol, points, groups)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(KeyBuilder, "bucket_block", bucket_spy)
+        mp.setattr(CompressedSolution, "assign_block", assign_spy)
+        pr = full_pipeline(ArraySource(ds, block=block), 3, variant, JOIN_CFG,
+                           np.random.default_rng(5), aspect_removal=aspect)
+    return pr, seen
+
+
+def same_result(a, b):
+    assert a.centers.tobytes() == b.centers.tobytes()
+    assert a.owners == b.owners
+    assert (a.cost, a.flow_cost, a.selected, a.d_star) == (b.cost, b.flow_cost, b.selected,
+                                                           b.d_star)
+    assert a.space == b.space and a.passes_used == b.passes_used
+
+
+@pytest.mark.parametrize("aspect", [False, True])
+@pytest.mark.parametrize("kind", ["classical", "semi_supervised"])
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_passes_after_sampling_join_blocks_to_the_budget(monkeypatch, block, kind, aspect):
+    ds = spread_groups(3000)
+    variant = Variant.classical() if kind == "classical" else Variant.semi_supervised(0.5)
+    pr, seen = joined_run(monkeypatch, ds, block, variant, aspect)
+    rows = max(block, streaming.ENTRIES // seen["entries"])
+    assert rows > block                 # at d = 2 the budget joins blocks
+    for got in (seen["graph"], seen["assign"]):
+        assert sum(got) == ds.n and len(got) >= 3
+        assert all(rows <= r < rows + block for r in got[:-1]), got
+    # a budget of one entry joins no blocks, and the outputs do not move
+    monkeypatch.setattr(streaming, "ENTRIES", 1)
+    alone, seen = joined_run(monkeypatch, ds, block, variant, aspect)
+    assert max(seen["graph"] + seen["assign"]) == block
+    same_result(pr, alone)
+
+
+@pytest.mark.parametrize("aspect", [False, True])
+def test_a_wide_list_reads_one_source_block_at_a_time(monkeypatch, aspect):
+    # at d = 64 the budget is below a block of 64 rows: nothing is joined
+    ds = spread_groups(600, dim=64)
+    _pr, seen = joined_run(monkeypatch, ds, 64, Variant.classical(), aspect)
+    assert streaming.ENTRIES // seen["entries"] < 64
+    blocks = [64] * 9 + [24]
+    assert seen["graph"] == blocks and seen["assign"] == blocks
+
+
+@pytest.mark.parametrize("aspect", [False, True])
+@pytest.mark.parametrize("block", [7, 64])
+def test_pipeline_row_table_stays_within_a_source_block(monkeypatch, block, aspect):
+    # at d = 8 a joined array holds more distinct slot rows than a block
+    ds = spread_groups(3000, dim=8)
+    _pr, seen = joined_run(monkeypatch, ds, block, Variant.classical(), aspect)
+    assert max(seen["graph"]) > block
+    assert max(seen["table"]) <= block
