@@ -16,10 +16,10 @@ so a block is measured once per distinct center: one distance matrix
 and one bucketing into int64 slot rows (plus the group id when groups
 ride along).  The graph pass counts the rows, keyed by their bytes,
 into the pass's row table, which keeps rows in order of first
-occurrence and holds at most as many as a stream block.  When it is full, and
-at the end of the pass, the table is projected onto each graph's
-columns and regrouped graph-major by a stable lexsort, a row per
-(graph, table row) with the graph id in front.  First occurrence in
+occurrence and holds at most as many as a stream block.  When it is
+full, and at the end of the pass, the table is projected onto each
+graph's columns and regrouped graph-major by a stable lexsort, a row
+per (graph, table row) with the graph id in front.  First occurrence in
 the table is first occurrence in the stream, so every graph's vertices
 come out in the same order as if each block were projected alone.
 Key tuples are built once per distinct vertex of a table, never per
