@@ -6,10 +6,9 @@ pass when aspect-ratio removal is on), and one peeling the winning
 solution into per-point assignments: 4 passes, 5 with aspect removal.
 The scale, graph and assign passes join consecutive blocks into arrays
 of max(block, ENTRIES // (|U|·d)) rows, U the list's distinct centers.
-The graph and scale passes handle each array
-once for all candidates: they measure it against U and project onto
-each candidate's columns, the graph pass a table of up to a block's
-distinct rows at a time.
+The graph and scale passes handle each array once for all candidates:
+they measure it against U and project onto each candidate's columns,
+the graph pass a table of up to a block's distinct rows at a time.
 Solving happens offline between passes on the compressed graphs, never
 on raw points.  batch_solve is the in-memory pipeline behind
 `ckmeans solve`.  Both build their candidate list with
