@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# float64 entries (128 KB) of the distance temporaries by which the stream
+# passes size their stacks of chunks and joins of blocks
+ENTRIES = 2**14
+
 
 def as_points(X) -> np.ndarray:
     """Coerce input to a 2-d float64 array, treating one row as (1, d)."""

@@ -63,8 +63,8 @@ class ReservoirBank:
     """size independent reservoirs sharing one weight stream.
 
     All reservoirs see the same weights, hence the same running sum; the
-    replacement coin flips are independent per reservoir.  Blocks are
-    processed at once: within a block the last winning offer per
+    replacement coin flips are independent per reservoir.  An offer's
+    rows are processed at once: among them the last winning row per
     reservoir is the survivor.
     """
 
@@ -81,23 +81,35 @@ class ReservoirBank:
     def size(self) -> int:
         return len(self.held_index)
 
-    def offer_block(self, points, weights) -> None:
+    def offer_block(self, points, weights, lengths=None) -> None:
+        """Offers the rows in blocks of the given lengths (one when None):
+        sums run S + cumsum(block) block by block, as with one offer each."""
         P = as_points(points)
         w = _checked_weights(weights, P.shape[0])
         B = P.shape[0]
         if B == 0:
             return
-        sums = self.weight_sum + np.cumsum(w)
+        ends = np.cumsum([B] if lengths is None else lengths)
+        if ends[-1] != B:
+            raise ValueError("block lengths must add up to the rows offered")
+        sums, S = [], self.weight_sum
+        for block in np.split(w, ends[:-1]):
+            sums.append(S + np.cumsum(block))
+            S = float(sums[-1][-1]) if len(block) else S
+        sums = np.concatenate(sums)
         u = self.rng.random((B, self.size))
-        # u * S_i < w_i is the scalar replace rule, vectorized
-        wins = u * sums[:, None] < w[:, None]
-        any_win = wins.any(axis=0)
-        if any_win.any():
-            last = B - 1 - np.argmax(wins[::-1], axis=0)
-            rows = np.flatnonzero(any_win)
-            self.held_index[rows] = self._next_index + last[rows]
-            self.held[rows] = P[last[rows]]
-        self.weight_sum = float(sums[-1])
+        # u * S_i < w_i is the scalar replace rule.  It implies u <= w_i / S_i,
+        # so only the few draws under that ratio (with slack for its
+        # rounding) are put to the rule; a row with S_i = 0 offers nothing
+        ratio = np.divide(w, sums, out=np.zeros(B), where=sums > 0) * (1 + 2.0**-40)
+        row, res = np.divmod(np.flatnonzero(u <= ratio[:, None]), self.size)
+        won = u[row, res] * sums[row] < w[row]
+        # rows ascend, so each reservoir's last win is its first from the end
+        res, last = np.unique(res[won][::-1], return_index=True)
+        row = row[won][::-1][last]
+        self.held_index[res] = self._next_index + row
+        self.held[res] = P[row]
+        self.weight_sum = S
         self._next_index += B
 
     def sampled_points(self) -> np.ndarray:

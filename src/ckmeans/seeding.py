@@ -8,12 +8,11 @@ same rng stream, bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_points, pairwise_sqdist
+from .geometry import ENTRIES, as_points, pairwise_sqdist
 from .sampling import point_weights
 
 
@@ -51,28 +50,40 @@ def d2_seed(X, k: int, oversample: int | None = None, rng=None,
 
     if oversample >= n:
         return SeedSolution(X.copy(), 0.0, np.argmin(pairwise_sqdist(X, X), axis=1))
+    u = np.array([[rng.random() for _ in range(oversample)]])
+    return _d2_stack(X[None], u, w, weights is not None)[0]
 
-    def draw(p) -> int:
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(rng.random(), side="right"))
 
-    def sqdist(j: int) -> np.ndarray:
-        # pairwise_sqdist(X, X[j]).ravel(), bit for bit
-        diff = X - X[j]
-        return np.einsum("ij,ij->i", diff, diff)
+def _d2_stack(X: np.ndarray, u: np.ndarray, w: np.ndarray, weighted: bool) -> list:
+    """D^2 seeding of c sets of n points at once, each as d2_seed seeds
+    it alone: X is (c, n, d), u the (c, m) uniforms of m draws per set
+    and w the weights of the n rows.  Returns c SeedSolutions."""
+    sets = np.arange(X.shape[0])
 
-    chosen = [draw(w / w.sum())]
+    def draw(p, j: int) -> np.ndarray:
+        cdf = p.cumsum(axis=-1)
+        cdf /= cdf[..., -1:]
+        # on a non-decreasing cdf, cdf.searchsorted(u, side="right")
+        return (cdf <= u[:, j, None]).sum(axis=-1)
+
+    def sqdist(picks: np.ndarray) -> np.ndarray:
+        # pairwise_sqdist(X[s], X[s, j]).ravel() for each set s, bit for bit
+        diff = X - X[sets, picks][:, None]
+        return np.einsum("cij,cij->ci", diff, diff)
+
+    chosen = [draw(w / w.sum(), 0)]
     dists = [sqdist(chosen[0])]
-    pot = dists[0].copy() if weights is None else w * dists[0]
-    for _ in range(oversample - 1):
-        total = float(pot.sum())
-        if not math.isfinite(total):
+    pot = w * dists[0] if weighted else dists[0].copy()
+    for j in range(1, u.shape[1]):
+        total = pot.sum(axis=1, keepdims=True)
+        if not np.isfinite(total).all():
             raise ValueError("a squared distance overflows float64")
-        chosen.append(draw((w / w.sum()) if total == 0.0 else (pot / total)))
+        p = np.where(total == 0.0, w, pot)  # a set with no potential left draws by weight
+        chosen.append(draw(p / p.sum(axis=1, keepdims=True), j))
         dists.append(sqdist(chosen[-1]))
-        np.minimum(pot, dists[-1] if weights is None else w * dists[-1], out=pot)
-    return SeedSolution(X[chosen].copy(), float(pot.sum()), np.argmin(dists, axis=0))
+        np.minimum(pot, w * dists[-1] if weighted else dists[-1], out=pot)
+    centers = X[sets[:, None], np.stack(chosen, axis=1)]
+    return list(map(SeedSolution, centers, pot.sum(axis=1).tolist(), np.argmin(dists, axis=0)))
 
 
 def chunks(blocks, chunk: int):
@@ -102,6 +113,24 @@ def _joined(parts: list[tuple]) -> tuple:
     return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
 
 
+def _runs(chunked, chunk: int, k: int):
+    """Runs of up to ENTRIES // (chunk·max(2k, d)) full chunks (1 if chunk
+    <= 2k), a short last chunk alone, the last run maybe empty.  A source
+    error follows the run in hand, as if each chunk were seeded on arrival."""
+    run: list[np.ndarray] = []
+    try:
+        for (points,) in chunked:
+            most = 1 if chunk <= 2 * k else ENTRIES // (chunk * max(2 * k, points.shape[1]))
+            if run and (len(run) >= most or len(points) < chunk):
+                yield run
+                run = []
+            run.append(points)
+    except Exception:
+        yield run
+        raise
+    yield run
+
+
 def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSolution:
     """Single pass chunked seeding.
 
@@ -120,14 +149,16 @@ def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSoluti
     solutions: list[SeedSolution] = []
     counts: list[np.ndarray] = []
     seen = 0
-    for (points,) in chunks(((as_points(b),) for b in blocks), chunk):
-        sol = d2_seed(points, k, 2 * k, rng)
-        if meter is not None:
-            meter.alloc_points(points.shape[0] + sol.centers.shape[0])
-            meter.free_points(points.shape[0])
-        counts.append(np.bincount(sol.labels, minlength=sol.centers.shape[0]).astype(np.float64))
-        solutions.append(sol)
-        seen += points.shape[0]
+    for run in _runs(chunks(((as_points(b),) for b in blocks), chunk), chunk, k):
+        sols = ([d2_seed(P, k, 2 * k, rng) for P in run] if len(run) < 2 else
+                _d2_stack(np.stack(run), rng.random((len(run), 2 * k)), np.ones(chunk), False))
+        for points, sol in zip(run, sols):
+            if meter is not None:
+                meter.alloc_points(points.shape[0] + sol.centers.shape[0])
+                meter.free_points(points.shape[0])
+            counts.append(np.bincount(sol.labels, minlength=len(sol.centers)).astype(np.float64))
+            seen += points.shape[0]
+        solutions += sols
 
     if not solutions:
         raise ValueError("empty stream")

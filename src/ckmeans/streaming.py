@@ -4,8 +4,10 @@ The full pipeline spends one pass seeding, one filling reservoirs, one
 building a compressed graph for every candidate (plus an optional scale
 pass when aspect-ratio removal is on), and one peeling the winning
 solution into per-point assignments: 4 passes, 5 with aspect removal.
-The scale, graph and assign passes join consecutive blocks into arrays
-of max(block, ENTRIES // (|U|·d)) rows, U the list's distinct centers.
+The seed pass seeds runs of chunks as one stack, the sample pass joins
+whole blocks into arrays of at least ENTRIES // (2k·d) rows, and the
+scale, graph and assign passes join consecutive blocks into arrays of
+max(block, ENTRIES // (|U|·d)) rows, U the list's distinct centers.
 The graph and scale passes handle each array once for all candidates:
 they measure it against U and project onto each candidate's columns,
 the graph pass a table of up to a block's distinct rows at a time.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, iter_dataset_csv
-from .geometry import as_points, pairwise_sqdist
+from .geometry import ENTRIES, as_points, pairwise_sqdist
 from .hyperbucket import CompressedGraph, KeyBuilder, aspect_graph, distinct_centers
 from .listgen import CandidateList, GoodCentersConfig, candidate_list, good_centers
 from .partition import (
@@ -42,10 +44,6 @@ from .sampling import ReservoirBank
 from .seeding import SeedSolution, chunks, d2_seed, merge_reduce_seed
 
 STREAM_VARIANTS = ("classical", "r_gather", "r_capacity", "fault_tolerant", "semi_supervised")
-
-# float64 entries (128 KB) of the (rows, |U|, d) difference temporary
-# that sets how many rows the passes after sampling join
-ENTRIES = 2**14
 
 
 class StreamSource:
@@ -193,6 +191,19 @@ class SpaceMeter:
         }
 
 
+def _whole_blocks(blocks, rows: int):
+    """Consecutive blocks joined into arrays of at least `rows` rows (the
+    last may hold fewer), never splitting a block: (array, block lengths)."""
+    held: list[np.ndarray] = []
+    for blk in blocks:
+        held.append(blk)
+        if sum(map(len, held)) >= rows:
+            yield np.concatenate(held), [len(b) for b in held]
+            held = []
+    if held:
+        yield np.concatenate(held), [len(b) for b in held]
+
+
 def default_chunk(n: int | None, k: int) -> int:
     return 4096 if n is None else max(k, math.ceil(math.sqrt(n * k)))
 
@@ -229,14 +240,16 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
                           ReservoirBank(R, d, streams[r][1])))
             meter.alloc_points(2 * R)
         seen = 0
-        for pts in source.open_points():
+        for pts, lengths in _whole_blocks(source.open_points(), ENTRIES // C.size):
             w = pairwise_sqdist(pts, C).min(axis=1)
+            ends = np.cumsum(lengths)
+            zero = ends[np.cumsum(w)[ends - 1] == 0]  # ends of the leading blocks of weight 0
             for bank, uni in banks:
-                bank.offer_block(pts, w)
                 # the twin is read only when its bank ends the pass at
                 # weight 0, and a positive sum never falls back to 0
-                if bank.weight_sum == 0:
-                    uni.offer_block(pts, np.ones(len(w)))
+                if bank.weight_sum == 0 and len(zero):
+                    uni.offer_block(pts[:zero[-1]], np.ones(zero[-1]), lengths[:len(zero)])
+                bank.offer_block(pts, w, lengths)
             seen += len(w)
 
         cands = candidate_list(

@@ -65,6 +65,29 @@ class Reservoir:
         return self
 
 
+def offer_block_matrix(bank, points, weights) -> None:
+    """ReservoirBank.offer_block as the package first vectorized it, one
+    block per call: the running sums are S + cumsum(w), and every coin of
+    the (rows, size) matrix is put to u * S_i < w_i; the last win of each
+    reservoir survives."""
+    P = as_points(points)
+    w = np.asarray(weights, dtype=np.float64)
+    B = P.shape[0]
+    if B == 0:
+        return
+    sums = bank.weight_sum + np.cumsum(w)
+    u = bank.rng.random((B, bank.size))
+    wins = u * sums[:, None] < w[:, None]
+    any_win = wins.any(axis=0)
+    if any_win.any():
+        last = B - 1 - np.argmax(wins[::-1], axis=0)
+        rows = np.flatnonzero(any_win)
+        bank.held_index[rows] = bank._next_index + last[rows]
+        bank.held[rows] = P[last[rows]]
+    bank.weight_sum = float(sums[-1])
+    bank._next_index += B
+
+
 # seeding ---------------------------------------------------------------------
 
 def d2_seed_choice(X, k: int, oversample: int, rng, weights=None) -> tuple[np.ndarray, float]:
@@ -90,20 +113,32 @@ def d2_seed_choice(X, k: int, oversample: int, rng, weights=None) -> tuple[np.nd
     return X[chosen].copy(), float(pot.sum())
 
 
-def merge_reduce_seed_choice(X, k: int, chunk: int, rng) -> tuple[np.ndarray, float]:
+def merge_reduce_seed_choice(X, k: int, chunk: int, rng,
+                             meter=None) -> tuple[np.ndarray, float, np.ndarray]:
     """merge_reduce_seed over one array through d2_seed_choice: each
     chunk's centers weighted by their Voronoi counts (ties to the lowest
-    center), then one weighted seeding of their union."""
+    center), then one weighted seeding of their union.  Returns (centers,
+    cost, labels), labels the Voronoi labels of the rows the last seeding
+    ran on; meter is charged chunk by chunk as merge_reduce_seed charges it."""
     X = as_points(X)
     centers, counts = [], []
     for lo in range(0, X.shape[0], chunk):
-        C, cost = d2_seed_choice(X[lo:lo + chunk], k, 2 * k, rng)
+        P = X[lo:lo + chunk]
+        C, cost = d2_seed_choice(P, k, 2 * k, rng)
+        if meter is not None:
+            meter.alloc_points(len(P) + len(C))
+            meter.free_points(len(P))
+        labels = voronoi_labels(P, C)
         if X.shape[0] <= chunk:
-            return C, cost
-        labels = voronoi_labels(X[lo:lo + chunk], C)
+            return C, cost, labels
         centers.append(C)
         counts.append(np.bincount(labels, minlength=C.shape[0]).astype(np.float64))
-    return d2_seed_choice(np.vstack(centers), k, 2 * k, rng, np.concatenate(counts))
+    union = np.vstack(centers)
+    C, cost = d2_seed_choice(union, k, 2 * k, rng, np.concatenate(counts))
+    if meter is not None:
+        meter.free_points(len(union))
+        meter.alloc_points(len(C))
+    return C, cost, voronoi_labels(union, C)
 
 
 # hyperbucket -----------------------------------------------------------------

@@ -416,6 +416,13 @@ def _four_rows_two_far(path):
     path.write_text("x0,x1\n0,0\n0.5,0.1\n1e200,1e200\n1e200,1e200\n")
 
 
+def _far_rows_then_bad_line(path):
+    # lines 2-4 overflow the first chunk's distances; line 50 does not parse
+    for lineno in (2, 3, 4):
+        _edit_line(lineno, "1e200,1e200")(path)
+    _edit_line(50, "abc,1")(path)
+
+
 def _drop_last_row(path):
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
 
@@ -503,6 +510,10 @@ EXIT_CLAUSES = [
     ("squared distance overflows", "solve", [], _far_half, "a squared distance overflows float64"),
     ("squared distance overflows", "stream", [], _far_half, "a squared distance overflows float64"),
     ("squared distance overflows, at most 2k rows", "stream", ["--k", "2"], _four_rows_two_far,
+     "a squared distance overflows float64"),
+    # the seed pass seeds the chunks it holds before a read error surfaces
+    ("squared distance overflows before a bad line", "stream",
+     ["--block", "8", "--chunk", "10"], _far_rows_then_bad_line,
      "a squared distance overflows float64"),
     # SMALL gives --eta, --tau and --reps, so the anchor copies overflow
     ("preset default beyond int64", "solve", ["--preset", "formula", "--epsilon", "1e-100"], None,

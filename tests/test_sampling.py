@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ckmeans.geometry import pairwise_sqdist
@@ -12,7 +14,7 @@ from ckmeans.sampling import (
     d2_distribution,
     d2_sample,
 )
-from reference import Reservoir
+from reference import Reservoir, offer_block_matrix
 
 CHI2_LEVEL = 0.99
 TRIALS = 100_000
@@ -202,3 +204,109 @@ def test_bank_last_win_in_block_survives():
     bank.offer_block(pts * 10, np.ones(3))
     assert np.all(bank.held[:, 0] == 30.0)
     assert np.all(bank.held_index == 5)
+
+
+# joined offers -----------------------------------------------------------------
+
+def offer_joined_and_per_block(weights, lengths, cuts, size, rng):
+    """Two banks fed the blocks of `lengths` rows: the coin-matrix oracle
+    one block per call, the bank joins of consecutive blocks split before
+    the block indices `cuts`, each join in one offer with its lengths.
+    Each bank gets its own rng().  Returns (oracle, joined)."""
+    pts = np.arange(len(weights), dtype=np.float64)[:, None] * 10.0
+    lengths = np.asarray(lengths)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    oracle = ReservoirBank(size, 1, rng())
+    with np.errstate(over="ignore", invalid="ignore"):    # inf sums, 0 * inf
+        for lo, hi in zip(starts, ends):
+            offer_block_matrix(oracle, pts[lo:hi], weights[lo:hi])
+        joined = ReservoirBank(size, 1, rng())
+        for group in np.split(np.arange(len(lengths)), cuts):
+            if len(group):
+                lo, hi = starts[group[0]], ends[group[-1]]
+                joined.offer_block(pts[lo:hi], weights[lo:hi], lengths[group])
+    return oracle, joined
+
+
+def same_bank(a, b) -> bool:
+    return (a.held_index.tobytes() == b.held_index.tobytes()
+            and a.held.tobytes() == b.held.tobytes()
+            and np.float64(a.weight_sum).tobytes() == np.float64(b.weight_sum).tobytes())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["spread", "zero prefix", "zero pass", "subnormal ratio", "overflow"]))
+def test_joined_offers_match_per_block_offers(s, kind):
+    # held indices, held bits, the weight sum's bits and the generator's
+    # next draw all match; 1-row blocks are common
+    data = np.random.default_rng(s)
+    lengths = data.integers(1, 40, size=data.integers(1, 12))
+    lengths[data.random(len(lengths)) < 0.3] = 1
+    n = int(lengths.sum())
+    w = data.random(n) * 10.0 ** data.integers(-3, 4)
+    w[data.random(n) < 0.2] = 0.0
+    if kind == "zero prefix":
+        w[:data.integers(0, n + 1)] = 0.0
+    elif kind == "zero pass":
+        w[:] = 0.0
+    elif kind == "subnormal ratio":
+        # tiny weights after a large sum: w_i / S_i falls below 2**-1022
+        w[0] = 1e10
+        w[data.random(n) < 0.5] = 1e-310
+    elif kind == "overflow":
+        w = np.where(w > 0, data.random(n) * 1e308, 0.0)   # the running sum overflows to inf
+    cuts = np.sort(data.integers(0, len(lengths) + 1, size=data.integers(0, 4)))
+    oracle, joined = offer_joined_and_per_block(
+        w, lengths, cuts, 32, lambda: np.random.default_rng(s + 1))
+    assert same_bank(oracle, joined)
+    assert oracle.rng.random() == joined.rng.random()
+
+
+def losing_edge(w: float, S: float) -> float:
+    """The least u with u * S >= w in float64: u draws no win, the float
+    below it does.  0 when S is 0 or inf (no u wins) or w is 0."""
+    u = np.float64(w / S) if 0 < S < np.inf else np.float64(0.0)
+    with np.errstate(invalid="ignore"):     # 0 * inf
+        while u * S < w:
+            u = np.nextafter(u, 2.0)
+        while u > 0 and np.nextafter(u, -1.0) * S >= w:
+            u = np.nextafter(u, -1.0)
+    return float(u)
+
+
+@pytest.mark.parametrize("weights,lengths", [
+    ([0, 0, 3, 1, 5, 0, 1, 2.5, 7, 0.1, 0.2, 4], [2, 1, 3, 1, 4, 1]),
+    ([0, 0, 0, 0, 0, 0], [1, 2, 3]),                          # weight stays 0
+    ([1e10, 1e-310, 3, 1e-312, 2e-310, 1], [1, 2, 1, 2]),     # subnormal w_i / S_i
+    ([1e308, 1e308, 1.0, 5e307, 0, 2.0], [1, 2, 3]),          # S_i overflows to inf
+])
+def test_joined_offers_match_on_the_replace_rule_edges(weights, lengths):
+    # per reservoir, each row draws u on its losing edge (u * S_i == w_i
+    # where the floats allow), one ulp below it (a win) or u = 0
+    w = np.array(weights, dtype=np.float64)
+    ends = np.cumsum(lengths)
+    S, sums = 0.0, []
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(ends - lengths, ends):
+            sums += list(S + np.cumsum(w[lo:hi]))
+            S = sums[-1]
+    size = 9
+    u = np.zeros((len(w), size))
+    for i, (wi, Si) in enumerate(zip(w, sums)):
+        edge = losing_edge(wi, Si)
+        for j in range(size):
+            u[i, j] = [edge, float(np.nextafter(edge, -1.0)) if edge > 0 else 0.0, 0.0][j % 3]
+    assert not w.any() or any(u[i, 0] * Si == wi > 0 for i, (wi, Si) in enumerate(zip(w, sums)))
+    for cuts in ([], [1], [2, 3], list(range(len(lengths)))):
+        oracle, joined = offer_joined_and_per_block(
+            w, lengths, cuts, size, lambda: StubRng(list(u.ravel()) + [0.5]))
+        assert same_bank(oracle, joined)
+        assert oracle.rng.random() == joined.rng.random() == 0.5
+
+
+def test_offer_lengths_must_cover_the_rows():
+    bank = ReservoirBank(2, 1, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="block lengths"):
+        bank.offer_block(np.ones((4, 1)), np.ones(4), [1, 2])

@@ -172,13 +172,13 @@ def test_iterative_potential_never_increases():
 
 
 @st.composite
-def seed_inputs(draw):
+def seed_inputs(draw, sizes=st.integers(1, 60)):
     """Points in d = 1, 2, 3, 7, 16 or 64 at magnitudes 1e-3 to 1e3: spread,
     on a small grid (a point is often equidistant from two centers), some
     rows coincident, or all of them (the potential drops to 0 and draws
-    fall back to the weights)."""
+    fall back to the weights).  Their number is drawn from `sizes`."""
     d = draw(st.sampled_from([1, 2, 3, 7, 16, 64]))
-    n = draw(st.integers(1, 60))
+    n = draw(sizes)
     data = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = data.normal(size=(n, d)) * 10.0 ** draw(st.integers(-3, 3))
     shape = draw(st.sampled_from(["spread", "grid", "coincident", "one site"]))
@@ -212,16 +212,29 @@ def test_d2_seed_matches_its_choice_form(inp, k, oversample, weighted, s):
     assert same_seed(got, d2_seed_choice(X, k, oversample, want_rng, w), got_rng, want_rng)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(seed_inputs(), st.integers(1, 3), st.sampled_from([1, 2, 5, 7, 16, 33, 100]),
-       st.integers(0, 2**32 - 1))
-def test_merge_reduce_seed_matches_its_choice_form(inp, k, chunk, s):
-    X, _data = inp
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed_inputs(st.integers(1, 60) | st.integers(3000, 3000)), st.integers(1, 3),
+       st.sampled_from([1, 2, 4, 5, 6, 7, 16, 33, 100, 245]), st.integers(1, 300),
+       st.sampled_from([False, False, True]), st.integers(0, 2**32 - 1))
+def test_merge_reduce_seed_matches_its_choice_form(inp, k, chunk, block, one_chunk, s):
+    # streams of up to 3,000 rows span several stacks of chunks and end on
+    # a short chunk; chunks of at most 2k rows are seeded whole; a stream
+    # of one chunk returns that chunk's seeding.  The rows arrive in blocks
+    # of random sizes up to `block`.
+    X, data = inp
+    if one_chunk:
+        X = X[:chunk]
     if X.shape[0] < k:
         return
+    cuts = np.cumsum(data.integers(1, block + 1, size=X.shape[0]))
+    blocks = np.split(X, cuts[cuts < X.shape[0]])
     got_rng, want_rng = np.random.default_rng(s), np.random.default_rng(s)
-    got = merge_reduce_seed(X, k, chunk, got_rng)
-    assert same_seed(got, merge_reduce_seed_choice(X, k, chunk, want_rng), got_rng, want_rng)
+    got_meter, want_meter = SpaceMeter(), SpaceMeter()
+    got = merge_reduce_seed(blocks, k, chunk, got_rng, meter=got_meter)
+    *want, labels = merge_reduce_seed_choice(X, k, chunk, want_rng, meter=want_meter)
+    assert same_seed(got, want, got_rng, want_rng)
+    assert got.labels.tobytes() == labels.tobytes()
+    assert got_meter.report() == want_meter.report()
 
 
 class ScriptedGenerator(np.random.Generator):

@@ -256,14 +256,19 @@ def test_uniform_twin_fed_only_while_potential_is_zero(monkeypatch, tail):
                             eta=4, tau=1, repetitions=3, subset_budget=20)
     want_seed, want = always_fed_sample_pass(ArraySource(X, block=8), 3, cfg,
                                              np.random.default_rng(8))
-    offers = []
-    real = ReservoirBank.offer_block
+    made, offered = [], {}
+    init, offer = ReservoirBank.__init__, ReservoirBank.offer_block
 
-    def spy(bank, pts, w):
-        offers.append(bank)
-        real(bank, pts, w)
+    def init_spy(bank, *args):
+        made.append(bank)
+        init(bank, *args)
 
-    monkeypatch.setattr(ReservoirBank, "offer_block", spy)
+    def offer_spy(bank, pts, w, lengths=None):
+        offered.setdefault(bank, []).append(pts)
+        offer(bank, pts, w, lengths)
+
+    monkeypatch.setattr(ReservoirBank, "__init__", init_spy)
+    monkeypatch.setattr(ReservoirBank, "offer_block", offer_spy)
     cands, seed, _ = two_pass_good_centers(ArraySource(X, block=8), 3, cfg,
                                            np.random.default_rng(8))
     assert np.array_equal(seed.centers, want_seed)
@@ -272,8 +277,11 @@ def test_uniform_twin_fed_only_while_potential_is_zero(monkeypatch, tail):
     potential = pairwise_sqdist(X, seed.centers).min(axis=1)
     assert not potential[:48].any()
     assert all(potential[lo:lo + 8].any() for lo in range(48, len(X), 8))
-    # the twins saw those six blocks only; the D2 banks saw every block
-    assert len(offers) == 3 * 6 * 2 + 3 * tail // 8
+    # each twin was offered exactly those 48 rows, each D2 bank every row;
+    # a repetition makes its D2 bank, then its twin
+    assert len(made) == 3 * 2
+    for i, bank in enumerate(made):
+        assert np.array_equal(np.vstack(offered[bank]), X[:48] if i % 2 else X)
 
 
 # select_best ------------------------------------------------------------------
