@@ -146,7 +146,8 @@ def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSoluti
     if isinstance(blocks, np.ndarray):
         blocks = [blocks]
 
-    solutions: list[SeedSolution] = []
+    first = None    # kept whole, labels too: a one-chunk stream returns it
+    centers: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     seen = 0
     for run in _runs(chunks(((as_points(b),) for b in blocks), chunk), chunk, k):
@@ -156,20 +157,22 @@ def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSoluti
             if meter is not None:
                 meter.alloc_points(points.shape[0] + sol.centers.shape[0])
                 meter.free_points(points.shape[0])
+            centers.append(sol.centers)
             counts.append(np.bincount(sol.labels, minlength=len(sol.centers)).astype(np.float64))
             seen += points.shape[0]
-        solutions += sols
+        if first is None and sols:
+            first = sols[0]
 
-    if not solutions:
+    if first is None:
         raise ValueError("empty stream")
     if seen < k:
         raise ValueError(f"stream has {seen} points, need at least k={k}")
 
-    if len(solutions) == 1:
+    if len(centers) == 1:
         # degenerate merge: the chunk solution is the batch solution
-        return solutions[0]
+        return first
 
-    union = np.vstack([s.centers for s in solutions])
+    union = np.vstack(centers)
     final = d2_seed(union, k, 2 * k, rng, weights=np.concatenate(counts))
     if meter is not None:
         meter.free_points(union.shape[0])

@@ -1,6 +1,7 @@
 """Seeding: planted recovery, merge-reduce degeneration, space accounting."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,22 @@ def test_merge_reduce_space_bound():
     # one chunk buffer resident at a time, plus 2k centers per flushed chunk
     assert meter.peak_points <= chunk + chunks * 2 * k
     assert meter.current_points == 2 * k    # the final seed stays allocated
+
+
+def test_merge_reduce_holds_no_state_per_point():
+    # at a fixed chunk the chunk centers and their counts grow with n, but
+    # no label per point is kept: a stream 4x longer stays under 1.5x the peak
+    peaks = []
+    for n in (20_000, 80_000):
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            merge_reduce_seed((X[lo:lo + 256] for lo in range(0, n, 256)), 3, 245,
+                              np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_merge_reduce_validation():
