@@ -1,10 +1,10 @@
 """D^2 sampling and a vectorized bank of weighted reservoirs.
 
 The reservoir rule: after items 1..i with weights w_1..w_i, the held
-item is item j with probability w_j / sum_{m<=i} w_m.  Offering item i
-replaces the held item with probability w_i / S_i where S_i is the
-running weight sum, so zero-weight items never displace anything and a
-reservoir that has only seen zero weights holds nothing.
+item is item j with probability w_j / sum_{m<=i} w_m.  A reservoir that
+replaced its item at running sum S keeps it past a later running sum
+S' > S with probability S / S', so zero-weight items never displace
+anything.  While every weight seen is zero, items count with weight 1.
 """
 
 from __future__ import annotations
@@ -62,10 +62,17 @@ def d2_sample(X, C, count: int, rng) -> np.ndarray:
 class ReservoirBank:
     """size independent reservoirs sharing one weight stream.
 
-    All reservoirs see the same weights, hence the same running sum; the
-    replacement coin flips are independent per reservoir.  An offer's
-    rows are processed at once: among them the last winning row per
-    reservoir is the survivor.
+    Each reservoir jumps between replacements (Chao 1982; Efraimidis and
+    Spirakis 2006): on replacing its item at running sum S_j it draws
+    u in (0, 1] and sets its threshold T = S_j / u, and it next replaces
+    at the first row whose running sum exceeds T.  Reservoir r's n-th
+    replacement uses column r of the n-th row of draws, each row one
+    rng.random(size) drawn when a reservoir first needs it, and the
+    running sums add strictly left to right; so the held items, the
+    weight sum and the generator's state do not depend on how the stream
+    is split into offers.  While weight_sum is 0 rows count with weight
+    1, so a stream of zero weight leaves a uniform sample, and the first
+    positive row replaces every reservoir.
     """
 
     def __init__(self, size: int, dim: int, rng):
@@ -76,43 +83,50 @@ class ReservoirBank:
         self.held = np.zeros((size, dim))
         self.weight_sum = 0.0
         self._next_index = 0
+        self._threshold = np.zeros(size)
+        self._draws = np.empty((0, size))          # rows not yet used by every reservoir
+        self._row = np.zeros(size, dtype=np.int64)  # the row of _draws each uses next
 
     @property
     def size(self) -> int:
         return len(self.held_index)
 
-    def offer_block(self, points, weights, lengths=None) -> None:
-        """Offers the rows in blocks of the given lengths (one when None):
-        sums run S + cumsum(block) block by block, as with one offer each."""
+    def offer_block(self, points, weights) -> None:
+        """Offers the rows of points, in order, with their weights."""
         P = as_points(points)
         w = _checked_weights(weights, P.shape[0])
-        B = P.shape[0]
-        if B == 0:
-            return
-        ends = np.cumsum([B] if lengths is None else lengths)
-        if ends[-1] != B:
-            raise ValueError("block lengths must add up to the rows offered")
-        sums, S = [], self.weight_sum
-        for block in np.split(w, ends[:-1]):
-            sums.append(S + np.cumsum(block))
-            S = float(sums[-1][-1]) if len(block) else S
-        sums = np.concatenate(sums)
-        u = self.rng.random((B, self.size))
-        # u * S_i < w_i is the scalar replace rule.  It implies u <= w_i / S_i,
-        # so only the few draws under that ratio (with slack for its
-        # rounding) are put to the rule; a row with S_i = 0 offers nothing
-        ratio = np.divide(w, sums, out=np.zeros(B), where=sums > 0) * (1 + 2.0**-40)
-        row, res = np.divmod(np.flatnonzero(u <= ratio[:, None]), self.size)
-        won = u[row, res] * sums[row] < w[row]
-        # rows ascend, so each reservoir's last win is its first from the end
-        res, last = np.unique(res[won][::-1], return_index=True)
-        row = row[won][::-1][last]
-        self.held_index[res] = self._next_index + row
-        self.held[res] = P[row]
-        self.weight_sum = S
-        self._next_index += B
+        # rows before the first positive weight ever seen count with weight 1
+        ones = len(w) - len(np.trim_zeros(w, "f")) if self.weight_sum == 0 else 0
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(np.concatenate([[self.weight_sum], w[ones:]]))
+        if not np.isfinite(sums[-1]):
+            raise ValueError("a squared distance overflows float64")
+        self._jump(P, 0, self._next_index + np.arange(1.0, ones + 1))
+        if self.weight_sum == 0 and ones < len(w):
+            self._threshold[:] = 0.0
+        self._jump(P, ones, sums[1:])
+        self.weight_sum = float(sums[-1])
+        self._next_index += len(w)
+
+    def _jump(self, P: np.ndarray, first: int, sums: np.ndarray) -> None:
+        """Replaces, round by round, each reservoir's item by the first
+        row whose running sum exceeds its threshold; sums[i] is the
+        running sum at row first + i of P."""
+        live = np.arange(self.size)
+        while len(live) and len(sums):
+            row = np.searchsorted(sums, self._threshold[live], side="right")
+            live, row = live[row < len(sums)], row[row < len(sums)]
+            while len(self._draws) <= self._row[live].max(initial=-1):
+                self._draws = np.vstack([self._draws, 1.0 - self.rng.random(self.size)])
+            with np.errstate(over="ignore"):    # an infinite threshold never fires
+                self._threshold[live] = sums[row] / self._draws[self._row[live], live]
+            self._row[live] += 1
+            self.held_index[live] = self._next_index + first + row
+            self.held[live] = P[first + row]
+            used = self._row.min()
+            self._draws, self._row = self._draws[used:], self._row - used
 
     def sampled_points(self) -> np.ndarray:
-        """Held points of reservoirs that ever saw positive weight."""
+        """Held points of reservoirs that were offered any row."""
         ok = self.held_index >= 0
         return self.held[ok].copy()

@@ -75,7 +75,8 @@ def _d2_stack(X: np.ndarray, u: np.ndarray, w: np.ndarray, weighted: bool) -> li
     dists = [sqdist(chosen[0])]
     pot = w * dists[0] if weighted else dists[0].copy()
     for j in range(1, u.shape[1]):
-        total = pot.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):    # an overflowing sum is rejected below
+            total = pot.sum(axis=1, keepdims=True)
         if not np.isfinite(total).all():
             raise ValueError("a squared distance overflows float64")
         p = np.where(total == 0.0, w, pot)  # a set with no potential left draws by weight

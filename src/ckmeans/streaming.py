@@ -4,9 +4,9 @@ The full pipeline spends one pass seeding, one filling reservoirs, one
 building a compressed graph for every candidate (plus an optional scale
 pass when aspect-ratio removal is on), and one peeling the winning
 solution into per-point assignments: 4 passes, 5 with aspect removal.
-The seed pass seeds runs of chunks as one stack, the sample pass joins
-whole blocks into arrays of at least ENTRIES // (2k·d) rows, and the
-scale, graph and assign passes join consecutive blocks into arrays of
+The seed pass seeds runs of chunks as one stack.  The sample pass joins
+consecutive blocks into arrays of max(block, ENTRIES // (2k·d)) rows,
+and the scale, graph and assign passes into arrays of
 max(block, ENTRIES // (|U|·d)) rows, U the list's distinct centers.
 The graph and scale passes handle each array once for all candidates:
 they measure it against U and project onto each candidate's columns,
@@ -150,28 +150,26 @@ class SpaceMeter:
     phases: list = field(default_factory=list)
 
     def alloc_points(self, c: int):
-        self.current_points += int(c)
-        self.peak_points = max(self.peak_points, self.current_points)
-        if self.phases and self.phases[-1].get("open"):
-            ph = self.phases[-1]
-            ph["peak_points"] = max(ph["peak_points"], self.current_points)
+        self._add("points", int(c))
 
     def free_points(self, c: int):
-        self.current_points -= int(c)
-        if self.current_points < 0:
-            raise ValueError("freed more points than allocated")
+        self._add("points", -int(c))
 
     def alloc_words(self, c: int):
-        self.current_words += int(c)
-        self.peak_words = max(self.peak_words, self.current_words)
-        if self.phases and self.phases[-1].get("open"):
-            ph = self.phases[-1]
-            ph["peak_words"] = max(ph["peak_words"], self.current_words)
+        self._add("words", int(c))
 
     def free_words(self, c: int):
-        self.current_words -= int(c)
-        if self.current_words < 0:
-            raise ValueError("freed more words than allocated")
+        self._add("words", -int(c))
+
+    def _add(self, kind: str, c: int):
+        now = getattr(self, f"current_{kind}") + c
+        if now < 0:
+            raise ValueError(f"freed more {kind} than allocated")
+        setattr(self, f"current_{kind}", now)
+        setattr(self, f"peak_{kind}", max(getattr(self, f"peak_{kind}"), now))
+        if self.phases and self.phases[-1].get("open"):
+            ph = self.phases[-1]
+            ph[f"peak_{kind}"] = max(ph[f"peak_{kind}"], now)
 
     @contextmanager
     def phase(self, name: str):
@@ -191,19 +189,6 @@ class SpaceMeter:
         }
 
 
-def _whole_blocks(blocks, rows: int):
-    """Consecutive blocks joined into arrays of at least `rows` rows (the
-    last may hold fewer), never splitting a block: (array, block lengths)."""
-    held: list[np.ndarray] = []
-    for blk in blocks:
-        held.append(blk)
-        if sum(map(len, held)) >= rows:
-            yield np.concatenate(held), [len(b) for b in held]
-            held = []
-    if held:
-        yield np.concatenate(held), [len(b) for b in held]
-
-
 def default_chunk(n: int | None, k: int) -> int:
     return 4096 if n is None else max(k, math.ceil(math.sqrt(n * k)))
 
@@ -211,10 +196,10 @@ def default_chunk(n: int | None, k: int) -> int:
 def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, rng,
                           chunk: int | None = None, meter: SpaceMeter | None = None
                           ) -> tuple[CandidateList, SeedSolution, int]:
-    """Streaming good_centers: pass 1 seeds, pass 2 fills one reservoir
-    per needed sample (with a uniform-fallback twin so a zero potential
-    degrades to uniform sampling exactly like the batch path; the twin
-    is fed only while the potential seen so far is zero).  Returns
+    """Streaming good_centers: pass 1 seeds, pass 2 fills one bank of
+    reservoirs per repetition, one reservoir per needed sample.  While
+    the potential seen so far is zero a bank samples uniformly, so a zero
+    potential degrades to uniform sampling like the batch path.  Returns
     (candidates, seed, points_seen)."""
     meter = meter if meter is not None else SpaceMeter()
     if cfg.preset != "desk":
@@ -231,32 +216,22 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
 
     t, reps = p["t"], p["repetitions"]
     R = p["eta"] * t
-    # one (bank, fallback, tuple) rng triple per repetition
-    streams = [rs.spawn(3) for rs in rng_sample.spawn(reps)]
-    banks = []
+    # one (bank, tuple) rng pair per repetition
+    streams = [rs.spawn(2) for rs in rng_sample.spawn(reps)]
     with meter.phase("sample"):
-        for r in range(reps):
-            banks.append((ReservoirBank(R, d, streams[r][0]),
-                          ReservoirBank(R, d, streams[r][1])))
-            meter.alloc_points(2 * R)
+        banks = [ReservoirBank(R, d, s[0]) for s in streams]
+        meter.alloc_points(reps * R)
         seen = 0
-        for pts, lengths in _whole_blocks(source.open_points(), ENTRIES // C.size):
+        rows = max(source.block, ENTRIES // C.size)
+        for (pts,) in chunks(((pts,) for pts in source.open_points()), rows):
             w = pairwise_sqdist(pts, C).min(axis=1)
-            ends = np.cumsum(lengths)
-            zero = ends[np.cumsum(w)[ends - 1] == 0]  # ends of the leading blocks of weight 0
-            for bank, uni in banks:
-                # the twin is read only when its bank ends the pass at
-                # weight 0, and a positive sum never falls back to 0
-                if bank.weight_sum == 0 and len(zero):
-                    uni.offer_block(pts[:zero[-1]], np.ones(zero[-1]), lengths[:len(zero)])
-                bank.offer_block(pts, w, lengths)
+            for bank in banks:
+                bank.offer_block(pts, w)
             seen += len(w)
 
-        cands = candidate_list(
-            [(bank if bank.weight_sum > 0 else uni).sampled_points() for bank, uni in banks],
-            C, p, [s[2] for s in streams])
-        for _ in banks:
-            meter.free_points(2 * R)
+        cands = candidate_list([bank.sampled_points() for bank in banks], C, p,
+                               [s[1] for s in streams])
+        meter.free_points(reps * R)
         meter.alloc_points(len(cands) * t)
     return cands, seed, seen
 

@@ -65,29 +65,6 @@ class Reservoir:
         return self
 
 
-def offer_block_matrix(bank, points, weights) -> None:
-    """ReservoirBank.offer_block as the package first vectorized it, one
-    block per call: the running sums are S + cumsum(w), and every coin of
-    the (rows, size) matrix is put to u * S_i < w_i; the last win of each
-    reservoir survives."""
-    P = as_points(points)
-    w = np.asarray(weights, dtype=np.float64)
-    B = P.shape[0]
-    if B == 0:
-        return
-    sums = bank.weight_sum + np.cumsum(w)
-    u = bank.rng.random((B, bank.size))
-    wins = u * sums[:, None] < w[:, None]
-    any_win = wins.any(axis=0)
-    if any_win.any():
-        last = B - 1 - np.argmax(wins[::-1], axis=0)
-        rows = np.flatnonzero(any_win)
-        bank.held_index[rows] = bank._next_index + last[rows]
-        bank.held[rows] = P[last[rows]]
-    bank.weight_sum = float(sums[-1])
-    bank._next_index += B
-
-
 # seeding ---------------------------------------------------------------------
 
 def d2_seed_choice(X, k: int, oversample: int, rng, weights=None) -> tuple[np.ndarray, float]:

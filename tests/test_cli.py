@@ -570,6 +570,21 @@ def test_exit_code_paragraph(tmp_path, capsys, monkeypatch, clause, command, ext
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("command", ["solve", "stream"])
+def test_an_overflowing_potential_sum_exits_3_without_a_warning(tmp_path, command):
+    # every squared distance is finite and their sum is not; the child
+    # prints numpy's warnings to its stderr, as a user's shell would
+    X = np.random.default_rng(0).random((2000, 2)) * 1e153
+    data = tmp_path / "data.csv"
+    data.write_text("x0,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in X.tolist()))
+    code, err = _run_in_child([command, data, "--k", "3", "--seed", "1",
+                               "--out", tmp_path / "out"])
+    assert code == 3
+    assert "a squared distance overflows float64" in err
+    assert "RuntimeWarning" not in err
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("extra,name", [
     (["--list-alpha", "inf"], "eta"),
     (["--epsilon", "1e-100"], "eta"),

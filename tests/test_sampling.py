@@ -14,7 +14,7 @@ from ckmeans.sampling import (
     d2_distribution,
     d2_sample,
 )
-from reference import Reservoir, offer_block_matrix
+from reference import Reservoir
 
 CHI2_LEVEL = 0.99
 TRIALS = 100_000
@@ -35,12 +35,12 @@ class StubRng:
         return out.reshape(shape)
 
 
-def chi2_ok(observed, probs):
+def chi2_ok(observed, probs, level=CHI2_LEVEL):
     observed = np.asarray(observed, dtype=np.float64)
     expected = np.asarray(probs) * observed.sum()
     keep = expected > 0
     statistic = float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())
-    crit = stats.chi2.ppf(CHI2_LEVEL, df=int(keep.sum()) - 1)
+    crit = stats.chi2.ppf(level, df=int(keep.sum()) - 1)
     return statistic <= crit, statistic, crit
 
 
@@ -159,24 +159,7 @@ def test_reservoir_chi_square_against_exact():
     assert ok, (statistic, crit)
 
 
-# bank vs scalar -------------------------------------------------------------
-
-def test_bank_of_one_is_bitwise_the_scalar_reservoir():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(40, 3))
-    w = rng.random(40) * 2
-    bank = ReservoirBank(1, 3, np.random.default_rng(7))
-    for lo in range(0, 40, 8):
-        bank.offer_block(pts[lo:lo + 8], w[lo:lo + 8])
-    scalar = Reservoir()
-    srng = np.random.default_rng(7)
-    for i in range(40):
-        scalar.offer(pts[i], w[i], srng, index=i)
-    assert scalar.held is not None
-    assert bank.held_index[0] == scalar.held[0]
-    assert np.array_equal(bank.held[0], scalar.held[1])
-    assert bank.weight_sum == pytest.approx(scalar.weight_sum, rel=1e-12)
-
+# bank -----------------------------------------------------------------------
 
 def test_bank_reservoirs_are_independent():
     # same stream, different coins: banks must not collapse to one winner
@@ -186,12 +169,16 @@ def test_bank_reservoirs_are_independent():
     assert len(np.unique(bank.held[:, 0])) >= 8
 
 
-def test_bank_all_zero_weights_holds_nothing():
-    bank = ReservoirBank(4, 2, np.random.default_rng(13))
-    bank.offer_block(np.ones((5, 2)), np.zeros(5))
-    assert bank.sampled_points().shape == (0, 2)
+def test_bank_of_zero_weights_holds_a_uniform_sample():
+    # while the weight sum is 0 rows count with weight 1, as batch
+    # d2_distribution falls back to uniform
+    bank = ReservoirBank(TRIALS, 2, np.random.default_rng(13))
+    bank.offer_block(np.ones((2, 2)), np.zeros(2))
     bank.offer_block(np.zeros((0, 2)), np.zeros(0))
-    assert bank.sampled_points().shape == (0, 2)
+    bank.offer_block(np.ones((3, 2)), np.zeros(3))
+    assert bank.weight_sum == 0.0 and bank.sampled_points().shape == (TRIALS, 2)
+    ok, statistic, crit = chi2_ok(np.bincount(bank.held_index, minlength=5), np.full(5, 0.2))
+    assert ok, (statistic, crit)
 
 
 def test_bank_last_win_in_block_survives():
@@ -206,45 +193,32 @@ def test_bank_last_win_in_block_survives():
     assert np.all(bank.held_index == 5)
 
 
-# joined offers -----------------------------------------------------------------
-
-def offer_joined_and_per_block(weights, lengths, cuts, size, rng):
-    """Two banks fed the blocks of `lengths` rows: the coin-matrix oracle
-    one block per call, the bank joins of consecutive blocks split before
-    the block indices `cuts`, each join in one offer with its lengths.
-    Each bank gets its own rng().  Returns (oracle, joined)."""
-    pts = np.arange(len(weights), dtype=np.float64)[:, None] * 10.0
-    lengths = np.asarray(lengths)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    oracle = ReservoirBank(size, 1, rng())
-    with np.errstate(over="ignore", invalid="ignore"):    # inf sums, 0 * inf
-        for lo, hi in zip(starts, ends):
-            offer_block_matrix(oracle, pts[lo:hi], weights[lo:hi])
-        joined = ReservoirBank(size, 1, rng())
-        for group in np.split(np.arange(len(lengths)), cuts):
-            if len(group):
-                lo, hi = starts[group[0]], ends[group[-1]]
-                joined.offer_block(pts[lo:hi], weights[lo:hi], lengths[group])
-    return oracle, joined
+def test_bank_replaces_past_its_threshold_only():
+    # u = 1 - rng.random(); the running sums are 1, 2, 4, 4, 8.  Row 0
+    # sets T = 1 / 0.5; row 1 sums to T and keeps; row 2 sets T = 4 / 1;
+    # row 3 adds no weight; row 4 sets T = 8 / 0.25
+    bank = ReservoirBank(1, 1, StubRng([0.5, 0.0, 0.75, 0.5]))
+    bank.offer_block(np.arange(5.0)[:, None], [1.0, 1.0, 2.0, 0.0, 4.0])
+    assert bank.held_index[0] == 4 and bank.rng.random() == 0.5
+    # u = 2**-53 takes T past float64's largest value: it never fires
+    bank = ReservoirBank(1, 1, StubRng([1 - 2.0**-53, 0.5]))
+    with np.errstate(all="raise"):
+        bank.offer_block(np.arange(2.0)[:, None], [1e300, 1e300])
+    assert bank.held_index[0] == 0 and bank.rng.random() == 0.5
 
 
-def same_bank(a, b) -> bool:
-    return (a.held_index.tobytes() == b.held_index.tobytes()
-            and a.held.tobytes() == b.held.tobytes()
-            and np.float64(a.weight_sum).tobytes() == np.float64(b.weight_sum).tobytes())
+def test_bank_rejects_an_overflowing_weight_sum():
+    bank = ReservoirBank(3, 1, np.random.default_rng(3))
+    bank.offer_block(np.ones((1, 1)), [1e308])
+    with pytest.raises(ValueError, match="a squared distance overflows float64"):
+        bank.offer_block(np.ones((2, 1)), [1e308, 0.0])
+    assert bank.weight_sum == 1e308 and list(bank.held_index) == [0, 0, 0]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["spread", "zero prefix", "zero pass", "subnormal ratio", "overflow"]))
-def test_joined_offers_match_per_block_offers(s, kind):
-    # held indices, held bits, the weight sum's bits and the generator's
-    # next draw all match; 1-row blocks are common
-    data = np.random.default_rng(s)
-    lengths = data.integers(1, 40, size=data.integers(1, 12))
-    lengths[data.random(len(lengths)) < 0.3] = 1
-    n = int(lengths.sum())
+def stream_of_kind(data, kind):
+    """A weight stream of the given kind from the generator data, and
+    its cuts into offers: 1-row offers and empty ones are common."""
+    n = int(data.integers(1, 60))
     w = data.random(n) * 10.0 ** data.integers(-3, 4)
     w[data.random(n) < 0.2] = 0.0
     if kind == "zero prefix":
@@ -255,58 +229,54 @@ def test_joined_offers_match_per_block_offers(s, kind):
         # tiny weights after a large sum: w_i / S_i falls below 2**-1022
         w[0] = 1e10
         w[data.random(n) < 0.5] = 1e-310
-    elif kind == "overflow":
-        w = np.where(w > 0, data.random(n) * 1e308, 0.0)   # the running sum overflows to inf
-    cuts = np.sort(data.integers(0, len(lengths) + 1, size=data.integers(0, 4)))
-    oracle, joined = offer_joined_and_per_block(
-        w, lengths, cuts, 32, lambda: np.random.default_rng(s + 1))
-    assert same_bank(oracle, joined)
-    assert oracle.rng.random() == joined.rng.random()
+    cuts = np.sort(data.integers(0, n + 1, size=data.integers(0, n)))
+    return w, cuts
 
 
-def losing_edge(w: float, S: float) -> float:
-    """The least u with u * S >= w in float64: u draws no win, the float
-    below it does.  0 when S is 0 or inf (no u wins) or w is 0."""
-    u = np.float64(w / S) if 0 < S < np.inf else np.float64(0.0)
-    with np.errstate(invalid="ignore"):     # 0 * inf
-        while u * S < w:
-            u = np.nextafter(u, 2.0)
-        while u > 0 and np.nextafter(u, -1.0) * S >= w:
-            u = np.nextafter(u, -1.0)
-    return float(u)
+def offered(w, cuts, size, rng):
+    bank = ReservoirBank(size, 1, rng)
+    pts = np.arange(len(w), dtype=np.float64)[:, None] * 10.0
+    for piece in np.split(np.arange(len(w)), cuts):
+        bank.offer_block(pts[piece], w[piece])
+    return bank
 
 
-@pytest.mark.parametrize("weights,lengths", [
-    ([0, 0, 3, 1, 5, 0, 1, 2.5, 7, 0.1, 0.2, 4], [2, 1, 3, 1, 4, 1]),
-    ([0, 0, 0, 0, 0, 0], [1, 2, 3]),                          # weight stays 0
-    ([1e10, 1e-310, 3, 1e-312, 2e-310, 1], [1, 2, 1, 2]),     # subnormal w_i / S_i
-    ([1e308, 1e308, 1.0, 5e307, 0, 2.0], [1, 2, 3]),          # S_i overflows to inf
-])
-def test_joined_offers_match_on_the_replace_rule_edges(weights, lengths):
-    # per reservoir, each row draws u on its losing edge (u * S_i == w_i
-    # where the floats allow), one ulp below it (a win) or u = 0
-    w = np.array(weights, dtype=np.float64)
-    ends = np.cumsum(lengths)
-    S, sums = 0.0, []
-    with np.errstate(over="ignore"):
-        for lo, hi in zip(ends - lengths, ends):
-            sums += list(S + np.cumsum(w[lo:hi]))
-            S = sums[-1]
-    size = 9
-    u = np.zeros((len(w), size))
-    for i, (wi, Si) in enumerate(zip(w, sums)):
-        edge = losing_edge(wi, Si)
-        for j in range(size):
-            u[i, j] = [edge, float(np.nextafter(edge, -1.0)) if edge > 0 else 0.0, 0.0][j % 3]
-    assert not w.any() or any(u[i, 0] * Si == wi > 0 for i, (wi, Si) in enumerate(zip(w, sums)))
-    for cuts in ([], [1], [2, 3], list(range(len(lengths)))):
-        oracle, joined = offer_joined_and_per_block(
-            w, lengths, cuts, size, lambda: StubRng(list(u.ravel()) + [0.5]))
-        assert same_bank(oracle, joined)
-        assert oracle.rng.random() == joined.rng.random() == 0.5
+def same_bank(a, b) -> bool:
+    return (a.held_index.tobytes() == b.held_index.tobytes()
+            and a.held.tobytes() == b.held.tobytes()
+            and np.float64(a.weight_sum).tobytes() == np.float64(b.weight_sum).tobytes())
 
 
-def test_offer_lengths_must_cover_the_rows():
-    bank = ReservoirBank(2, 1, np.random.default_rng(3))
-    with pytest.raises(ValueError, match="block lengths"):
-        bank.offer_block(np.ones((4, 1)), np.ones(4), [1, 2])
+SPLIT_EXAMPLES = 300
+
+
+@settings(max_examples=SPLIT_EXAMPLES, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["spread", "zero prefix", "zero pass", "subnormal ratio"]))
+def test_any_split_into_offers_gives_the_same_bank(s, kind):
+    # held indices, held bits, the weight sum's bits and the generator's
+    # next draw match those of one offer of the whole stream
+    w, cuts = stream_of_kind(np.random.default_rng(s), kind)
+    whole = offered(w, [], 32, np.random.default_rng(s + 1))
+    split = offered(w, cuts, 32, np.random.default_rng(s + 1))
+    assert same_bank(whole, split)
+    assert whole.rng.random() == split.rng.random()
+
+
+FREQUENCY_EXAMPLES = 20
+
+
+@settings(max_examples=FREQUENCY_EXAMPLES, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["spread", "zero prefix", "zero pass"]))
+def test_bank_holds_each_row_by_its_weight_share(s, kind):
+    # P(held index = i) is w_i / S, uniform while S is 0, however the
+    # stream is split; the level is shared out over the examples
+    w, cuts = stream_of_kind(np.random.default_rng(s), kind)
+    probs = w / w.sum() if w.any() else np.full(len(w), 1 / len(w))
+    counts = np.bincount(offered(w, cuts, TRIALS, np.random.default_rng(s + 1)).held_index,
+                         minlength=len(w))
+    assert not counts[probs == 0].any()
+    if (probs > 0).sum() > 1:
+        ok, statistic, crit = chi2_ok(counts, probs,
+                                      1 - (1 - CHI2_LEVEL) / FREQUENCY_EXAMPLES)
+        assert ok, (statistic, crit)

@@ -17,7 +17,7 @@ from ckmeans.data import (
 )
 from ckmeans.geometry import pairwise_sqdist, phi_cost
 from ckmeans.hyperbucket import CompressedGraph, KeyBuilder
-from ckmeans.listgen import GoodCentersConfig, good_centers, repetition_tuples
+from ckmeans.listgen import GoodCentersConfig, good_centers
 from ckmeans.partition import (
     CompressedSolution,
     InfeasiblePartitionError,
@@ -25,7 +25,7 @@ from ckmeans.partition import (
     partition_cost,
 )
 from ckmeans.sampling import ReservoirBank
-from ckmeans.seeding import d2_seed, merge_reduce_seed
+from ckmeans.seeding import d2_seed
 from ckmeans.streaming import (
     ArraySource,
     CSVSource,
@@ -158,6 +158,24 @@ def test_csv_pipeline_memory_is_bounded(tmp_path):
     assert peaks[1] < 2 * peaks[0], peaks
 
 
+def test_sample_pass_memory_does_not_grow_with_eta():
+    # the reservoirs hold eta·t points per repetition; nothing the sample
+    # pass keeps besides them may scale with eta times the rows joined
+    ds, _ = gaussian_groups(20_000, 3, rng=np.random.default_rng(0))
+    peaks = []
+    for eta in (16, 256):
+        cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=eta, tau=1,
+                                repetitions=2, subset_budget=4)
+        tracemalloc.start()
+        try:
+            full_pipeline(ArraySource(ds, block=256), 3, Variant.classical(), cfg,
+                          np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_default_chunk_rules():
     assert default_chunk(None, 5) == 4096
     assert default_chunk(10_000, 4) == math.ceil(math.sqrt(40_000))
@@ -208,7 +226,7 @@ def test_two_pass_counts_and_passes():
 
 def test_two_pass_uniform_fallback_on_zero_potential():
     # seed sits exactly on every site, so all stream weights are zero;
-    # the twin uniform banks must provide the samples instead
+    # the banks then hold uniform samples
     ds, info = duplicate_groups(24, 3, rng=np.random.default_rng(4))
     src = ArraySource(ds, block=8)
     cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
@@ -222,30 +240,8 @@ def test_two_pass_uniform_fallback_on_zero_potential():
             assert tuple(c) in sites   # tau=1 means every center is a stream point
 
 
-def always_fed_sample_pass(source, k, cfg, rng):
-    """two_pass_good_centers with every uniform twin fed every block:
-    (seed centers, candidate centers)."""
-    p = cfg.resolved()
-    rng_seed, rng_sample = rng.spawn(2)
-    seed = merge_reduce_seed(source.open_points(), k, default_chunk(source.n, k), rng_seed)
-    R = p["eta"] * p["t"]
-    streams = [rs.spawn(3) for rs in rng_sample.spawn(p["repetitions"])]
-    banks = [(ReservoirBank(R, 2, s[0]), ReservoirBank(R, 2, s[1])) for s in streams]
-    for pts in source.open_points():
-        w = pairwise_sqdist(pts, seed.centers).min(axis=1)
-        for bank, uni in banks:
-            bank.offer_block(pts, w)
-            uni.offer_block(pts, np.ones(len(w)))
-    anchor = np.repeat(seed.centers, p["copies"], axis=0)
-    entries = []
-    for r, (bank, uni) in enumerate(banks):
-        samples = (bank if bank.weight_sum > 0 else uni).sampled_points()
-        entries += repetition_tuples(np.vstack([samples, anchor]), r, p, streams[r][2]) or []
-    return seed.centers, [e.centers for e in entries]
-
-
 @pytest.mark.parametrize("tail", [0, 16])
-def test_uniform_twin_fed_only_while_potential_is_zero(monkeypatch, tail):
+def test_sample_pass_offers_every_row_to_one_bank_per_repetition(monkeypatch, tail):
     # three heavy sites fill the first blocks; a cluster at the end holds
     # the only positive potential (none at all with tail=0)
     rng = np.random.default_rng(7)
@@ -254,8 +250,6 @@ def test_uniform_twin_fed_only_while_potential_is_zero(monkeypatch, tail):
                    rng.normal(size=(tail, 2)) + [25.0, 25.0]])
     cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
                             eta=4, tau=1, repetitions=3, subset_budget=20)
-    want_seed, want = always_fed_sample_pass(ArraySource(X, block=8), 3, cfg,
-                                             np.random.default_rng(8))
     made, offered = [], {}
     init, offer = ReservoirBank.__init__, ReservoirBank.offer_block
 
@@ -263,25 +257,25 @@ def test_uniform_twin_fed_only_while_potential_is_zero(monkeypatch, tail):
         made.append(bank)
         init(bank, *args)
 
-    def offer_spy(bank, pts, w, lengths=None):
+    def offer_spy(bank, pts, w):
         offered.setdefault(bank, []).append(pts)
-        offer(bank, pts, w, lengths)
+        offer(bank, pts, w)
 
     monkeypatch.setattr(ReservoirBank, "__init__", init_spy)
     monkeypatch.setattr(ReservoirBank, "offer_block", offer_spy)
-    cands, seed, _ = two_pass_good_centers(ArraySource(X, block=8), 3, cfg,
-                                           np.random.default_rng(8))
-    assert np.array_equal(seed.centers, want_seed)
-    assert [e.centers.tolist() for e in cands.entries] == [c.tolist() for c in want]
+    _cands, seed, _ = two_pass_good_centers(ArraySource(X, block=8), 3, cfg,
+                                            np.random.default_rng(8))
     # the premise: six zero-potential blocks, then positive ones
     potential = pairwise_sqdist(X, seed.centers).min(axis=1)
     assert not potential[:48].any()
     assert all(potential[lo:lo + 8].any() for lo in range(48, len(X), 8))
-    # each twin was offered exactly those 48 rows, each D2 bank every row;
-    # a repetition makes its D2 bank, then its twin
-    assert len(made) == 3 * 2
-    for i, bank in enumerate(made):
-        assert np.array_equal(np.vstack(offered[bank]), X[:48] if i % 2 else X)
+    # one bank per repetition, offered every row; once the potential is
+    # positive no zero-potential row is held
+    assert len(made) == 3
+    for bank in made:
+        assert np.array_equal(np.vstack(offered[bank]), X)
+        assert bank.sampled_points().shape == (12, 2)
+        assert potential[bank.held_index].all() if tail else bank.weight_sum == 0
 
 
 # select_best ------------------------------------------------------------------
@@ -556,10 +550,10 @@ def test_pipeline_space_phases_present():
 # (block, chunk, aspect removal) -> the space report; the chunks of 33
 # rows straddle blocks of 7, and chunks of 10 split blocks of 1,000
 PINNED_SPACE = {
-    (7, 33, False): (546, 15556, {"seed": (69, 0), "sample": (546, 0), "graph": (546, 15556),
-                                  "assign": (546, 184)}),
-    (1000, 10, True): (546, 15132, {"seed": (130, 0), "sample": (546, 0), "scale": (546, 0),
-                                    "graph": (546, 15132), "assign": (546, 204)}),
+    (7, 33, False): (546, 16004, {"seed": (69, 0), "sample": (546, 0), "graph": (546, 16004),
+                                  "assign": (546, 188)}),
+    (1000, 10, True): (546, 14800, {"seed": (130, 0), "sample": (546, 0), "scale": (546, 0),
+                                    "graph": (546, 14800), "assign": (546, 184)}),
 }
 
 
