@@ -207,6 +207,57 @@ def test_bank_replaces_past_its_threshold_only():
     assert bank.held_index[0] == 0 and bank.rng.random() == 0.5
 
 
+def jump_reference(w, u: float):
+    """One reservoir walking the rows of w in turn, its every draw u: the
+    held index (-1 for none), the weight sum and the draws it used."""
+    first = int(np.flatnonzero(w)[0]) if w.any() else len(w)
+    held, used, S, T = -1, 0, np.float64(0.0), np.float64(0.0)
+    for i, wi in enumerate(w):
+        if i == first:
+            T = np.float64(0.0)
+        S = S + wi if i >= first else S
+        s = S if i >= first else np.float64(i + 1)
+        if s > T:
+            with np.errstate(over="ignore"):
+                held, used, T = i, used + 1, s / np.float64(u)
+    return held, float(S), used
+
+
+@pytest.mark.parametrize("weights,lengths", [
+    ([0, 0, 3, 1, 5, 0, 1, 2.5, 7, 0.1, 0.2, 4], [2, 1, 3, 1, 4, 1]),
+    ([0, 0, 0, 0, 0, 0], [1, 2, 3]),                          # weight stays 0
+    ([1e10, 1e-310, 3, 1e-312, 2e-310, 1], [1, 2, 1, 2]),     # subnormal w_i
+    ([1e308, 1e308, 1.0, 5e307, 0, 2.0], [1, 2, 3]),          # S_i overflows to inf
+])
+def test_joined_offers_match_on_the_replace_rule_edges(weights, lengths):
+    # draws u = 1 put T on S_j, so a row adding no weight sums to T and
+    # keeps; u = 2**-53 takes T past float64's largest value.  However
+    # the blocks are joined into offers, the bank holds what one scalar
+    # reservoir per draw holds and draws just the rows of coins it uses;
+    # the offer whose running sum overflows raises and changes nothing
+    w = np.array(weights, dtype=np.float64)
+    ends = np.cumsum(lengths)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.cumsum(w))
+    xs = [0.0, 0.5, 1 - 2.0**-53] * 3
+    pts = np.arange(len(w), dtype=np.float64)[:, None] * 10.0
+    for cuts in ([], [1], [2, 3], list(range(len(lengths)))):
+        pieces = np.split(np.arange(len(w)), ends[[c for c in cuts if c < len(ends)]])
+        fed = next((int(p[0]) for p in pieces if len(p) and not finite[p[-1]]), len(w))
+        held, S, used = zip(*(jump_reference(w[:fed], 1.0 - x) for x in xs))
+        bank = ReservoirBank(len(xs), 1, StubRng(xs * max(used) + [0.5]))
+        for p in pieces:
+            if len(p) and not finite[p[-1]]:
+                with pytest.raises(ValueError, match="overflows float64"):
+                    bank.offer_block(pts[p], w[p])
+                break
+            bank.offer_block(pts[p], w[p])
+        assert list(bank.held_index) == list(held)
+        assert np.array_equal(bank.held[:, 0], np.where(np.array(held) >= 0, pts[held, 0], 0.0))
+        assert np.float64(bank.weight_sum).tobytes() == np.float64(S[0]).tobytes()
+        assert bank.rng.random() == 0.5
+
+
 def test_bank_rejects_an_overflowing_weight_sum():
     bank = ReservoirBank(3, 1, np.random.default_rng(3))
     bank.offer_block(np.ones((1, 1)), [1e308])
