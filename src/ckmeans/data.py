@@ -99,11 +99,11 @@ def _read_header(path, reader) -> tuple[int, int, list]:
     return coord_cols, len(header), header[coord_cols:]
 
 
-def _parse_rows(path, columns, records, first_line) -> list:
-    """The row-by-row reading of a block: it names the first bad line in
-    file order (a wrong field count, a value float() or int() rejects, a
-    non-finite coordinate, a color or target below 0 or beyond int64) and
-    otherwise gives the block's columns."""
+def _parse_rows(path, columns, records, first_line) -> Dataset:
+    """The record loop's reading of a block: it names the first bad line
+    in file order (a wrong field count, a value float() or int() rejects,
+    a non-finite coordinate, a color or target below 0 or beyond int64)
+    and otherwise gives the block's Dataset."""
     coord_cols, width, extras = columns
     pts, cols = [], [[] for _ in extras]
     for lineno, row in enumerate(records, start=first_line):
@@ -125,29 +125,8 @@ def _parse_rows(path, columns, records, first_line) -> list:
                 raise ValueError(f"{path}:{lineno}: {name}s must be below 2**63")
             col.append(v)
         pts.append(p)
-    return [np.asarray(pts, dtype=np.float64), *(np.asarray(c, dtype=np.int64) for c in cols)]
-
-
-def _parse_block(path, columns, records, first_line) -> Dataset:
-    """One block's columns from one numpy cast of its fields.  The cast
-    calls float() on each string, as the row-by-row reading does, so the
-    same files load; any problem hands the block to that reading, which
-    names the line."""
-    coord_cols, width, extras = columns
-    rows = [r for r in records if r]
-    try:
-        raw = np.array(rows, dtype=np.float64)
-        if raw.shape != (len(rows), width):
-            raise ValueError("wrong field count")
-        pts = np.ascontiguousarray(raw[:, :coord_cols])
-        ints = [np.array([int(r[j]) for r in rows], dtype=np.int64)
-                for j in range(coord_cols, width)]
-        if not np.isfinite(pts).all() or any((c < 0).any() for c in ints):
-            raise ValueError("bad value")
-    except (ValueError, OverflowError):
-        pts, *ints = _parse_rows(path, columns, records, first_line)
-    named = dict(zip(extras, ints))
-    return Dataset(pts, named.get("color"), named.get("target"))
+    named = {name: np.asarray(col, dtype=np.int64) for name, col in zip(extras, cols)}
+    return Dataset(np.asarray(pts, dtype=np.float64), named.get("color"), named.get("target"))
 
 
 # a quote starts a csv field that may span lines; numpy strips the
@@ -203,7 +182,7 @@ def _fast_block(columns, lines, filled) -> Dataset | None:
 
 def _record_blocks(path, columns, reader, block: int, first_line: int):
     """The record loop: csv records in blocks of `block` non-blank ones,
-    each cast by _parse_block, numbered from `first_line`.  A record csv
+    each read by _parse_rows, numbered from `first_line`.  A record csv
     cannot read (a field past its size limit) fails naming its line."""
     records, filled = [], 0
     try:
@@ -212,13 +191,13 @@ def _record_blocks(path, columns, reader, block: int, first_line: int):
             if row:
                 filled += 1
             if filled == block:
-                yield _parse_block(path, columns, records, first_line)
+                yield _parse_rows(path, columns, records, first_line)
                 first_line += len(records)
                 records, filled = [], 0
     except csv.Error as exc:
         raise ValueError(f"{path}:{first_line + len(records)}: {exc}") from None
     if filled:
-        yield _parse_block(path, columns, records, first_line)
+        yield _parse_rows(path, columns, records, first_line)
 
 
 def iter_dataset_csv(path, block: int):

@@ -3,12 +3,13 @@
 Squared distances are bucketed geometrically: bucket i holds s with
 (1+eps)^i <= s < (1+eps)^(i+1), and the bucket's representative weight
 (1+eps)^i is within a (1+eps) factor of every member.  Exact zeros get
-their own slot ZERO_ID with weight 0.  A point's key is its tuple of
-per-center int slots (a bucket id or ZERO_ID) plus an optional group
-id; points sharing a key collapse into one weighted vertex, so
-downstream flow problems see a graph whose size no longer depends on
-n.  This module alone reads the key layout: the solvers get a graph's
-vertices as arrays from CompressedGraph.vertex_arrays.
+their own slot ZERO_ID with weight 0.  A point's key is the bytes of
+its int64 row: one slot per center (a bucket id or ZERO_ID), then its
+group id when groups ride along; points sharing a key collapse into one
+weighted vertex, so downstream flow problems see a graph whose size no
+longer depends on n.  This module alone reads the key layout: the
+solvers get a graph's vertices as arrays from
+CompressedGraph.vertex_arrays.
 
 A stream pass keys its blocks for every candidate graph at once, with
 one KeyBuilder.  The candidates of a list share most of their centers,
@@ -22,8 +23,8 @@ graph's columns and regrouped graph-major by a stable lexsort, a row
 per (graph, table row) with the graph id in front.  First occurrence in
 the table is first occurrence in the stream, so every graph's vertices
 come out in the same order as if each block were projected alone.
-Key tuples are built once per distinct vertex of a table, never per
-point; a single graph is the case of one.
+The table's rows and the graphs' keys are the same kind of bytes, one
+per distinct row, never per point; a single graph is the case of one.
 
 Aspect-ratio removal is a contraction floor: squared distances below
 (u/n^2)^2 count as zero for a scale guess u.  aspect_graph takes u as
@@ -40,7 +41,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -140,10 +140,10 @@ def _distinct_rows(M: np.ndarray):
 class CompressedGraph:
     """Weighted contraction of (X, C): one vertex per occupied bucket key.
 
-    vertices maps (slots, group) -> count in insertion order, where
-    slots is a tuple of one int per center (a bucket id or ZERO_ID) and
-    group is an optional color/target id riding along with the points,
-    or None.  vertex_arrays turns them into arrays.
+    vertices maps key -> count in insertion order, where a key is the
+    bytes of an int64 row: one slot per center (a bucket id or ZERO_ID),
+    then the group, a color/target id riding along with the points, on
+    graphs bucketed with groups.  vertex_arrays turns them into arrays.
     """
 
     centers: np.ndarray
@@ -174,18 +174,16 @@ class CompressedGraph:
     def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The vertices in insertion order as the arrays the solvers run
         on: weights (L, k), each slot's bucket_weight; counts (L,);
-        groups (L,), or None when no vertex has one (a None group reads
-        as -1 beside others)."""
-        keys = list(self.vertices)
-        slots = np.array([s for s, _g in keys], dtype=np.int64).reshape(-1, self.k)
+        groups (L,), or None when the keys hold no group."""
+        width = len(next(iter(self.vertices), bytes(8 * self.k))) // 8
+        rows = np.frombuffer(b"".join(self.vertices), dtype=np.int64).reshape(-1, width)
+        slots = rows[:, :self.k]
         # one Python pow per distinct slot: numpy's vectorized power can
         # differ in the last bit, which would move quantized costs
         ids, inverse = np.unique(slots.ravel(), return_inverse=True)
         weights = np.array([bucket_weight(i, self.epsilon) for i in ids.tolist()])
-        counts = np.fromiter(self.vertices.values(), dtype=np.int64, count=len(keys))
-        groups = None
-        if any(g is not None for _s, g in keys):
-            groups = np.array([-1 if g is None else g for _s, g in keys], dtype=np.int64)
+        counts = np.fromiter(self.vertices.values(), dtype=np.int64, count=rows.shape[0])
+        groups = rows[:, self.k] if width > self.k else None
         return weights[inverse].reshape(slots.shape), counts, groups
 
 
@@ -235,9 +233,9 @@ class KeyBuilder:
                                  dtype=np.int64)
         self.rank = rank[self.floored]
         # bucket_block's row table: a slot row's bytes -> its points, and
-        # whether its rows end in a group
+        # whether its rows end in a group (None before the first block)
         self.table: dict = {}
-        self.grouped = False
+        self.grouped = None
 
     def slot_rows(self, sq: np.ndarray, groups=None) -> np.ndarray:
         """The block's int64 slot rows, one per point: a bucket id or
@@ -257,11 +255,11 @@ class KeyBuilder:
 
     def project(self, R: np.ndarray, counts: np.ndarray, grouped: bool):
         """Distinct slot rows R, counts[i] points on row i, under every
-        graph.  Returns (keys, counts, owner): keys[i] is a (slots,
-        group) vertex of graphs[owner[i]] holding counts[i] points,
-        graph by graph and in R's order of first occurrence.  With one
-        graph, keys[i] is row i's vertex: the graph reads every distinct
-        center under its one floor, so distinct rows keep distinct keys.
+        graph.  Returns (keys, counts, owner): keys[i] is the key of a
+        vertex of graphs[owner[i]] holding counts[i] points, graph by
+        graph and in R's order of first occurrence.  With one graph,
+        keys[i] is row i's vertex: the graph reads every distinct center
+        under its one floor, so distinct rows keep distinct keys.
         """
         m, k = len(self.graphs), self.k
         D = R.shape[0]
@@ -270,20 +268,21 @@ class KeyBuilder:
             part = slots[:, self.floored]
             part[R[:, self.count_of] < self.rank] = ZERO_ID
             slots[:, self.floored] = part
-        # the D distinct rows under every graph, graph-major
+        # the D distinct rows under every graph, graph-major, each key's
+        # slots then its group
         S = slots.reshape(D, m, k).transpose(1, 0, 2).reshape(m * D, k)
-        G = np.tile(R[:, -1], m) if grouped else None
+        if grouped:
+            S = np.hstack([S, np.tile(R[:, -1:], (m, 1))])
         owner = np.repeat(np.arange(m), D)
         counts = np.tile(counts, m)
         if m > 1:
             # a graph that skips some distinct centers, or zeroes one
             # below its floor, can merge distinct rows
-            P = np.hstack([owner[:, None], S] + ([] if G is None else [G[:, None]]))
-            first, again, _rows = _distinct_rows(P)
+            first, again, _rows = _distinct_rows(np.hstack([owner[:, None], S]))
             owner, S = owner[first], S[first]
-            G = None if G is None else G[first]
             counts = np.bincount(again, weights=counts).astype(np.int64)
-        keys = list(zip(map(tuple, S.tolist()), repeat(None) if G is None else G.tolist()))
+        S = np.ascontiguousarray(S)
+        keys = S.view(np.dtype((np.void, 8 * S.shape[1]))).ravel().tolist()
         return keys, counts, owner.tolist()
 
     def bucket_block(self, sq: np.ndarray, groups=None, bound: int | None = None) -> None:
@@ -291,13 +290,15 @@ class KeyBuilder:
         slot_rows.  The table keeps rows in order of first occurrence
         over the stream, so projecting it keeps each graph's vertex
         order.  A new row that finds the table holding `bound` rows
-        (default the block's) projects it first; so does a block that
-        brings or drops the group column.  Call flush at the end of the
-        pass."""
-        M = np.ascontiguousarray(self.slot_rows(sq, groups))
-        if (groups is not None) != self.grouped:
-            self.flush()
+        (default the block's) projects it first.  Keys with and without
+        a group cannot share a graph: a builder given blocks with groups
+        and blocks without raises ValueError.  Call flush at the end of
+        the pass."""
+        if self.grouped is None:
             self.grouped = groups is not None
+        elif self.grouped != (groups is not None):
+            raise ValueError("blocks bucketed together need groups on all of them or none")
+        M = np.ascontiguousarray(self.slot_rows(sq, groups))
         table, b = self.table, M.shape[0] if bound is None else bound
         # a row's bytes stand for it: int64 rows are equal iff their bytes are
         rows = Counter(M.view(np.dtype((np.void, 8 * M.shape[1]))).ravel().tolist())

@@ -25,7 +25,8 @@ Batch assignment and stream peeling share one owner/cost rule: raw
 points are vertices of count 1, owners are the centers that carry a
 vertex's flow, and the real cost is summed left to right in point
 order, then owner order.  Peeling takes units off the solver's flow
-array, its rows found through a dict per solution from slot-row bytes.
+array, its rows found by vertex key: the bytes a graph keys its
+vertices by.
 """
 
 from __future__ import annotations
@@ -442,8 +443,9 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
 @dataclass
 class CompressedSolution:
     """A solved flow over a compressed graph, ready for assignment peeling:
-    flows is the solver's (L, k) array in graph.vertices order, and each
-    peeled block takes its units off in place."""
+    flows is the solver's (L, k) array in graph.vertices order, row maps
+    each vertex key to its row of flows, and each peeled block takes its
+    units off in place."""
 
     graph: CompressedGraph
     variant: Variant
@@ -453,8 +455,7 @@ class CompressedSolution:
     row: dict                # vertex key -> its row of flows
     perm: tuple | None = None
     peeled_cost: float = 0.0
-    # assign_block's lookups: slot-row bytes -> row of flows, owner-set code -> tuple
-    _rows: dict = field(default_factory=dict, init=False, repr=False)
+    # assign_block's owner sets: packed owner-set code -> tuple
     _sets: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -511,20 +512,15 @@ class CompressedSolution:
         return [self._sets[code] for code in codes]
 
     def _vertex_rows(self, R: np.ndarray, grouped: bool) -> np.ndarray:
-        """The flows row of each distinct slot row of R, by row bytes.  A
-        miss goes through project and self.row; with one graph distinct
-        rows are distinct vertices, so _rows never outgrows the graph."""
-        keys = np.ascontiguousarray(R).view(np.dtype((np.void, 8 * R.shape[1]))).ravel().tolist()
-        rows = self._rows
-        missing = [i for i, key in enumerate(keys) if key not in rows]
-        if missing:
-            found, _counts, _owner = self.graph.key_builder.project(
-                R[missing], np.ones(len(missing), dtype=np.int64), grouped)
-            for i, key in zip(missing, found):
-                if key not in self.row:
-                    raise InfeasiblePartitionError("no flow on this point's vertex")
-                rows[keys[i]] = self.row[key]
-        return np.array([rows[key] for key in keys], dtype=np.intp)
+        """The flows row of each distinct slot row of R: its key under
+        the graph, looked up in self.row.  With one graph distinct rows
+        are distinct vertices, so keys[i] is row i's."""
+        keys, _counts, _owner = self.graph.key_builder.project(
+            R, np.ones(R.shape[0], dtype=np.int64), grouped)
+        try:
+            return np.array([self.row[key] for key in keys], dtype=np.intp)
+        except KeyError:
+            raise InfeasiblePartitionError("no flow on this point's vertex") from None
 
 
 def compressed_partition(graph: CompressedGraph, variant: Variant,

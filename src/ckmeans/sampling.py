@@ -91,6 +91,12 @@ class ReservoirBank:
     def size(self) -> int:
         return len(self.held_index)
 
+    @property
+    def words(self) -> int:
+        """Scalar words of the bank's jump state: a threshold and a
+        draw-row counter per reservoir, and the pending rows of draws."""
+        return 2 * self.size + self._draws.size
+
     def offer_block(self, points, weights) -> None:
         """Offers the rows of points, in order, with their weights."""
         P = as_points(points)

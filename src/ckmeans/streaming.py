@@ -221,17 +221,22 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
     with meter.phase("sample"):
         banks = [ReservoirBank(R, d, s[0]) for s in streams]
         meter.alloc_points(reps * R)
+        meter.alloc_words(sum(bank.words for bank in banks))
         seen = 0
         rows = max(source.block, ENTRIES // C.size)
         for (pts,) in chunks(((pts,) for pts in source.open_points()), rows):
             w = pairwise_sqdist(pts, C).min(axis=1)
             for bank in banks:
+                # an offer grows or shrinks the bank's pending draws
+                meter.free_words(bank.words)
                 bank.offer_block(pts, w)
+                meter.alloc_words(bank.words)
             seen += len(w)
 
         cands = candidate_list([bank.sampled_points() for bank in banks], C, p,
                                [s[1] for s in streams])
         meter.free_points(reps * R)
+        meter.free_words(sum(bank.words for bank in banks))
         meter.alloc_points(len(cands) * t)
     return cands, seed, seen
 

@@ -120,6 +120,18 @@ def merge_reduce_seed_choice(X, k: int, chunk: int, rng,
 
 # hyperbucket -----------------------------------------------------------------
 
+def vertex_key(key: bytes, k: int) -> tuple:
+    """A graph's vertex key read back: ((its k slots), its group, or
+    None when the key holds slots only)."""
+    row = np.frombuffer(key, dtype=np.int64).tolist()
+    return tuple(row[:k]), (row[k] if len(row) > k else None)
+
+
+def vertex_items(graph) -> list:
+    """graph.vertices in order as (vertex_key, count) pairs."""
+    return [(vertex_key(key, graph.k), c) for key, c in graph.vertices.items()]
+
+
 def row_keys(graph, points, groups=None) -> list:
     """The vertex key of each point under graph, keyed the way
     CompressedSolution.assign_block keys the rows its dict misses: the

@@ -9,7 +9,8 @@ vertex's rows at once.  The references here are the per-point forms: a
 key tuple built from bucket_index cell by cell, one graph at a time,
 and a greedy peel that takes one point at a time from its vertex's
 remaining units (lowest center first, or every center with units left
-under fault_tolerant).
+under fault_tolerant).  Keys are compared read back as (slots, group)
+pairs through reference.vertex_key.
 """
 
 import math
@@ -35,7 +36,7 @@ from ckmeans.partition import (
     compressed_partition,
     semi_supervised_cost_terms,
 )
-from reference import max_weight_error, row_keys
+from reference import max_weight_error, row_keys, vertex_items, vertex_key
 
 EPS = 0.5
 
@@ -114,13 +115,13 @@ def test_block_keys_match_scalar_keys(inst):
     for P, G in blocks_of(X, groups, bounds):
         sq = pairwise_sqdist(P, C)
         want = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
-        assert row_keys(g, P, G) == want
+        assert [vertex_key(key, g.k) for key in row_keys(g, P, G)] == want
         g.add_block(P, G)
         for key in want:
             ref_vertices[key] = ref_vertices.get(key, 0) + 1
         # same keys, counts and insertion order, also for keys seen in
         # an earlier block
-        assert list(g.vertices.items()) == list(ref_vertices.items())
+        assert vertex_items(g) == list(ref_vertices.items())
         # the solvers' arrays: weights bit-equal to bucket_weight slot by
         # slot, all finite, and 0.0 at zeros
         W, counts, groups = g.vertex_arrays()
@@ -133,7 +134,7 @@ def test_block_keys_match_scalar_keys(inst):
         if G is None:
             assert groups is None
         else:
-            assert groups.tolist() == [grp for _key, grp in g.vertices]
+            assert groups.tolist() == [grp for _key, grp in ref_vertices]
     assert max_weight_error(g, X) == ref_weight_error(g, X)
 
 
@@ -198,13 +199,13 @@ def check_stacked_pass(graphs, X, groups, bounds):
                 block[want] = block.get(want, 0) + 1
                 refs[j][want] = refs[j].get(want, 0) + 1
             # graph j's keys and counts, in order of first occurrence
-            assert [(key, c) for key, c, o in zip(keys, counts.tolist(), owner)
+            assert [(vertex_key(key, k), c) for key, c, o in zip(keys, counts.tolist(), owner)
                     if o == j] == list(block.items())
         kb.bucket_block(sq, G)
         kb.flush()
         # each graph's vertices: same keys, counts and insertion order
         for g, ref in zip(graphs, refs):
-            assert list(g.vertices.items()) == list(ref.items())
+            assert vertex_items(g) == list(ref.items())
     return kb
 
 
@@ -268,17 +269,14 @@ def test_shared_centers_key_like_each_graph_alone(inst):
 
 @st.composite
 def table_streams(draw):
-    """A shared stack fed in blocks of 1, 7 or more than n rows, with no
-    groups, groups, or ungrouped blocks followed by grouped ones."""
+    """A shared stack fed in blocks of 1, 7 or more than n rows, with
+    groups on every block or on none."""
     graphs, X, _groups, _bounds = draw(shared_stacks())
     n = X.shape[0]
     b = draw(st.sampled_from([1, 7, n + 5]))
-    groups = draw(st.sampled_from(["none", "all", "later"]))
+    grouped = draw(st.booleans())
     G = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    blocks = []
-    for lo in range(0, n, b):
-        grouped = groups == "all" or (groups == "later" and lo >= n // 2)
-        blocks.append((X[lo:lo + b], G[lo:lo + b] if grouped else None))
+    blocks = [(X[lo:lo + b], G[lo:lo + b] if grouped else None) for lo in range(0, n, b)]
     return graphs, blocks
 
 
@@ -287,27 +285,26 @@ def feed_table(kb, blocks):
     Pins the table's bound after each block and records every flush of
     a non-empty table as (its rows, the rows of the block being
     counted, or None at the end of the pass)."""
-    flushes, current = [], [None, None]
+    flushes, current = [], [None]
     flush = kb.flush
 
     def spy():
-        b, grouped = current
+        b = current[0]
         if kb.table:
-            # mid-pass, only a full table or a change of the group
-            # column projects the table
-            assert b is None or len(kb.table) >= b or kb.grouped != grouped
+            # mid-pass, only a full table projects the table
+            assert b is None or len(kb.table) >= b
             flushes.append((len(kb.table), b))
         flush()
     kb.flush = spy
     for P, G in blocks:
         b = P.shape[0]
-        current[:] = b, G is not None
+        current[0] = b
         before = list(kb.table)
         kb.bucket_block(pairwise_sqdist(P, kb.centers), G)
         # a block leaves at most its own row count in the table, or only
         # added points to rows already there
         assert len(kb.table) <= b or list(kb.table) == before
-    current[:] = None, None
+    current[0] = None
     kb.flush()
     assert not kb.table
     return flushes
@@ -328,7 +325,7 @@ def test_row_table_spans_blocks_like_each_graph_alone(inst):
                 ref[key] = ref.get(key, 0) + 1
     # each graph's vertices: same keys, counts and insertion order
     for g, ref in zip(graphs, refs):
-        assert list(g.vertices.items()) == list(ref.items())
+        assert vertex_items(g) == list(ref.items())
 
 
 def test_row_table_holds_at_most_a_block():
@@ -385,7 +382,8 @@ def test_peel_matches_greedy_per_point_peel(inst, kind):
     except InfeasiblePartitionError:
         return
     ref_flows = sol.flows.copy()
-    ref = dict(zip(g.vertices, ref_flows))      # rows of ref_flows, peeled in place
+    # rows of ref_flows, peeled in place
+    ref = {vertex_key(key, g.k): row for key, row in zip(g.vertices, ref_flows)}
     ref_total = sol.peeled_cost
     # two passes over the stream: the second one runs out of flow
     for _pass in range(2):
@@ -436,9 +434,8 @@ def test_an_overdrawn_block_takes_no_unit(variant, owners):
 
 @pytest.mark.parametrize("case", ["r_gather with colors", "aspect graph"])
 def test_assign_pass_dicts_stay_within_the_winner(case):
-    # the row dict maps each slot row to its vertex's row of flows and
-    # never outgrows the graph; a block whose rows it already holds, one
-    # of them on a vertex with no units left, takes no unit
+    # a block whose rows an earlier block peeled, one of them on a
+    # vertex with no units left, takes no unit
     rng = np.random.default_rng(5)
     C = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     X = C[rng.integers(0, 3, size=240)] + rng.integers(-3, 4, size=(240, 2)) * 0.5
@@ -452,14 +449,9 @@ def test_assign_pass_dicts_stay_within_the_winner(case):
     for P, G in blocks:
         g.add_block(P, G)
     sol = compressed_partition(g, variant)
-    kb = g.key_builder
-    M = kb.slot_rows(pairwise_sqdist(X, kb.centers), groups)
-    rows = [r.tobytes() for r in M]
     keys = row_keys(g, X, groups)
     for P, G in blocks[:-1]:
         sol.assign_block(P, G)
-    assert 0 < len(sol._rows) <= len(g.vertices)
-    assert all(sol._rows[rows[i]] == sol.row[keys[i]] for i in range(200))
     spent = [i for i in range(200) if not sol.flows[sol.row[keys[i]]].any()]
     assert spent
     P, G = blocks[-1]
@@ -470,4 +462,3 @@ def test_assign_pass_dicts_stay_within_the_winner(case):
     assert np.array_equal(before, sol.flows)
     sol.assign_block(P, G)
     assert not sol.flows.any()
-    assert len(sol._rows) <= len(g.vertices)

@@ -197,7 +197,7 @@ def test_plain_blocks_never_reach_the_record_loop(tmp_path, monkeypatch, name):
     # a reader that always fell back would pass every comparison above
     def refuse(*args):
         raise AssertionError("the record loop read a plain block")
-    monkeypatch.setattr(ckmeans.data, "_parse_block", refuse)
+    monkeypatch.setattr(ckmeans.data, "_parse_rows", refuse)
     path = tmp_path / f"{name}.csv"
     path.write_bytes(FILES[name].encode("utf-8"))
     for block in (1, 7, 1000):

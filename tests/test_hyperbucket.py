@@ -13,6 +13,7 @@ from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import (
     ZERO_ID,
     CompressedGraph,
+    KeyBuilder,
     aspect_graph,
     aspect_guesses,
     bucket_index,
@@ -21,7 +22,7 @@ from ckmeans.hyperbucket import (
     build_compressed,
 )
 from ckmeans.partition import Variant, partition_cost
-from reference import max_weight_error, row_keys
+from reference import max_weight_error, row_keys, vertex_items, vertex_key
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
@@ -116,7 +117,7 @@ def test_add_block_keys_a_point_on_an_edge():
     g = CompressedGraph(np.zeros((1, 1)), 0.1)
     assert pairwise_sqdist(P, g.centers)[0, 0] == s      # exactly on the edge
     g.add_block(P)
-    assert list(g.vertices) == [((283,), None)]
+    assert vertex_items(g) == [(((283,), None), 1)]
     assert g.vertex_arrays()[0][0, 0] == s
 
 
@@ -145,8 +146,8 @@ def test_coincident_points_share_a_zero_slot():
     g = CompressedGraph(C, 0.5)
     keys = row_keys(g, np.array([[0.0, 0.0], [0.0, 0.0]]))
     assert keys[0] == keys[1]
-    key, _group = keys[0]
-    assert key[0] == ZERO_ID
+    slots, _group = vertex_key(keys[0], g.k)
+    assert slots[0] == ZERO_ID
     g.add_block(np.array([[0.0, 0.0]]))
     assert g.vertex_arrays()[0][0, 0] == 0.0
 
@@ -159,12 +160,27 @@ def test_groups_split_vertices():
     assert all(c == 2 for _k, c in g.vertices.items())
 
 
-def test_vertex_without_a_group_reads_as_minus_one_beside_grouped_ones():
+@pytest.mark.parametrize("first, then", [(None, [2]), ([2, 2], None)],
+                         ids=["groups after none", "none after groups"])
+def test_a_graph_takes_groups_on_every_block_or_on_none(first, then):
+    # keys with and without a group have different widths
     g = CompressedGraph(np.zeros((1, 2)), 0.5)
-    g.add_block(np.ones((2, 2)))
-    assert g.vertex_arrays()[2] is None
-    g.add_block(np.ones((1, 2)), groups=[2])
-    assert g.vertex_arrays()[2].tolist() == [-1, 2]
+    g.add_block(np.ones((2, 2)), groups=first)
+    before = vertex_items(g)
+    with pytest.raises(ValueError, match="groups on all of them or none"):
+        g.add_block(np.ones((1, 2)), groups=then)
+    assert vertex_items(g) == before and not g.key_builder.table
+    # a stacked pass is held to the same rule
+    kb = KeyBuilder([CompressedGraph(np.zeros((1, 2)), 0.5),
+                     CompressedGraph(np.ones((1, 2)), 0.5)])
+    kb.bucket_block(np.ones((2, 2)), first)
+    with pytest.raises(ValueError, match="groups on all of them or none"):
+        kb.bucket_block(np.ones((1, 2)), then)
+
+
+def test_an_empty_graph_gives_empty_arrays():
+    W, counts, groups = CompressedGraph(np.zeros((3, 2)), 0.5).vertex_arrays()
+    assert W.shape == (0, 3) and counts.shape == (0,) and groups is None
 
 
 def test_grid_groups_bucket_count_regression():
@@ -221,8 +237,7 @@ def test_aspect_contraction():
     # center 1 keeps its plain bucket
     tiny = u / n**2 / 2
     P = np.array([[tiny, 0.0]])
-    keys = row_keys(g, P)
-    key, _grp = keys[0]
+    key, _grp = vertex_key(row_keys(g, P)[0], g.k)
     assert key[0] == ZERO_ID
     assert key[1] == bucket_index(pairwise_sqdist(P, C)[0, 1], 0.5)
     g.add_block(P)

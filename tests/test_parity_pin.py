@@ -3,7 +3,8 @@
 Each run is reduced to a digest of everything a caller can see: the
 owners, the emitted centers' bytes, repr of cost and flow_cost, the
 selected index, d_star, and the vertices of every graph the stream
-solves, item by item in insertion order.  The recorded digests were
+solves, item by item in insertion order, each key read back as its
+(slots, group) pair.  The recorded digests were
 taken from the code before the graph pass keyed blocks by distinct
 center, and the stream digests again when the sample pass's reservoirs
 began to jump between replacements, which draws other uniforms; a
@@ -21,6 +22,7 @@ from ckmeans.data import Dataset, gaussian_groups
 from ckmeans.listgen import GoodCentersConfig
 from ckmeans.partition import Variant
 from ckmeans.streaming import ArraySource, batch_solve, full_pipeline
+from reference import vertex_items
 
 CFG = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
                         eta=4, tau=1, repetitions=3, subset_budget=6)
@@ -80,7 +82,7 @@ def run(kind, option, monkeypatch) -> str:
     solve = streaming.compressed_partition
 
     def recording(graph, variant, **kw):
-        solved.append(list(graph.vertices.items()))
+        solved.append(vertex_items(graph))
         return solve(graph, variant, **kw)
 
     monkeypatch.setattr(streaming, "compressed_partition", recording)

@@ -550,9 +550,9 @@ def test_pipeline_space_phases_present():
 # (block, chunk, aspect removal) -> the space report; the chunks of 33
 # rows straddle blocks of 7, and chunks of 10 split blocks of 1,000
 PINNED_SPACE = {
-    (7, 33, False): (546, 16004, {"seed": (69, 0), "sample": (546, 0), "graph": (546, 16004),
+    (7, 33, False): (546, 16004, {"seed": (69, 0), "sample": (546, 696), "graph": (546, 16004),
                                   "assign": (546, 188)}),
-    (1000, 10, True): (546, 14800, {"seed": (130, 0), "sample": (546, 0), "scale": (546, 0),
+    (1000, 10, True): (546, 14800, {"seed": (130, 0), "sample": (546, 648), "scale": (546, 0),
                                     "graph": (546, 14800), "assign": (546, 184)}),
 }
 
@@ -567,6 +567,21 @@ def test_pipeline_space_report_is_pinned(block, chunk, aspect):
         "peak_points": peak_points, "peak_words": peak_words,
         "phases": [{"name": name, "peak_points": pp, "peak_words": pw}
                    for name, (pp, pw) in phases.items()]}
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_sample_phase_charges_its_banks_words(block):
+    # each repetition's bank holds a threshold and a draw-row counter per
+    # reservoir, eta * t of them, besides its pending draws; all are
+    # freed once the list is built
+    ds, _ = planted(31, n=200)
+    meter = SpaceMeter()
+    two_pass_good_centers(ArraySource(ds, block=block), 3, CFG, np.random.default_rng(32),
+                          meter=meter)
+    p = CFG.resolved()
+    phases = {ph["name"]: ph for ph in meter.report()["phases"]}
+    assert phases["sample"]["peak_words"] >= p["repetitions"] * 2 * p["eta"] * p["t"]
+    assert meter.current_words == 0
 
 
 def test_pipeline_frees_losing_candidates_before_assign():
