@@ -5,9 +5,10 @@ optionally followed by literal `color` and/or `target` columns, then
 one point per row.  Color and target values are non-negative integers.
 Files are UTF-8; a leading byte-order mark is skipped.
 There is one reader, iter_dataset_csv, which holds one block of rows at a
-time; read_dataset_csv joins its blocks.  A block goes through numpy's
-C reader; from the first block that reader declines, the csv record
-loop reads the rest of the file.
+time and reads the file once; read_dataset_csv joins its blocks.  A
+block goes through numpy's C reader; from the first block that reader
+declines, the csv record loop reads the rest of the file, decoding each
+line as UTF-8 when the parse reaches it.
 """
 
 from __future__ import annotations
@@ -78,13 +79,26 @@ def write_dataset_csv(path, ds: Dataset) -> None:
             w.writerow(row)
 
 
-def _read_header(path, reader) -> tuple[int, int, list]:
-    """(coordinate columns, all columns, trailing column names) of a
-    validated header row."""
+def _utf8(lines, encoding="utf-8"):
+    """Latin-1 lines decoded as UTF-8 one at a time, as a csv reader
+    pulls them; the first one as `encoding`."""
+    for line in lines:
+        yield line.encode("latin-1").decode(encoding)
+        encoding = "utf-8"
+
+
+def _read_header(path, fh) -> tuple[tuple[int, int, list], int]:
+    """(coordinate columns, all columns, trailing column names) of the
+    validated header row at the start of fh, and the number of the line
+    after it.  Line 1 is decoded as utf-8-sig: a byte-order mark is
+    skipped."""
+    reader = csv.reader(_utf8(fh, "utf-8-sig"))
     try:
         header = next(reader, None)
     except csv.Error as exc:
         raise ValueError(f"{path}:1: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}:{reader.line_num + 1}: not valid UTF-8") from None
     if header is None:
         raise ValueError(f"{path}: empty dataset file")
     header = [h.strip() for h in header]
@@ -96,19 +110,17 @@ def _read_header(path, reader) -> tuple[int, int, list]:
         raise ValueError(f"{path}: coordinate columns must be named x0..x{coord_cols - 1}")
     if header[coord_cols:] not in ([], ["color"], ["target"], ["color", "target"]):
         raise ValueError(f"{path}: trailing columns must be color and/or target, in that order")
-    return coord_cols, len(header), header[coord_cols:]
+    return (coord_cols, len(header), header[coord_cols:]), reader.line_num + 1
 
 
-def _parse_rows(path, columns, records, first_line) -> Dataset:
-    """The record loop's reading of a block: it names the first bad line
-    in file order (a wrong field count, a value float() or int() rejects,
-    a non-finite coordinate, a color or target below 0 or beyond int64)
-    and otherwise gives the block's Dataset."""
+def _parse_rows(path, columns, records) -> Dataset:
+    """The record loop's reading of a block of (line, record) pairs: it
+    names the first bad line in file order (a wrong field count, a value
+    float() or int() rejects, a non-finite coordinate, a color or target
+    below 0 or beyond int64) and otherwise gives the block's Dataset."""
     coord_cols, width, extras = columns
     pts, cols = [], [[] for _ in extras]
-    for lineno, row in enumerate(records, start=first_line):
-        if not row:
-            continue
+    for lineno, row in records:
         if len(row) != width:
             raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         try:
@@ -180,24 +192,32 @@ def _fast_block(columns, lines, filled) -> Dataset | None:
     return Dataset(pts, named.get("color"), named.get("target"))
 
 
-def _record_blocks(path, columns, reader, block: int, first_line: int):
-    """The record loop: csv records in blocks of `block` non-blank ones,
-    each read by _parse_rows, numbered from `first_line`.  A record csv
-    cannot read (a field past its size limit) fails naming its line."""
-    records, filled = [], 0
+def _record_blocks(path, columns, lines, block: int, first_line: int):
+    """The record loop: the csv records of the latin-1 `lines`, whose
+    first is line `first_line`, in blocks of `block` non-blank ones, each
+    read by _parse_rows.  A record is numbered by the line it starts on.
+    Each line is decoded as UTF-8 when the csv reader pulls it.  A record
+    csv cannot read (a field past its size limit) fails naming its line;
+    a line that does not decode fails naming itself, after the records
+    before it are read."""
+    reader = csv.reader(_utf8(lines))
+    records, line = [], first_line
     try:
         for row in reader:
-            records.append(row)
             if row:
-                filled += 1
-            if filled == block:
-                yield _parse_rows(path, columns, records, first_line)
-                first_line += len(records)
-                records, filled = [], 0
+                records.append((line, row))
+            line = first_line + reader.line_num
+            if len(records) == block:
+                yield _parse_rows(path, columns, records)
+                records = []
     except csv.Error as exc:
-        raise ValueError(f"{path}:{first_line + len(records)}: {exc}") from None
-    if filled:
-        yield _parse_rows(path, columns, records, first_line)
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    except UnicodeDecodeError:
+        if records:
+            _parse_rows(path, columns, records)  # an earlier bad line comes first
+        raise ValueError(f"{path}:{first_line + reader.line_num}: not valid UTF-8") from None
+    if records:
+        yield _parse_rows(path, columns, records)
 
 
 def iter_dataset_csv(path, block: int):
@@ -206,71 +226,35 @@ def iter_dataset_csv(path, block: int):
     never the file.  The header is checked once, blank rows are skipped,
     and an error names the first bad line in file order.
 
-    Each block's lines go through numpy's C reader (_fast_block).  The
-    first block it declines hands its lines and the rest of the file to
-    the csv record loop: a quoted field there may span lines and block
+    The file is opened once, as latin-1: one character per byte, so it
+    splits into the lines a UTF-8 reading gives, as no UTF-8 sequence
+    holds a line-ending byte.  Each block's lines go through numpy's C
+    reader (_fast_block), which takes only ASCII text, itself UTF-8.
+    The first block it declines hands its lines and the rest of the file
+    to the csv record loop, which decodes each line as UTF-8 when the
+    parse reaches it: a quoted field there may span lines and block
     edges, fields are read by float() and int(), and an error names its
     line."""
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     read = 0
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for ds in _dataset_blocks(path, fh, block):
-                read += 1
-                yield ds
-    except UnicodeDecodeError as exc:
-        # the decoder reads ahead of the parse and counts its position
-        # from its current chunk: name the line, after any earlier error
-        raise _undecodable(path, block, exc) from None
+    with open(path, newline="", encoding="latin-1") as fh:
+        columns, line = _read_header(path, fh)
+        while True:
+            lines, filled = _take(fh, block)
+            if not filled:
+                break
+            ds = _fast_block(columns, lines, filled)
+            if ds is None:
+                for ds in _record_blocks(path, columns, chain(lines, fh), block, line):
+                    read += 1
+                    yield ds
+                break
+            read += 1
+            yield ds
+            line += len(lines)
     if not read:
         raise ValueError(f"{path}: no data rows")
-
-
-def _dataset_blocks(path, fh, block: int):
-    """iter_dataset_csv's blocks read from the text lines fh."""
-    columns = _read_header(path, csv.reader(fh))
-    first_line = 2
-    while True:
-        lines, filled = _take(fh, block)
-        if not filled:
-            return
-        ds = _fast_block(columns, lines, filled)
-        if ds is None:
-            yield from _record_blocks(path, columns, csv.reader(chain(lines, fh)),
-                                      block, first_line)
-            return
-        yield ds
-        first_line += len(lines)
-
-
-def _undecodable(path, block: int, exc) -> ValueError:
-    """The error for a file that is not valid UTF-8.  The lines before
-    its first undecodable one form a valid file, read again: its first
-    error comes first in file order, else the error names the line.
-    Read as latin-1, one character per byte, the file splits into the
-    lines the reader sees: no UTF-8 sequence holds a line-ending byte."""
-    def utf8(lines):
-        for lineno, line in enumerate(lines, start=1):
-            yield line.encode("latin-1").decode("utf-8-sig" if lineno == 1 else "utf-8")
-
-    with open(path, newline="", encoding="latin-1") as fh:
-        bad = 1
-        try:
-            for _ in utf8(fh):
-                bad += 1
-        except UnicodeDecodeError:
-            pass
-        else:
-            return ValueError(f"{path}: {exc}")  # the file changed since the failed read
-    if bad > 1:
-        with open(path, newline="", encoding="latin-1") as fh:
-            try:
-                for _ in _dataset_blocks(path, utf8(islice(fh, bad - 1)), block):
-                    pass
-            except ValueError as err:
-                return err
-    return ValueError(f"{path}:{bad}: not valid UTF-8")
 
 
 def read_dataset_csv(path) -> Dataset:

@@ -490,6 +490,9 @@ EXIT_CLAUSES = [
      "{data}:33: field larger than field limit (131072)"),
     ("invalid UTF-8", "solve", [], _edit_bytes(20, b"1,\xff"), "{data}:20: not valid UTF-8"),
     ("invalid UTF-8", "stream", [], _edit_bytes(61, b"\xc3(,1"), "{data}:61: not valid UTF-8"),
+    # the quoted field opened on line 40 runs into the undecodable line 41
+    ("quoted field into invalid UTF-8", "stream", [], _edit_bytes(40, b'"1\n\xff,2'),
+     "{data}:41: not valid UTF-8"),
     ("--k below 1", "solve", ["--k", "0"], None, "--k must be >= 1, got 0"),
     ("--k below 1", "stream", ["--k", "0"], None, "--k must be >= 1, got 0"),
     ("fewer rows than --k", "solve", ["--k", "70"], None, "stream has 60 points, need at least k=70"),

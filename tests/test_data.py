@@ -1,7 +1,9 @@
 """The block CSV reader against a row-by-row reference."""
 
+import builtins
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,18 +16,43 @@ from ckmeans.data import Dataset, iter_dataset_csv, read_dataset_csv
 from ckmeans.streaming import CSVSource
 
 
+class Undecodable(Exception):
+    """A line, numbered from 1, that is not UTF-8."""
+
+
+def utf8_lines(path):
+    """The file's lines, split at \\n, \\r\\n and \\r, each decoded as
+    UTF-8 (the first as utf-8-sig) when it is pulled; Undecodable at the
+    first line that is not."""
+    raw = re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", path.read_bytes())
+    for lineno, line in enumerate(raw, start=1):
+        try:
+            yield line.decode("utf-8-sig" if lineno == 1 else "utf-8")
+        except UnicodeDecodeError:
+            raise Undecodable(lineno) from None
+
+
 def reference_read(path):
-    """Every record in file order, each checked in full before the next:
-    (points, colors, targets), or the first line's error message."""
-    with open(path, newline="") as fh:
-        records = list(csv.reader(fh))
+    """Every record in file order, numbered by the line it starts on and
+    checked in full before the next: (points, colors, targets), or the
+    first bad line's error message.  A line that is not UTF-8 ends the
+    records, and a record it cuts short is not one: after the records
+    before it, the error names that line."""
+    reader = csv.reader(utf8_lines(path))
+    records, line, undecodable = [], 1, None
+    try:
+        for row in reader:
+            records.append((line, row))
+            line = 1 + reader.line_num
+    except Undecodable as exc:
+        undecodable = f"{path}:{exc.args[0]}: not valid UTF-8"
     if not records:
-        return f"{path}: empty dataset file"
-    header = [h.strip() for h in records[0]]
+        return undecodable or f"{path}: empty dataset file"
+    header = [h.strip() for h in records[0][1]]
     extras = [h for h in header if h in ("color", "target")]
     c = len(header) - len(extras)
     pts, cols = [], {name: [] for name in extras}
-    for lineno, row in enumerate(records[1:], start=2):
+    for lineno, row in records[1:]:
         if not row:
             continue
         if len(row) != len(header):
@@ -44,6 +71,8 @@ def reference_read(path):
                 return f"{path}:{lineno}: {name}s must be below 2**63"
             cols[name].append(v)
         pts.append(p)
+    if undecodable:
+        return undecodable
     if not pts:
         return f"{path}: no data rows"
     return (np.array(pts, dtype=np.float64),
@@ -191,6 +220,33 @@ def test_block_reader_matches_row_by_row_on_tricky_text(tmp_path, text):
         assert same(got, want), (block, text, got, want)
 
 
+@st.composite
+def undecodable_texts(draw):
+    """A csv_texts() file as UTF-8, with a byte sequence that is not
+    UTF-8 (a stray \\xff, or \\xe2\\x82 cut off before its last byte)
+    put into one of its lines, header included."""
+    lines = re.findall(rb"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", draw(csv_texts()).encode("utf-8"))
+    i = draw(st.integers(0, len(lines) - 1))
+    body = lines[i].rstrip(b"\r\n")
+    at = draw(st.integers(0, len(body)))
+    bad = draw(st.sampled_from([b"\xff", b"\xe2\x82"]))
+    lines[i] = body[:at] + bad + lines[i][at:]
+    return b"".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=undecodable_texts())
+def test_errors_come_in_file_order_around_an_invalid_utf8_byte(tmp_path, data):
+    path = tmp_path / "h.csv"
+    path.write_bytes(data)
+    want = reference_read(path)
+    assert isinstance(want, str)
+    for block in (1, 7, 1000):
+        got = block_read(path, block)
+        assert got == want, (block, data, got, want)
+
+
 @pytest.mark.parametrize("name", ["plain", "colors_targets", "colors_targets_over_1000_rows",
                                   "crlf", "cr_only"])
 def test_plain_blocks_never_reach_the_record_loop(tmp_path, monkeypatch, name):
@@ -239,9 +295,55 @@ def test_a_field_past_the_csv_limit_fails_as_in_the_record_loop(tmp_path):
         list(iter_dataset_csv(header, 7))
 
 
+def test_a_record_after_a_multi_line_one_is_named_by_its_line(tmp_path):
+    # the quoted field on line 2 closes on line 3: the next record starts
+    # on line 4, and so does the data after a two-line header
+    path = tmp_path / "d.csv"
+    long_field = b"0" * csv.field_size_limit() + b"1,2\n"
+    for text, message in ((b'x0,x1\n"1\n",2\nabc,1\n', "could not convert string to float: 'abc'"),
+                          (b'"x0\n",x1\n1,2\nabc,1\n', "could not convert string to float: 'abc'"),
+                          (b'x0,x1\n"1\n",2\n' + long_field,
+                           f"field larger than field limit ({csv.field_size_limit()})")):
+        path.write_bytes(text)
+        for block in (1, 7, 4096):
+            assert block_read(path, block) == f"{path}:4: {message}"
+
+
+def test_a_quoted_field_into_an_invalid_utf8_line_names_that_line(tmp_path):
+    # the record opened on line 2 never closes: the undecodable line 3 is
+    # named, not a record cut short at line 2
+    path = tmp_path / "d.csv"
+    for text in (b'x0,x1\n"abc\n\xff\n', b'x0,x1\n1,2\n"3\n\xe2\x82",4\n5,6\n'):
+        path.write_bytes(text)
+        line = 3 if text.startswith(b'x0,x1\n"') else 4
+        for block in (1, 2, 4096):
+            assert block_read(path, block) == f"{path}:{line}: not valid UTF-8"
+
+
+def test_each_read_opens_its_file_once(tmp_path, monkeypatch):
+    opened = []
+
+    def spy(file, *args, **kw):
+        opened.append(file)
+        return builtins.open(file, *args, **kw)
+    monkeypatch.setattr(ckmeans.data, "open", spy, raising=False)
+    path = tmp_path / "d.csv"
+    for text, error in ((FILES["plain"].encode("utf-8"), None),
+                        (b"x0,x1\n" + b"1,2\n" * 30 + b"1,\xff\n", ":32: not valid UTF-8"),
+                        (b"x0,x1\n1,2\nabc,1\n1,\xff\n",
+                         ":3: could not convert string to float: 'abc'")):
+        path.write_bytes(text)
+        for block in (1, 7, 1000):
+            opened.clear()
+            got = block_read(path, block)
+            assert opened == [path]
+            assert got == f"{path}{error}" if error else not isinstance(got, str)
+
+
 def test_an_invalid_utf8_byte_names_its_line(tmp_path):
-    # the decoder reads 8 KB chunks ahead of the parser and reports an
-    # offset into its chunk; the error names the line
+    # a text decoder would read 8 KB chunks ahead of the parser and report
+    # an offset into its chunk; each line is decoded as the parse reaches
+    # it, and the error names the line
     path = tmp_path / "bad.csv"
     path.write_bytes(b"x0,x1\n" + b"1,2\n" * 3000 + b"1,\xff\n")
     for block in (1, 7, 1000):
@@ -255,8 +357,8 @@ def test_an_invalid_utf8_byte_names_its_line(tmp_path):
 
 
 def test_a_bad_line_before_an_invalid_utf8_byte_is_named_first(tmp_path):
-    # the decoder fails on line 9 while the parse is still at the header:
-    # the lines before line 9 are read as the valid file they form
+    # a chunked decoder would fail on line 9 while the parse is still at
+    # the header; line 9 is decoded only after line 5 is read
     path = tmp_path / "bad.csv"
     path.write_bytes(b"x0,x1\n" + b"1,2\n" * 3 + b"abc,1\n" + b"1,2\n" * 3 + b"1,\xff\n")
     valid = tmp_path / "valid.csv"
