@@ -160,6 +160,11 @@ class CompressedGraph:
     def k(self) -> int:
         return self.centers.shape[0]
 
+    @property
+    def words(self) -> int:
+        """The words the vertices hold: each key's int64 row and its count."""
+        return len(self.vertices) * (len(next(iter(self.vertices), b"")) // 8 + 1)
+
     @cached_property
     def key_builder(self) -> "KeyBuilder":
         """The graph's own KeyBuilder, built on first use."""

@@ -368,7 +368,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             kb.bucket_block(pairwise_sqdist(pts, kb.centers), groups, source.block)
         kb.flush()
         for g in graphs:
-            meter.alloc_words(len(g.vertices) * (g.k + 1))
+            meter.alloc_words(g.words)
 
     costs = np.full(len(cands), math.inf)
     solutions: list[CompressedSolution | None] = [None] * len(cands)
@@ -382,8 +382,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     winner = _winner(costs, select_mode, eps, seed.cost)
     sol = solutions[winner]
     # only the winner is peeled; the losing graphs and solutions go now
-    meter.free_words(sum(len(g.vertices) * (g.k + 1)
-                         for i, g in enumerate(graphs) if i != winner))
+    meter.free_words(sum(g.words for i, g in enumerate(graphs) if i != winner))
     del graphs, solutions
 
     owners: list = []

@@ -584,6 +584,27 @@ def test_sample_phase_charges_its_banks_words(block):
     assert meter.current_words == 0
 
 
+def test_graph_phase_charges_each_vertex_key_and_count(monkeypatch):
+    # a grouped vertex holds k slots, its group and its count: k + 2 words
+    ds, info = gaussian_groups(900, 3, sigma=0.05, rng=np.random.default_rng(3))
+    ds = with_targets(ds, np.arange(ds.n) % 300)
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=8, tau=1, repetitions=2,
+                            subset_budget=4)
+    built, init = [], KeyBuilder.__init__
+
+    def init_spy(kb, graphs):
+        built.append(graphs)
+        init(kb, graphs)
+    monkeypatch.setattr(KeyBuilder, "__init__", init_spy)
+    meter = SpaceMeter()
+    full_pipeline(ArraySource(ds, block=64), 3, Variant.semi_supervised(0.5), cfg,
+                  np.random.default_rng(5), meter=meter)
+    (graphs,) = [g for g in built if len(g) > 1]
+    phases = {p["name"]: p for p in meter.report()["phases"]}
+    assert all(g.words == len(g.vertices) * (g.k + 2) for g in graphs)
+    assert phases["graph"]["peak_words"] == sum(g.words for g in graphs) > 0
+
+
 def test_pipeline_frees_losing_candidates_before_assign():
     ds, _ = planted(23)
     for aspect in (False, True):
