@@ -26,7 +26,8 @@ points are vertices of count 1, owners are the centers that carry a
 vertex's flow, and the real cost is summed left to right in point
 order, then owner order.  Peeling takes units off the solver's flow
 array, its rows found by vertex key: the bytes a graph keys its
-vertices by.
+vertices by.  partition_bound is a lower bound on partition_cost at one
+distance matrix: the cost of every unit at its row's cheapest center.
 """
 
 from __future__ import annotations
@@ -230,8 +231,14 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
 
 
 def _exact_total(flows, w_int) -> int:
-    """sum(flows * w_int) in Python ints: at 62 precision bits an int64
-    sum wraps silently."""
+    """sum(flows * w_int) as an exact Python int, for non-negative flows
+    and costs of at most 2**62 in arrays of one shape.  One int64 sum
+    would wrap at 62 precision bits, so the costs are split into 31-bit
+    limbs: while the units F = flows.sum() stay below 2**32, each limb's
+    int64 dot stays below 2**63.  Larger F is summed in Python ints."""
+    if int(flows.sum()) < 2**32:
+        hi, lo = w_int >> 31, w_int & (2**31 - 1)
+        return (int(np.vdot(flows, hi)) << 31) + int(np.vdot(flows, lo))
     nz = np.nonzero(flows)
     return sum(f * w for f, w in zip(flows[nz].tolist(), w_int[nz].tolist()))
 
@@ -418,6 +425,21 @@ def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32)
         return math.inf
     int_cost, scale, _flows, _perm = solved
     return float(int_cost) * scale
+
+
+def partition_bound(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
+    """A lower bound on partition_cost at one distance matrix: the row
+    minima of the variant's quantized costs, summed.  Every kernel but
+    semi_supervised's sends each unit at least to its row's cheapest
+    center on one quantization, infeasible or not; semi_supervised
+    quantizes each matching on its own scale, so its bound is 0.  It
+    raises where partition_cost raises."""
+    left = _left_side(data, centers, variant)
+    if variant.kind == "semi_supervised":
+        check_precision_bits(precision_bits)
+        return 0.0
+    w_int, scale = quantize_costs(left.weights, precision_bits)
+    return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
 
 
 def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 32) -> Assignment:

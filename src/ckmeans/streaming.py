@@ -13,7 +13,9 @@ they measure it against U and project onto each candidate's columns,
 the graph pass a table of up to a block's distinct rows at a time.
 Solving happens offline between passes on the compressed graphs, never
 on raw points.  batch_solve is the in-memory pipeline behind
-`ckmeans solve`.  Both build their candidate list with
+`ckmeans solve`; in argmin mode it solves candidates exactly in
+ascending order of a lower bound on their cost, and stops once no bound
+can beat the best.  Both build their candidate list with
 listgen.candidate_list, from D^2 samples drawn in memory or from
 reservoirs filled in one pass, and pick the winner by the same rule.
 """
@@ -37,6 +39,7 @@ from .partition import (
     check_precision_bits,
     compressed_partition,
     partition_assign,
+    partition_bound,
     partition_cost,
     variant_groups,
 )
@@ -431,8 +434,11 @@ class BatchResult:
 def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
                 select_mode: str = "argmin", precision_bits: int = 32) -> BatchResult:
     """Offline reference pipeline: batch seed, batch candidate list,
-    exact (uncompressed) partition of every candidate, best one wins.
-    This is also what `ckmeans solve` runs."""
+    exact (uncompressed) partitions, best one wins; what `ckmeans solve`
+    runs.  argmin mode solves candidates in ascending (partition_bound,
+    index) order until no bound can beat the best (cost, index); the
+    rest keep cost +inf, so the argmin and its tie-break stay.  Range
+    mode may cap at the largest finite cost, so it solves all."""
     _check_t(cfg, k)
     check_precision_bits(precision_bits)
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
@@ -442,8 +448,18 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
     cands = good_centers(ds.points, seed.centers, cfg, rng)
     if not len(cands):
         raise InfeasiblePartitionError("candidate list came back empty")
-    costs = np.array([partition_cost(ds, e.centers, variant, precision_bits=precision_bits)
-                      for e in cands.entries])
+    m = len(cands)
+    bounds = ([-math.inf] * m if select_mode == "range" else
+              [partition_bound(ds, e.centers, variant, precision_bits=precision_bits)
+               for e in cands.entries])
+    costs = np.full(m, math.inf)
+    best = (math.inf, m)
+    for i in sorted(range(m), key=lambda j: (bounds[j], j)):
+        if (bounds[i], i) >= best:
+            break
+        costs[i] = partition_cost(ds, cands.entries[i].centers, variant,
+                                  precision_bits=precision_bits)
+        best = min(best, (costs[i], i))
     winner = _winner(costs, select_mode, cfg.epsilon, seed.cost)
     asg = partition_assign(ds, cands.entries[winner].centers, variant,
                            precision_bits=precision_bits)

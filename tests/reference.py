@@ -14,11 +14,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from ckmeans import streaming
 from ckmeans.data import Dataset
 from ckmeans.geometry import as_points, pairwise_sqdist
 from ckmeans.hyperbucket import _distinct_rows
 from ckmeans.oracle import OracleLimit, _guard
-from ckmeans.partition import Assignment, Variant
+from ckmeans.partition import (
+    Assignment,
+    InfeasiblePartitionError,
+    Variant,
+    check_precision_bits,
+    partition_assign,
+    partition_cost,
+)
 from ckmeans.stability import cluster_stats
 
 
@@ -207,6 +215,32 @@ def assignment_valid(assignment: Assignment, variant: Variant, n: int, k: int,
             if cnt > 1:
                 bad.append(f"center {j} holds {cnt} points of color {c}")
     return (not bad), bad
+
+
+# pipelines -------------------------------------------------------------------
+
+def batch_solve_scoring_all(data, k: int, variant: Variant, cfg, rng, *,
+                            select_mode: str = "argmin", precision_bits: int = 32):
+    """streaming.batch_solve with every candidate solved exactly, in index
+    order: the scoring that bound-ordered pruning must agree with.  Its
+    steps are read off the streaming module, so a test that patches one
+    there patches it here too."""
+    streaming._check_t(cfg, k)
+    check_precision_bits(precision_bits)
+    ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
+    if ds.n < k:
+        raise ValueError(f"stream has {ds.n} points, need at least k={k}")
+    seed = streaming.d2_seed(ds.points, k, rng=rng)
+    cands = streaming.good_centers(ds.points, seed.centers, cfg, rng)
+    if not len(cands):
+        raise InfeasiblePartitionError("candidate list came back empty")
+    costs = np.array([partition_cost(ds, e.centers, variant, precision_bits=precision_bits)
+                      for e in cands.entries])
+    winner = streaming._winner(costs, select_mode, cfg.epsilon, seed.cost)
+    asg = partition_assign(ds, cands.entries[winner].centers, variant,
+                           precision_bits=precision_bits)
+    return streaming.BatchResult(cands.entries[winner].centers, asg.owners, asg.cost,
+                                 float(costs[winner]), winner, seed.cost, cands)
 
 
 # oracle ----------------------------------------------------------------------

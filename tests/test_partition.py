@@ -13,11 +13,14 @@ import pytest
 from ckmeans.data import Dataset
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.oracle import OracleLimit, opt_constrained
+from ckmeans.hyperbucket import build_compressed
 from ckmeans.partition import (
     Assignment,
     InfeasiblePartitionError,
     Variant,
+    _exact_total,
     partition_assign,
+    partition_bound,
     partition_cost,
     quantize_costs,
 )
@@ -214,3 +217,94 @@ def test_quantize_costs_all_zero_or_empty():
     assert scale == 0.0 and np.all(w == 0)
     w, scale = quantize_costs(np.zeros((0, 3)), 8)
     assert scale == 0.0 and w.shape == (0, 3)
+
+
+def python_total(flows, w_int) -> int:
+    return sum(int(f) * int(w) for f, w in zip(np.ravel(flows), np.ravel(w_int)))
+
+
+def test_exact_total_equals_the_python_int_sum():
+    rng = np.random.default_rng(31)
+    top = 2**62
+    for shape in ((500,), (200, 3), (64, 7)):
+        w = rng.integers(0, top, size=shape, endpoint=True)
+        w.flat[0] = top                     # the largest cost quantize_costs emits
+        for flows in (np.ones(shape, dtype=np.int64),
+                      rng.integers(0, 5, size=shape),
+                      np.zeros(shape, dtype=np.int64)):
+            assert _exact_total(flows, w) == python_total(flows, w)
+        # units just below 2**32: the limbs' int64 dots are at their largest
+        flows = np.zeros(shape, dtype=np.int64)
+        flows.flat[0] = 2**32 - 2
+        flows.flat[-1] = 1
+        want = python_total(flows, w)
+        assert want >= 2**93
+        assert _exact_total(flows, w) == want
+    # totals past 2**63 from many rows, each of them far below it
+    w = np.full((1000, 2), top, dtype=np.int64)
+    flows = np.ones((1000, 2), dtype=np.int64)
+    assert _exact_total(flows, w) == 2000 * top > 2**63
+
+
+def test_exact_total_falls_back_at_2_to_the_32_units():
+    # limb dots would wrap here: 2**33 units at 2**62 each
+    top = 2**62
+    for flows, w in ((np.array([2**33, 3]), np.array([top, top - 1])),
+                     (np.array([[2**32, 0], [0, 1]]), np.array([[top, 5], [7, top]]))):
+        assert int(flows.sum()) >= 2**32
+        assert _exact_total(flows, w) == python_total(flows, w)
+
+
+def test_partition_bound_is_at_most_partition_cost():
+    rng = np.random.default_rng(41)
+    seen = {"finite": 0, "infeasible": 0}
+    for _ in range(12):
+        ds, C = random_instance(rng, n=int(rng.integers(4, 12)))
+        n, k = ds.n, C.shape[0]
+        variants = variants_for(n, k, rng) + [
+            Variant.r_gather(n),                  # k * n units wanted from n points
+            Variant.r_capacity(1),                # room for k of the n points
+            Variant.fault_tolerant(k + 1),
+        ]
+        graphs = {None: build_compressed(ds.points, C, 0.5),
+                  "color": build_compressed(ds.points, C, 0.5, groups=ds.colors),
+                  "target": build_compressed(ds.points, C, 0.5, groups=ds.targets)}
+        for variant in variants:
+            column = {"chromatic": "color", "semi_supervised": "target"}.get(variant.kind)
+            for data, centers in ((ds, C), (graphs[column], None)):
+                for bits in (1, 8, 32, 62):
+                    bound = partition_bound(data, centers, variant, precision_bits=bits)
+                    cost = partition_cost(data, centers, variant, precision_bits=bits)
+                    assert math.isfinite(bound) and 0.0 <= bound <= cost, (variant, bits)
+                    seen["finite" if math.isfinite(cost) else "infeasible"] += 1
+    assert min(seen.values()) > 100
+
+
+def test_partition_bound_is_the_voronoi_cost_of_classical():
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        ds, C = random_instance(rng)
+        for bits in (8, 32, 62):
+            v = Variant.classical()
+            assert (partition_bound(ds, C, v, precision_bits=bits)
+                    == partition_cost(ds, C, v, precision_bits=bits))
+
+
+def test_partition_bound_raises_where_partition_cost_raises():
+    X = np.array([[0.0, 0.0], [1e300, 0.0]])
+    C = np.array([[0.0, 0.0], [1.0, 0.0]])
+    kinds = [Variant.classical(), Variant.r_gather(1), Variant.r_capacity(2),
+             Variant.chromatic(), Variant.fault_tolerant(1), Variant.semi_supervised(0.0)]
+    labels = np.zeros(2, dtype=np.int64)
+    far, near = Dataset(X, labels, labels), Dataset(X[:1], labels[:1], labels[:1])
+    for variant in kinds:
+        for call in (partition_bound, partition_cost):
+            with pytest.raises(ValueError, match="overflows float64"):
+                call(far, C, variant)
+            with pytest.raises(ValueError, match="precision_bits"):
+                call(near, C, variant, precision_bits=63)
+    for variant, column in ((Variant.chromatic(), "color"),
+                            (Variant.semi_supervised(0.5), "target")):
+        for call in (partition_bound, partition_cost):
+            with pytest.raises(ValueError, match=f"needs a {column} column"):
+                call(X[:1], C, variant)

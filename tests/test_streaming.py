@@ -17,11 +17,12 @@ from ckmeans.data import (
 )
 from ckmeans.geometry import pairwise_sqdist, phi_cost
 from ckmeans.hyperbucket import CompressedGraph, KeyBuilder
-from ckmeans.listgen import GoodCentersConfig, good_centers
+from ckmeans.listgen import CandidateEntry, CandidateList, GoodCentersConfig, good_centers
 from ckmeans.partition import (
     CompressedSolution,
     InfeasiblePartitionError,
     Variant,
+    partition_bound,
     partition_cost,
 )
 from ckmeans.sampling import ReservoirBank
@@ -36,6 +37,7 @@ from ckmeans.streaming import (
     select_best,
     two_pass_good_centers,
 )
+from reference import batch_solve_scoring_all
 
 CFG = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
                         eta=8, tau=2, repetitions=3, subset_budget=60)
@@ -535,6 +537,110 @@ def test_batch_solve_matches_manual_pipeline():
     assert br.selected == w
     assert br.flow_cost == costs[w]
     assert np.array_equal(br.centers, cands.entries[w].centers)
+
+
+# bound-ordered batch scoring: the same winner as solving every candidate
+
+SMALL = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
+                          eta=8, tau=1, repetitions=2, subset_budget=10)
+
+
+def same_batch_result(got, want):
+    assert got.selected == want.selected
+    assert repr(got.cost) == repr(want.cost)
+    assert repr(got.flow_cost) == repr(want.flow_cost)
+    assert got.owners == want.owners
+    assert np.array_equal(got.centers, want.centers)
+
+
+def test_bound_ordered_scoring_matches_scoring_every_candidate():
+    for s in range(20):
+        ds, _ = planted(600 + s)
+        rng = np.random.default_rng(s)
+        ds = Dataset(ds.points, colors=np.arange(48) % 16, targets=rng.integers(0, 3, 48))
+        bits = (8, 32, 62)[s % 3]
+        for variant in (Variant.classical(), Variant.r_gather(12 + s % 5),
+                        Variant.r_capacity(16 + s % 3), Variant.chromatic(),
+                        Variant.fault_tolerant(1 + s % 3), Variant.semi_supervised(0.5)):
+            for mode in ("argmin", "range"):
+                def run(solve):
+                    return solve(ds, 3, variant, SMALL, np.random.default_rng(700 + s),
+                                 select_mode=mode, precision_bits=bits)
+                try:
+                    want = run(batch_solve_scoring_all)
+                except InfeasiblePartitionError as e:
+                    with pytest.raises(InfeasiblePartitionError, match=str(e)):
+                        run(batch_solve)
+                    continue
+                same_batch_result(run(batch_solve), want)
+
+
+def solve_listed(monkeypatch, X, listed, variant, bits=62):
+    """batch_solve and the full-scoring reference on the candidate list
+    `listed` (center arrays, in order), in argmin mode."""
+    k, d = listed[0].shape
+    cands = CandidateList([CandidateEntry(np.asarray(C, dtype=float), 0, ())
+                           for C in listed], k, d)
+    monkeypatch.setattr(streaming, "good_centers", lambda *a: cands)
+    cfg = GoodCentersConfig(t=k, epsilon=0.5, preset="desk")
+    got = batch_solve(X, k, variant, cfg, np.random.default_rng(0), precision_bits=bits)
+    want = batch_solve_scoring_all(X, k, variant, cfg, np.random.default_rng(0),
+                                   precision_bits=bits)
+    same_batch_result(got, want)
+    return got
+
+
+LINE = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 0.0], [12.0, 0.0], [13.0, 0.0]])
+TIGHT = np.array([[4.0, 0.0], [5.0, 0.0]])    # row argmin meets r_gather(2): cost 158
+LOOSE = np.array([[-2.0, 0.0], [5.0, 0.0]])   # row argmin 151, one repair: cost 158
+FAR = np.array([[40.0, 0.0], [50.0, 0.0]])
+
+
+def test_equal_cost_duplicates_go_to_the_lowest_index(monkeypatch):
+    for variant in (Variant.classical(), Variant.r_gather(2)):
+        got = solve_listed(monkeypatch, LINE, [FAR, TIGHT, FAR, TIGHT, TIGHT], variant)
+        assert got.selected == 1
+
+
+def test_a_lower_index_whose_bound_equals_the_best_cost_is_solved(monkeypatch):
+    v = Variant.r_gather(2)
+    assert partition_bound(LINE, TIGHT, v, precision_bits=62) == 158.0
+    assert partition_cost(LINE, TIGHT, v, precision_bits=62) == 158.0
+    assert partition_bound(LINE, LOOSE, v, precision_bits=62) == 151.0
+    assert partition_cost(LINE, LOOSE, v, precision_bits=62) == 158.0
+    # LOOSE is solved first, by its lower bound; TIGHT's bound then ties
+    # the best cost at a lower index, so TIGHT must be solved and win
+    assert solve_listed(monkeypatch, LINE, [TIGHT, LOOSE], v).selected == 0
+    assert solve_listed(monkeypatch, LINE, [LOOSE, TIGHT], v).selected == 0
+
+
+def test_an_all_infeasible_list_raises_as_before(monkeypatch):
+    with pytest.raises(InfeasiblePartitionError, match="no feasible candidate to select from"):
+        solve_listed(monkeypatch, LINE, [TIGHT, LOOSE, FAR], Variant.r_gather(3))
+    with pytest.raises(InfeasiblePartitionError, match="no feasible candidate to select from"):
+        batch_solve_scoring_all(LINE, 2, Variant.r_gather(3),
+                                GoodCentersConfig(t=2, epsilon=0.5, preset="desk"),
+                                np.random.default_rng(0))
+
+
+def test_batch_solve_solves_few_candidates_exactly(monkeypatch):
+    # the batch-gather shape: n = 200, r_gather(50), 2 repetitions of budget 10
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
+                            eta=16, tau=1, repetitions=2, subset_budget=10)
+    solved = []
+
+    def spy(*args, **kw):
+        solved.append(1)
+        return partition_cost(*args, **kw)
+
+    monkeypatch.setattr(streaming, "partition_cost", spy)
+    for s in range(3):
+        ds, _ = gaussian_groups(200, 3, rng=np.random.default_rng(s))
+        for variant, most in ((Variant.r_gather(50), 3), (Variant.classical(), 1)):
+            solved.clear()
+            res = batch_solve(ds, 3, variant, cfg, np.random.default_rng(1))
+            assert res.list_size == 20
+            assert 1 <= len(solved) <= most
 
 
 def test_pipeline_space_phases_present():
