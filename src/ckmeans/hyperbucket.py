@@ -13,10 +13,11 @@ CompressedGraph.vertex_arrays.
 
 A stream pass keys its blocks for every candidate graph at once, with
 one KeyBuilder.  The candidates of a list share most of their centers,
-so a block is measured once per distinct center: one distance matrix
-and one bucketing into int64 slot rows (plus the group id when groups
-ride along).  The graph pass counts the rows, keyed by their bytes,
-into the pass's row table, which keeps rows in order of first
+so a block is measured and bucketed once per distinct center.  Its
+int64 slot rows hold one column per distinct (center, floor) pair: the
+center's bucket id, or ZERO_ID below the floor (plus the group id when
+groups ride along).  The graph pass counts the rows, keyed by their
+bytes, into the pass's row table, which keeps rows in order of first
 occurrence and holds at most as many as a stream block.  When it is
 full, and at the end of the pass, the table is projected onto each
 graph's columns and regrouped graph-major by a stable lexsort, a row
@@ -208,13 +209,10 @@ class KeyBuilder:
 
     The graphs' stacked centers are deduplicated once into centers (U)
     with a column map col, so a block is measured and bucketed once per
-    distinct center; its distinct rows, or a row table's, are then
-    projected onto each graph's columns.  A graph's floor applies in
-    the same rows: each distinct center takes the lowest floor of
-    its graphs before bucketing, and a center whose graphs have higher
-    floors gets one more column, the count of those floors at or below
-    the squared distance; a graph's slot is zero where that count falls
-    short of its floor's rank.
+    distinct center.  A key column is a distinct (center, floor) pair of
+    the stacked graphs: its center's slot, or ZERO_ID where the squared
+    distance falls below the floor.  A block's distinct rows, or a row
+    table's, are then projected onto each graph's key columns.
     """
 
     def __init__(self, graphs):
@@ -223,20 +221,13 @@ class KeyBuilder:
             raise ValueError("graphs bucketed together need the same k and epsilon")
         self.graphs, self.k, self.epsilon = graphs, k, eps
         self.centers, self.col = distinct_centers(np.vstack([g.centers for g in graphs]))
-        width = self.centers.shape[0]
-        below = np.repeat([g.contract_below for g in graphs], k)
-        floors = [sorted(set(below[self.col == u].tolist())) for u in range(width)]
-        lowest = np.array([f[0] for f in floors])
-        self.lowest = lowest if (lowest > 0.0).any() else None
-        # per distinct center with several floors: its higher floors, and
-        # the key column counting them
-        self.steps = [(u, np.array(f[1:])) for u, f in enumerate(floors) if len(f) > 1]
-        count_col = {u: width + i for i, (u, _f) in enumerate(self.steps)}
-        rank = np.array([floors[u].index(f) for u, f in zip(self.col.tolist(), below.tolist())])
-        self.floored = np.flatnonzero(rank > 0)    # stacked columns a count can zero
-        self.count_of = np.array([count_col[u] for u in self.col[self.floored].tolist()],
-                                 dtype=np.int64)
-        self.rank = rank[self.floored]
+        # a floor at or below zero contracts nothing: it keys as 0.0
+        below = np.repeat([max(0.0, g.contract_below) for g in graphs], k)
+        pairs = np.column_stack([self.col, below.view(np.int64)])
+        first, self.key_col, _counts = _distinct_rows(pairs)
+        # each key column's center and floor; with no floor the key
+        # columns are the distinct centers in order
+        self.at, self.floor = self.col[first], below[first]
         # bucket_block's row table: a slot row's bytes -> its points, and
         # whether its rows end in a group (None before the first block)
         self.table: dict = {}
@@ -244,45 +235,36 @@ class KeyBuilder:
 
     def slot_rows(self, sq: np.ndarray, groups=None) -> np.ndarray:
         """The block's int64 slot rows, one per point: a bucket id or
-        ZERO_ID per distinct center under its lowest floor, a count
-        column per center with higher floors, and the group last when
-        groups ride along.  sq holds the block's squared distances to
-        self.centers, shape (b, len(self.centers))."""
-        if self.lowest is not None:
-            sq = np.where(sq < self.lowest, 0.0, sq)
+        ZERO_ID per key column, and the group last when groups ride
+        along.  sq holds the block's squared distances to self.centers,
+        shape (b, len(self.centers))."""
         idx, zero = bucket_indices(sq, self.epsilon)
         idx[zero] = ZERO_ID
-        cols = [idx] + [np.searchsorted(f, sq[:, u], side="right")[:, None]
-                        for u, f in self.steps]
+        if (self.floor > 0.0).any():
+            idx = np.where(sq[:, self.at] < self.floor, ZERO_ID, idx[:, self.at])
         if groups is not None:
-            cols.append(np.asarray(groups).astype(np.int64)[:, None])
-        return np.hstack(cols) if len(cols) > 1 else idx
+            idx = np.hstack([idx, np.asarray(groups).astype(np.int64)[:, None]])
+        return idx
 
     def project(self, R: np.ndarray, counts: np.ndarray, grouped: bool):
         """Distinct slot rows R, counts[i] points on row i, under every
         graph.  Returns (keys, counts, owner): keys[i] is the key of a
         vertex of graphs[owner[i]] holding counts[i] points, graph by
         graph and in R's order of first occurrence.  With one graph,
-        keys[i] is row i's vertex: the graph reads every distinct center
-        under its one floor, so distinct rows keep distinct keys.
+        keys[i] is row i's vertex: the graph reads every key column, so
+        distinct rows keep distinct keys.
         """
         m, k = len(self.graphs), self.k
         D = R.shape[0]
-        slots = R[:, self.col]
-        if self.floored.size:
-            part = slots[:, self.floored]
-            part[R[:, self.count_of] < self.rank] = ZERO_ID
-            slots[:, self.floored] = part
         # the D distinct rows under every graph, graph-major, each key's
         # slots then its group
-        S = slots.reshape(D, m, k).transpose(1, 0, 2).reshape(m * D, k)
+        S = R[:, self.key_col].reshape(D, m, k).transpose(1, 0, 2).reshape(m * D, k)
         if grouped:
             S = np.hstack([S, np.tile(R[:, -1:], (m, 1))])
         owner = np.repeat(np.arange(m), D)
         counts = np.tile(counts, m)
         if m > 1:
-            # a graph that skips some distinct centers, or zeroes one
-            # below its floor, can merge distinct rows
+            # a graph that skips some key columns can merge distinct rows
             first, again, _rows = _distinct_rows(np.hstack([owner[:, None], S]))
             owner, S = owner[first], S[first]
             counts = np.bincount(again, weights=counts).astype(np.int64)

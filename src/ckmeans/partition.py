@@ -27,7 +27,8 @@ vertex's flow, and the real cost is summed left to right in point
 order, then owner order.  Peeling takes units off the solver's flow
 array, its rows found by vertex key: the bytes a graph keys its
 vertices by.  partition_bound is a lower bound on partition_cost at one
-distance matrix: the cost of every unit at its row's cheapest center.
+distance matrix: the cost of every unit at its row's cheapest center,
+or at its l cheapest under fault_tolerant(l), which is the cost itself.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -428,18 +429,25 @@ def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32)
 
 
 def partition_bound(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
-    """A lower bound on partition_cost at one distance matrix: the row
-    minima of the variant's quantized costs, summed.  Every kernel but
-    semi_supervised's sends each unit at least to its row's cheapest
-    center on one quantization, infeasible or not; semi_supervised
-    quantizes each matching on its own scale, so its bound is 0.  It
-    raises where partition_cost raises."""
+    """A lower bound on partition_cost at one distance matrix: each
+    row's l cheapest quantized costs, summed, where l is fault_tolerant's
+    l and 1 for the other variants.  Every kernel but semi_supervised's
+    sends each unit at least to its row's cheapest center on one
+    quantization, infeasible or not, and fault_tolerant(l) sends it to
+    exactly its l cheapest, so for l <= k its bound is its cost;
+    semi_supervised quantizes each matching on its own scale, so its
+    bound is 0.  It raises where partition_cost raises."""
     left = _left_side(data, centers, variant)
     if variant.kind == "semi_supervised":
         check_precision_bits(precision_bits)
         return 0.0
     w_int, scale = quantize_costs(left.weights, precision_bits)
-    return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
+    if variant.kind != "fault_tolerant":
+        return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
+    # summed exactly: at 62 bits a row of l costs can pass 2**63
+    cheapest = np.sort(w_int, axis=1)[:, :variant.l]
+    counts = np.repeat(left.counts[:, None], cheapest.shape[1], axis=1)
+    return float(_exact_total(counts, cheapest)) * scale
 
 
 def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 32) -> Assignment:
@@ -477,8 +485,6 @@ class CompressedSolution:
     row: dict                # vertex key -> its row of flows
     perm: tuple | None = None
     peeled_cost: float = 0.0
-    # assign_block's owner sets: packed owner-set code -> tuple
-    _sets: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cost(self) -> float:
@@ -526,12 +532,7 @@ class CompressedSolution:
         owns[order] = owned
         # summed in point order, then owner order
         self.peeled_cost = _running_sum(self.peeled_cost, cost[owns])
-        # _owner_tuples through _sets: a set is new once per solution
-        packed = np.packbits(owns, axis=1)
-        codes = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        for code in set(codes).difference(self._sets):
-            self._sets[code] = tuple(np.flatnonzero(owns[codes.index(code)]).tolist())
-        return [self._sets[code] for code in codes]
+        return _owner_tuples(owns)
 
     def _vertex_rows(self, R: np.ndarray, grouped: bool) -> np.ndarray:
         """The flows row of each distinct slot row of R: its key under

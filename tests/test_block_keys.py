@@ -239,12 +239,15 @@ def shared_stacks(draw):
     shapes = ["plain", "floor", "aspect"] + [
         draw(st.sampled_from(["plain", "floor", "aspect"])) for _ in range(m - 3)]
     graphs = []
-    for pick, shape in zip(picks, shapes):
+    for j, (pick, shape) in enumerate(zip(picks, shapes)):
         C = pool[pick]
         if shape == "aspect":
             graphs.append(aspect_graph(C, EPS, draw(st.sampled_from([0.5, 1.0, 2.0])) * f, 1))
         elif shape == "floor":
-            below = draw(st.sampled_from([0.5, 1.5, 2.5, 4.5]))
+            # past graph 1, whose floor must differ from graph 2's aspect
+            # floor, whole numbers too: grid points land on them exactly
+            floors = [0.5, 1.5, 2.5, 4.5] + ([1.0, 2.0, 4.0] if j > 1 else [])
+            below = draw(st.sampled_from(floors))
             graphs.append(CompressedGraph(C, EPS, contract_below=below * f * f))
         else:
             graphs.append(CompressedGraph(C, EPS))
@@ -351,6 +354,28 @@ def test_row_table_holds_at_most_a_block():
     flushes = feed_table(kb, [(X[:4], None), (X[:1], None), (X[4:5], None)])
     assert flushes == [(4, 1), (1, None)]
     assert len(g.vertices) == 5
+
+
+def test_key_width_is_one_column_per_center_floor_pair():
+    a, b, c = [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]
+    X = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
+    groups = np.array([0, 1, 0])
+
+    def widths(graphs):
+        kb = KeyBuilder(graphs)
+        sq = pairwise_sqdist(X, kb.centers)
+        return len(kb.centers), kb.slot_rows(sq).shape[1], kb.slot_rows(sq, groups).shape[1]
+
+    plain = [CompressedGraph(np.array([a, b]), EPS), CompressedGraph(np.array([b, c]), EPS)]
+    # no floor: a column per distinct center, and the group
+    assert widths(plain) == (3, 3, 4)
+    # floors: a column per distinct (center, floor) pair, 3 with floor 0
+    # and (a, 2), (a, 4), (b, 1), (b, 4), (c, 1)
+    floored = plain + [CompressedGraph(np.array([b, c]), EPS, contract_below=1.0),
+                       CompressedGraph(np.array([c, b]), EPS, contract_below=1.0),
+                       CompressedGraph(np.array([a, a]), EPS, contract_below=2.0),
+                       CompressedGraph(np.array([a, b]), EPS, contract_below=4.0)]
+    assert widths(floored) == (3, 8, 9)
 
 
 def test_stacked_graphs_share_k_and_epsilon():

@@ -258,6 +258,7 @@ def test_exact_total_falls_back_at_2_to_the_32_units():
 def test_partition_bound_is_at_most_partition_cost():
     rng = np.random.default_rng(41)
     seen = {"finite": 0, "infeasible": 0}
+    equal = []
     for _ in range(12):
         ds, C = random_instance(rng, n=int(rng.integers(4, 12)))
         n, k = ds.n, C.shape[0]
@@ -277,7 +278,12 @@ def test_partition_bound_is_at_most_partition_cost():
                     cost = partition_cost(data, centers, variant, precision_bits=bits)
                     assert math.isfinite(bound) and 0.0 <= bound <= cost, (variant, bits)
                     seen["finite" if math.isfinite(cost) else "infeasible"] += 1
+                    if variant.kind == "fault_tolerant" and variant.l <= k:
+                        # the closed form's cost is its l cheapest costs per row
+                        assert bound == cost, (variant, bits)
+                        equal.append(variant.l)
     assert min(seen.values()) > 100
+    assert len(equal) > 40 and max(equal) >= 2
 
 
 def test_partition_bound_is_the_voronoi_cost_of_classical():

@@ -636,7 +636,8 @@ def test_batch_solve_solves_few_candidates_exactly(monkeypatch):
     monkeypatch.setattr(streaming, "partition_cost", spy)
     for s in range(3):
         ds, _ = gaussian_groups(200, 3, rng=np.random.default_rng(s))
-        for variant, most in ((Variant.r_gather(50), 3), (Variant.classical(), 1)):
+        for variant, most in ((Variant.r_gather(50), 3), (Variant.classical(), 1),
+                              (Variant.fault_tolerant(2), 1)):
             solved.clear()
             res = batch_solve(ds, 3, variant, cfg, np.random.default_rng(1))
             assert res.list_size == 20
