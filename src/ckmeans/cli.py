@@ -41,6 +41,7 @@ from .partition import (
 from .stability import (
     check_beta_distributed,
     check_irreducible,
+    check_non_negative,
     check_weak_deletion,
     gap_instance,
 )
@@ -312,6 +313,10 @@ def cmd_verify(args) -> int:
     if args.beta is None and args.weak_deletion is None and args.irreducible is None:
         raise ValueError("nothing to verify: give --beta, --weak-deletion, "
                          "or --irreducible")
+    # before a brute-forced labeling, which can take long or hit the oracle limit
+    for name, value in (("beta", args.beta), ("gamma", args.weak_deletion)):
+        if value is not None:
+            check_non_negative(name, value)
     limit = OracleLimit(max_n=args.oracle_max_n, max_k=args.oracle_max_k)
     labels = None
     if args.labels:
@@ -372,7 +377,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--anchor-copies", type=int, dest="anchor_copies")
     p.add_argument("--list-alpha", type=float, default=2.0, dest="list_alpha",
                    help="seed approximation factor used by the formula preset")
-    p.add_argument("--select", default="argmin", choices=["argmin", "range"])
+    p.add_argument("--select", default="argmin", choices=["argmin", "range"],
+                   help="winner rule: the cheapest candidate, or the first in the "
+                        "deepest (1 - epsilon)-geometric range below the largest "
+                        "finite cost, within 1/(1 - epsilon) of the cheapest")
     p.add_argument("--bits", type=int, default=32)
     p.add_argument("--seed", type=int, required=True)
 

@@ -503,17 +503,14 @@ class CompressedSolution:
         sq = pairwise_sqdist(as_points(points), kb.centers)
         cost = _real_costs(sq[:, kb.col], self.variant, groups, self.perm)
         M = kb.slot_rows(sq, groups)
-        # one stable lexsort: equal rows form runs, each in point order
-        order = np.lexsort(M.T)
-        S = M[order]
-        starts = np.ones(S.shape[0], dtype=bool)
-        starts[1:] = (S[1:] != S[:-1]).any(axis=1)
-        at = np.flatnonzero(starts)
-        run = np.cumsum(starts) - 1
-        counts = np.bincount(run)
-        vertex = self._vertex_rows(S[at], groups is not None)
+        first, run, counts = _distinct_rows(M)
+        vertex = self._vertex_rows(M[first], groups is not None)
         units = self.flows[vertex]
-        rank = (np.arange(S.shape[0]) - at[run])[:, None]     # in sorted order
+        # each point's rank among its row's points, in point order
+        by_row = np.argsort(run, kind="stable")
+        rank = np.empty(len(run), dtype=np.int64)
+        rank[by_row] = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rank = rank[:, None]
         c = counts[:, None]
         if self.variant.kind == "fault_tolerant":
             owned = units[run] > rank
@@ -528,11 +525,9 @@ class CompressedSolution:
         if short.any():
             raise InfeasiblePartitionError("no flow left on this point's vertex")
         self.flows[vertex] -= taken
-        owns = np.empty_like(owned)
-        owns[order] = owned
         # summed in point order, then owner order
-        self.peeled_cost = _running_sum(self.peeled_cost, cost[owns])
-        return _owner_tuples(owns)
+        self.peeled_cost = _running_sum(self.peeled_cost, cost[owned])
+        return _owner_tuples(owned)
 
     def _vertex_rows(self, R: np.ndarray, grouped: bool) -> np.ndarray:
         """The flows row of each distinct slot row of R: its key under

@@ -43,6 +43,11 @@ class StabilityReport:
     witnesses: list = field(default_factory=list)
 
 
+def check_non_negative(name: str, value: float) -> None:
+    if not value >= 0:   # NaN fails too
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def cluster_stats(X, labels):
     """(parts, sizes, means, deltas, opt_cost) for a fixed labeling."""
     X = as_points(X)
@@ -61,8 +66,7 @@ def cluster_stats(X, labels):
 
 def check_weak_deletion(X, labels, gamma: float) -> StabilityReport:
     """All pairwise deletion costs must exceed (1 + gamma) * OPT strictly."""
-    if not gamma >= 0:   # NaN fails too
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    check_non_negative("gamma", gamma)
     _parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
     kk = len(sizes)
     margin = math.inf
@@ -84,8 +88,7 @@ def check_weak_deletion(X, labels, gamma: float) -> StabilityReport:
 
 def check_beta_distributed(X, labels, beta: float) -> StabilityReport:
     """Every outside point must sit at least beta * OPT / |X_i| from mu_i."""
-    if not beta >= 0:   # NaN fails too
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    check_non_negative("beta", beta)
     X = as_points(X)
     _parts, sizes, means, _deltas, opt = cluster_stats(X, labels)
     kk = len(sizes)
@@ -111,8 +114,7 @@ def check_irreducible(X, k: int, gamma: float,
     """OPT_{k-1} >= (1 + gamma) * OPT_k, optima by brute force."""
     if k < 2:
         raise ValueError("irreducibility needs k >= 2")
-    if not gamma >= 0:   # NaN fails too
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    check_non_negative("gamma", gamma)
     opt_k, _ = opt_kmeans(X, k, limit)
     opt_km1, _ = opt_kmeans(X, k - 1, limit)
     margin = math.inf if opt_k == 0 else opt_km1 / opt_k - 1.0

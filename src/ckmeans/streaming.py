@@ -244,32 +244,32 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
     return cands, seed, seen
 
 
-def select_best(costs, mode: str = "argmin", epsilon: float | None = None,
-                cap: float | None = None) -> int:
+def select_best(costs, mode: str = "argmin", epsilon: float | None = None) -> int:
     """Pick the winning candidate index from real costs (inf = infeasible).
 
-    argmin is exact.  Range mode groups costs into geometric ranges
-    ((1-eps)^(i+1) * cap, (1-eps)^i * cap] and returns the first member
-    of the deepest occupied range; its cost is within 1/(1-eps) of the
-    true minimum.
+    argmin is exact.  Range mode caps at the largest finite cost, groups
+    costs into geometric ranges ((1-eps)^(i+1) * cap, (1-eps)^i * cap]
+    and returns the first member of the deepest occupied range.  No cost
+    exceeds the cap, so that range holds the minimum and the winner's
+    cost is within 1/(1-eps) of it.  When every feasible cost is 0,
+    argmin decides.
     """
-    c = np.asarray(costs, dtype=np.float64)
-    if c.size == 0 or not np.isfinite(c).any():
-        raise InfeasiblePartitionError("no feasible candidate to select from")
-    if mode == "argmin":
-        return int(np.argmin(c))
-    if mode != "range":
+    if mode not in ("argmin", "range"):
         raise ValueError(f"unknown selection mode {mode!r}")
-    if epsilon is None or not (0.0 < epsilon < 1.0):
+    if mode == "range" and (epsilon is None or not (0.0 < epsilon < 1.0)):
         raise ValueError("range mode needs epsilon in (0, 1)")
-    if cap is None or not (cap > 0.0) or not math.isfinite(cap):
-        raise ValueError("range mode needs a positive finite cap")
+    c = np.asarray(costs, dtype=np.float64)
+    finite = np.isfinite(c)
+    if not finite.any():
+        raise InfeasiblePartitionError("no feasible candidate to select from")
+    cap = float(c[finite].max())
+    if mode == "argmin" or not cap > 0.0:
+        return int(np.argmin(c))
     shrink = 1.0 - epsilon
     best_depth, best_idx = -1.0, None
     for i, v in enumerate(c):
         if not math.isfinite(v):
             continue
-        v = min(v, cap)  # costs above the cap are clipped into range 0
         if v <= 0.0:
             depth = math.inf
         else:
@@ -289,20 +289,6 @@ def _check_t(cfg: GoodCentersConfig, k: int) -> None:
         raise ValueError(f"t={cfg.t} centers per candidate exceeds k={k}")
     if cfg.t < k:
         raise ValueError(f"t={cfg.t} centers per candidate is below k={k}")
-
-
-def _winner(costs, select_mode: str, epsilon: float, seed_cost: float) -> int:
-    """The winner rule of both pipelines.  Range mode caps at the seed
-    cost, else at the largest finite cost; when that cap is 0 every
-    feasible candidate costs 0 and argmin decides."""
-    if select_mode == "range":
-        cap = seed_cost
-        if not (cap > 0.0 and math.isfinite(cap)):
-            finite = costs[np.isfinite(costs)]
-            cap = float(finite.max()) if finite.size else 0.0
-        if cap > 0.0:
-            return select_best(costs, mode="range", epsilon=epsilon, cap=cap)
-    return select_best(costs)
 
 
 @dataclass
@@ -382,7 +368,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             continue
         solutions[i] = sol
         costs[i] = sol.cost
-    winner = _winner(costs, select_mode, eps, seed.cost)
+    winner = select_best(costs, select_mode, eps)
     sol = solutions[winner]
     # only the winner is peeled; the losing graphs and solutions go now
     meter.free_words(sum(g.words for i, g in enumerate(graphs) if i != winner))
@@ -438,7 +424,8 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
     runs.  argmin mode solves candidates in ascending (partition_bound,
     index) order until no bound can beat the best (cost, index); the
     rest keep cost +inf, so the argmin and its tie-break stay.  Range
-    mode may cap at the largest finite cost, so it solves all."""
+    mode caps at the largest finite cost, known only after every solve,
+    so it solves every candidate."""
     _check_t(cfg, k)
     check_precision_bits(precision_bits)
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
@@ -460,7 +447,7 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
         costs[i] = partition_cost(ds, cands.entries[i].centers, variant,
                                   precision_bits=precision_bits)
         best = min(best, (costs[i], i))
-    winner = _winner(costs, select_mode, cfg.epsilon, seed.cost)
+    winner = select_best(costs, select_mode, cfg.epsilon)
     asg = partition_assign(ds, cands.entries[winner].centers, variant,
                            precision_bits=precision_bits)
     return BatchResult(cands.entries[winner].centers, asg.owners, asg.cost,

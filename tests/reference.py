@@ -236,7 +236,7 @@ def batch_solve_scoring_all(data, k: int, variant: Variant, cfg, rng, *,
         raise InfeasiblePartitionError("candidate list came back empty")
     costs = np.array([partition_cost(ds, e.centers, variant, precision_bits=precision_bits)
                       for e in cands.entries])
-    winner = streaming._winner(costs, select_mode, cfg.epsilon, seed.cost)
+    winner = streaming.select_best(costs, select_mode, cfg.epsilon)
     asg = partition_assign(ds, cands.entries[winner].centers, variant,
                            precision_bits=precision_bits)
     return streaming.BatchResult(cands.entries[winner].centers, asg.owners, asg.cost,

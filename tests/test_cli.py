@@ -540,6 +540,12 @@ EXIT_CLAUSES = [
      None, "gamma must be non-negative, got nan"),
     ("NaN --irreducible", "verify", ["--k", "2", "--irreducible", "nan"], None,
      "gamma must be non-negative, got nan"),
+    # without --labels the flags are checked before a labeling is brute-forced,
+    # which 60 points would take past the oracle limit (exit 5)
+    ("NaN --beta without --labels", "verify", ["--k", "2", "--beta", "nan"], None,
+     "beta must be non-negative, got nan"),
+    ("negative --weak-deletion without --labels", "verify",
+     ["--k", "2", "--weak-deletion", "-1"], None, "gamma must be non-negative, got -1.0"),
     ("fractional labels", "verify", ["--labels", "{data}.labels.json", "--beta", "0.5"],
      _labels_file([0.4] * 30 + [1.9] * 30),
      "{data}.labels.json: labels must be JSON integers within int64"),

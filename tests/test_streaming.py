@@ -293,36 +293,43 @@ def test_select_argmin():
 
 def test_select_range_mode_depth_rules():
     eps = 0.5
-    # ranges at cap=1: (0.5, 1], (0.25, 0.5], ...; deepest occupied wins
-    assert select_best([0.9, 0.3, 0.26], "range", eps, cap=1.0) == 1
+    # the cap is the largest finite cost, 1.0 here; ranges (0.5, 1],
+    # (0.25, 0.5], ...; deepest occupied wins
+    assert select_best([0.9, 0.3, 0.26, 1.0], "range", eps) == 1
     # ties inside one range: first index
-    assert select_best([0.3, 0.27], "range", eps, cap=1.0) == 0
+    assert select_best([0.3, 0.27, 1.0], "range", eps) == 0
     # zero cost is infinitely deep
-    assert select_best([0.9, 0.0], "range", eps, cap=1.0) == 1
-    # costs above cap clip into the shallowest range
-    assert select_best([7.0, 0.9], "range", eps, cap=1.0) == 0
-    assert select_best([7.0, 0.4], "range", eps, cap=1.0) == 1
+    assert select_best([0.9, 0.0, 1.0], "range", eps) == 1
+    assert select_best([7.0, 0.4], "range", eps) == 1
     # infeasible entries ignored
-    assert select_best([math.inf, 0.9], "range", eps, cap=1.0) == 1
+    assert select_best([math.inf, 0.9, 1.0], "range", eps) == 1
 
 
 def test_select_range_winner_near_optimal():
     rng = np.random.default_rng(6)
     for _ in range(50):
         costs = rng.random(20) * 10
-        cap = float(costs.max())
         eps = 0.3
-        w = select_best(costs, "range", eps, cap=cap)
+        w = select_best(costs, "range", eps)
         assert costs[w] <= costs.min() / (1 - eps) + 1e-12
 
 
 def test_select_range_validation():
     with pytest.raises(ValueError):
-        select_best([1.0], "range", None, cap=1.0)
-    with pytest.raises(ValueError):
-        select_best([1.0], "range", 0.5, cap=None)
+        select_best([1.0], "range", None)
     with pytest.raises(ValueError):
         select_best([1.0], "bogus")
+
+
+def test_select_range_rules_without_a_cap():
+    # every feasible cost 0: argmin decides
+    assert select_best([math.inf, 0.0, 0.0], "range", 0.5) == 1
+    # epsilon is checked whatever the costs are
+    for costs in ([0.0], [math.inf], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="epsilon in"):
+            select_best(costs, "range", 1.0)
+    with pytest.raises(InfeasiblePartitionError, match="no feasible candidate to select from"):
+        select_best([math.inf], "range", 0.5)
 
 
 # full pipeline ----------------------------------------------------------------
@@ -755,10 +762,22 @@ def test_pipeline_aspect_feasible_and_close():
 
 
 def test_range_selection_end_to_end():
-    ds, _ = planted(27)
-    pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
-                       np.random.default_rng(28), select_mode="range")
-    assert math.isfinite(pr.cost)
+    # the benchmark's stream knobs: the 2k-center seed costs less than
+    # every candidate here, so a cap at its cost would tie them all in
+    # range 0 and hand the win to index 0
+    ds, _ = gaussian_groups(4000, 3, rng=np.random.default_rng(7))
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=16, tau=1,
+                            repetitions=2, subset_budget=4)
+    bound = 1.0 / (1.0 - cfg.epsilon)
+    for seed in range(1, 21):
+        for solve in (lambda mode: batch_solve(ds, 3, Variant.classical(), cfg,
+                                               np.random.default_rng(seed), select_mode=mode),
+                      lambda mode: full_pipeline(ArraySource(ds, block=256), 3,
+                                                 Variant.classical(), cfg,
+                                                 np.random.default_rng(seed), select_mode=mode)):
+            ranged, best = solve("range"), solve("argmin")
+            assert math.isfinite(ranged.cost)
+            assert ranged.flow_cost <= bound * best.flow_cost, seed
 
 
 # joined passes -----------------------------------------------------------------
