@@ -38,6 +38,12 @@ def pairwise_sqdist(X, C) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def check_overflow(sq) -> None:
+    """Raise ValueError unless every squared distance (or sum of them) is finite."""
+    if not np.isfinite(sq).all():
+        raise ValueError("a squared distance overflows float64")
+
+
 def centroid(X) -> np.ndarray:
     X = as_points(X)
     if X.shape[0] == 0:

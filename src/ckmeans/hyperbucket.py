@@ -4,36 +4,32 @@ Squared distances are bucketed geometrically: bucket i holds s with
 (1+eps)^i <= s < (1+eps)^(i+1), and the bucket's representative weight
 (1+eps)^i is within a (1+eps) factor of every member.  Exact zeros get
 their own slot ZERO_ID with weight 0.  A point's key is the bytes of
-its int64 row: one slot per center (a bucket id or ZERO_ID), then its
-group id when groups ride along; points sharing a key collapse into one
+its int64 row, one slot per center, a bucket id or ZERO_ID, and no
+group: only r_gather and r_capacity streams build graphs, and their
+kernels read no labels.  Points sharing a key collapse into one
 weighted vertex, so downstream flow problems see a graph whose size no
 longer depends on n.  This module alone reads the key layout: the
 solvers get a graph's vertices as arrays from
 CompressedGraph.vertex_arrays.
 
 A stream pass keys its blocks for every candidate graph at once, with
-one KeyBuilder.  The candidates of a list share most of their centers,
-so a block is measured and bucketed once per distinct center.  Its
-int64 slot rows hold one column per distinct (center, floor) pair: the
-center's bucket id, or ZERO_ID below the floor (plus the group id when
-groups ride along).  The graph pass counts the rows, keyed by their
-bytes, into the pass's row table, which keeps rows in order of first
-occurrence and holds at most as many as a stream block.  When it is
-full, and at the end of the pass, the table is projected onto each
-graph's columns and regrouped graph-major by a stable lexsort, a row
-per (graph, table row) with the graph id in front.  First occurrence in
-the table is first occurrence in the stream, so every graph's vertices
-come out in the same order as if each block were projected alone.
-The table's rows and the graphs' keys are the same kind of bytes, one
-per distinct row, never per point; a single graph is the case of one.
+one KeyBuilder, so a block is measured and bucketed once per distinct
+center.  Its slot rows hold one column per distinct (center, floor)
+pair, and its row table, which keeps rows in order of first occurrence
+and holds at most a stream block's, is projected onto each graph's
+columns when full and at the end of the pass.  First occurrence in the
+table is first occurrence in the stream, so every graph's vertices come
+out in the same order as if each block were projected alone.
 
 Aspect-ratio removal is a contraction floor: squared distances below
-(u/n^2)^2 count as zero for a scale guess u.  aspect_graph takes u as
+(u/n^2)^2 count as zero for a scale guess u.  aspect_floor takes u as
 the largest positive guess of aspect_guesses, 1.0 when none is
-positive.  Given the largest nearest-center distance d_star, that u is
-at least every center gap and every point's nearest-center distance,
-so every point lies within 2u of every center: bucket ids span a range
-independent of the data's aspect ratio, and every weight is finite.
+positive; aspect_graph keys below that floor, and the stream's closed
+forms zero the costs below it.  Given the largest nearest-center
+distance d_star, that u is at least every center gap and every point's
+nearest-center distance, so every point lies within 2u of every center:
+bucket ids span a range independent of the data's aspect ratio, and
+every weight is finite.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import as_points, pairwise_sqdist
+from .geometry import as_points, check_overflow, pairwise_sqdist
 
 # key slot marker for an exact zero distance, out of reach of any bucket id
 ZERO_ID = np.iinfo(np.int64).min
@@ -90,10 +86,7 @@ def bucket_weight(slot: int, epsilon: float) -> float:
 def bucket_indices(sq: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized bucket_index.  Returns (ids, zero_mask); ids where zero_mask is junk."""
     sq = np.asarray(sq, dtype=np.float64)
-    if not np.all(np.isfinite(sq)):
-        # coordinates are finite (the readers reject others), so only
-        # their squared distance can have overflowed
-        raise ValueError("a squared distance overflows float64")
+    check_overflow(sq)
     if np.any(sq < 0):
         raise ValueError("squared distances must be non-negative")
     zero = sq == 0.0
@@ -142,9 +135,8 @@ class CompressedGraph:
     """Weighted contraction of (X, C): one vertex per occupied bucket key.
 
     vertices maps key -> count in insertion order, where a key is the
-    bytes of an int64 row: one slot per center (a bucket id or ZERO_ID),
-    then the group, a color/target id riding along with the points, on
-    graphs bucketed with groups.  vertex_arrays turns them into arrays.
+    bytes of an int64 row: one slot per center, a bucket id or ZERO_ID.
+    vertex_arrays turns them into arrays.
     """
 
     centers: np.ndarray
@@ -164,33 +156,29 @@ class CompressedGraph:
     @property
     def words(self) -> int:
         """The words the vertices hold: each key's int64 row and its count."""
-        return len(self.vertices) * (len(next(iter(self.vertices), b"")) // 8 + 1)
+        return len(self.vertices) * (self.k + 1)
 
     @cached_property
     def key_builder(self) -> "KeyBuilder":
         """The graph's own KeyBuilder, built on first use."""
         return KeyBuilder([self])
 
-    def add_block(self, points, groups=None) -> None:
+    def add_block(self, points) -> None:
         """Bucket a block of points into vertices."""
         kb = self.key_builder
-        kb.bucket_block(pairwise_sqdist(as_points(points), kb.centers), groups)
+        kb.bucket_block(pairwise_sqdist(as_points(points), kb.centers))
         kb.flush()
 
-    def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def vertex_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The vertices in insertion order as the arrays the solvers run
-        on: weights (L, k), each slot's bucket_weight; counts (L,);
-        groups (L,), or None when the keys hold no group."""
-        width = len(next(iter(self.vertices), bytes(8 * self.k))) // 8
-        rows = np.frombuffer(b"".join(self.vertices), dtype=np.int64).reshape(-1, width)
-        slots = rows[:, :self.k]
+        on: weights (L, k), each slot's bucket_weight, and counts (L,)."""
+        slots = np.frombuffer(b"".join(self.vertices), dtype=np.int64).reshape(-1, self.k)
         # one Python pow per distinct slot: numpy's vectorized power can
         # differ in the last bit, which would move quantized costs
         ids, inverse = np.unique(slots.ravel(), return_inverse=True)
         weights = np.array([bucket_weight(i, self.epsilon) for i in ids.tolist()])
-        counts = np.fromiter(self.vertices.values(), dtype=np.int64, count=rows.shape[0])
-        groups = rows[:, self.k] if width > self.k else None
-        return weights[inverse].reshape(slots.shape), counts, groups
+        counts = np.fromiter(self.vertices.values(), dtype=np.int64, count=slots.shape[0])
+        return weights[inverse].reshape(slots.shape), counts
 
 
 def distinct_centers(C) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +195,11 @@ def distinct_centers(C) -> tuple[np.ndarray, np.ndarray]:
 class KeyBuilder:
     """Keys blocks of points for several graphs of one k and epsilon.
 
-    The graphs' stacked centers are deduplicated once into centers (U)
-    with a column map col, so a block is measured and bucketed once per
-    distinct center.  A key column is a distinct (center, floor) pair of
+    The graphs' stacked centers are deduplicated into centers (U) with a
+    column map col.  A key column is a distinct (center, floor) pair of
     the stacked graphs: its center's slot, or ZERO_ID where the squared
-    distance falls below the floor.  A block's distinct rows, or a row
-    table's, are then projected onto each graph's key columns.
+    distance falls below the floor.  A row table's distinct rows are
+    projected onto each graph's key columns.
     """
 
     def __init__(self, graphs):
@@ -228,40 +215,30 @@ class KeyBuilder:
         # each key column's center and floor; with no floor the key
         # columns are the distinct centers in order
         self.at, self.floor = self.col[first], below[first]
-        # bucket_block's row table: a slot row's bytes -> its points, and
-        # whether its rows end in a group (None before the first block)
+        # bucket_block's row table: a slot row's bytes -> its points
         self.table: dict = {}
-        self.grouped = None
 
-    def slot_rows(self, sq: np.ndarray, groups=None) -> np.ndarray:
+    def slot_rows(self, sq: np.ndarray) -> np.ndarray:
         """The block's int64 slot rows, one per point: a bucket id or
-        ZERO_ID per key column, and the group last when groups ride
-        along.  sq holds the block's squared distances to self.centers,
-        shape (b, len(self.centers))."""
+        ZERO_ID per key column.  sq holds the block's squared distances
+        to self.centers, shape (b, len(self.centers))."""
         idx, zero = bucket_indices(sq, self.epsilon)
         idx[zero] = ZERO_ID
         if (self.floor > 0.0).any():
             idx = np.where(sq[:, self.at] < self.floor, ZERO_ID, idx[:, self.at])
-        if groups is not None:
-            idx = np.hstack([idx, np.asarray(groups).astype(np.int64)[:, None]])
         return idx
 
-    def project(self, R: np.ndarray, counts: np.ndarray, grouped: bool):
+    def project(self, R: np.ndarray, counts: np.ndarray):
         """Distinct slot rows R, counts[i] points on row i, under every
         graph.  Returns (keys, counts, owner): keys[i] is the key of a
         vertex of graphs[owner[i]] holding counts[i] points, graph by
         graph and in R's order of first occurrence.  With one graph,
-        keys[i] is row i's vertex: the graph reads every key column, so
-        distinct rows keep distinct keys.
+        keys[i] is row i's vertex, since distinct rows keep distinct keys.
         """
         m, k = len(self.graphs), self.k
-        D = R.shape[0]
-        # the D distinct rows under every graph, graph-major, each key's
-        # slots then its group
-        S = R[:, self.key_col].reshape(D, m, k).transpose(1, 0, 2).reshape(m * D, k)
-        if grouped:
-            S = np.hstack([S, np.tile(R[:, -1:], (m, 1))])
-        owner = np.repeat(np.arange(m), D)
+        # the distinct rows under every graph, graph-major
+        S = R[:, self.key_col].reshape(len(R), m, k).transpose(1, 0, 2).reshape(-1, k)
+        owner = np.repeat(np.arange(m), len(R))
         counts = np.tile(counts, m)
         if m > 1:
             # a graph that skips some key columns can merge distinct rows
@@ -272,20 +249,14 @@ class KeyBuilder:
         keys = S.view(np.dtype((np.void, 8 * S.shape[1]))).ravel().tolist()
         return keys, counts, owner.tolist()
 
-    def bucket_block(self, sq: np.ndarray, groups=None, bound: int | None = None) -> None:
+    def bucket_block(self, sq: np.ndarray, bound: int | None = None) -> None:
         """Count one block's slot rows into the row table; sq as for
         slot_rows.  The table keeps rows in order of first occurrence
         over the stream, so projecting it keeps each graph's vertex
         order.  A new row that finds the table holding `bound` rows
-        (default the block's) projects it first.  Keys with and without
-        a group cannot share a graph: a builder given blocks with groups
-        and blocks without raises ValueError.  Call flush at the end of
-        the pass."""
-        if self.grouped is None:
-            self.grouped = groups is not None
-        elif self.grouped != (groups is not None):
-            raise ValueError("blocks bucketed together need groups on all of them or none")
-        M = np.ascontiguousarray(self.slot_rows(sq, groups))
+        (default the block's) projects it first.  Call flush at the end
+        of the pass."""
+        M = np.ascontiguousarray(self.slot_rows(sq))
         table, b = self.table, M.shape[0] if bound is None else bound
         # a row's bytes stand for it: int64 rows are equal iff their bytes are
         rows = Counter(M.view(np.dtype((np.void, 8 * M.shape[1]))).ravel().tolist())
@@ -304,20 +275,18 @@ class KeyBuilder:
         R = np.frombuffer(b"".join(self.table), dtype=np.int64).reshape(len(self.table), -1)
         counts = np.fromiter(self.table.values(), dtype=np.int64, count=R.shape[0])
         self.table.clear()
-        keys, counts, owner = self.project(R, counts, self.grouped)
+        keys, counts, owner = self.project(R, counts)
         for j, key, c in zip(owner, keys, counts.tolist()):
             vertices = self.graphs[j].vertices
             vertices[key] = vertices.get(key, 0) + c
 
 
-def build_compressed(points, centers, epsilon: float, groups=None,
-                     block: int = 1024) -> CompressedGraph:
+def build_compressed(points, centers, epsilon: float, block: int = 1024) -> CompressedGraph:
     """One pass over points, bucketing everything against centers."""
     P = as_points(points)
     g = CompressedGraph(centers, epsilon)
     for lo in range(0, P.shape[0], block):
-        hi = min(lo + block, P.shape[0])
-        g.add_block(P[lo:hi], None if groups is None else groups[lo:hi])
+        g.add_block(P[lo:lo + block])
     return g
 
 
@@ -334,11 +303,18 @@ def aspect_guesses(centers, d_star: float) -> list[float]:
     return out
 
 
-def aspect_graph(centers, epsilon: float, d_star: float, n: int) -> CompressedGraph:
-    """Empty compressed graph of n points whose keys contract below
-    u/n^2, u the largest positive of aspect_guesses(centers, d_star) or
-    1.0 when none is; feed it blocks like any other graph."""
+def aspect_floor(centers, d_star: float, n: int) -> float:
+    """The squared-distance floor of aspect-ratio removal for n points:
+    (u/n^2)^2, u the largest positive of aspect_guesses(centers, d_star)
+    or 1.0 when none is."""
     if n < 1:
         raise ValueError("need n >= 1")
     u = max((g for g in aspect_guesses(centers, d_star) if g > 0), default=1.0)
-    return CompressedGraph(centers, epsilon, contract_below=(u / n**2) ** 2)
+    return (u / n**2) ** 2
+
+
+def aspect_graph(centers, epsilon: float, d_star: float, n: int) -> CompressedGraph:
+    """Empty compressed graph of n points whose keys contract below
+    aspect_floor(centers, d_star, n); feed it blocks like any other
+    graph."""
+    return CompressedGraph(centers, epsilon, contract_below=aspect_floor(centers, d_star, n))

@@ -21,12 +21,13 @@ reduction; each variant is solved on it by its own exact kernel:
 
 The objective throughout is the cost of assigning to fixed centers, not
 the k-means cost of re-centered clusters, and every edge cost is finite.
-Batch assignment and stream peeling share one owner/cost rule: raw
-points are vertices of count 1, owners are the centers that carry a
-vertex's flow, and the real cost is summed left to right in point
-order, then owner order.  Peeling takes units off the solver's flow
-array, its rows found by vertex key: the bytes a graph keys its
-vertices by.  partition_bound is a lower bound on partition_cost at one
+owner_mask is the closed forms' owner rule, each row's l cheapest
+centers with ties to the lowest index, for the fault_tolerant kernel,
+partition_bound and the stream.  Batch assignment and the r_gather and
+r_capacity streams' peel share one owner/cost rule: raw points are
+vertices of count 1, owners are the centers that carry a vertex's flow,
+and the real cost is summed left to right in point order, then owner
+order.  partition_bound is a lower bound on partition_cost at one
 distance matrix: the cost of every unit at its row's cheapest center,
 or at its l cheapest under fault_tolerant(l), which is the cost itself.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .geometry import as_points, pairwise_sqdist
+from .geometry import as_points, check_overflow, pairwise_sqdist
 from .hyperbucket import CompressedGraph, _distinct_rows
 
 # the one parameter each variant kind takes (None: it takes none)
@@ -164,9 +165,10 @@ def quantize_costs(M, precision_bits: int = 32) -> tuple[np.ndarray, float]:
 def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
     """Blended edge costs for one matching of targets onto centers.
 
-    W is the squared-distance matrix, perm[i] the target id matched to
-    center i; a point pays the (1 - alpha) penalty on every center whose
-    matched target differs from its own.
+    W holds squared distances, points by centers in its last two axes
+    (leading axes, such as the stream's candidates, broadcast), perm[i]
+    the target id matched to center i; a point pays the (1 - alpha)
+    penalty on every center whose matched target differs from its own.
     """
     W = np.asarray(W, dtype=np.float64)
     targets = np.asarray(targets)
@@ -174,12 +176,18 @@ def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
     return alpha * W + (1.0 - alpha) * mismatch
 
 
-def _real_costs(sq, variant: Variant, targets, perm) -> np.ndarray:
-    """The edge costs an emitted assignment pays: squared distances, or
-    under semi_supervised their blend for the winning matching perm."""
-    if variant.kind != "semi_supervised":
-        return sq
-    return semi_supervised_cost_terms(sq, targets, variant.alpha, perm)
+def owner_mask(w, l: int = 1) -> np.ndarray:
+    """Each row's owners along w's last axis, as a mask of w's shape: its
+    l cheapest entries, ties to the lowest index.  An entry's rank counts
+    the entries that beat it, one comparison per pair of columns: of two,
+    the later beats the earlier only when it is cheaper."""
+    v = np.moveaxis(w, -1, 0)
+    rank = np.zeros(v.shape, dtype=np.int64)
+    for i, j in itertools.combinations(range(len(v)), 2):
+        later = v[j] < v[i]
+        rank[i] += later
+        rank[j] += ~later
+    return np.moveaxis(rank < l, 0, -1)
 
 
 def _owner_tuples(owns: np.ndarray) -> list:
@@ -212,21 +220,17 @@ class _LeftSide:
 
 
 def _left_side(data, centers, variant: Variant) -> _LeftSide:
-    """The left side a variant is solved on.
-
-    A Dataset or point array gives one vertex of count 1 per point, with
-    the variant's label column as groups; a squared distance that
-    overflows float64 raises ValueError.  A CompressedGraph (centers
-    ignored) gives its vertices, grouped by the column it was bucketed
-    with.
-    """
+    """The left side a variant is solved on.  A Dataset or point array
+    gives one vertex of count 1 per point, with the variant's label
+    column as groups; a squared distance that overflows float64 raises
+    ValueError.  A CompressedGraph (centers ignored) gives its vertices,
+    which carry no labels: a variant that reads one raises ValueError."""
     if isinstance(data, CompressedGraph):
-        weights, counts, groups = data.vertex_arrays()
-        return _LeftSide(weights, counts, variant_groups(variant, groups, groups))
+        weights, counts = data.vertex_arrays()
+        return _LeftSide(weights, counts, variant_groups(variant, None, None))
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
     sq = pairwise_sqdist(ds.points, centers)
-    if not np.isfinite(sq).all():
-        raise ValueError("a squared distance overflows float64")
+    check_overflow(sq)
     return _LeftSide(sq, np.ones(ds.n, dtype=np.int64),
                      variant_groups(variant, ds.colors, ds.targets))
 
@@ -364,14 +368,10 @@ def _chromatic(w_int, left, variant):
 
 
 def _fault_tolerant(w_int, left, variant):
-    """Closed form: every point takes its l cheapest centers (stable
-    sort, so ties go to the lowest index)."""
-    L, k = w_int.shape
-    if variant.l > k:
+    """Closed form: every point takes its l cheapest centers (owner_mask)."""
+    if variant.l > w_int.shape[1]:
         return None
-    pick = np.argsort(w_int, axis=1, kind="stable")[:, :variant.l]
-    flows = np.zeros((L, k), dtype=np.int64)
-    flows[np.arange(L)[:, None], pick] = left.counts[:, None]
+    flows = owner_mask(w_int, variant.l) * left.counts[:, None]
     return _exact_total(flows, w_int), flows
 
 
@@ -390,9 +390,8 @@ def _semi_supervised(left: _LeftSide, alpha: float, precision_bits: int):
     for perm in itertools.permutations(range(left.weights.shape[1])):
         M = semi_supervised_cost_terms(left.weights, left.groups, alpha, perm)
         w_int, scale = quantize_costs(M, precision_bits)
+        # unbounded: transport_assign's row argmin, never infeasible
         solved = transport_assign(w_int, left.counts, 0, left.total)
-        if solved is None:
-            return None
         if best is None or solved[0] * scale < best[0] * best[1]:
             best = (solved[0], scale, solved[1], perm)
     return best
@@ -445,9 +444,7 @@ def partition_bound(data, centers, variant: Variant, *, precision_bits: int = 32
     if variant.kind != "fault_tolerant":
         return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
     # summed exactly: at 62 bits a row of l costs can pass 2**63
-    cheapest = np.sort(w_int, axis=1)[:, :variant.l]
-    counts = np.repeat(left.counts[:, None], cheapest.shape[1], axis=1)
-    return float(_exact_total(counts, cheapest)) * scale
+    return float(_exact_total(owner_mask(w_int, variant.l) * left.counts[:, None], w_int)) * scale
 
 
 def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 32) -> Assignment:
@@ -466,87 +463,68 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible assignment")
     int_cost, scale, flows, perm = solved
     owns = flows > 0
-    cost = _real_costs(left.weights, variant, left.groups, perm)
+    cost = left.weights if perm is None else semi_supervised_cost_terms(
+        left.weights, left.groups, variant.alpha, perm)
     return Assignment(_owner_tuples(owns), _running_sum(0.0, cost[owns]), float(int_cost) * scale)
 
 
 @dataclass
 class CompressedSolution:
     """A solved flow over a compressed graph, ready for assignment peeling:
-    flows is the solver's (L, k) array in graph.vertices order, row maps
-    each vertex key to its row of flows, and each peeled block takes its
-    units off in place."""
+    cost is the flow's objective, flows the solver's (L, k) array in
+    graph.vertices order, one owner per unit, row maps each vertex key to
+    its row of flows, and each peeled block takes its units off in place."""
 
     graph: CompressedGraph
-    variant: Variant
-    int_cost: int
-    scale: float
+    cost: float
     flows: np.ndarray
     row: dict                # vertex key -> its row of flows
-    perm: tuple | None = None
     peeled_cost: float = 0.0
 
-    @property
-    def cost(self) -> float:
-        return float(self.int_cost) * self.scale
-
-    def assign_block(self, points, groups=None) -> list:
+    def assign_block(self, points) -> list:
         """Peel owners for a block of stream points, in order.
 
-        The rows of one vertex take its remaining units in point order.
-        Single-owner variants hand out units lowest center first, so
-        rank r gets the first center j with cumsum(units)[j] > r; under
-        fault_tolerant, rank r owns every center j with units[j] > r.
-        A block that overdraws a vertex raises before any unit is taken.
+        The rows of one vertex take its remaining units in point order,
+        lowest center first: rank r gets the first center j with
+        cumsum(units)[j] > r.  A block that overdraws a vertex raises
+        before any unit is taken.
         """
         kb = self.graph.key_builder
         sq = pairwise_sqdist(as_points(points), kb.centers)
-        cost = _real_costs(sq[:, kb.col], self.variant, groups, self.perm)
-        M = kb.slot_rows(sq, groups)
+        M = kb.slot_rows(sq)
         first, run, counts = _distinct_rows(M)
-        vertex = self._vertex_rows(M[first], groups is not None)
+        # with one graph distinct rows are distinct vertices: keys[i] is row i's
+        keys, _counts, _owner = kb.project(M[first], counts)
+        try:
+            vertex = np.array([self.row[key] for key in keys], dtype=np.intp)
+        except KeyError:
+            raise InfeasiblePartitionError("no flow on this point's vertex") from None
         units = self.flows[vertex]
         # each point's rank among its row's points, in point order
         by_row = np.argsort(run, kind="stable")
         rank = np.empty(len(run), dtype=np.int64)
         rank[by_row] = np.arange(len(run)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rank = rank[:, None]
-        c = counts[:, None]
-        if self.variant.kind == "fault_tolerant":
-            owned = units[run] > rank
-            short = counts > units.max(axis=1, initial=0)
-            taken = np.minimum(units, c)
-        else:
-            upto = np.cumsum(units, axis=1)
-            below = upto - units
-            owned = (below[run] <= rank) & (upto[run] > rank)
-            short = counts > upto[:, -1]
-            taken = np.minimum(upto, c) - np.minimum(below, c)
-        if short.any():
+        upto = np.cumsum(units, axis=1)
+        below = upto - units
+        owned = (below[run] <= rank[:, None]) & (upto[run] > rank[:, None])
+        if (counts > upto[:, -1]).any():
             raise InfeasiblePartitionError("no flow left on this point's vertex")
-        self.flows[vertex] -= taken
+        c = counts[:, None]
+        self.flows[vertex] -= np.minimum(upto, c) - np.minimum(below, c)
         # summed in point order, then owner order
-        self.peeled_cost = _running_sum(self.peeled_cost, cost[owned])
+        self.peeled_cost = _running_sum(self.peeled_cost, sq[:, kb.col][owned])
         return _owner_tuples(owned)
-
-    def _vertex_rows(self, R: np.ndarray, grouped: bool) -> np.ndarray:
-        """The flows row of each distinct slot row of R: its key under
-        the graph, looked up in self.row.  With one graph distinct rows
-        are distinct vertices, so keys[i] is row i's."""
-        keys, _counts, _owner = self.graph.key_builder.project(
-            R, np.ones(R.shape[0], dtype=np.int64), grouped)
-        try:
-            return np.array([self.row[key] for key in keys], dtype=np.intp)
-        except KeyError:
-            raise InfeasiblePartitionError("no flow on this point's vertex") from None
 
 
 def compressed_partition(graph: CompressedGraph, variant: Variant,
                          *, precision_bits: int = 32) -> CompressedSolution:
-    """Solve a variant over a compressed graph; raises when infeasible."""
+    """Solve a single-owner variant over a compressed graph; raises when
+    infeasible.  fault_tolerant's closed form needs no graph to peel."""
+    if variant.kind == "fault_tolerant":
+        raise ValueError("fault_tolerant is peeled by its closed form, not from a graph")
     solved = _solve_left(_left_side(graph, None, variant), variant, precision_bits)
     if solved is None:
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible flow on compressed graph")
-    int_cost, scale, flows, perm = solved
+    int_cost, scale, flows, _perm = solved
     row = {key: i for i, key in enumerate(graph.vertices)}
-    return CompressedSolution(graph, variant, int_cost, scale, flows, row, perm)
+    return CompressedSolution(graph, float(int_cost) * scale, flows, row)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_points, pairwise_sqdist
+from .geometry import as_points, check_overflow, pairwise_sqdist
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
@@ -105,8 +105,7 @@ class ReservoirBank:
         ones = len(w) - len(np.trim_zeros(w, "f")) if self.weight_sum == 0 else 0
         with np.errstate(over="ignore"):
             sums = np.cumsum(np.concatenate([[self.weight_sum], w[ones:]]))
-        if not np.isfinite(sums[-1]):
-            raise ValueError("a squared distance overflows float64")
+        check_overflow(sums[-1])
         self._jump(P, 0, self._next_index + np.arange(1.0, ones + 1))
         if self.weight_sum == 0 and ones < len(w):
             self._threshold[:] = 0.0

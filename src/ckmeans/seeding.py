@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ENTRIES, as_points, pairwise_sqdist
+from .geometry import ENTRIES, as_points, check_overflow, pairwise_sqdist
 from .sampling import point_weights
 
 
@@ -77,8 +77,7 @@ def _d2_stack(X: np.ndarray, u: np.ndarray, w: np.ndarray, weighted: bool) -> li
     for j in range(1, u.shape[1]):
         with np.errstate(over="ignore"):    # an overflowing sum is rejected below
             total = pot.sum(axis=1, keepdims=True)
-        if not np.isfinite(total).all():
-            raise ValueError("a squared distance overflows float64")
+        check_overflow(total)
         p = np.where(total == 0.0, w, pot)  # a set with no potential left draws by weight
         chosen.append(draw(p / p.sum(axis=1, keepdims=True), j))
         dists.append(sqdist(chosen[-1]))

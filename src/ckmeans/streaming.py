@@ -1,27 +1,30 @@
 """Stream sources, space accounting, and the two solve pipelines.
 
 The full pipeline spends one pass seeding, one filling reservoirs, one
-building a compressed graph for every candidate (plus an optional scale
-pass when aspect-ratio removal is on), and one peeling the winning
-solution into per-point assignments: 4 passes, 5 with aspect removal.
-The seed pass seeds runs of chunks as one stack.  The sample pass joins
-consecutive blocks into arrays of max(block, ENTRIES // (2k·d)) rows,
-and the scale, graph and assign passes into arrays of
-max(block, ENTRIES // (|U|·d)) rows, U the list's distinct centers.
-The graph and scale passes handle each array once for all candidates:
-they measure it against U and project onto each candidate's columns,
-the graph pass a table of up to a block's distinct rows at a time.
-Solving happens offline between passes on the compressed graphs, never
-on raw points.  batch_solve is the in-memory pipeline behind
-`ckmeans solve`; in argmin mode it solves candidates exactly in
-ascending order of a lower bound on their cost, and stops once no bound
-can beat the best.  Both build their candidate list with
-listgen.candidate_list, from D^2 samples drawn in memory or from
-reservoirs filled in one pass, and pick the winner by the same rule.
+scoring every candidate (plus an optional scale pass when aspect-ratio
+removal is on), and one assigning the winner's owners: 4 passes, 5 with
+aspect removal.  The seed pass seeds runs of chunks as one stack.  The
+sample pass joins blocks into arrays of max(block, ENTRIES // (2k·d))
+rows, the later passes into arrays of max(block, ENTRIES // (|U|·d))
+rows, U the list's distinct centers, which the scale and scoring passes
+measure once for all candidates.  classical, fault_tolerant and
+semi_supervised are scored in closed form, with no graph: one exact
+running total per candidate (and target matching), each point's owned
+costs summed left to right; the assign pass applies the winner's owner
+rule.  r_gather and r_capacity key a compressed graph per candidate,
+from a table of up to a block's distinct rows, solve the graphs offline
+between passes and peel the winner's flow.  batch_solve is the
+in-memory pipeline behind `ckmeans solve`; in argmin mode it solves
+candidates exactly in ascending order of a lower bound on their cost,
+and stops once no bound can beat the best.  Both build their candidate
+list with listgen.candidate_list, from D^2 samples drawn in memory or
+from reservoirs filled in one pass, and pick the winner by the same rule.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -29,24 +32,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, iter_dataset_csv
-from .geometry import ENTRIES, as_points, pairwise_sqdist
-from .hyperbucket import CompressedGraph, KeyBuilder, aspect_graph, distinct_centers
+from .geometry import ENTRIES, as_points, check_overflow, pairwise_sqdist
+from .hyperbucket import CompressedGraph, KeyBuilder, aspect_floor, aspect_graph, distinct_centers
 from .listgen import CandidateList, GoodCentersConfig, candidate_list, good_centers
 from .partition import (
-    CompressedSolution,
     InfeasiblePartitionError,
     Variant,
+    _owner_tuples,
+    _running_sum,
     check_precision_bits,
     compressed_partition,
+    owner_mask,
     partition_assign,
     partition_bound,
     partition_cost,
+    semi_supervised_cost_terms,
     variant_groups,
 )
 from .sampling import ReservoirBank
 from .seeding import SeedSolution, chunks, d2_seed, merge_reduce_seed
 
 STREAM_VARIANTS = ("classical", "r_gather", "r_capacity", "fault_tolerant", "semi_supervised")
+# the stream variants scored by their closed form; the others build graphs
+CLOSED_FORM = ("classical", "fault_tolerant", "semi_supervised")
 
 
 class StreamSource:
@@ -244,6 +252,15 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
     return cands, seed, seen
 
 
+def check_select(mode: str, epsilon: float | None) -> None:
+    """The winner rule's settings: argmin, or range mode with epsilon in
+    (0, 1).  The pipelines call it before their first pass."""
+    if mode not in ("argmin", "range"):
+        raise ValueError(f"unknown selection mode {mode!r}")
+    if mode == "range" and (epsilon is None or not (0.0 < epsilon < 1.0)):
+        raise ValueError("range mode needs epsilon in (0, 1)")
+
+
 def select_best(costs, mode: str = "argmin", epsilon: float | None = None) -> int:
     """Pick the winning candidate index from real costs (inf = infeasible).
 
@@ -254,10 +271,7 @@ def select_best(costs, mode: str = "argmin", epsilon: float | None = None) -> in
     cost is within 1/(1-eps) of it.  When every feasible cost is 0,
     argmin decides.
     """
-    if mode not in ("argmin", "range"):
-        raise ValueError(f"unknown selection mode {mode!r}")
-    if mode == "range" and (epsilon is None or not (0.0 < epsilon < 1.0)):
-        raise ValueError("range mode needs epsilon in (0, 1)")
+    check_select(mode, epsilon)
     c = np.asarray(costs, dtype=np.float64)
     finite = np.isfinite(c)
     if not finite.any():
@@ -296,7 +310,7 @@ class PipelineResult:
     centers: np.ndarray
     owners: list
     cost: float              # recomputed real cost of the emitted assignment
-    flow_cost: float         # the winning compressed flow's objective
+    flow_cost: float         # the winner's score: its exact total, or its flow's objective
     selected: int
     list_size: int
     passes_used: int
@@ -311,12 +325,13 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
                   aspect_removal: bool = False, select_mode: str = "argmin",
                   precision_bits: int = 32, meter: SpaceMeter | None = None
                   ) -> PipelineResult:
-    """The streaming solver: seed, sample, compress + solve offline, assign."""
+    """The streaming solver: seed, sample, score every candidate, assign."""
     if variant.kind not in STREAM_VARIANTS:
         raise ValueError(f"variant {variant.kind!r} is not streamable "
                          "(chromatic needs same-colored points batched per color)")
     _check_t(cfg, k)
     check_precision_bits(precision_bits)
+    check_select(select_mode, cfg.epsilon)
     meter = meter if meter is not None else SpaceMeter()
     cands, seed, n = two_pass_good_centers(source, k, cfg, rng, chunk=chunk, meter=meter)
     if not len(cands):
@@ -324,8 +339,8 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     eps = cfg.epsilon
 
     # the passes after sampling measure arrays of `rows` joined points
-    # against the list's distinct centers U; owners are peeled and costs
-    # summed in point order, so the join moves no output
+    # against the list's distinct centers U; owners are assigned and
+    # costs summed in point order, so the join moves no output
     m = len(cands)
     U, col = distinct_centers(np.vstack([e.centers for e in cands.entries]))
     rows = max(source.block, ENTRIES // U.size)
@@ -334,72 +349,97 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         # each block's groups are checked as it arrives, before a join reads on
         return chunks(((pts, variant_groups(variant, c, t)) for pts, c, t in blocks), rows)
 
+    def candidate_sq(pts):
+        # (m, rows, k): each candidate's squared distances, gathered from U
+        sq = pairwise_sqdist(pts, U)
+        check_overflow(sq)
+        return sq[:, col].reshape(len(pts), m, k).transpose(1, 0, 2)
+
     d_star = None
     if aspect_removal:
         with meter.phase("scale"):
             worst = np.zeros(m)
             for (pts,) in chunks(((pts,) for pts, _c, _t in source.open()), rows):
-                near = pairwise_sqdist(pts, U)[:, col].reshape(len(pts), m, -1).min(axis=2)
-                worst = np.maximum(worst, near.max(axis=0))
+                worst = np.maximum(worst, candidate_sq(pts).min(axis=2).max(axis=1))
             d_star = np.sqrt(worst)
-    del U, col  # the graph pass's KeyBuilder holds its own
 
-    graphs: list[CompressedGraph] = []
+    closed = variant.kind in CLOSED_FORM
+    l = variant.l if variant.kind == "fault_tolerant" else 1
+    perms = list(itertools.permutations(range(k))) if variant.kind == "semi_supervised" else [None]
+
+    def rule_costs(sq, groups, perm, floor):
+        # the costs a closed form ranks: zeroed below the floor, blended under perm
+        if aspect_removal:
+            sq = np.where(sq < floor, 0.0, sq)
+        return sq if perm is None else semi_supervised_cost_terms(sq, groups, variant.alpha, perm)
+
     with meter.phase("graph"):
-        for i, e in enumerate(cands.entries):
-            if aspect_removal:
-                graphs.append(aspect_graph(e.centers, eps, float(d_star[i]), max(n, 1)))
-            else:
-                graphs.append(CompressedGraph(e.centers, eps))
-        kb = KeyBuilder(graphs)
-        for pts, groups in grouped(source.open()):
-            # the row table stays within one source block
-            kb.bucket_block(pairwise_sqdist(pts, kb.centers), groups, source.block)
-        kb.flush()
-        for g in graphs:
-            meter.alloc_words(g.words)
-
-    costs = np.full(len(cands), math.inf)
-    solutions: list[CompressedSolution | None] = [None] * len(cands)
-    for i, g in enumerate(graphs):
-        try:
-            sol = compressed_partition(g, variant, precision_bits=precision_bits)
-        except InfeasiblePartitionError:
-            continue
-        solutions[i] = sol
-        costs[i] = sol.cost
+        if closed:
+            floors = np.zeros(m) if d_star is None else np.array(
+                [aspect_floor(e.centers, d, max(n, 1)) for e, d in zip(cands.entries, d_star)])
+            totals = np.zeros((len(perms), m))
+            meter.alloc_words(totals.size)
+            for pts, groups in grouped(source.open()):
+                D = candidate_sq(pts)
+                for total, perm in zip(totals, perms):
+                    w = rule_costs(D, groups, perm, floors[:, None, None])
+                    # each point's owned costs in owner order: one owner pays its row's
+                    # minimum, column by column (a min over a short last axis is slow)
+                    owned = (functools.reduce(np.minimum, np.moveaxis(w, 2, 0)) if l == 1
+                             else w[owner_mask(w, l)].reshape(m, -1))
+                    owned[:, 0] += total
+                    total[:] = np.add.accumulate(owned, axis=1)[:, -1]
+            costs = totals.min(axis=0) if l <= k else np.full(m, math.inf)
+        else:
+            graphs = [aspect_graph(e.centers, eps, float(d_star[i]), max(n, 1)) if aspect_removal
+                      else CompressedGraph(e.centers, eps) for i, e in enumerate(cands.entries)]
+            kb = KeyBuilder(graphs)
+            for pts, _groups in grouped(source.open()):
+                # the row table stays within one source block
+                kb.bucket_block(pairwise_sqdist(pts, kb.centers), source.block)
+            kb.flush()
+            meter.alloc_words(sum(g.words for g in graphs))
+            costs, solutions = np.full(m, math.inf), [None] * m
+            for i, g in enumerate(graphs):
+                try:
+                    solutions[i] = compressed_partition(g, variant, precision_bits=precision_bits)
+                except InfeasiblePartitionError:
+                    continue
+                costs[i] = solutions[i].cost
     winner = select_best(costs, select_mode, eps)
-    sol = solutions[winner]
-    # only the winner is peeled; the losing graphs and solutions go now
-    meter.free_words(sum(g.words for i, g in enumerate(graphs) if i != winner))
-    del graphs, solutions
+    centers = cands.entries[winner].centers
+    # only the winner's state stays: its total, or its graph and solution
+    meter.free_words(totals.size - 1 if closed else
+                     sum(g.words for i, g in enumerate(graphs) if i != winner))
+    if not closed:
+        sol = solutions[winner]
+        del kb, graphs, solutions
 
     owners: list = []
     with meter.phase("assign"):
         blocks = source.open()
-        for pts, groups in grouped(blocks):
-            try:
-                owners.extend(sol.assign_block(pts, groups))
-            except InfeasiblePartitionError:
-                # a source changed since the graph pass can overdraw a
-                # vertex: the pass read to its end names the change
-                for _ in blocks:
-                    pass
-                raise
+        if closed:
+            perm, cost = perms[int(totals[:, winner].argmin())], 0.0
+            for pts, groups in grouped(blocks):
+                sq = pairwise_sqdist(pts, centers)
+                owns = owner_mask(rule_costs(sq, groups, perm, floors[winner]), l)
+                owners.extend(_owner_tuples(owns))
+                cost = _running_sum(cost, rule_costs(sq, groups, perm, 0.0)[owns])
+            flow_cost = float(costs[winner])
+        else:
+            for pts, _groups in grouped(blocks):
+                try:
+                    owners.extend(sol.assign_block(pts))
+                except InfeasiblePartitionError:
+                    # a source changed since the graph pass can overdraw a
+                    # vertex: the pass read to its end names the change
+                    for _ in blocks:
+                        pass
+                    raise
+            cost, flow_cost = sol.peeled_cost, sol.cost
 
-    return PipelineResult(
-        centers=cands.entries[winner].centers,
-        owners=owners,
-        cost=sol.peeled_cost,
-        flow_cost=sol.cost,
-        selected=winner,
-        list_size=len(cands),
-        passes_used=source.passes,
-        seed_cost=seed.cost,
-        n=n,
-        space=meter.report(),
-        d_star=None if d_star is None else float(d_star[winner]),
-    )
+    return PipelineResult(centers, owners, cost, flow_cost, winner, m, source.passes, seed.cost,
+                          n, meter.report(), None if d_star is None else float(d_star[winner]))
 
 
 @dataclass
@@ -428,6 +468,7 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
     so it solves every candidate."""
     _check_t(cfg, k)
     check_precision_bits(precision_bits)
+    check_select(select_mode, cfg.epsilon)
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
     if ds.n < k:
         raise ValueError(f"stream has {ds.n} points, need at least k={k}")

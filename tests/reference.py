@@ -128,27 +128,24 @@ def merge_reduce_seed_choice(X, k: int, chunk: int, rng,
 
 # hyperbucket -----------------------------------------------------------------
 
-def vertex_key(key: bytes, k: int) -> tuple:
-    """A graph's vertex key read back: ((its k slots), its group, or
-    None when the key holds slots only)."""
-    row = np.frombuffer(key, dtype=np.int64).tolist()
-    return tuple(row[:k]), (row[k] if len(row) > k else None)
+def vertex_key(key: bytes) -> tuple:
+    """A graph's vertex key read back as the tuple of its slots."""
+    return tuple(np.frombuffer(key, dtype=np.int64).tolist())
 
 
 def vertex_items(graph) -> list:
     """graph.vertices in order as (vertex_key, count) pairs."""
-    return [(vertex_key(key, graph.k), c) for key, c in graph.vertices.items()]
+    return [(vertex_key(key), c) for key, c in graph.vertices.items()]
 
 
-def row_keys(graph, points, groups=None) -> list:
+def row_keys(graph, points) -> list:
     """The vertex key of each point under graph, keyed the way
-    CompressedSolution.assign_block keys the rows its dict misses: the
-    graph's own KeyBuilder groups the slot rows and projects the
-    distinct ones."""
+    CompressedSolution.assign_block keys its rows: the graph's own
+    KeyBuilder groups the slot rows and projects the distinct ones."""
     kb = graph.key_builder
-    M = kb.slot_rows(pairwise_sqdist(as_points(points), kb.centers), groups)
+    M = kb.slot_rows(pairwise_sqdist(as_points(points), kb.centers))
     first, inverse, counts = _distinct_rows(M)
-    keys, _counts, _owner = kb.project(M[first], counts, groups is not None)
+    keys, _counts, _owner = kb.project(M[first], counts)
     return [keys[i] for i in inverse.tolist()]
 
 

@@ -23,13 +23,15 @@ from ckmeans.partition import (
     InfeasiblePartitionError,
     Variant,
     _LeftSide,
+    _owner_tuples,
     _solve_left,
     compressed_partition,
+    owner_mask,
     partition_assign,
     partition_cost,
     semi_supervised_cost_terms,
 )
-from reference import assignment_valid, row_keys
+from reference import assignment_valid
 
 
 @st.composite
@@ -98,19 +100,29 @@ def test_owner_sets_beyond_64_centers():
     C = rng.uniform(-10.0, 10.0, size=(k, 2))
     X = rng.uniform(-10.0, 10.0, size=(n, 2))
     variant = Variant.fault_tolerant(3)
+    W = pairwise_sqdist(X, C)
     # batch: each point's owners read off its own flow row
-    flows = _solve_left(_LeftSide(pairwise_sqdist(X, C), np.ones(n, dtype=np.int64), None),
-                        variant, 32)[2]
+    flows = _solve_left(_LeftSide(W, np.ones(n, dtype=np.int64), None), variant, 32)[2]
     want = [tuple(np.flatnonzero(row).tolist()) for row in flows > 0]
     assert len({own for own in want if max(own) >= 63}) > 10
     assert partition_assign(X, C, variant).owners == want
-    # stream: each point's owners read off its vertex's flow row
-    graph = build_compressed(X, C, 0.5)
-    sol = compressed_partition(graph, variant)
-    units = dict(zip(graph.vertices, sol.flows > 0))
-    want = [tuple(np.flatnonzero(units[key]).tolist()) for key in row_keys(graph, X)]
+    # the stream's closed form: the owner rule on the float costs, each
+    # point's 3 cheapest by a stable sort
+    want = [tuple(sorted(row)) for row in np.argsort(W, axis=1, kind="stable")[:, :3].tolist()]
     assert len({own for own in want if max(own) >= 63}) > 10
-    assert sol.assign_block(X) == want
+    assert _owner_tuples(owner_mask(W, 3)) == want
+
+
+@pytest.mark.parametrize("shape", [(40, 3), (40, 7), (4, 9, 5)])
+def test_owner_mask_takes_the_first_l_of_a_stable_sort(shape):
+    # small integer costs: many rows hold ties
+    w = np.random.default_rng(sum(shape)).integers(0, 4, size=shape).astype(float)
+    k = shape[-1]
+    order = np.argsort(w, axis=-1, kind="stable")
+    for l in range(1, k + 1):
+        want = np.zeros(shape, dtype=bool)
+        np.put_along_axis(want, order[..., :l], True, axis=-1)
+        assert np.array_equal(owner_mask(w, l), want), l
 
 
 def test_label_columns_and_graphs_are_checked_once():
@@ -129,3 +141,6 @@ def test_label_columns_and_graphs_are_checked_once():
             compressed_partition(graph, variant)
     with pytest.raises(TypeError):
         partition_assign(build_compressed(X, C, 0.5), C, Variant.classical())
+    # a graph's peel hands out one owner per unit
+    with pytest.raises(ValueError, match="fault_tolerant is peeled by its closed form"):
+        compressed_partition(build_compressed(X, C, 0.5), Variant.fault_tolerant(1))

@@ -8,9 +8,8 @@ the end of the pass.  CompressedSolution.assign_block peels each
 vertex's rows at once.  The references here are the per-point forms: a
 key tuple built from bucket_index cell by cell, one graph at a time,
 and a greedy peel that takes one point at a time from its vertex's
-remaining units (lowest center first, or every center with units left
-under fault_tolerant).  Keys are compared read back as (slots, group)
-pairs through reference.vertex_key.
+remaining units, lowest center first.  Keys are compared read back as
+slot tuples through reference.vertex_key.
 """
 
 import math
@@ -34,26 +33,25 @@ from ckmeans.partition import (
     InfeasiblePartitionError,
     Variant,
     compressed_partition,
-    semi_supervised_cost_terms,
 )
 from reference import max_weight_error, row_keys, vertex_items, vertex_key
 
 EPS = 0.5
 
 
-def ref_key(graph, sq_row, group):
+def ref_key(graph, sq_row):
     key = []
     for s in sq_row.tolist():
         s = 0.0 if s < graph.contract_below else s
         key.append(bucket_index(s, graph.epsilon))
-    return (tuple(key), None if group is None else int(group))
+    return tuple(key)
 
 
 def ref_weight_error(graph, X):
     sq = pairwise_sqdist(X, graph.centers)
     worst = 0.0
     for r in range(X.shape[0]):
-        w = [bucket_weight(slot, graph.epsilon) for slot in ref_key(graph, sq[r], None)[0]]
+        w = [bucket_weight(slot, graph.epsilon) for slot in ref_key(graph, sq[r])]
         for j in range(graph.k):
             s = 0.0 if sq[r, j] < graph.contract_below else sq[r, j]
             if s == 0.0:
@@ -63,21 +61,17 @@ def ref_weight_error(graph, X):
     return worst
 
 
-def ref_peel(remaining, kind, keys, cost, total):
+def ref_peel(remaining, keys, cost, total):
     """The per-point greedy peel; returns (owners, total) or raises."""
     owners = []
     for r, key in enumerate(keys):
         units = remaining.get(key)
         if units is None or units.sum() <= 0:
             raise InfeasiblePartitionError(r)
-        if kind == "fault_tolerant":
-            own = tuple(int(j) for j in np.flatnonzero(units > 0))
-        else:
-            own = (int(np.flatnonzero(units > 0)[0]),)
-        for j in own:
-            units[j] -= 1
-            total += cost[r, j]
-        owners.append(own)
+        j = int(np.flatnonzero(units > 0)[0])
+        units[j] -= 1
+        total += cost[r, j]
+        owners.append((j,))
     return owners, total
 
 
@@ -91,32 +85,29 @@ def instances(draw):
     n = draw(st.integers(1, 40))
     X = np.array(draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n)), dtype=float)
     X[: min(n, k)] = C[: min(n, k)]                   # exact zeros for sure
-    groups = None
-    if draw(st.booleans()):
-        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     # in grid units: contract a squared distance of 1 to zero
     contract = draw(st.sampled_from([0.0, 1.5]))
     f = draw(st.sampled_from([1.0, 0.001, 37.5]))
     bounds = sorted({0, n, *draw(st.lists(st.integers(1, n), max_size=3))})
-    return C * f, X * f, groups, contract * f * f, bounds
+    return C * f, X * f, contract * f * f, bounds
 
 
-def blocks_of(X, groups, bounds):
+def blocks_of(X, bounds):
     for lo, hi in zip(bounds, bounds[1:]):
-        yield X[lo:hi], None if groups is None else groups[lo:hi]
+        yield X[lo:hi]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(instances())
 def test_block_keys_match_scalar_keys(inst):
-    C, X, groups, contract, bounds = inst
+    C, X, contract, bounds = inst
     g = CompressedGraph(C, EPS, contract_below=contract)
     ref_vertices = {}
-    for P, G in blocks_of(X, groups, bounds):
+    for P in blocks_of(X, bounds):
         sq = pairwise_sqdist(P, C)
-        want = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
-        assert [vertex_key(key, g.k) for key in row_keys(g, P, G)] == want
-        g.add_block(P, G)
+        want = [ref_key(g, sq[r]) for r in range(len(P))]
+        assert [vertex_key(key) for key in row_keys(g, P)] == want
+        g.add_block(P)
         for key in want:
             ref_vertices[key] = ref_vertices.get(key, 0) + 1
         # same keys, counts and insertion order, also for keys seen in
@@ -124,17 +115,13 @@ def test_block_keys_match_scalar_keys(inst):
         assert vertex_items(g) == list(ref_vertices.items())
         # the solvers' arrays: weights bit-equal to bucket_weight slot by
         # slot, all finite, and 0.0 at zeros
-        W, counts, groups = g.vertex_arrays()
-        slots = np.array([key for key, _grp in ref_vertices]).reshape(-1, g.k)
+        W, counts = g.vertex_arrays()
+        slots = np.array(list(ref_vertices)).reshape(-1, g.k)
         want_w = np.array([[bucket_weight(x, EPS) for x in row] for row in slots.tolist()])
         assert W.tobytes() == want_w.reshape(W.shape).tobytes()
         assert np.isfinite(W).all()
         assert np.array_equal(W == 0.0, slots == ZERO_ID)
         assert counts.tolist() == list(g.vertices.values())
-        if G is None:
-            assert groups is None
-        else:
-            assert groups.tolist() == [grp for _key, grp in ref_vertices]
     assert max_weight_error(g, X) == ref_weight_error(g, X)
 
 
@@ -166,14 +153,11 @@ def stacks(draw):
             graphs.append(CompressedGraph(C, EPS, contract_below=1.5 * f * f))
         else:
             graphs.append(CompressedGraph(C, EPS))
-    groups = None
-    if draw(st.booleans()):
-        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     bounds = sorted({0, n, *draw(st.lists(st.integers(1, n), max_size=3))})
-    return graphs, X, groups, bounds
+    return graphs, X, bounds
 
 
-def check_stacked_pass(graphs, X, groups, bounds):
+def check_stacked_pass(graphs, X, bounds):
     """Key every block for all graphs at once and compare each graph's
     keys, counts and vertices with the scalar reference, block by block:
     the block's distinct slot rows projected alone, and the row table."""
@@ -182,12 +166,12 @@ def check_stacked_pass(graphs, X, groups, bounds):
     stacked = np.vstack([g.centers for g in graphs])
     assert np.array_equal(kb.centers[kb.col].view(np.int64), stacked.view(np.int64))
     refs = [{} for _ in graphs]
-    for P, G in blocks_of(X, groups, bounds):
+    for P in blocks_of(X, bounds):
         b = P.shape[0]
         sq = pairwise_sqdist(P, kb.centers)
-        M = kb.slot_rows(sq, G)
+        M = kb.slot_rows(sq)
         first, _inverse, counts = _distinct_rows(M)
-        keys, counts, owner = kb.project(M[first], counts, G is not None)
+        keys, counts, owner = kb.project(M[first], counts)
         assert len(set(zip(owner, keys))) == len(keys)      # distinct per graph
         for j, g in enumerate(graphs):
             alone = pairwise_sqdist(P, g.centers)
@@ -195,13 +179,13 @@ def check_stacked_pass(graphs, X, groups, bounds):
             assert np.array_equal(sq[:, kb.col[j * k:(j + 1) * k]], alone)
             block = {}
             for r in range(b):
-                want = ref_key(g, alone[r], None if G is None else G[r])
+                want = ref_key(g, alone[r])
                 block[want] = block.get(want, 0) + 1
                 refs[j][want] = refs[j].get(want, 0) + 1
             # graph j's keys and counts, in order of first occurrence
-            assert [(vertex_key(key, k), c) for key, c, o in zip(keys, counts.tolist(), owner)
+            assert [(vertex_key(key), c) for key, c, o in zip(keys, counts.tolist(), owner)
                     if o == j] == list(block.items())
-        kb.bucket_block(sq, G)
+        kb.bucket_block(sq)
         kb.flush()
         # each graph's vertices: same keys, counts and insertion order
         for g, ref in zip(graphs, refs):
@@ -251,17 +235,14 @@ def shared_stacks(draw):
             graphs.append(CompressedGraph(C, EPS, contract_below=below * f * f))
         else:
             graphs.append(CompressedGraph(C, EPS))
-    groups = None
-    if draw(st.booleans()):
-        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     bounds = sorted({0, n, *draw(st.lists(st.integers(1, n), max_size=3))})
-    return graphs, X, groups, bounds
+    return graphs, X, bounds
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(shared_stacks())
 def test_shared_centers_key_like_each_graph_alone(inst):
-    graphs, X, _groups, _bounds = inst
+    graphs, X, _bounds = inst
     kb = check_stacked_pass(*inst)
     m, k = len(graphs), graphs[0].k
     assert len(kb.centers) < m * k
@@ -272,15 +253,11 @@ def test_shared_centers_key_like_each_graph_alone(inst):
 
 @st.composite
 def table_streams(draw):
-    """A shared stack fed in blocks of 1, 7 or more than n rows, with
-    groups on every block or on none."""
-    graphs, X, _groups, _bounds = draw(shared_stacks())
+    """A shared stack fed in blocks of 1, 7 or more than n rows."""
+    graphs, X, _bounds = draw(shared_stacks())
     n = X.shape[0]
     b = draw(st.sampled_from([1, 7, n + 5]))
-    grouped = draw(st.booleans())
-    G = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    blocks = [(X[lo:lo + b], G[lo:lo + b] if grouped else None) for lo in range(0, n, b)]
-    return graphs, blocks
+    return graphs, [X[lo:lo + b] for lo in range(0, n, b)]
 
 
 def feed_table(kb, blocks):
@@ -299,11 +276,11 @@ def feed_table(kb, blocks):
             flushes.append((len(kb.table), b))
         flush()
     kb.flush = spy
-    for P, G in blocks:
+    for P in blocks:
         b = P.shape[0]
         current[0] = b
         before = list(kb.table)
-        kb.bucket_block(pairwise_sqdist(P, kb.centers), G)
+        kb.bucket_block(pairwise_sqdist(P, kb.centers))
         # a block leaves at most its own row count in the table, or only
         # added points to rows already there
         assert len(kb.table) <= b or list(kb.table) == before
@@ -320,11 +297,11 @@ def test_row_table_spans_blocks_like_each_graph_alone(inst):
     kb = KeyBuilder(graphs)
     feed_table(kb, blocks)
     refs = [{} for _ in graphs]
-    for P, G in blocks:
+    for P in blocks:
         for g, ref in zip(graphs, refs):
             alone = pairwise_sqdist(P, g.centers)
             for r in range(P.shape[0]):
-                key = ref_key(g, alone[r], None if G is None else G[r])
+                key = ref_key(g, alone[r])
                 ref[key] = ref.get(key, 0) + 1
     # each graph's vertices: same keys, counts and insertion order
     for g, ref in zip(graphs, refs):
@@ -337,21 +314,21 @@ def test_row_table_holds_at_most_a_block():
     g = CompressedGraph(np.zeros((1, 1)), EPS)
     X = 1.5 ** np.arange(12.0)[:, None]
     kb = KeyBuilder([g])
-    flushes = feed_table(kb, [(X[lo:lo + 4], None) for lo in range(0, 12, 4)])
+    flushes = feed_table(kb, [X[lo:lo + 4] for lo in range(0, 12, 4)])
     # the table fills to a block's 4 rows; the next new row projects it
     assert flushes == [(4, 4), (4, 4), (4, None)]
     assert list(g.vertices.values()) == [1] * 12
     # rows already in a full table only add points: no projection
     g = CompressedGraph(np.zeros((1, 1)), EPS)
     kb = KeyBuilder([g])
-    flushes = feed_table(kb, [(X[:4], None), (X[3::-1], None), (X[:2], None)])
+    flushes = feed_table(kb, [X[:4], X[3::-1], X[:2]])
     assert flushes == [(4, None)]
     assert list(g.vertices.values()) == [3, 3, 2, 2]
     # a smaller block is a smaller bound: its first new row projects a
     # table that a larger block filled
     g = CompressedGraph(np.zeros((1, 1)), EPS)
     kb = KeyBuilder([g])
-    flushes = feed_table(kb, [(X[:4], None), (X[:1], None), (X[4:5], None)])
+    flushes = feed_table(kb, [X[:4], X[:1], X[4:5]])
     assert flushes == [(4, 1), (1, None)]
     assert len(g.vertices) == 5
 
@@ -359,23 +336,21 @@ def test_row_table_holds_at_most_a_block():
 def test_key_width_is_one_column_per_center_floor_pair():
     a, b, c = [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]
     X = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
-    groups = np.array([0, 1, 0])
 
     def widths(graphs):
         kb = KeyBuilder(graphs)
-        sq = pairwise_sqdist(X, kb.centers)
-        return len(kb.centers), kb.slot_rows(sq).shape[1], kb.slot_rows(sq, groups).shape[1]
+        return len(kb.centers), kb.slot_rows(pairwise_sqdist(X, kb.centers)).shape[1]
 
     plain = [CompressedGraph(np.array([a, b]), EPS), CompressedGraph(np.array([b, c]), EPS)]
-    # no floor: a column per distinct center, and the group
-    assert widths(plain) == (3, 3, 4)
+    # no floor: a column per distinct center
+    assert widths(plain) == (3, 3)
     # floors: a column per distinct (center, floor) pair, 3 with floor 0
     # and (a, 2), (a, 4), (b, 1), (b, 4), (c, 1)
     floored = plain + [CompressedGraph(np.array([b, c]), EPS, contract_below=1.0),
                        CompressedGraph(np.array([c, b]), EPS, contract_below=1.0),
                        CompressedGraph(np.array([a, a]), EPS, contract_below=2.0),
                        CompressedGraph(np.array([a, b]), EPS, contract_below=4.0)]
-    assert widths(floored) == (3, 8, 9)
+    assert widths(floored) == (3, 8)
 
 
 def test_stacked_graphs_share_k_and_epsilon():
@@ -386,48 +361,39 @@ def test_stacked_graphs_share_k_and_epsilon():
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(instances(), st.sampled_from(["classical", "r_gather", "fault_tolerant",
-                                     "semi_supervised"]))
+@given(instances(), st.sampled_from(["classical", "r_gather"]))
 def test_peel_matches_greedy_per_point_peel(inst, kind):
-    C, X, groups, contract, bounds = inst
+    C, X, contract, bounds = inst
     k = C.shape[0]
-    if kind == "semi_supervised":
-        groups = np.arange(X.shape[0]) % k if groups is None else groups
-    elif kind != "classical":
-        groups = None
     variant = {"classical": Variant.classical(),
-               "r_gather": Variant.r_gather(max(1, X.shape[0] // k)),
-               "fault_tolerant": Variant.fault_tolerant(min(2, k)),
-               "semi_supervised": Variant.semi_supervised(0.5)}[kind]
+               "r_gather": Variant.r_gather(max(1, X.shape[0] // k))}[kind]
     g = CompressedGraph(C, EPS, contract_below=contract)
-    for P, G in blocks_of(X, groups, bounds):
-        g.add_block(P, G)
+    for P in blocks_of(X, bounds):
+        g.add_block(P)
     try:
         sol = compressed_partition(g, variant)
     except InfeasiblePartitionError:
         return
     ref_flows = sol.flows.copy()
     # rows of ref_flows, peeled in place
-    ref = {vertex_key(key, g.k): row for key, row in zip(g.vertices, ref_flows)}
+    ref = {vertex_key(key): row for key, row in zip(g.vertices, ref_flows)}
     ref_total = sol.peeled_cost
     # two passes over the stream: the second one runs out of flow
     for _pass in range(2):
-        for P, G in blocks_of(X, groups, bounds):
+        for P in blocks_of(X, bounds):
             sq = pairwise_sqdist(P, C)
-            cost = sq if kind != "semi_supervised" else semi_supervised_cost_terms(
-                sq, G, variant.alpha, sol.perm)
-            keys = [ref_key(g, sq[r], None if G is None else G[r]) for r in range(len(P))]
+            keys = [ref_key(g, sq[r]) for r in range(len(P))]
             try:
-                want, ref_total = ref_peel(ref, kind, keys, cost, ref_total)
+                want, ref_total = ref_peel(ref, keys, sq, ref_total)
             except InfeasiblePartitionError:
                 before = sol.flows.copy()
                 with pytest.raises(InfeasiblePartitionError):
-                    sol.assign_block(P, G)
+                    sol.assign_block(P)
                 # an overdrawn block takes no unit
                 assert np.array_equal(before, sol.flows)
                 assert _pass == 1
                 return
-            assert sol.assign_block(P, G) == want
+            assert sol.assign_block(P) == want
             assert sol.peeled_cost == ref_total         # bit-equal, same order
             assert np.array_equal(ref_flows, sol.flows)
     pytest.fail("the second pass never ran out of flow")
@@ -444,7 +410,7 @@ def test_peel_rejects_a_vertex_outside_the_graph():
 
 
 @pytest.mark.parametrize("variant, owners", [(Variant.classical(), [(1,), (0,)]),
-                                             (Variant.fault_tolerant(2), [(0, 1), (0, 1)])])
+                                             (Variant.r_gather(1), [(1,), (0,)])])
 def test_an_overdrawn_block_takes_no_unit(variant, owners):
     # the block overdraws the vertex at (1, 0) while the one at (9, 0)
     # still has its unit: neither may lose a unit
@@ -457,7 +423,7 @@ def test_an_overdrawn_block_takes_no_unit(variant, owners):
     assert sol.assign_block(np.array([[9.0, 0.0], [1.0, 0.0]])) == owners
 
 
-@pytest.mark.parametrize("case", ["r_gather with colors", "aspect graph"])
+@pytest.mark.parametrize("case", ["r_gather", "aspect graph"])
 def test_assign_pass_dicts_stay_within_the_winner(case):
     # a block whose rows an earlier block peeled, one of them on a
     # vertex with no units left, takes no unit
@@ -465,25 +431,23 @@ def test_assign_pass_dicts_stay_within_the_winner(case):
     C = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
     X = C[rng.integers(0, 3, size=240)] + rng.integers(-3, 4, size=(240, 2)) * 0.5
     if case == "aspect graph":
-        g, variant, groups = aspect_graph(C, EPS, 2.0, 4), Variant.classical(), None
+        g, variant = aspect_graph(C, EPS, 2.0, 4), Variant.classical()
         assert g.contract_below > 0
     else:
         g, variant = CompressedGraph(C, EPS), Variant.r_gather(60)
-        groups = rng.integers(0, 3, size=240)
-    blocks = list(blocks_of(X, groups, [0, 50, 100, 150, 200, 240]))
-    for P, G in blocks:
-        g.add_block(P, G)
+    blocks = list(blocks_of(X, [0, 50, 100, 150, 200, 240]))
+    for P in blocks:
+        g.add_block(P)
     sol = compressed_partition(g, variant)
-    keys = row_keys(g, X, groups)
-    for P, G in blocks[:-1]:
-        sol.assign_block(P, G)
+    keys = row_keys(g, X)
+    for P in blocks[:-1]:
+        sol.assign_block(P)
     spent = [i for i in range(200) if not sol.flows[sol.row[keys[i]]].any()]
     assert spent
-    P, G = blocks[-1]
+    P = blocks[-1]
     before = sol.flows.copy()
     with pytest.raises(InfeasiblePartitionError, match="no flow left"):
-        sol.assign_block(np.vstack([P, X[spent[:1]]]),
-                         None if G is None else np.append(G, groups[spent[0]]))
+        sol.assign_block(np.vstack([P, X[spent[:1]]]))
     assert np.array_equal(before, sol.flows)
-    sol.assign_block(P, G)
+    sol.assign_block(P)
     assert not sol.flows.any()

@@ -13,7 +13,6 @@ from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import (
     ZERO_ID,
     CompressedGraph,
-    KeyBuilder,
     aspect_graph,
     aspect_guesses,
     bucket_index,
@@ -117,7 +116,7 @@ def test_add_block_keys_a_point_on_an_edge():
     g = CompressedGraph(np.zeros((1, 1)), 0.1)
     assert pairwise_sqdist(P, g.centers)[0, 0] == s      # exactly on the edge
     g.add_block(P)
-    assert vertex_items(g) == [(((283,), None), 1)]
+    assert vertex_items(g) == [((283,), 1)]
     assert g.vertex_arrays()[0][0, 0] == s
 
 
@@ -146,41 +145,15 @@ def test_coincident_points_share_a_zero_slot():
     g = CompressedGraph(C, 0.5)
     keys = row_keys(g, np.array([[0.0, 0.0], [0.0, 0.0]]))
     assert keys[0] == keys[1]
-    slots, _group = vertex_key(keys[0], g.k)
+    slots = vertex_key(keys[0])
     assert slots[0] == ZERO_ID
     g.add_block(np.array([[0.0, 0.0]]))
     assert g.vertex_arrays()[0][0, 0] == 0.0
 
 
-def test_groups_split_vertices():
-    C = np.zeros((1, 2))
-    g = CompressedGraph(C, 0.5)
-    g.add_block(np.ones((4, 2)), groups=[0, 0, 1, 1])
-    assert len(g.vertices) == 2
-    assert all(c == 2 for _k, c in g.vertices.items())
-
-
-@pytest.mark.parametrize("first, then", [(None, [2]), ([2, 2], None)],
-                         ids=["groups after none", "none after groups"])
-def test_a_graph_takes_groups_on_every_block_or_on_none(first, then):
-    # keys with and without a group have different widths
-    g = CompressedGraph(np.zeros((1, 2)), 0.5)
-    g.add_block(np.ones((2, 2)), groups=first)
-    before = vertex_items(g)
-    with pytest.raises(ValueError, match="groups on all of them or none"):
-        g.add_block(np.ones((1, 2)), groups=then)
-    assert vertex_items(g) == before and not g.key_builder.table
-    # a stacked pass is held to the same rule
-    kb = KeyBuilder([CompressedGraph(np.zeros((1, 2)), 0.5),
-                     CompressedGraph(np.ones((1, 2)), 0.5)])
-    kb.bucket_block(np.ones((2, 2)), first)
-    with pytest.raises(ValueError, match="groups on all of them or none"):
-        kb.bucket_block(np.ones((1, 2)), then)
-
-
 def test_an_empty_graph_gives_empty_arrays():
-    W, counts, groups = CompressedGraph(np.zeros((3, 2)), 0.5).vertex_arrays()
-    assert W.shape == (0, 3) and counts.shape == (0,) and groups is None
+    W, counts = CompressedGraph(np.zeros((3, 2)), 0.5).vertex_arrays()
+    assert W.shape == (0, 3) and counts.shape == (0,)
 
 
 def test_grid_groups_bucket_count_regression():
@@ -237,7 +210,7 @@ def test_aspect_contraction():
     # center 1 keeps its plain bucket
     tiny = u / n**2 / 2
     P = np.array([[tiny, 0.0]])
-    key, _grp = vertex_key(row_keys(g, P)[0], g.k)
+    key = vertex_key(row_keys(g, P)[0])
     assert key[0] == ZERO_ID
     assert key[1] == bucket_index(pairwise_sqdist(P, C)[0, 1], 0.5)
     g.add_block(P)

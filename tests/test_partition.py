@@ -267,12 +267,13 @@ def test_partition_bound_is_at_most_partition_cost():
             Variant.r_capacity(1),                # room for k of the n points
             Variant.fault_tolerant(k + 1),
         ]
-        graphs = {None: build_compressed(ds.points, C, 0.5),
-                  "color": build_compressed(ds.points, C, 0.5, groups=ds.colors),
-                  "target": build_compressed(ds.points, C, 0.5, groups=ds.targets)}
+        graph = build_compressed(ds.points, C, 0.5)
         for variant in variants:
-            column = {"chromatic": "color", "semi_supervised": "target"}.get(variant.kind)
-            for data, centers in ((ds, C), (graphs[column], None)):
+            # a graph's keys carry no labels: variants that read one run on points
+            sides = [(ds, C)]
+            if variant.kind not in ("chromatic", "semi_supervised"):
+                sides.append((graph, None))
+            for data, centers in sides:
                 for bits in (1, 8, 32, 62):
                     bound = partition_bound(data, centers, variant, precision_bits=bits)
                     cost = partition_cost(data, centers, variant, precision_bits=bits)

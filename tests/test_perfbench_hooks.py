@@ -43,7 +43,8 @@ def test_every_layertrace_hook_resolves(monkeypatch):
 
 
 def test_a_traced_stream_solve_counts_its_graphs(monkeypatch):
-    # the compressed_partition callback reads every solved graph's vertices
+    # the compressed_partition callback reads every solved graph's vertices;
+    # of the stream variants only r_gather and r_capacity build graphs
     ds, _info = gaussian_groups(300, 3, rng=np.random.default_rng(7))
     cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=16, tau=1,
                             repetitions=2, subset_budget=4)
@@ -52,7 +53,7 @@ def test_a_traced_stream_solve_counts_its_graphs(monkeypatch):
     try:
         tracer.begin_solve(0)
         res = ckmeans.streaming.full_pipeline(ckmeans.streaming.ArraySource(ds, block=64), 3,
-                                              Variant.classical(), cfg,
+                                              Variant.r_gather(50), cfg,
                                               np.random.default_rng(1))
     finally:
         tracer.uninstall()

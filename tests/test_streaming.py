@@ -16,6 +16,7 @@ from ckmeans.data import (
     write_dataset_csv,
 )
 from ckmeans.geometry import pairwise_sqdist, phi_cost
+from ckmeans import partition as partition_module
 from ckmeans.hyperbucket import CompressedGraph, KeyBuilder
 from ckmeans.listgen import CandidateEntry, CandidateList, GoodCentersConfig, good_centers
 from ckmeans.partition import (
@@ -370,6 +371,22 @@ def test_precision_bits_are_checked_before_the_first_pass(monkeypatch, bits):
                     precision_bits=bits)
 
 
+def test_the_winner_rule_is_checked_before_the_first_pass(monkeypatch):
+    ds, _ = planted(9)
+    source = ArraySource(ds)
+    with pytest.raises(ValueError, match="unknown selection mode 'rnage'"):
+        full_pipeline(source, 3, Variant.classical(), CFG, np.random.default_rng(0),
+                      select_mode="rnage")
+    assert source.passes == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch_solve seeded before checking select_mode")
+    monkeypatch.setattr(streaming, "d2_seed", refuse)
+    with pytest.raises(ValueError, match="unknown selection mode 'rnage'"):
+        batch_solve(ds, 3, Variant.classical(), CFG, np.random.default_rng(0),
+                    select_mode="rnage")
+
+
 class _TargetsGoneOnPass(ArraySource):
     """Drops the target column from pass `gone` on."""
 
@@ -383,14 +400,14 @@ class _TargetsGoneOnPass(ArraySource):
 
 
 def test_pipeline_semi_supervised_needs_targets():
-    """One message for a missing target column: in batch, in the graph
+    """One message for a missing target column: in batch, in the scoring
     pass and in the assign pass."""
     ds, info = planted(10)
     message = "semi_supervised needs a target column"
     with pytest.raises(ValueError, match=message):
         batch_solve(ds, 3, Variant.semi_supervised(0.5), CFG, np.random.default_rng(0))
     labeled = with_targets(ds, info["labels"])
-    for gone in (3, 4):         # the graph pass, then the assign pass
+    for gone in (3, 4):         # the scoring pass, then the assign pass
         source = _TargetsGoneOnPass(labeled, gone)
         with pytest.raises(ValueError, match=message):
             full_pipeline(source, 3, Variant.semi_supervised(0.5), CFG,
@@ -466,36 +483,64 @@ def test_pipeline_semi_supervised_cost_is_a_matching_blend():
     assert pr.cost > alpha * sq.sum()   # some emitted owner pays the mismatch
 
 
+def count_graph_objects(monkeypatch):
+    """Count the CompressedGraph, KeyBuilder and CompressedSolution
+    objects built from here on, and the compressed_partition calls."""
+    built = {"graphs": 0, "builders": 0, "solutions": 0, "solves": 0}
+    for cls, key in ((CompressedGraph, "graphs"), (KeyBuilder, "builders"),
+                     (CompressedSolution, "solutions")):
+        def counting(self, *args, _key=key, _init=cls.__init__, **kw):
+            built[_key] += 1
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counting)
+    solve = streaming.compressed_partition
+
+    def counting_solve(*args, **kw):
+        built["solves"] += 1
+        return solve(*args, **kw)
+    monkeypatch.setattr(streaming, "compressed_partition", counting_solve)
+    return built
+
+
 def test_pipeline_aspect_builds_one_graph_per_candidate(monkeypatch):
-    built = []
-    init = CompressedGraph.__post_init__
-
-    def counting_init(self):
-        built.append(self)
-        init(self)
-
-    monkeypatch.setattr(CompressedGraph, "__post_init__", counting_init)
+    built = count_graph_objects(monkeypatch)
     ds, _ = planted(33)
-    pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
+    pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.r_capacity(48), CFG,
                        np.random.default_rng(34), aspect_removal=True)
-    assert len(built) == pr.list_size
+    assert built["graphs"] == built["solves"] == pr.list_size
+
+
+@pytest.mark.parametrize("aspect", [False, True])
+@pytest.mark.parametrize("kind", ["classical", "fault_tolerant", "semi_supervised"])
+def test_closed_form_streams_build_no_graph(monkeypatch, kind, aspect):
+    # scored and assigned by their closed form: no graph, no key builder,
+    # no flow solve and no peel
+    ds, info = planted(33)
+    ds = with_targets(ds, info["labels"])
+    variant = {"classical": Variant.classical(), "fault_tolerant": Variant.fault_tolerant(2),
+               "semi_supervised": Variant.semi_supervised(0.5)}[kind]
+    built = count_graph_objects(monkeypatch)
+    pr = full_pipeline(ArraySource(ds, block=16), 3, variant, CFG, np.random.default_rng(34),
+                       aspect_removal=aspect)
+    assert built == {"graphs": 0, "builders": 0, "solutions": 0, "solves": 0}
+    assert pr.passes_used == (5 if aspect else 4) and len(pr.owners) == ds.n
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "cauchy", "duplicates"])
 def test_pipeline_aspect_guess_keeps_every_center_within_2u(monkeypatch, kind):
-    """The scale guess u of the aspect graphs full_pipeline builds keeps
+    """The scale guess u of the aspect floors full_pipeline sets keeps
     every point within 2u of every center of its candidate; aspect
     removal relies on it to need no cut of far centers.  u is read back
-    from the graph's floor (u/n^2)^2."""
+    from the floor (u/n^2)^2."""
     guesses = []
-    build = streaming.aspect_graph
+    floor = streaming.aspect_floor
 
-    def recording(centers, epsilon, d_star, n):
-        g = build(centers, epsilon, d_star, n)
-        guesses.append((centers, g.contract_below * n**4))
-        return g
+    def recording(centers, d_star, n):
+        below = floor(centers, d_star, n)
+        guesses.append((centers, below * n**4))
+        return below
 
-    monkeypatch.setattr(streaming, "aspect_graph", recording)
+    monkeypatch.setattr(streaming, "aspect_floor", recording)
     rng = np.random.default_rng(41)
     if kind == "gaussian":
         ds, _ = planted(41)
@@ -662,12 +707,14 @@ def test_pipeline_space_phases_present():
 
 
 # (block, chunk, aspect removal) -> the space report; the chunks of 33
-# rows straddle blocks of 7, and chunks of 10 split blocks of 1,000
+# rows straddle blocks of 7, and chunks of 10 split blocks of 1,000.
+# The graph phase holds one running total per candidate (180 of them),
+# the assign phase the winner's
 PINNED_SPACE = {
-    (7, 33, False): (546, 16004, {"seed": (69, 0), "sample": (546, 696), "graph": (546, 16004),
-                                  "assign": (546, 188)}),
-    (1000, 10, True): (546, 14800, {"seed": (130, 0), "sample": (546, 648), "scale": (546, 0),
-                                    "graph": (546, 14800), "assign": (546, 184)}),
+    (7, 33, False): (546, 696, {"seed": (69, 0), "sample": (546, 696), "graph": (546, 180),
+                                "assign": (546, 1)}),
+    (1000, 10, True): (546, 648, {"seed": (130, 0), "sample": (546, 648), "scale": (546, 0),
+                                  "graph": (546, 180), "assign": (546, 1)}),
 }
 
 
@@ -699,9 +746,8 @@ def test_sample_phase_charges_its_banks_words(block):
 
 
 def test_graph_phase_charges_each_vertex_key_and_count(monkeypatch):
-    # a grouped vertex holds k slots, its group and its count: k + 2 words
+    # a vertex holds k slots and its count: k + 1 words
     ds, info = gaussian_groups(900, 3, sigma=0.05, rng=np.random.default_rng(3))
-    ds = with_targets(ds, np.arange(ds.n) % 300)
     cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=8, tau=1, repetitions=2,
                             subset_budget=4)
     built, init = [], KeyBuilder.__init__
@@ -711,25 +757,31 @@ def test_graph_phase_charges_each_vertex_key_and_count(monkeypatch):
         init(kb, graphs)
     monkeypatch.setattr(KeyBuilder, "__init__", init_spy)
     meter = SpaceMeter()
-    full_pipeline(ArraySource(ds, block=64), 3, Variant.semi_supervised(0.5), cfg,
+    full_pipeline(ArraySource(ds, block=64), 3, Variant.r_capacity(900), cfg,
                   np.random.default_rng(5), meter=meter)
     (graphs,) = [g for g in built if len(g) > 1]
     phases = {p["name"]: p for p in meter.report()["phases"]}
-    assert all(g.words == len(g.vertices) * (g.k + 2) for g in graphs)
+    assert all(g.words == len(g.vertices) * (g.k + 1) for g in graphs)
     assert phases["graph"]["peak_words"] == sum(g.words for g in graphs) > 0
 
 
 def test_pipeline_frees_losing_candidates_before_assign():
     ds, _ = planted(23)
     for aspect in (False, True):
-        meter = SpaceMeter()
-        pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
-                           np.random.default_rng(24), aspect_removal=aspect, meter=meter)
-        assert pr.list_size > 1
-        phases = {p["name"]: p for p in meter.report()["phases"]}
-        # the graph phase holds every candidate's graph and sets the global peak
-        assert meter.peak_words == phases["graph"]["peak_words"]
-        assert 0 < phases["assign"]["peak_words"] < phases["graph"]["peak_words"]
+        for variant in (Variant.r_capacity(48), Variant.classical()):
+            meter = SpaceMeter()
+            pr = full_pipeline(ArraySource(ds, block=16), 3, variant, CFG,
+                               np.random.default_rng(24), aspect_removal=aspect, meter=meter)
+            assert pr.list_size > 1
+            phases = {p["name"]: p for p in meter.report()["phases"]}
+            if variant.kind == "classical":
+                # a running total per candidate; the winner's stays
+                assert phases["graph"]["peak_words"] == pr.list_size
+                assert phases["assign"]["peak_words"] == 1
+                continue
+            # the graph phase holds every candidate's graph and sets the global peak
+            assert meter.peak_words == phases["graph"]["peak_words"]
+            assert 0 < phases["assign"]["peak_words"] < phases["graph"]["peak_words"]
 
 
 def test_pipelines_reject_t_above_k():
@@ -794,27 +846,33 @@ def spread_groups(n, dim=2):
 
 def joined_run(monkeypatch, ds, block, variant, aspect):
     """full_pipeline on ds in `block`-row source blocks, and what its
-    graph and assign passes saw: the rows of each array that reached
-    bucket_block and assign_block, the row table's size after every
-    bucket_block call, and the list's |U|·d."""
+    scoring and assign passes saw: the rows of each array they measured,
+    the row table's size after every bucket_block call (graph variants
+    only), and the list's |U|·d."""
+    source = ArraySource(ds, block=block)
+    scoring = 4 if aspect else 3
     seen = {"graph": [], "assign": [], "table": []}
-    bucket, assign = KeyBuilder.bucket_block, CompressedSolution.assign_block
+    measure, bucket = streaming.pairwise_sqdist, KeyBuilder.bucket_block
 
-    def bucket_spy(kb, sq, groups=None, bound=None):
-        seen["graph"].append(len(sq))
-        seen["entries"] = kb.centers.size
-        bucket(kb, sq, groups, bound)
+    def measure_spy(X, C):
+        if source.passes == scoring:
+            seen["graph"].append(len(X))
+            seen["entries"] = np.size(C)
+        elif source.passes == scoring + 1:
+            seen["assign"].append(len(X))
+        return measure(X, C)
+
+    def bucket_spy(kb, sq, bound=None):
+        bucket(kb, sq, bound)
         seen["table"].append(len(kb.table))
 
-    def assign_spy(sol, points, groups=None):
-        seen["assign"].append(len(points))
-        return assign(sol, points, groups)
-
     with monkeypatch.context() as mp:
+        # the graph variants' peel measures its block in partition
+        mp.setattr(streaming, "pairwise_sqdist", measure_spy)
+        mp.setattr(partition_module, "pairwise_sqdist", measure_spy)
         mp.setattr(KeyBuilder, "bucket_block", bucket_spy)
-        mp.setattr(CompressedSolution, "assign_block", assign_spy)
-        pr = full_pipeline(ArraySource(ds, block=block), 3, variant, JOIN_CFG,
-                           np.random.default_rng(5), aspect_removal=aspect)
+        pr = full_pipeline(source, 3, variant, JOIN_CFG, np.random.default_rng(5),
+                           aspect_removal=aspect)
     return pr, seen
 
 
@@ -860,6 +918,6 @@ def test_a_wide_list_reads_one_source_block_at_a_time(monkeypatch, aspect):
 def test_pipeline_row_table_stays_within_a_source_block(monkeypatch, block, aspect):
     # at d = 8 a joined array holds more distinct slot rows than a block
     ds = spread_groups(3000, dim=8)
-    _pr, seen = joined_run(monkeypatch, ds, block, Variant.classical(), aspect)
+    _pr, seen = joined_run(monkeypatch, ds, block, Variant.r_capacity(3000), aspect)
     assert max(seen["graph"]) > block
     assert max(seen["table"]) <= block
