@@ -11,6 +11,16 @@ import numpy as np
 # float64 entries (128 KB) of the distance temporaries by which the stream
 # passes size their stacks of chunks and joins of blocks
 ENTRIES = 2**14
+# budgets of ENTRIES (1 MB) in each temporary of the batch bounds' row
+# blocks: their gather is m·k entries wide per row, so one budget leaves
+# a few rows per block and per-block work dominates
+BOUND_BLOCKS = 8
+
+
+def block_rows(width: int, entries: int, floor: int = 1) -> int:
+    """Rows per block whose temporaries of `width` float64 entries a row
+    hold at most `entries` entries, and at least `floor` rows."""
+    return max(floor, entries // width)
 
 
 def as_points(X) -> np.ndarray:
@@ -38,6 +48,21 @@ def pairwise_sqdist(X, C) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def row_min(a) -> np.ndarray:
+    """Minimum over a's last axis, taken column by column into a new
+    array: numpy's own reduction over a short last axis is several
+    times slower.  A minimum is exact, so the bits are a.min(axis=-1)'s."""
+    cols = np.moveaxis(np.asarray(a), -1, 0)
+    if len(cols) < 2:
+        if not len(cols):
+            raise ValueError("row minimum over an empty axis")
+        return cols[0].copy()
+    out = np.minimum(cols[0], cols[1])
+    for c in cols[2:]:
+        np.minimum(out, c, out=out)
+    return out
+
+
 def check_overflow(sq) -> None:
     """Raise ValueError unless every squared distance (or sum of them) is finite."""
     if not np.isfinite(sq).all():
@@ -62,7 +87,7 @@ def phi_cost(C, X) -> float:
         raise ValueError("phi_cost needs at least one center")
     if X.shape[0] == 0:
         return 0.0
-    return float(pairwise_sqdist(X, C).min(axis=1).sum())
+    return float(row_min(pairwise_sqdist(X, C)).sum())
 
 
 def delta_cost(X) -> float:

@@ -22,14 +22,20 @@ reduction; each variant is solved on it by its own exact kernel:
 The objective throughout is the cost of assigning to fixed centers, not
 the k-means cost of re-centered clusters, and every edge cost is finite.
 owner_mask is the closed forms' owner rule, each row's l cheapest
-centers with ties to the lowest index, for the fault_tolerant kernel,
-partition_bound and the stream.  Batch assignment and the r_gather and
-r_capacity streams' peel share one owner/cost rule: raw points are
-vertices of count 1, owners are the centers that carry a vertex's flow,
-and the real cost is summed left to right in point order, then owner
-order.  partition_bound is a lower bound on partition_cost at one
-distance matrix: the cost of every unit at its row's cheapest center,
-or at its l cheapest under fault_tolerant(l), which is the cost itself.
+centers with ties to the lowest index, for the fault_tolerant kernel
+and owned_costs.  Batch assignment and the r_gather and r_capacity
+streams' peel share one owner/cost rule: raw points are vertices of
+count 1, owners are the centers that carry a vertex's flow, and the
+real cost is summed left to right in point order, then owner order.
+
+A list's candidates are measured together: candidate_sq gathers each
+candidate's costs from one distance matrix against the list's distinct
+centers, and owned_costs takes each row's owned costs under a closed
+form, for the stream's exact totals and for partition_bounds, which
+bounds every candidate's partition_cost in one blocked pass: each
+unit at its row's cheapest center, or at its l cheapest under
+fault_tolerant(l), and under semi_supervised the cheapest matching;
+for classical, fault_tolerant and semi_supervised the bound is the cost.
 """
 
 from __future__ import annotations
@@ -42,8 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .geometry import as_points, check_overflow, pairwise_sqdist
-from .hyperbucket import CompressedGraph, _distinct_rows
+from .geometry import (BOUND_BLOCKS, ENTRIES, as_points, block_rows, check_overflow,
+                       pairwise_sqdist, row_min)
+from .hyperbucket import CompressedGraph, _distinct_rows, distinct_centers
 
 # the one parameter each variant kind takes (None: it takes none)
 VARIANT_PARAMS = {
@@ -156,10 +163,20 @@ def quantize_costs(M, precision_bits: int = 32) -> tuple[np.ndarray, float]:
         raise ValueError("costs must be finite and non-negative")
     check_precision_bits(precision_bits)
     m = float(a.max(initial=0.0))
-    if m == 0.0:
-        return np.zeros(a.shape, dtype=np.int64), 0.0
-    top = float(2**precision_bits)
-    return np.rint(a / m * top).astype(np.int64), m / top
+    return _fixed_point(a, m, precision_bits), _fixed_scale(m, precision_bits)
+
+
+def _fixed_point(a, m, precision_bits: int) -> np.ndarray:
+    """a's fixed-point costs on the scale of its maximum m (a float, or
+    an array that broadcasts against a): m lands exactly on
+    2**precision_bits.  Where m is 0, a is all zeros and maps to zeros."""
+    return np.rint(a / np.where(m > 0.0, m, 1.0) * float(2**precision_bits)).astype(np.int64)
+
+
+def _fixed_scale(m, precision_bits: int):
+    """The scale that maps _fixed_point's costs back: real cost == int
+    cost * scale exactly as floats; 0 where m is 0."""
+    return m / float(2**precision_bits)
 
 
 def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
@@ -170,10 +187,44 @@ def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
     the target id matched to center i; a point pays the (1 - alpha)
     penalty on every center whose matched target differs from its own.
     """
-    W = np.asarray(W, dtype=np.float64)
+    return next(semi_supervised_blends(W, targets, alpha, [perm]))
+
+
+def target_matchings(variant: Variant, k: int) -> list:
+    """The matchings of targets onto k centers a variant is scored under:
+    every permutation under semi_supervised, else one, None."""
+    return list(itertools.permutations(range(k))) if variant.kind == "semi_supervised" else [None]
+
+
+def semi_supervised_blends(W, targets, alpha: float, perms):
+    """semi_supervised_cost_terms for each matching in perms, in order:
+    alpha * W is formed once and only the mismatch penalty is added per
+    matching, the same operations, so the same bits."""
+    A = alpha * np.asarray(W, dtype=np.float64)
     targets = np.asarray(targets)
-    mismatch = (targets[:, None] != np.asarray(perm)[None, :]).astype(np.float64)
-    return alpha * W + (1.0 - alpha) * mismatch
+    for perm in perms:
+        mismatch = (targets[:, None] != np.asarray(perm)[None, :]).astype(np.float64)
+        yield A + (1.0 - alpha) * mismatch
+
+
+def semi_supervised_row_mins(D, targets, alpha: float, perms):
+    """row_min of semi_supervised_cost_terms(D, targets, alpha, perm) for
+    each matching in perms, in order, bit for bit, without the blend.
+    A row pays alpha * D on its target's center and alpha * D +
+    (1 - alpha) on every other; both maps are monotone, so its minimum
+    is the lesser of alpha * D on that center and alpha * row_min(D) +
+    (1 - alpha), the penalized minimum over all centers, which the
+    target's own center cannot undercut once penalized."""
+    D = np.asarray(D, dtype=np.float64)
+    k = D.shape[-1]
+    targets = np.asarray(targets)
+    other = alpha * row_min(D) + (1.0 - alpha)
+    known = (targets >= 0) & (targets < k)
+    target, rows = np.where(known, targets, 0), np.arange(len(targets))
+    for perm in perms:
+        # each row's cost on the center its target is matched to
+        own = D[..., rows, np.argsort(perm)[target]]
+        yield np.where(known, np.minimum(alpha * own, other), other)
 
 
 def owner_mask(w, l: int = 1) -> np.ndarray:
@@ -188,6 +239,21 @@ def owner_mask(w, l: int = 1) -> np.ndarray:
         rank[i] += later
         rank[j] += ~later
     return np.moveaxis(rank < l, 0, -1)
+
+
+def owned_costs(D, groups, variant: Variant, perms):
+    """The costs the rows of an (m, rows, k) stack of candidates' costs
+    pay under a closed form's owner rule, one (m, rows * owners) array
+    per matching in perms (target_matchings), each row's costs in owner
+    order: its minimum, its l cheapest under fault_tolerant(l)
+    (owner_mask), or its minimum under the matching's blend
+    (semi_supervised).  The other variants pay at least the row minimum,
+    so that bounds them."""
+    if variant.kind == "semi_supervised":
+        return semi_supervised_row_mins(D, groups, variant.alpha, perms)
+    if variant.kind == "fault_tolerant" and variant.l > 1:
+        return [D[owner_mask(D, variant.l)].reshape(len(D), -1)]
+    return [row_min(D)]
 
 
 def _owner_tuples(owns: np.ndarray) -> list:
@@ -235,15 +301,26 @@ def _left_side(data, centers, variant: Variant) -> _LeftSide:
                      variant_groups(variant, ds.colors, ds.targets))
 
 
+def _limb_total(w_int, flows=None, axis=None):
+    """sum(flows * w_int) over axis as exact Python ints (an object array
+    over the other axes), for non-negative flows (1 per entry if None)
+    and costs of at most 2**62.  One int64 sum would wrap at 62
+    precision bits, so the costs are split into 31-bit limbs: while the
+    units summed stay below 2**32, each limb's int64 sum stays below
+    2**63."""
+    hi, lo = w_int >> 31, w_int & (2**31 - 1)
+    if flows is not None:
+        hi, lo = flows * hi, flows * lo
+    return (hi.sum(axis=axis).astype(object) << 31) + lo.sum(axis=axis).astype(object)
+
+
 def _exact_total(flows, w_int) -> int:
     """sum(flows * w_int) as an exact Python int, for non-negative flows
-    and costs of at most 2**62 in arrays of one shape.  One int64 sum
-    would wrap at 62 precision bits, so the costs are split into 31-bit
-    limbs: while the units F = flows.sum() stay below 2**32, each limb's
-    int64 dot stays below 2**63.  Larger F is summed in Python ints."""
+    and costs of at most 2**62 in arrays of one shape: by _limb_total
+    while the units F = flows.sum() stay below 2**32, larger F in
+    Python ints."""
     if int(flows.sum()) < 2**32:
-        hi, lo = w_int >> 31, w_int & (2**31 - 1)
-        return (int(np.vdot(flows, hi)) << 31) + int(np.vdot(flows, lo))
+        return int(_limb_total(w_int, flows))
     nz = np.nonzero(flows)
     return sum(f * w for f, w in zip(flows[nz].tolist(), w_int[nz].tolist()))
 
@@ -384,11 +461,12 @@ _KERNELS = {
 }
 
 
-def _semi_supervised(left: _LeftSide, alpha: float, precision_bits: int):
+def _semi_supervised(left: _LeftSide, variant: Variant, precision_bits: int):
     """Unconstrained, so each of the k! target matchings is a row argmin."""
     best = None
-    for perm in itertools.permutations(range(left.weights.shape[1])):
-        M = semi_supervised_cost_terms(left.weights, left.groups, alpha, perm)
+    perms = target_matchings(variant, left.weights.shape[1])
+    blends = semi_supervised_blends(left.weights, left.groups, variant.alpha, perms)
+    for perm, M in zip(perms, blends):
         w_int, scale = quantize_costs(M, precision_bits)
         # unbounded: transport_assign's row argmin, never infeasible
         solved = transport_assign(w_int, left.counts, 0, left.total)
@@ -405,7 +483,7 @@ def _solve_left(left: _LeftSide, variant: Variant, precision_bits: int):
     semi_supervised and None otherwise.
     """
     if variant.kind == "semi_supervised":
-        return _semi_supervised(left, variant.alpha, precision_bits)
+        return _semi_supervised(left, variant, precision_bits)
     w_int, scale = quantize_costs(left.weights, precision_bits)
     solved = _KERNELS[variant.kind](w_int, left, variant)
     return None if solved is None else (solved[0], scale, solved[1], None)
@@ -427,24 +505,93 @@ def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32)
     return float(int_cost) * scale
 
 
-def partition_bound(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
-    """A lower bound on partition_cost at one distance matrix: each
-    row's l cheapest quantized costs, summed, where l is fault_tolerant's
-    l and 1 for the other variants.  Every kernel but semi_supervised's
-    sends each unit at least to its row's cheapest center on one
-    quantization, infeasible or not, and fault_tolerant(l) sends it to
-    exactly its l cheapest, so for l <= k its bound is its cost;
-    semi_supervised quantizes each matching on its own scale, so its
-    bound is 0.  It raises where partition_cost raises."""
-    left = _left_side(data, centers, variant)
-    if variant.kind == "semi_supervised":
-        check_precision_bits(precision_bits)
-        return 0.0
-    w_int, scale = quantize_costs(left.weights, precision_bits)
-    if variant.kind != "fault_tolerant":
-        return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
-    # summed exactly: at 62 bits a row of l costs can pass 2**63
-    return float(_exact_total(owner_mask(w_int, variant.l) * left.counts[:, None], w_int)) * scale
+def candidate_sq(points, U, col) -> np.ndarray:
+    """(m, rows, k): each candidate's squared distances to the rows of
+    points, gathered from pairwise_sqdist(points, U) by the (m, k)
+    column map col of hyperbucket.distinct_centers, and bit-equal to
+    each candidate's own matrix.  An overflow raises ValueError."""
+    sq = pairwise_sqdist(points, U)
+    check_overflow(sq)
+    # laid out (rows, k, m): a center's column of every candidate is one run
+    return sq[:, col.T].transpose(2, 0, 1)
+
+
+def _semi_supervised_tops(T, seen, alpha: float, perms) -> np.ndarray:
+    """(len(perms), m): the largest blended cost of each candidate under
+    each matching.  T[c, i, j] is the largest squared distance between
+    candidate i's center j and a row of target class c (class k: a
+    target no center is matched to), seen[c] whether class c has a row.
+    A row pays alpha * D on its target's center and alpha * D +
+    (1 - alpha) on the others; both maps are monotone, so each maximum
+    is that map of a maximum of T.  An empty class holds 0.0, which
+    leaves the unpenalized maximum as it is but must not be penalized."""
+    k = T.shape[2]
+    tops = np.zeros((len(perms), T.shape[1]))
+    for top, perm in zip(tops, perms):
+        center = np.argsort(perm)              # the center matched to each target
+        top[:] = alpha * T[np.arange(k), :, center].max(axis=0)
+        other = seen[:, None] & (np.arange(k) != np.append(center, -1)[:, None])
+        if other.any():
+            np.maximum(top, alpha * T.transpose(0, 2, 1)[other].max(axis=0) + (1.0 - alpha),
+                       out=top)
+    return tops
+
+
+def partition_bounds(data, stack, variant: Variant, *, precision_bits: int = 32) -> np.ndarray:
+    """A lower bound on partition_cost for every candidate of an (m, k, d)
+    stack, each on its own quantization: the sum of each row's l
+    cheapest fixed-point costs, where l is fault_tolerant's l and 1 for
+    the other variants.  Every kernel but semi_supervised's sends each
+    unit at least to its row's cheapest center, feasible or not, and
+    fault_tolerant(l) sends it to exactly its l cheapest, so for l <= k
+    the bound is its cost.  semi_supervised's is the smallest over
+    target matchings of each matching's row-minimum total, which is its
+    cost.  It raises where partition_cost raises.
+
+    The points are measured in row blocks against the stack's distinct
+    centers U, sized so that a block's distance and gather temporaries
+    hold at most BOUND_BLOCKS * ENTRIES entries (1 MB) each.  A first
+    pass takes U's column maxima (per target class under
+    semi_supervised), which give each candidate's largest cost, its
+    quantization scale, with no gather.  A second gathers each
+    candidate's costs and sums its rows' owned costs (owned_costs),
+    quantized as quantize_costs does, exactly in 31-bit limbs
+    (_limb_total, as _exact_total sums).
+    Quantizing is monotone, so a row's cheapest quantized costs are its
+    cheapest costs quantized.
+    """
+    ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
+    groups = variant_groups(variant, ds.colors, ds.targets)
+    check_precision_bits(precision_bits)
+    stack = np.asarray(stack, dtype=np.float64)
+    m, k, d = stack.shape
+    U, col = distinct_centers(stack.reshape(-1, d))
+    col = col.reshape(m, k)
+    rows = block_rows(max(U.size, col.size), BOUND_BLOCKS * ENTRIES)
+    blocks = [slice(lo, lo + rows) for lo in range(0, ds.n, rows)]
+    semi = variant.kind == "semi_supervised"
+    perms = target_matchings(variant, k)
+    # a row's class: its target where a center can be matched to it, else k
+    cls = np.where((groups >= 0) & (groups < k), groups, k) if semi else None
+    top = np.zeros((k + 1 if semi else 1, len(U)))
+    for b in blocks:
+        sq = pairwise_sqdist(ds.points[b], U)
+        check_overflow(sq)
+        for c, part in enumerate([sq[cls[b] == c] for c in range(k + 1)] if semi else [sq]):
+            np.maximum(top[c], part.max(axis=0, initial=0.0), out=top[c])
+    tops = (_semi_supervised_tops(top[:, col], np.bincount(cls, minlength=k + 1) > 0,
+                                  variant.alpha, perms) if semi
+            else top[0][col].max(axis=1)[None])
+    totals = np.zeros(tops.shape, dtype=object)
+    for b in blocks:
+        D = candidate_sq(ds.points[b], U, col)
+        for p, v in enumerate(owned_costs(D, None if groups is None else groups[b], variant,
+                                          perms)):
+            # a block's rows sum in int64 limbs, the blocks in Python ints
+            totals[p] += _limb_total(_fixed_point(v, tops[p][:, None], precision_bits), axis=1)
+    scales = _fixed_scale(tops, precision_bits)
+    return np.array([[float(t) * s for t, s in zip(*r)]
+                     for r in zip(totals.tolist(), scales.tolist())]).min(axis=0)
 
 
 def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 32) -> Assignment:

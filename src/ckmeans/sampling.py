@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import as_points, check_overflow, pairwise_sqdist
+from .geometry import as_points, check_overflow, pairwise_sqdist, row_min
 
 
 def _checked_weights(weights, n: int) -> np.ndarray:
@@ -45,7 +45,7 @@ def d2_distribution(X, C) -> np.ndarray:
     X = as_points(X)
     if X.shape[0] == 0:
         raise ValueError("cannot sample from an empty point set")
-    p = pairwise_sqdist(X, C).min(axis=1)
+    p = row_min(pairwise_sqdist(X, C))
     if p.sum() == 0.0:
         p = np.ones(X.shape[0])
     return p / p.sum()

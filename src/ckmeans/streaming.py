@@ -14,8 +14,9 @@ costs summed left to right; the assign pass applies the winner's owner
 rule.  r_gather and r_capacity key a compressed graph per candidate,
 from a table of up to a block's distinct rows, solve the graphs offline
 between passes and peel the winner's flow.  batch_solve is the
-in-memory pipeline behind `ckmeans solve`; in argmin mode it solves
-candidates exactly in ascending order of a lower bound on their cost,
+in-memory pipeline behind `ckmeans solve`; in argmin mode it bounds
+every candidate's cost from below in one blocked pass over the list's
+distinct centers, solves candidates exactly in ascending bound order,
 and stops once no bound can beat the best.  Both build their candidate
 list with listgen.candidate_list, from D^2 samples drawn in memory or
 from reservoirs filled in one pass, and pick the winner by the same rule.
@@ -23,8 +24,6 @@ from reservoirs filled in one pass, and pick the winner by the same rule.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, iter_dataset_csv
-from .geometry import ENTRIES, as_points, check_overflow, pairwise_sqdist
+from .geometry import ENTRIES, as_points, block_rows, pairwise_sqdist, row_min
 from .hyperbucket import CompressedGraph, KeyBuilder, aspect_floor, aspect_graph, distinct_centers
 from .listgen import CandidateList, GoodCentersConfig, candidate_list, good_centers
 from .partition import (
@@ -40,13 +39,16 @@ from .partition import (
     Variant,
     _owner_tuples,
     _running_sum,
+    candidate_sq,
     check_precision_bits,
     compressed_partition,
+    owned_costs,
     owner_mask,
     partition_assign,
-    partition_bound,
+    partition_bounds,
     partition_cost,
     semi_supervised_cost_terms,
+    target_matchings,
     variant_groups,
 )
 from .sampling import ReservoirBank
@@ -234,9 +236,9 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
         meter.alloc_points(reps * R)
         meter.alloc_words(sum(bank.words for bank in banks))
         seen = 0
-        rows = max(source.block, ENTRIES // C.size)
+        rows = block_rows(C.size, ENTRIES, source.block)
         for (pts,) in chunks(((pts,) for pts in source.open_points()), rows):
-            w = pairwise_sqdist(pts, C).min(axis=1)
+            w = row_min(pairwise_sqdist(pts, C))
             for bank in banks:
                 # an offer grows or shrinks the bank's pending draws
                 meter.free_words(bank.words)
@@ -343,29 +345,24 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     # costs summed in point order, so the join moves no output
     m = len(cands)
     U, col = distinct_centers(np.vstack([e.centers for e in cands.entries]))
-    rows = max(source.block, ENTRIES // U.size)
+    col = col.reshape(m, k)
+    rows = block_rows(U.size, ENTRIES, source.block)
 
     def grouped(blocks):
         # each block's groups are checked as it arrives, before a join reads on
         return chunks(((pts, variant_groups(variant, c, t)) for pts, c, t in blocks), rows)
-
-    def candidate_sq(pts):
-        # (m, rows, k): each candidate's squared distances, gathered from U
-        sq = pairwise_sqdist(pts, U)
-        check_overflow(sq)
-        return sq[:, col].reshape(len(pts), m, k).transpose(1, 0, 2)
 
     d_star = None
     if aspect_removal:
         with meter.phase("scale"):
             worst = np.zeros(m)
             for (pts,) in chunks(((pts,) for pts, _c, _t in source.open()), rows):
-                worst = np.maximum(worst, candidate_sq(pts).min(axis=2).max(axis=1))
+                worst = np.maximum(worst, row_min(candidate_sq(pts, U, col)).max(axis=1))
             d_star = np.sqrt(worst)
 
     closed = variant.kind in CLOSED_FORM
     l = variant.l if variant.kind == "fault_tolerant" else 1
-    perms = list(itertools.permutations(range(k))) if variant.kind == "semi_supervised" else [None]
+    perms = target_matchings(variant, k)
 
     def rule_costs(sq, groups, perm, floor):
         # the costs a closed form ranks: zeroed below the floor, blended under perm
@@ -380,13 +377,10 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             totals = np.zeros((len(perms), m))
             meter.alloc_words(totals.size)
             for pts, groups in grouped(source.open()):
-                D = candidate_sq(pts)
-                for total, perm in zip(totals, perms):
-                    w = rule_costs(D, groups, perm, floors[:, None, None])
-                    # each point's owned costs in owner order: one owner pays its row's
-                    # minimum, column by column (a min over a short last axis is slow)
-                    owned = (functools.reduce(np.minimum, np.moveaxis(w, 2, 0)) if l == 1
-                             else w[owner_mask(w, l)].reshape(m, -1))
+                D = candidate_sq(pts, U, col)
+                if aspect_removal:
+                    D = np.where(D < floors[:, None, None], 0.0, D)
+                for total, owned in zip(totals, owned_costs(D, groups, variant, perms)):
                     owned[:, 0] += total
                     total[:] = np.add.accumulate(owned, axis=1)[:, -1]
             costs = totals.min(axis=0) if l <= k else np.full(m, math.inf)
@@ -461,9 +455,12 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
                 select_mode: str = "argmin", precision_bits: int = 32) -> BatchResult:
     """Offline reference pipeline: batch seed, batch candidate list,
     exact (uncompressed) partitions, best one wins; what `ckmeans solve`
-    runs.  argmin mode solves candidates in ascending (partition_bound,
-    index) order until no bound can beat the best (cost, index); the
-    rest keep cost +inf, so the argmin and its tie-break stay.  Range
+    runs.  argmin mode bounds every candidate in one blocked pass over
+    the list's distinct centers (partition_bounds), solves candidates in
+    ascending (bound, index) order until no bound can beat the best
+    (cost, index), and leaves the rest at cost +inf, so the argmin and
+    its tie-break stay.  Where the bound is the cost (classical,
+    fault_tolerant, semi_supervised) one candidate is solved.  Range
     mode caps at the largest finite cost, known only after every solve,
     so it solves every candidate."""
     _check_t(cfg, k)
@@ -478,8 +475,8 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
         raise InfeasiblePartitionError("candidate list came back empty")
     m = len(cands)
     bounds = ([-math.inf] * m if select_mode == "range" else
-              [partition_bound(ds, e.centers, variant, precision_bits=precision_bits)
-               for e in cands.entries])
+              partition_bounds(ds, np.stack([e.centers for e in cands.entries]), variant,
+                               precision_bits=precision_bits).tolist())
     costs = np.full(m, math.inf)
     best = (math.inf, m)
     for i in sorted(range(m), key=lambda j: (bounds[j], j)):

@@ -17,6 +17,9 @@ The matrix:
     by `ckmeans gen`; a centers CSV of three rows of the first;
   - solve: six variants x argmin/range x --bits 8/32/62 x seeds 1-2,
     with --candidates;
+  - solve at the desk defaults (no knob flags: 800 candidates, so the
+    bounds run over many row blocks): classical, fault_tolerant and
+    semi_supervised under argmin and range;
   - stream: five variants x aspect removal off/on x --block 7/64/256 x
     argmin/range;
   - partition: six variants;
@@ -51,6 +54,7 @@ VARIANTS = {
     "semi_supervised": ["--alpha", "0.5"],
 }
 STREAMED = [v for v in VARIANTS if v != "chromatic"]
+DESK_SOLVED = ["classical", "fault_tolerant", "semi_supervised"]
 TIMING = re.compile(r"^ckmeans: \d+\.\d+s\n", re.MULTILINE)
 
 
@@ -78,6 +82,11 @@ def runs():
                                 ["solve", "gauss.csv", "--k", "3", "--seed", seed, *KNOBS,
                                  *_variant(v), "--select", mode, "--bits", bits,
                                  "--candidates", "run.cands.csv", "--out", "run"]))
+    for v in DESK_SOLVED:
+        for mode in ("argmin", "range"):
+            out.append((f"solve desk {v} {mode}",
+                        ["solve", "gauss.csv", "--k", "3", "--seed", "1", *_variant(v),
+                         "--select", mode, "--out", "run"]))
     for v in STREAMED:
         for aspect in ((), ("--aspect-removal",)):
             for block in ("7", "64", "256"):

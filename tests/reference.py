@@ -23,9 +23,14 @@ from ckmeans.partition import (
     Assignment,
     InfeasiblePartitionError,
     Variant,
+    _exact_total,
+    _left_side,
     check_precision_bits,
+    owner_mask,
     partition_assign,
     partition_cost,
+    quantize_costs,
+    semi_supervised_cost_terms,
 )
 from ckmeans.stability import cluster_stats
 
@@ -175,6 +180,28 @@ def fault_tolerant_reduce(ds: Dataset, l: int) -> Dataset:
     pts = np.repeat(ds.points, l, axis=0)
     colors = np.repeat(np.arange(ds.n, dtype=np.int64), l)
     return Dataset(pts, colors, None)
+
+
+def partition_bound(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
+    """One candidate's partition.partition_bounds, from its own distance
+    matrix (or a CompressedGraph's vertices, centers ignored): each
+    row's l cheapest quantized costs summed, l being fault_tolerant's l
+    and 1 otherwise; under semi_supervised the smallest over target
+    matchings of that row-minimum total on each matching's own scale."""
+    left = _left_side(data, centers, variant)
+    if variant.kind == "semi_supervised":
+        check_precision_bits(precision_bits)
+        totals = []
+        for perm in itertools.permutations(range(left.weights.shape[1])):
+            M = semi_supervised_cost_terms(left.weights, left.groups, variant.alpha, perm)
+            w_int, scale = quantize_costs(M, precision_bits)
+            totals.append(float(_exact_total(left.counts, w_int.min(axis=1))) * scale)
+        return min(totals)
+    w_int, scale = quantize_costs(left.weights, precision_bits)
+    if variant.kind != "fault_tolerant":
+        return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
+    # summed exactly: at 62 bits a row of l costs can pass 2**63
+    return float(_exact_total(owner_mask(w_int, variant.l) * left.counts[:, None], w_int)) * scale
 
 
 def assignment_valid(assignment: Assignment, variant: Variant, n: int, k: int,

@@ -8,6 +8,7 @@ own flow row, and the cost summed in Python over the (blended) edge
 costs, point by point, then owner by owner.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -29,8 +30,11 @@ from ckmeans.partition import (
     owner_mask,
     partition_assign,
     partition_cost,
+    semi_supervised_blends,
     semi_supervised_cost_terms,
+    semi_supervised_row_mins,
 )
+from ckmeans.geometry import row_min
 from reference import assignment_valid
 
 
@@ -123,6 +127,27 @@ def test_owner_mask_takes_the_first_l_of_a_stable_sort(shape):
         want = np.zeros(shape, dtype=bool)
         np.put_along_axis(want, order[..., :l], True, axis=-1)
         assert np.array_equal(owner_mask(w, l), want), l
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+def test_semi_supervised_row_mins_equal_the_blends_row_minima(alpha):
+    # the closed forms' semi_supervised row minima, taken without blending,
+    # are bit-equal to row minima of the full blend; so is the blend formed
+    # once per array to one formed per matching
+    rng = np.random.default_rng(int(alpha * 10) + 61)
+    for _ in range(30):
+        m, rows, k = (int(v) for v in rng.integers(1, 6, 3))
+        D = rng.normal(size=(m, rows, k)) ** 2 * 10.0 ** rng.uniform(-6, 6)
+        D[rng.random(D.shape) < 0.2] = 0.0      # coincident points
+        targets = rng.integers(0, k + 2, rows)  # k and k + 1 match no center
+        perms = list(itertools.permutations(range(k)))
+        blends = list(semi_supervised_blends(D, targets, alpha, perms))
+        mins = list(semi_supervised_row_mins(D, targets, alpha, perms))
+        for perm, blend, low in zip(perms, blends, mins):
+            want = semi_supervised_cost_terms(D, targets, alpha, perm)
+            assert np.array_equal(blend, want)
+            assert np.array_equal(low, want.min(axis=-1))
+            assert np.array_equal(row_min(want), low)
 
 
 def test_label_columns_and_graphs_are_checked_once():

@@ -21,6 +21,7 @@ from ckmeans.geometry import (
     pairwise_sqdist,
     phi_cost,
     psi_cost,
+    row_min,
 )
 from reference import squared_dist, voronoi_labels, voronoi_partition
 
@@ -213,3 +214,19 @@ print("numpy.ma" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (40, 3), (7, 9, 6), (0, 4)])
+def test_row_min_is_numpys_min_over_the_last_axis(shape):
+    a = np.random.default_rng(sum(shape)).integers(0, 5, size=shape).astype(float)
+    got = row_min(a)
+    assert got.shape == shape[:-1] and np.array_equal(got, a.min(axis=-1))
+    got[...] = -1.0     # a new array, never a view of its input
+    assert (a >= 0.0).all()
+    if a.size:  # a transposed, non-contiguous input
+        assert np.array_equal(row_min(a.T), a.T.min(axis=-1))
+
+
+def test_row_min_over_no_columns_raises():
+    with pytest.raises(ValueError, match="empty axis"):
+        row_min(np.zeros((3, 0)))

@@ -20,14 +20,16 @@ from ckmeans.partition import (
     Variant,
     _exact_total,
     partition_assign,
-    partition_bound,
+    partition_bounds,
     partition_cost,
     quantize_costs,
 )
+from ckmeans import partition as partition_module
 from reference import (
     assignment_valid,
     fault_tolerant_direct,
     fault_tolerant_reduce,
+    partition_bound,
     voronoi_partition,
 )
 
@@ -269,22 +271,29 @@ def test_partition_bound_is_at_most_partition_cost():
         ]
         graph = build_compressed(ds.points, C, 0.5)
         for variant in variants:
-            # a graph's keys carry no labels: variants that read one run on points
+            # points are bounded in the stacked form; a graph, whose keys carry
+            # no labels, by the reference's per-candidate form
             sides = [(ds, C)]
             if variant.kind not in ("chromatic", "semi_supervised"):
                 sides.append((graph, None))
             for data, centers in sides:
                 for bits in (1, 8, 32, 62):
-                    bound = partition_bound(data, centers, variant, precision_bits=bits)
+                    bound = (partition_bound(data, centers, variant, precision_bits=bits)
+                             if centers is None else
+                             partition_bounds(data, C[None], variant, precision_bits=bits)[0])
                     cost = partition_cost(data, centers, variant, precision_bits=bits)
                     assert math.isfinite(bound) and 0.0 <= bound <= cost, (variant, bits)
                     seen["finite" if math.isfinite(cost) else "infeasible"] += 1
-                    if variant.kind == "fault_tolerant" and variant.l <= k:
-                        # the closed form's cost is its l cheapest costs per row
+                    if (variant.kind == "semi_supervised"
+                            or variant.kind == "fault_tolerant" and variant.l <= k):
+                        # the closed forms' cost: the l cheapest costs per row, or
+                        # semi_supervised's cheapest matching of row minima
                         assert bound == cost, (variant, bits)
-                        equal.append(variant.l)
+                        equal.append((variant.kind, variant.l))
     assert min(seen.values()) > 100
-    assert len(equal) > 40 and max(equal) >= 2
+    tolerant = [l for kind, l in equal if kind == "fault_tolerant"]
+    assert len(tolerant) > 40 and max(tolerant) >= 2
+    assert sum(kind == "semi_supervised" for kind, _l in equal) > 40
 
 
 def test_partition_bound_is_the_voronoi_cost_of_classical():
@@ -293,7 +302,7 @@ def test_partition_bound_is_the_voronoi_cost_of_classical():
         ds, C = random_instance(rng)
         for bits in (8, 32, 62):
             v = Variant.classical()
-            assert (partition_bound(ds, C, v, precision_bits=bits)
+            assert (partition_bounds(ds, C[None], v, precision_bits=bits)[0]
                     == partition_cost(ds, C, v, precision_bits=bits))
 
 
@@ -304,14 +313,90 @@ def test_partition_bound_raises_where_partition_cost_raises():
              Variant.chromatic(), Variant.fault_tolerant(1), Variant.semi_supervised(0.0)]
     labels = np.zeros(2, dtype=np.int64)
     far, near = Dataset(X, labels, labels), Dataset(X[:1], labels[:1], labels[:1])
+    def stacked(data, centers, variant, **kw):
+        return partition_bounds(data, centers[None], variant, **kw)
+
     for variant in kinds:
-        for call in (partition_bound, partition_cost):
+        for call in (stacked, partition_cost):
             with pytest.raises(ValueError, match="overflows float64"):
                 call(far, C, variant)
             with pytest.raises(ValueError, match="precision_bits"):
                 call(near, C, variant, precision_bits=63)
     for variant, column in ((Variant.chromatic(), "color"),
                             (Variant.semi_supervised(0.5), "target")):
-        for call in (partition_bound, partition_cost):
+        for call in (stacked, partition_cost):
             with pytest.raises(ValueError, match=f"needs a {column} column"):
                 call(X[:1], C, variant)
+
+
+def bounds_stack(rng, X, m, k):
+    """m candidates of k centers drawn from X's rows and a few fresh
+    points, so that candidates share centers and repeat them."""
+    pool = np.vstack([X[rng.integers(0, len(X), 4)], rng.normal(size=(4, X.shape[1]))])
+    return pool[rng.integers(0, len(pool), (m, k))]
+
+
+@pytest.mark.parametrize("entries", [None, 5, 64])
+def test_partition_bounds_equal_the_reference_bound_bit_for_bit(monkeypatch, entries):
+    # entries shrinks the row block: 5 gives one-row blocks, 64 a few rows
+    # each, so n is no multiple of the block; None keeps the default
+    if entries is not None:
+        monkeypatch.setattr(partition_module, "ENTRIES", entries)
+    rng = np.random.default_rng(53)
+    checked = set()
+    for trial in range(8):
+        n, k, d = int(rng.integers(20, 90)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+        ds = Dataset(X, rng.integers(0, 5, n), rng.integers(0, k + 2, n))
+        stack = bounds_stack(rng, X, int(rng.integers(1, 7)), k)
+        for variant in variants_for(n, k, rng) + [Variant.fault_tolerant(k + 1),
+                                                   Variant.semi_supervised(0.0),
+                                                   Variant.semi_supervised(1.0)]:
+            for bits in (1, 8, 32, 62):
+                got = partition_bounds(ds, stack, variant, precision_bits=bits)
+                want = [partition_bound(ds, C, variant, precision_bits=bits) for C in stack]
+                assert got.tolist() == want, (trial, variant, bits)
+                checked.add(variant.kind)
+    assert len(checked) == 6
+
+
+def test_partition_bounds_of_coincident_points_are_zero():
+    # every point sits on every center of candidate 0: its costs are all 0
+    X = np.zeros((7, 2))
+    stack = np.array([np.zeros((2, 2)), [[0.0, 0.0], [1.0, 1.0]]])
+    ds = Dataset(X, np.arange(7), np.zeros(7, dtype=np.int64))
+    for variant in (Variant.classical(), Variant.r_gather(2), Variant.chromatic(),
+                    Variant.fault_tolerant(2), Variant.fault_tolerant(3),
+                    Variant.semi_supervised(0.5), Variant.semi_supervised(1.0)):
+        for bits in (1, 8, 32, 62):
+            got = partition_bounds(ds, stack, variant, precision_bits=bits)
+            want = [partition_bound(ds, C, variant, precision_bits=bits) for C in stack]
+            assert got.tolist() == want and got[0] == 0.0, (variant, bits)
+
+
+def test_semi_supervised_bounds_penalize_only_rows_that_pay():
+    # one center and every target matched to it: no row pays the penalty,
+    # so it must not set the quantization scale
+    ds = Dataset(np.zeros((7, 2)), None, np.zeros(7, dtype=np.int64))
+    stack = np.array([[[0.3, 0.0]], [[0.0, 0.7]]])
+    v = Variant.semi_supervised(0.5)
+    for bits in (1, 8, 32, 62):
+        got = partition_bounds(ds, stack, v, precision_bits=bits).tolist()
+        assert got == [partition_bound(ds, C, v, precision_bits=bits) for C in stack]
+        assert got == [partition_cost(ds, C, v, precision_bits=bits) for C in stack]
+
+
+def test_partition_bounds_of_fault_tolerant_beyond_k_sum_every_cost():
+    # l > k is infeasible, and its bound sums each row's k costs
+    rng = np.random.default_rng(59)
+    X = rng.normal(size=(30, 2))
+    stack = bounds_stack(rng, X, 5, 2)
+    for bits in (1, 8, 32, 62):
+        got = partition_bounds(X, stack, Variant.fault_tolerant(3), precision_bits=bits)
+        want = [partition_bound(X, C, Variant.fault_tolerant(3), precision_bits=bits)
+                for C in stack]
+        assert got.tolist() == want
+        assert all(partition_cost(X, C, Variant.fault_tolerant(3)) == math.inf for C in stack)
+        whole = [partition_bound(X, C, Variant.fault_tolerant(2), precision_bits=bits)
+                 for C in stack]
+        assert got.tolist() == whole

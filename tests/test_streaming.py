@@ -23,7 +23,7 @@ from ckmeans.partition import (
     CompressedSolution,
     InfeasiblePartitionError,
     Variant,
-    partition_bound,
+    partition_bounds,
     partition_cost,
 )
 from ckmeans.sampling import ReservoirBank
@@ -656,9 +656,9 @@ def test_equal_cost_duplicates_go_to_the_lowest_index(monkeypatch):
 
 def test_a_lower_index_whose_bound_equals_the_best_cost_is_solved(monkeypatch):
     v = Variant.r_gather(2)
-    assert partition_bound(LINE, TIGHT, v, precision_bits=62) == 158.0
+    assert partition_bounds(LINE, np.stack([TIGHT, LOOSE]), v,
+                            precision_bits=62).tolist() == [158.0, 151.0]
     assert partition_cost(LINE, TIGHT, v, precision_bits=62) == 158.0
-    assert partition_bound(LINE, LOOSE, v, precision_bits=62) == 151.0
     assert partition_cost(LINE, LOOSE, v, precision_bits=62) == 158.0
     # LOOSE is solved first, by its lower bound; TIGHT's bound then ties
     # the best cost at a lower index, so TIGHT must be solved and win
@@ -687,9 +687,11 @@ def test_batch_solve_solves_few_candidates_exactly(monkeypatch):
 
     monkeypatch.setattr(streaming, "partition_cost", spy)
     for s in range(3):
-        ds, _ = gaussian_groups(200, 3, rng=np.random.default_rng(s))
+        ds, info = gaussian_groups(200, 3, rng=np.random.default_rng(s))
+        # the planted labels as targets: semi_supervised's bound is its cost
+        ds = Dataset(ds.points, targets=np.asarray(info["labels"]))
         for variant, most in ((Variant.r_gather(50), 3), (Variant.classical(), 1),
-                              (Variant.fault_tolerant(2), 1)):
+                              (Variant.fault_tolerant(2), 1), (Variant.semi_supervised(0.5), 1)):
             solved.clear()
             res = batch_solve(ds, 3, variant, cfg, np.random.default_rng(1))
             assert res.list_size == 20
