@@ -10,6 +10,7 @@ check, 3 validation, 4 I/O, 5 oracle limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -385,7 +386,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse state lives in each call's
+    namespace and every default is immutable, so calls can share it."""
     top = _Parser(prog="ckmeans",
                   description="constrained k-means: candidate lists, flow "
                               "partitions, streaming compression")

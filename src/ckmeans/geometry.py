@@ -44,8 +44,30 @@ def pairwise_sqdist(X, C) -> np.ndarray:
     C = as_points(C)
     if X.shape[1] != C.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {C.shape[1]}")
-    diff = X[:, None, :] - C[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # the centers coordinate-major, so that each coordinate's row is one run
+    return coordinate_sqdist(X.T[:, :, None], np.ascontiguousarray(C.T)[:, None, :])
+
+
+def coordinate_sqdist(A, B) -> np.ndarray:
+    """Sum over j of (A[j] - B[j])**2, j running in order over the first
+    axis, where A[j] and B[j] broadcast together; zeros when the first
+    axis is empty.
+
+    The sum lands in one array of the broadcast shape, and one scratch
+    array of that shape holds each coordinate's squares, so nothing has
+    an axis of length d.  A squared distance that overflows comes out
+    inf with no warning; check_overflow rejects it.
+    """
+    if not len(A):
+        return np.zeros(np.broadcast_shapes(A.shape[1:], B.shape[1:]))
+    with np.errstate(over="ignore"):
+        out = np.subtract(A[0], B[0])
+        np.square(out, out=out)
+        tmp = np.empty_like(out) if len(A) > 1 else None
+        for j in range(1, len(A)):
+            np.square(np.subtract(A[j], B[j], out=tmp), out=tmp)
+            out += tmp
+    return out
 
 
 def row_min(a) -> np.ndarray:

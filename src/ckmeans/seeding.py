@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ENTRIES, as_points, check_overflow, pairwise_sqdist
+from .geometry import ENTRIES, as_points, check_overflow, coordinate_sqdist, pairwise_sqdist
 from .sampling import point_weights
 
 
@@ -59,6 +59,7 @@ def _d2_stack(X: np.ndarray, u: np.ndarray, w: np.ndarray, weighted: bool) -> li
     it alone: X is (c, n, d), u the (c, m) uniforms of m draws per set
     and w the weights of the n rows.  Returns c SeedSolutions."""
     sets = np.arange(X.shape[0])
+    coords = np.moveaxis(X, -1, 0)
 
     def draw(p, j: int) -> np.ndarray:
         cdf = p.cumsum(axis=-1)
@@ -67,9 +68,8 @@ def _d2_stack(X: np.ndarray, u: np.ndarray, w: np.ndarray, weighted: bool) -> li
         return (cdf <= u[:, j, None]).sum(axis=-1)
 
     def sqdist(picks: np.ndarray) -> np.ndarray:
-        # pairwise_sqdist(X[s], X[s, j]).ravel() for each set s, bit for bit
-        diff = X - X[sets, picks][:, None]
-        return np.einsum("cij,cij->ci", diff, diff)
+        # pairwise_sqdist(X[s], X[s, j]).ravel() for each set s: the same kernel
+        return coordinate_sqdist(coords, X[sets, picks].T[:, :, None])
 
     chosen = [draw(w / w.sum(), 0)]
     dists = [sqdist(chosen[0])]

@@ -66,7 +66,7 @@ class StreamSource:
     open() hands out a fresh single-use iterator over the records in a
     fixed order and bumps the pass counter; n is None when the length is
     not known without reading.  Every pass read to its end is
-    fingerprinted by its row count and a blake2b hash of its blocks'
+    fingerprinted by its row count and a sha256 hash of its blocks'
     points, colors and targets; a pass that differs from the first
     raises ValueError, so owners are never peeled from other data than
     the candidates were scored on.
@@ -90,7 +90,7 @@ class StreamSource:
     def _checked(self, blocks, pass_no: int):
         import hashlib  # on first use: its OpenSSL binding adds ~4 ms to start-up
 
-        h = hashlib.blake2b(digest_size=16)
+        h = hashlib.sha256()  # faster than blake2b where the CPU hashes SHA-256 itself
         rows = 0
         for pts, colors, targets in blocks:
             rows += len(pts)

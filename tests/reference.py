@@ -46,6 +46,15 @@ def squared_dist(a, b) -> float:
     return float(np.dot(d, d))
 
 
+def einsum_sqdist(X, C) -> np.ndarray:
+    """pairwise_sqdist in einsum's summation order: one (len(X), len(C), d)
+    difference summed over its last axis.  Bit-equal to the coordinate-
+    order kernel up to d = 2, within the summation bound above it."""
+    X, C = as_points(X), as_points(C)
+    diff = X[:, None, :] - C[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def voronoi_labels(X, C) -> np.ndarray:
     """Index of the nearest center per point; ties go to the lowest index."""
     return np.argmin(pairwise_sqdist(X, C), axis=1)

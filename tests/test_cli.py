@@ -594,6 +594,23 @@ def test_an_overflowing_potential_sum_exits_3_without_a_warning(tmp_path, comman
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("bad", [["--variant", "bogus"], ["--k", "0"]],
+                         ids=["rejected by the parser", "rejected after parsing"])
+def test_a_call_after_one_that_exits_3_writes_what_it_writes_alone(tmp_path, bad):
+    # the process builds its parser once; a failed call must leave it as built
+    data, _ = gen(tmp_path, kind="gaussian", n=60)
+    argv = ["stream", data, "--k", "3", "--seed", "1", *SMALL, "--variant", "fault_tolerant",
+            "--l", "2"]
+    assert run(*argv, *bad, "--out", tmp_path / "bad") == 3
+    assert run(*argv, "--out", tmp_path / "after") == 0
+    assert _run_in_child([*argv, "--out", tmp_path / "alone"])[0] == 0
+    after = sorted(tmp_path.glob("after*"))
+    assert len(after) == 3 and not list(tmp_path.glob("bad*"))
+    for path in after:
+        alone = tmp_path / path.name.replace("after", "alone", 1)
+        assert path.read_bytes() == alone.read_bytes()
+
+
 @pytest.mark.parametrize("extra,name", [
     (["--list-alpha", "inf"], "eta"),
     (["--epsilon", "1e-100"], "eta"),

@@ -1,9 +1,11 @@
 """Cost functionals against brute-force oracles and algebraic identities."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,8 @@ from ckmeans.geometry import (
     psi_cost,
     row_min,
 )
-from reference import squared_dist, voronoi_labels, voronoi_partition
+from ckmeans.partition import Variant, partition_cost
+from reference import einsum_sqdist, squared_dist, voronoi_labels, voronoi_partition
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -60,6 +63,57 @@ def test_pairwise_sqdist_exact_zero_on_coincident_rows():
     X = np.array([[0.3, 0.7, -1.2], [5.0, 5.0, 5.0]])
     D = pairwise_sqdist(X, X)
     assert D[0, 0] == 0.0 and D[1, 1] == 0.0
+    for d in (1, 2, 3, 7, 16, 64):
+        X = np.random.default_rng(d).normal(size=(30, d)) * 1e3
+        assert (np.diagonal(pairwise_sqdist(X, X)) == 0.0).all()
+
+
+def kernel_inputs(d, rng):
+    """(X, C) pairs in R^d: normal draws at magnitudes 1e-3 to 1e3, rows
+    of C that repeat rows of X, and coordinates near float64's overflow
+    and in its subnormal range."""
+    for mag in (1e-3, 1.0, 1e3, 1e153, 1e-160, 1e-310):
+        X = rng.normal(size=(60, d)) * mag
+        C = np.vstack([X[:5], rng.normal(size=(20, d)) * mag])
+        yield X, C
+    yield np.full((2, d), 1e308), np.full((3, d), -1e308)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairwise_sqdist_is_the_einsum_bit_for_bit_up_to_d_2(d):
+    # every benchmark workload and parity digest runs at d <= 2
+    with np.errstate(all="ignore"):
+        for X, C in kernel_inputs(d, np.random.default_rng(d)):
+            assert pairwise_sqdist(X, C).tobytes() == einsum_sqdist(X, C).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 7, 16, 64])
+def test_pairwise_sqdist_sums_within_the_summation_bound(d):
+    # the same rounded squares in coordinate order: within gamma_(d-1) of
+    # their exact sum, and so within d·eps of the einsum's other order
+    eps = np.finfo(np.float64).eps
+    gamma = (d - 1) * eps / 2 / (1 - (d - 1) * eps / 2)
+    for X, C in itertools.islice(kernel_inputs(d, np.random.default_rng(d)), 3):
+        new, old = pairwise_sqdist(X, C), einsum_sqdist(X, C)
+        assert (np.abs(new - old) <= d * eps * np.maximum(new, old)).all()
+        diff = X[:, None, :] - C[None, :, :]
+        exact = np.array([[math.fsum(r) for r in m] for m in diff * diff])
+        assert (np.abs(new - exact) <= gamma * exact).all()
+
+
+def test_pairwise_sqdist_of_no_coordinates_is_zero():
+    assert pairwise_sqdist(np.zeros((3, 0)), np.zeros((2, 0))).tobytes() == \
+        np.zeros((3, 2)).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_an_overflowing_distance_raises_value_error_and_no_warning(d):
+    X, C = np.full((2, d), 1e308), np.full((3, d), -1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(pairwise_sqdist(X, C)).all()
+        with pytest.raises(ValueError, match="a squared distance overflows float64"):
+            partition_cost(X, C[:1], Variant.classical())
 
 
 def test_phi_empty_rules():

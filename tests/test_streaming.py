@@ -179,6 +179,24 @@ def test_sample_pass_memory_does_not_grow_with_eta():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def test_stream_memory_does_not_grow_with_d():
+    # the distance kernel sums coordinate by coordinate, so no pass holds
+    # a temporary with an axis of length d; the input itself is not traced
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=32, tau=4,
+                            repetitions=4, subset_budget=32)
+    peaks = []
+    for d in (2, 64):
+        ds, _ = gaussian_groups(8000, 3, dim=d, rng=np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            full_pipeline(ArraySource(ds, block=1024), 3, Variant.classical(), cfg,
+                          np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 def test_default_chunk_rules():
     assert default_chunk(None, 5) == 4096
     assert default_chunk(10_000, 4) == math.ceil(math.sqrt(40_000))
