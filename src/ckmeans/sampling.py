@@ -60,42 +60,53 @@ def d2_sample(X, C, count: int, rng) -> np.ndarray:
 
 
 class ReservoirBank:
-    """size independent reservoirs sharing one weight stream.
+    """One segment of `size` independent reservoirs per generator in
+    rngs, every reservoir on one weight stream.
 
     Each reservoir jumps between replacements (Chao 1982; Efraimidis and
     Spirakis 2006): on replacing its item at running sum S_j it draws
     u in (0, 1] and sets its threshold T = S_j / u, and it next replaces
-    at the first row whose running sum exceeds T.  Reservoir r's n-th
-    replacement uses column r of the n-th row of draws, each row one
-    rng.random(size) drawn when a reservoir first needs it, and the
-    running sums add strictly left to right; so the held items, the
-    weight sum and the generator's state do not depend on how the stream
-    is split into offers.  While weight_sum is 0 rows count with weight
-    1, so a stream of zero weight leaves a uniform sample, and the first
+    at the first row whose running sum exceeds T.  Reservoir r of
+    segment b uses, for its n-th replacement, column r of the n-th row
+    of segment b's draws, each row one rngs[b].random(size) drawn when
+    one of the segment's reservoirs first needs it, and the running sums
+    add strictly left to right; so the held items, the weight sum and
+    the generators' states do not depend on how the stream is split into
+    offers, and a bank of B segments holds what B one-generator banks
+    hold, its words their sum.  One jump loop serves every segment, and
+    a reservoir takes its held point once per offer, from the last row
+    it replaced at.  While weight_sum is 0 rows count with weight 1, so
+    a stream of zero weight leaves a uniform sample, and the first
     positive row replaces every reservoir.
     """
 
-    def __init__(self, size: int, dim: int, rng):
+    def __init__(self, size: int, dim: int, *rngs):
         if size < 1:
             raise ValueError("need at least one reservoir")
-        self.rng = rng
-        self.held_index = np.full(size, -1, dtype=np.int64)
-        self.held = np.zeros((size, dim))
+        if not rngs:
+            raise ValueError("need at least one generator")
+        self.size = size
+        self.rngs = rngs
+        total = size * len(rngs)
+        self.held_index = np.full(total, -1, dtype=np.int64)
+        self.held = np.zeros((total, dim))
         self.weight_sum = 0.0
         self._next_index = 0
-        self._threshold = np.zeros(size)
-        self._draws = np.empty((0, size))          # rows not yet used by every reservoir
-        self._row = np.zeros(size, dtype=np.int64)  # the row of _draws each uses next
+        self._threshold = np.zeros(total)
+        self._draws = np.empty((0, total))  # rows not yet used by every reservoir
+        self._row = np.zeros(total, dtype=np.int64)  # the row of _draws each uses next
+        self._drawn = np.zeros(len(rngs), dtype=np.int64)  # rows of _draws each segment filled
 
-    @property
-    def size(self) -> int:
-        return len(self.held_index)
+    def segment_words(self) -> list[int]:
+        """Scalar words of each segment's jump state: a threshold and a
+        draw-row counter per reservoir, and the rows of draws drawn but
+        not yet used by all of the segment's reservoirs."""
+        pending = self._drawn - self._row.reshape(len(self.rngs), self.size).min(axis=1)
+        return (self.size * (2 + pending)).tolist()
 
     @property
     def words(self) -> int:
-        """Scalar words of the bank's jump state: a threshold and a
-        draw-row counter per reservoir, and the pending rows of draws."""
-        return 2 * self.size + self._draws.size
+        return sum(self.segment_words())
 
     def offer_block(self, points, weights) -> None:
         """Offers the rows of points, in order, with their weights."""
@@ -106,32 +117,50 @@ class ReservoirBank:
         with np.errstate(over="ignore"):
             sums = np.cumsum(np.concatenate([[self.weight_sum], w[ones:]]))
         check_overflow(sums[-1])
-        self._jump(P, 0, self._next_index + np.arange(1.0, ones + 1))
+        self._jump(self._next_index, self._next_index + np.arange(1.0, ones + 1))
         if self.weight_sum == 0 and ones < len(w):
             self._threshold[:] = 0.0
-        self._jump(P, ones, sums[1:])
+        self._jump(self._next_index + ones, sums[1:])
+        # the reservoirs that replaced in this offer take their last row's point
+        new = self.held_index >= self._next_index
+        self.held[new] = P[self.held_index[new] - self._next_index]
         self.weight_sum = float(sums[-1])
         self._next_index += len(w)
 
-    def _jump(self, P: np.ndarray, first: int, sums: np.ndarray) -> None:
+    def _jump(self, first: int, sums: np.ndarray) -> None:
         """Replaces, round by round, each reservoir's item by the first
         row whose running sum exceeds its threshold; sums[i] is the
-        running sum at row first + i of P."""
-        live = np.arange(self.size)
-        while len(live) and len(sums):
+        running sum at row first + i of the stream."""
+        if not len(sums):
+            return
+        live = np.arange(len(self._threshold))
+        while True:
             row = np.searchsorted(sums, self._threshold[live], side="right")
-            live, row = live[row < len(sums)], row[row < len(sums)]
-            while len(self._draws) <= self._row[live].max(initial=-1):
-                self._draws = np.vstack([self._draws, 1.0 - self.rng.random(self.size)])
+            fired = row < len(sums)
+            live, row = live[fired], row[fired]
+            if not len(live):
+                break
+            used = self._row[live]
+            self._row[live] = used + 1
+            short = self._row.reshape(len(self.rngs), self.size).max(axis=1) > self._drawn
+            for b in np.flatnonzero(short):
+                self._draw(b)
             with np.errstate(over="ignore"):    # an infinite threshold never fires
-                self._threshold[live] = sums[row] / self._draws[self._row[live], live]
-            self._row[live] += 1
-            self.held_index[live] = self._next_index + first + row
-            self.held[live] = P[first + row]
-            used = self._row.min()
-            self._draws, self._row = self._draws[used:], self._row - used
+                self._threshold[live] = sums[row] / self._draws[used, live]
+            self.held_index[live] = row + first
+        low = self._row.min()
+        self._draws, self._row, self._drawn = self._draws[low:], self._row - low, self._drawn - low
+
+    def _draw(self, b: int) -> None:
+        """Draws segment b's next row of uniforms in (0, 1]."""
+        at = self._drawn[b]
+        if at == len(self._draws):
+            self._draws = np.vstack([self._draws, np.zeros((1, self._draws.shape[1]))])
+        self._draws[at, b * self.size:(b + 1) * self.size] = 1.0 - self.rngs[b].random(self.size)
+        self._drawn[b] += 1
 
     def sampled_points(self) -> np.ndarray:
-        """Held points of reservoirs that were offered any row."""
+        """Held points of reservoirs that were offered any row, segment by
+        segment."""
         ok = self.held_index >= 0
         return self.held[ok].copy()

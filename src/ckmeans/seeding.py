@@ -8,6 +8,7 @@ same rng stream, bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,25 +66,34 @@ def _d2_stack(X: np.ndarray, u: np.ndarray, w: np.ndarray, weighted: bool) -> li
         cdf = p.cumsum(axis=-1)
         cdf /= cdf[..., -1:]
         # on a non-decreasing cdf, cdf.searchsorted(u, side="right")
-        return (cdf <= u[:, j, None]).sum(axis=-1)
+        return np.count_nonzero(cdf <= u[:, j, None], axis=-1)
 
     def sqdist(picks: np.ndarray) -> np.ndarray:
         # pairwise_sqdist(X[s], X[s, j]).ravel() for each set s: the same kernel
         return coordinate_sqdist(coords, X[sets, picks].T[:, :, None])
 
     chosen = [draw(w / w.sum(), 0)]
-    dists = [sqdist(chosen[0])]
-    pot = w * dists[0] if weighted else dists[0].copy()
+    near = sqdist(chosen[0])    # each row's distance to its nearest draw so far
+    labels = np.zeros(near.shape, dtype=np.intp)
+    pot = w * near if weighted else near
     for j in range(1, u.shape[1]):
         with np.errstate(over="ignore"):    # an overflowing sum is rejected below
             total = pot.sum(axis=1, keepdims=True)
         check_overflow(total)
-        p = np.where(total == 0.0, w, pot)  # a set with no potential left draws by weight
-        chosen.append(draw(p / p.sum(axis=1, keepdims=True), j))
-        dists.append(sqdist(chosen[-1]))
-        np.minimum(pot, w * dists[-1] if weighted else dists[-1], out=pot)
+        if total.all():
+            p = pot / total     # total is pot.sum(axis=1): the same bits
+        else:
+            p = np.where(total == 0.0, w, pot)  # a set with no potential left draws by weight
+            p = p / p.sum(axis=1, keepdims=True)
+        chosen.append(draw(p, j))
+        dist = sqdist(chosen[-1])
+        # a tie keeps the earlier draw, as np.argmin over the draws does
+        labels[dist < near] = j
+        if weighted:
+            np.minimum(pot, w * dist, out=pot)
+        np.minimum(near, dist, out=near)
     centers = X[sets[:, None], np.stack(chosen, axis=1)]
-    return list(map(SeedSolution, centers, pot.sum(axis=1).tolist(), np.argmin(dists, axis=0)))
+    return list(map(SeedSolution, centers, pot.sum(axis=1).tolist(), labels))
 
 
 def chunks(blocks, chunk: int):
@@ -113,22 +123,35 @@ def _joined(parts: list[tuple]) -> tuple:
     return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
 
 
-def _runs(chunked, chunk: int, k: int):
-    """Runs of up to ENTRIES // (chunk·max(2k, d)) full chunks (1 if chunk
-    <= 2k), a short last chunk alone, the last run maybe empty.  A source
-    error follows the run in hand, as if each chunk were seeded on arrival."""
-    run: list[np.ndarray] = []
-    try:
-        for (points,) in chunked:
-            most = 1 if chunk <= 2 * k else ENTRIES // (chunk * max(2 * k, points.shape[1]))
-            if run and (len(run) >= most or len(points) < chunk):
-                yield run
-                run = []
-            run.append(points)
-    except Exception:
-        yield run
-        raise
-    yield run
+def _runs(blocks, chunk: int, k: int):
+    """The stream's chunks as stacks: (c, chunk, d) arrays of up to
+    ENTRIES // (chunk·max(1, d)) full chunks, so that a stack holds at
+    most ENTRIES entries (1 chunk if chunk <= 2k: such a chunk is its own
+    seed), then a short last chunk alone as (1, rows, d).  A stack is one
+    join of the blocks' rows.  A source error follows the full chunks in
+    hand, as if each chunk were seeded on arrival."""
+    failed = []
+
+    def points():
+        try:
+            for b in blocks:
+                yield (as_points(b),)
+        except Exception as exc:
+            failed.append(exc)
+
+    stream = points()
+    head = next(stream, None)
+    if head is not None:
+        d = head[0].shape[1]
+        most = 1 if chunk <= 2 * k else max(1, ENTRIES // (chunk * max(1, d)))
+        for (rows,) in chunks(itertools.chain([head], stream), most * chunk):
+            full = len(rows) - len(rows) % chunk
+            if full:
+                yield rows[:full].reshape(-1, chunk, rows.shape[1])
+            if full < len(rows) and not failed:
+                yield rows[full:][None]
+    if failed:
+        raise failed[0]
 
 
 def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSolution:
@@ -150,9 +173,9 @@ def merge_reduce_seed(blocks, k: int, chunk: int, rng, meter=None) -> SeedSoluti
     centers: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     seen = 0
-    for run in _runs(chunks(((as_points(b),) for b in blocks), chunk), chunk, k):
-        sols = ([d2_seed(P, k, 2 * k, rng) for P in run] if len(run) < 2 else
-                _d2_stack(np.stack(run), rng.random((len(run), 2 * k)), np.ones(chunk), False))
+    for run in _runs(blocks, chunk, k):
+        sols = ([d2_seed(run[0], k, 2 * k, rng)] if len(run) < 2 else
+                _d2_stack(run, rng.random((len(run), 2 * k)), np.ones(chunk), False))
         for points, sol in zip(run, sols):
             if meter is not None:
                 meter.alloc_points(points.shape[0] + sol.centers.shape[0])

@@ -3,11 +3,13 @@
 The full pipeline spends one pass seeding, one filling reservoirs, one
 scoring every candidate (plus an optional scale pass when aspect-ratio
 removal is on), and one assigning the winner's owners: 4 passes, 5 with
-aspect removal.  The seed pass seeds runs of chunks as one stack.  The
-sample pass joins blocks into arrays of max(block, ENTRIES // (2k·d))
-rows, the later passes into arrays of max(block, ENTRIES // (|U|·d))
-rows, U the list's distinct centers, which the scale and scoring passes
-measure once for all candidates.  classical, fault_tolerant and
+aspect removal.  The seed pass seeds stacks of chunks of at most
+ENTRIES entries each as one.  The sample pass joins blocks into arrays
+of max(block, ENTRIES // (2k·d)) rows and offers each join once to one
+reservoir bank with a segment per repetition; the later passes join
+blocks into arrays of max(block, ENTRIES // (|U|·d)) rows, U the list's
+distinct centers, which the scale and scoring passes measure once for
+all candidates.  classical, fault_tolerant and
 semi_supervised are scored in closed form, with no graph: one exact
 running total per candidate (and target matching), each point's owned
 costs summed left to right; the assign pass applies the winner's owner
@@ -210,10 +212,12 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
                           chunk: int | None = None, meter: SpaceMeter | None = None
                           ) -> tuple[CandidateList, SeedSolution, int]:
     """Streaming good_centers: pass 1 seeds, pass 2 fills one bank of
-    reservoirs per repetition, one reservoir per needed sample.  While
-    the potential seen so far is zero a bank samples uniformly, so a zero
-    potential degrades to uniform sampling like the batch path.  Returns
-    (candidates, seed, points_seen)."""
+    reservoirs, one segment per repetition and one reservoir per needed
+    sample, so a join's weights are checked and summed once and one jump
+    loop serves every repetition.  While the potential seen so far is
+    zero the bank samples uniformly, so a zero potential degrades to
+    uniform sampling like the batch path.  Returns (candidates, seed,
+    points_seen)."""
     meter = meter if meter is not None else SpaceMeter()
     if cfg.preset != "desk":
         raise ValueError("streaming list generation needs the desk preset")
@@ -229,27 +233,30 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
 
     t, reps = p["t"], p["repetitions"]
     R = p["eta"] * t
-    # one (bank, tuple) rng pair per repetition
+    # one (reservoir segment, tuple) rng pair per repetition
     streams = [rs.spawn(2) for rs in rng_sample.spawn(reps)]
     with meter.phase("sample"):
-        banks = [ReservoirBank(R, d, s[0]) for s in streams]
+        bank = ReservoirBank(R, d, *(s[0] for s in streams))
         meter.alloc_points(reps * R)
-        meter.alloc_words(sum(bank.words for bank in banks))
+        meter.alloc_words(bank.words)
         seen = 0
         rows = block_rows(C.size, ENTRIES, source.block)
         for (pts,) in chunks(((pts,) for pts in source.open_points()), rows):
             w = row_min(pairwise_sqdist(pts, C))
-            for bank in banks:
-                # an offer grows or shrinks the bank's pending draws
-                meter.free_words(bank.words)
-                bank.offer_block(pts, w)
-                meter.alloc_words(bank.words)
+            before = bank.segment_words()
+            bank.offer_block(pts, w)
+            # an offer grows or shrinks each segment's pending draws; each
+            # repetition's segment is charged in turn, so the report counts
+            # the repetitions as separately charged states
+            for old, new in zip(before, bank.segment_words()):
+                meter.free_words(old)
+                meter.alloc_words(new)
             seen += len(w)
 
-        cands = candidate_list([bank.sampled_points() for bank in banks], C, p,
+        cands = candidate_list(np.split(bank.sampled_points(), reps), C, p,
                                [s[1] for s in streams])
         meter.free_points(reps * R)
-        meter.free_words(sum(bank.words for bank in banks))
+        meter.free_words(bank.words)
         meter.alloc_points(len(cands) * t)
     return cands, seed, seen
 

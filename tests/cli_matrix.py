@@ -13,8 +13,9 @@ run's outputs.
 
 The matrix:
   - inputs: a 900-point gaussian CSV with 300 colors and planted
-    targets, and a 600-point d = 3 one with spread 1e6, both written
-    by `ckmeans gen`; a centers CSV of three rows of the first;
+    targets, a 600-point d = 3 one with spread 1e6 and a 9,000-point
+    one with planted targets, all written by `ckmeans gen`; a centers
+    CSV of three rows of the first;
   - solve: six variants x argmin/range x --bits 8/32/62 x seeds 1-2,
     with --candidates;
   - solve at the desk defaults (no knob flags: 800 candidates, so the
@@ -26,7 +27,10 @@ The matrix:
   - on the d = 3 input: solve with five variants, and stream with five
     variants at --block 64 with aspect removal off and on, each under
     argmin and range;
-  - infeasible r_gather(301) under solve and stream, argmin and range.
+  - infeasible r_gather(301) under solve and stream, argmin and range;
+  - on the 9,000-point input: stream with five variants at --chunk 50
+    and --block 64, under argmin and range.  Its 180 seed chunks span
+    several stacked runs of chunks, and its sample pass several offers.
 """
 
 import contextlib
@@ -55,11 +59,13 @@ VARIANTS = {
 }
 STREAMED = [v for v in VARIANTS if v != "chromatic"]
 DESK_SOLVED = ["classical", "fault_tolerant", "semi_supervised"]
+# the 9,000-point input's variants: r_capacity gets room for every row
+LONG = {**VARIANTS, "r_capacity": ["--r", "4500"]}
 TIMING = re.compile(r"^ckmeans: \d+\.\d+s\n", re.MULTILINE)
 
 
-def _variant(name):
-    return ["--variant", name, *VARIANTS[name]]
+def _variant(name, table=VARIANTS):
+    return ["--variant", name, *table[name]]
 
 
 # the `ckmeans gen` runs that write the inputs
@@ -68,6 +74,8 @@ INPUTS = [
      "--targets-from-labels", "--seed", "3", "--out", "gauss.csv"],
     ["gen", "--kind", "gaussian", "--n", "600", "--groups", "3", "--dim", "3",
      "--spread", "1e6", "--targets-from-labels", "--seed", "5", "--out", "d3.csv"],
+    ["gen", "--kind", "gaussian", "--n", "9000", "--groups", "3", "--targets-from-labels",
+     "--seed", "7", "--out", "long.csv"],
 ]
 
 
@@ -114,6 +122,12 @@ def runs():
                         [command, "gauss.csv", "--k", "3", "--seed", "1", *KNOBS,
                          "--variant", "r_gather", "--r", "301", "--select", mode,
                          "--out", "run"]))
+    for v in STREAMED:
+        for mode in ("argmin", "range"):
+            out.append((f"long stream {v} {mode}",
+                        ["stream", "long.csv", "--k", "3", "--seed", "1", *KNOBS,
+                         *_variant(v, LONG), "--chunk", "50", "--block", "64",
+                         "--select", mode, "--out", "run"]))
     return out
 
 
@@ -169,7 +183,7 @@ def workdir():
 
 def main_matrix():
     with workdir():
-        for name in ("gauss.csv", "d3.csv", "centers.csv"):
+        for name in ("gauss.csv", "d3.csv", "long.csv", "centers.csv"):
             h = hashlib.blake2b(Path(name).read_bytes(), digest_size=16)
             print(f"input {name}\t{h.hexdigest()}")
         for name, argv in runs():

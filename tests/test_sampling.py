@@ -199,12 +199,12 @@ def test_bank_replaces_past_its_threshold_only():
     # row 3 adds no weight; row 4 sets T = 8 / 0.25
     bank = ReservoirBank(1, 1, StubRng([0.5, 0.0, 0.75, 0.5]))
     bank.offer_block(np.arange(5.0)[:, None], [1.0, 1.0, 2.0, 0.0, 4.0])
-    assert bank.held_index[0] == 4 and bank.rng.random() == 0.5
+    assert bank.held_index[0] == 4 and bank.rngs[0].random() == 0.5
     # u = 2**-53 takes T past float64's largest value: it never fires
     bank = ReservoirBank(1, 1, StubRng([1 - 2.0**-53, 0.5]))
     with np.errstate(all="raise"):
         bank.offer_block(np.arange(2.0)[:, None], [1e300, 1e300])
-    assert bank.held_index[0] == 0 and bank.rng.random() == 0.5
+    assert bank.held_index[0] == 0 and bank.rngs[0].random() == 0.5
 
 
 def jump_reference(w, u: float):
@@ -255,7 +255,7 @@ def test_joined_offers_match_on_the_replace_rule_edges(weights, lengths):
         assert list(bank.held_index) == list(held)
         assert np.array_equal(bank.held[:, 0], np.where(np.array(held) >= 0, pts[held, 0], 0.0))
         assert np.float64(bank.weight_sum).tobytes() == np.float64(S[0]).tobytes()
-        assert bank.rng.random() == 0.5
+        assert bank.rngs[0].random() == 0.5
 
 
 def test_bank_rejects_an_overflowing_weight_sum():
@@ -311,7 +311,7 @@ def test_any_split_into_offers_gives_the_same_bank(s, kind):
     whole = offered(w, [], 32, np.random.default_rng(s + 1))
     split = offered(w, cuts, 32, np.random.default_rng(s + 1))
     assert same_bank(whole, split)
-    assert whole.rng.random() == split.rng.random()
+    assert whole.rngs[0].random() == split.rngs[0].random()
 
 
 FREQUENCY_EXAMPLES = 20
@@ -331,3 +331,28 @@ def test_bank_holds_each_row_by_its_weight_share(s, kind):
         ok, statistic, crit = chi2_ok(counts, probs,
                                       1 - (1 - CHI2_LEVEL) / FREQUENCY_EXAMPLES)
         assert ok, (statistic, crit)
+
+
+@settings(max_examples=SPLIT_EXAMPLES, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 16),
+       st.sampled_from(["spread", "zero prefix", "zero pass"]))
+def test_a_bank_of_segments_is_one_bank_per_generator(s, segments, size, kind):
+    # one bank with a segment per generator holds, after every offer, what
+    # one bank per generator holds side by side: held indices and bits,
+    # the weight sum's bits and words, each segment's and their sum; and
+    # it leaves each generator where its own bank leaves it
+    w, cuts = stream_of_kind(np.random.default_rng(s), kind)
+    seeds = np.random.SeedSequence(s).spawn(segments)
+    bank = ReservoirBank(size, 1, *map(np.random.default_rng, seeds))
+    alone = [ReservoirBank(size, 1, np.random.default_rng(q)) for q in seeds]
+    pts = np.arange(len(w), dtype=np.float64)[:, None] * 10.0
+    for piece in np.split(np.arange(len(w)), cuts):
+        for b in (bank, *alone):
+            b.offer_block(pts[piece], w[piece])
+        assert bank.held_index.tobytes() == np.concatenate([b.held_index for b in alone]).tobytes()
+        assert bank.held.tobytes() == np.concatenate([b.held for b in alone]).tobytes()
+        assert all(np.float64(bank.weight_sum).tobytes() == np.float64(b.weight_sum).tobytes()
+                   for b in alone)
+        assert bank.segment_words() == [b.words for b in alone]
+        assert bank.words == sum(b.words for b in alone)
+    assert [g.random() for g in bank.rngs] == [b.rngs[0].random() for b in alone]

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from ckmeans.data import duplicate_groups, gaussian_groups
 from ckmeans.geometry import pairwise_sqdist, phi_cost
 from ckmeans.oracle import OracleLimit, opt_kmeans
-from ckmeans.seeding import d2_seed, merge_reduce_seed
+from ckmeans import seeding
+from ckmeans.seeding import _d2_stack, d2_seed, merge_reduce_seed
 from ckmeans.streaming import SpaceMeter
 from reference import d2_seed_choice, merge_reduce_seed_choice
 
@@ -252,6 +253,49 @@ def test_merge_reduce_seed_matches_its_choice_form(inp, k, chunk, block, one_chu
     assert same_seed(got, want, got_rng, want_rng)
     assert got.labels.tobytes() == labels.tobytes()
     assert got_meter.report() == want_meter.report()
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_stacked_labels_break_ties_as_argmin_does(s):
+    # on a small integer grid many rows lie at equal distance from two
+    # draws, and some sets draw a point twice once their potential is 0;
+    # each row's label is np.argmin over its distances to the draws
+    data = np.random.default_rng(s)
+    c, n, d, m = 5, 40, int(data.integers(1, 3)), 6
+    X = data.integers(-2, 3, size=(c, n, d)).astype(np.float64)
+    sols = _d2_stack(X, data.random((c, m)), np.ones(n), False)
+    ties = 0
+    for P, sol in zip(X, sols):
+        sq = pairwise_sqdist(P, sol.centers)
+        assert sol.labels.tobytes() == np.argmin(sq, axis=1).tobytes()
+        ties += int(((sq == sq.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+    assert ties > 0     # the premise: ties to break
+
+
+def test_weighted_seed_labels_break_ties_as_argmin_does():
+    # zero weights leave a row's potential 0 whatever its distance, so the
+    # labels follow the distances, not the potentials
+    data = np.random.default_rng(20)
+    X = data.integers(-2, 3, size=(60, 2)).astype(np.float64)
+    w = data.integers(0, 3, size=60).astype(np.float64)
+    sol = d2_seed(X, 3, 8, np.random.default_rng(21), weights=w)
+    assert sol.labels.tobytes() == np.argmin(pairwise_sqdist(X, sol.centers), axis=1).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 7])
+def test_merge_reduce_seed_does_not_depend_on_its_runs(monkeypatch, d):
+    # with ENTRIES = 1 every run is one chunk; centers, cost, labels, the
+    # generator's state and the meter's report match the default's stacks
+    X = np.random.default_rng(22).normal(size=(3000, d))
+    blocks = [X[lo:lo + 256] for lo in range(0, len(X), 256)]
+    got = []
+    for entries in (seeding.ENTRIES, 1):
+        monkeypatch.setattr(seeding, "ENTRIES", entries)
+        rng, meter = np.random.default_rng(23), SpaceMeter()
+        sol = merge_reduce_seed(blocks, 3, 33, rng, meter=meter)
+        got.append((sol.centers.tobytes(), np.float64(sol.cost).tobytes(),
+                    sol.labels.tobytes(), rng.random(), meter.report()))
+    assert got[0] == got[1]
 
 
 class ScriptedGenerator(np.random.Generator):

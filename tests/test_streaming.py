@@ -262,7 +262,7 @@ def test_two_pass_uniform_fallback_on_zero_potential():
 
 
 @pytest.mark.parametrize("tail", [0, 16])
-def test_sample_pass_offers_every_row_to_one_bank_per_repetition(monkeypatch, tail):
+def test_sample_pass_offers_every_row_to_one_segment_per_repetition(monkeypatch, tail):
     # three heavy sites fill the first blocks; a cluster at the end holds
     # the only positive potential (none at all with tail=0)
     rng = np.random.default_rng(7)
@@ -271,7 +271,7 @@ def test_sample_pass_offers_every_row_to_one_bank_per_repetition(monkeypatch, ta
                    rng.normal(size=(tail, 2)) + [25.0, 25.0]])
     cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
                             eta=4, tau=1, repetitions=3, subset_budget=20)
-    made, offered = [], {}
+    made, offered = [], []
     init, offer = ReservoirBank.__init__, ReservoirBank.offer_block
 
     def init_spy(bank, *args):
@@ -279,7 +279,7 @@ def test_sample_pass_offers_every_row_to_one_bank_per_repetition(monkeypatch, ta
         init(bank, *args)
 
     def offer_spy(bank, pts, w):
-        offered.setdefault(bank, []).append(pts)
+        offered.append(pts)
         offer(bank, pts, w)
 
     monkeypatch.setattr(ReservoirBank, "__init__", init_spy)
@@ -290,13 +290,15 @@ def test_sample_pass_offers_every_row_to_one_bank_per_repetition(monkeypatch, ta
     potential = pairwise_sqdist(X, seed.centers).min(axis=1)
     assert not potential[:48].any()
     assert all(potential[lo:lo + 8].any() for lo in range(48, len(X), 8))
-    # one bank per repetition, offered every row; once the potential is
+    # one bank, offered every row once, with a segment of 12 reservoirs
+    # per repetition, each on its own generator; once the potential is
     # positive no zero-potential row is held
-    assert len(made) == 3
-    for bank in made:
-        assert np.array_equal(np.vstack(offered[bank]), X)
-        assert bank.sampled_points().shape == (12, 2)
-        assert potential[bank.held_index].all() if tail else bank.weight_sum == 0
+    assert len(made) == 1
+    bank = made[0]
+    assert np.array_equal(np.vstack(offered), X)
+    assert len(set(map(id, bank.rngs))) == 3 and bank.size == 12
+    assert all(s.shape == (12, 2) for s in np.split(bank.sampled_points(), 3))
+    assert potential[bank.held_index].all() if tail else bank.weight_sum == 0
 
 
 # select_best ------------------------------------------------------------------
@@ -763,6 +765,21 @@ def test_sample_phase_charges_its_banks_words(block):
     phases = {ph["name"]: ph for ph in meter.report()["phases"]}
     assert phases["sample"]["peak_words"] >= p["repetitions"] * 2 * p["eta"] * p["t"]
     assert meter.current_words == 0
+
+
+def test_sample_phase_charges_each_repetitions_segment_in_turn():
+    # after each offer the meter frees and charges the bank's segments one
+    # repetition at a time, as it charged one bank per repetition.  Here
+    # one segment's pending draws grow in an offer in which another's
+    # shrink, so charging their sum at once would peak at 768 words
+    ds, _ = gaussian_groups(6000, 3, rng=np.random.default_rng(2))
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=8, tau=1, repetitions=3,
+                            subset_budget=4)
+    meter = SpaceMeter()
+    two_pass_good_centers(ArraySource(ds, block=256), 3, cfg, np.random.default_rng(102),
+                          meter=meter)
+    assert meter.report()["phases"][1] == {"name": "sample", "peak_points": 78,
+                                           "peak_words": 792}
 
 
 def test_graph_phase_charges_each_vertex_key_and_count(monkeypatch):
