@@ -366,6 +366,10 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
                    help="cost mix in [0, 1] for semi_supervised")
 
 
+_BITS_HELP = ("fixed-point width (1..62) of the r_gather, r_capacity and chromatic flow "
+              "solves; the closed forms are summed exactly at any width")
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.5)
@@ -382,7 +386,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="winner rule: the cheapest candidate, or the first in the "
                         "deepest (1 - epsilon)-geometric range below the largest "
                         "finite cost, within 1/(1 - epsilon) of the cheapest")
-    p.add_argument("--bits", type=int, default=32)
+    p.add_argument("--bits", type=int, default=32, help=_BITS_HELP)
     p.add_argument("--seed", type=int, required=True)
 
 
@@ -441,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("data")
     pa.add_argument("--centers", required=True, help="centers CSV (x0..xd-1)")
     _add_variant_flags(pa)
-    pa.add_argument("--bits", type=int, default=32)
+    pa.add_argument("--bits", type=int, default=32, help=_BITS_HELP)
     pa.add_argument("--out", help="prefix for .json/.assign.csv")
     pa.set_defaults(func=cmd_partition)
 

@@ -2,9 +2,9 @@
 
 These are deliberately naive: exhaustive enumeration in canonical
 lexicographic order, guarded by configurable size limits.  They share
-the fixed-point cost quantization with the partition module (so
-equality checks against the flow solvers are exact) but none of its
-search machinery.
+the partition module's cost rules, the fixed-point quantization of the
+flows and the float running sums of the closed forms, so equality
+checks against its solvers are exact, but none of its search machinery.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .data import Dataset
 from .geometry import as_points, pairwise_sqdist
-from .partition import Variant, quantize_costs, semi_supervised_cost_terms
+from .partition import (CLOSED_FORM, Variant, quantize_costs, semi_supervised_cost_terms,
+                        target_matchings, variant_groups)
 
 
 @dataclass(frozen=True)
@@ -94,62 +96,63 @@ def _feasible(labels, variant: Variant, k: int, colors) -> bool:
     return True
 
 
+def _exact(M) -> list:
+    """M's float entries as Python ints over one power-of-two denominator:
+    their sums compare exactly, as Fractions would."""
+    den = max((v.as_integer_ratio()[1] for v in M.ravel().tolist()), default=1)
+    return [[int(Fraction(v) * den) for v in row] for row in M.tolist()]
+
+
 def opt_constrained(data, centers, variant: Variant,
                     limit: OracleLimit | None = None,
                     precision_bits: int = 32) -> float:
-    """Exhaustive constrained-assignment optimum against fixed centers.
+    """Exhaustive constrained-assignment optimum against fixed centers,
+    or +inf when no assignment is feasible.
 
-    Scores assignments with the same fixed-point edge costs the flow
-    partitioners use, so agreement can be asserted exactly.  Returns
-    +inf when no assignment is feasible.
+    r_gather, r_capacity and chromatic are scored with the fixed-point
+    edge costs the flow partitioners use, so agreement can be asserted
+    exactly.  The closed forms are scored on their float costs: the
+    labeling (owner sets of l centers under fault_tolerant) of least
+    exact total, the first in enumeration order on ties, reported as its
+    running sum in point order, then owner order, as the pipelines sum
+    it.  semi_supervised does so under each matching of targets to
+    centers and reports the least of those sums, the first on ties.
     """
     ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
     C = as_points(centers)
     n, k = ds.n, C.shape[0]
     W = pairwise_sqdist(ds.points, C)
-
-    if variant.kind == "fault_tolerant":
-        l = variant.l
-        if l > k:
-            return math.inf
-        choices = list(itertools.combinations(range(k), l))
-        _guard(n, k, float(len(choices)) ** n, limit)
-        w_int, scale = quantize_costs(W, precision_bits)
-        best = None
-        for pick in itertools.product(choices, repeat=n):
-            tot = 0
-            for i, own in enumerate(pick):
-                for j in own:
-                    tot += int(w_int[i, j])
-            if best is None or tot < best:
-                best = tot
-        return float(best) * scale
-
-    if variant.kind == "semi_supervised":
-        if ds.targets is None:
-            raise ValueError("semi_supervised needs a target column")
-        _guard(n, k, float(k) ** n * math.factorial(k), limit)
-        best = math.inf
-        for perm in itertools.permutations(range(k)):
-            M = semi_supervised_cost_terms(W, ds.targets, variant.alpha, perm)
+    groups = variant_groups(variant, ds.colors, ds.targets)
+    closed = variant.kind in CLOSED_FORM
+    l = variant.l if variant.kind == "fault_tolerant" else 1
+    if l > k:
+        return math.inf
+    choices = list(itertools.combinations(range(k), l))
+    perms = target_matchings(variant, k)
+    _guard(n, k, float(len(choices)) ** n * len(perms), limit)
+    best = math.inf
+    for perm in perms:
+        M = W if perm is None else semi_supervised_cost_terms(W, groups, variant.alpha, perm)
+        if closed:
+            costs = _exact(M)
+        else:
             w_int, scale = quantize_costs(M, precision_bits)
-            lo = None
-            for labels in itertools.product(range(k), repeat=n):
-                tot = sum(int(w_int[i, lb]) for i, lb in enumerate(labels))
-                if lo is None or tot < lo:
-                    lo = tot
-            best = min(best, float(lo) * scale)
-        return best
-
-    if variant.kind == "chromatic" and ds.colors is None:
-        raise ValueError("chromatic needs a color column")
-    _guard(n, k, float(k) ** n, limit)
-    w_int, scale = quantize_costs(W, precision_bits)
-    best = None
-    for labels in itertools.product(range(k), repeat=n):
-        if not _feasible(labels, variant, k, ds.colors):
+            costs = w_int.tolist()
+        pick = None
+        for owners in itertools.product(choices, repeat=n):
+            if not (closed or _feasible([j for (j,) in owners], variant, k, groups)):
+                continue
+            tot = sum(costs[i][j] for i, own in enumerate(owners) for j in own)
+            if pick is None or tot < pick[0]:
+                pick = (tot, owners)
+        if pick is None:
             continue
-        tot = sum(int(w_int[i, lb]) for i, lb in enumerate(labels))
-        if best is None or tot < best:
-            best = tot
-    return math.inf if best is None else float(best) * scale
+        if closed:
+            value = 0.0
+            for i, own in enumerate(pick[1]):
+                for j in own:
+                    value += float(M[i, j])
+        else:
+            value = float(pick[0]) * scale
+        best = min(best, value)
+    return best

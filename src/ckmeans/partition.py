@@ -1,41 +1,38 @@
 """Constrained partitioning of points among a fixed center set.
 
-Points (or compressed bucket vertices) sit on the left, centers on the
-right, with squared distances as edge costs in fixed-point integers.
-The integral min-cost flow on that bipartite graph is the exact
-reduction; each variant is solved on it by its own exact kernel:
+classical, fault_tolerant(l) and semi_supervised have closed forms, one
+exact rule on float costs: each point owned by its cheapest center, its
+l cheapest, or its cheapest under the cost alpha * dist^2 + (1 - alpha)
+* [target mismatch] for each of the k! matchings of targets to centers,
+the cheapest matching winning.  owner_mask is the owner rule, ties to
+the lowest index.  closed_form_totals scores a list's candidates from
+one distance matrix per row block against the list's distinct centers
+(candidate_sq), adding each row's owned costs strictly left to right,
+in point order, then owner order; closed_form_assign applies one
+candidate's rule and sums its cost the same way, so the cost equals the
+total bit for bit.  The stream feeds them its passes; batch_solve,
+partition_cost and partition_assign their point_blocks.
 
-  classical        row argmin, the Voronoi assignment
-  r_gather         every center receives at least r points
-  r_capacity       every center receives at most r points
-                   (both: the transport kernel, row argmin repaired by
-                   shortest paths on the graph contracted to k centers,
-                   each center pair's cheapest move kept in a lazy heap)
-  chromatic        at most one point of each color per center; the
-                   transport kernel with cap 1, once per color class
-  fault_tolerant   each point owned by l distinct centers: its l
-                   cheapest ones, in closed form
-  semi_supervised  cost alpha * dist^2 + (1 - alpha) * [target mismatch],
-                   a row argmin for each of the k! matchings of targets
-                   to centers
+r_gather, r_capacity and chromatic are flows: points (or compressed
+bucket vertices) on the left, centers on the right, squared distances
+as edge costs in fixed-point integers of precision_bits bits, each
+variant solved on that bipartite graph by its own exact kernel:
 
-The objective throughout is the cost of assigning to fixed centers, not
-the k-means cost of re-centered clusters, and every edge cost is finite.
-owner_mask is the closed forms' owner rule, each row's l cheapest
-centers with ties to the lowest index, for the fault_tolerant kernel
-and owned_costs.  Batch assignment and the r_gather and r_capacity
-streams' peel share one owner/cost rule: raw points are vertices of
-count 1, owners are the centers that carry a vertex's flow, and the
-real cost is summed left to right in point order, then owner order.
+  r_gather     every center receives at least r points
+  r_capacity   every center receives at most r points
+               (both: the transport kernel, row argmin repaired by
+               shortest paths on the graph contracted to k centers,
+               each center pair's cheapest move kept in a lazy heap)
+  chromatic    at most one point of each color per center; the
+               transport kernel with cap 1, once per color class
 
-A list's candidates are measured together: candidate_sq gathers each
-candidate's costs from one distance matrix against the list's distinct
-centers, and owned_costs takes each row's owned costs under a closed
-form, for the stream's exact totals and for partition_bounds, which
-bounds every candidate's partition_cost in one blocked pass: each
-unit at its row's cheapest center, or at its l cheapest under
-fault_tolerant(l), and under semi_supervised the cheapest matching;
-for classical, fault_tolerant and semi_supervised the bound is the cost.
+A compressed graph keeps the flow kernels, classical's too: the
+unbounded transport.  Raw points are vertices of count 1, owners are
+the centers that carry a vertex's flow, and the real cost is summed in
+point order, then owner order, as CompressedSolution.assign_block peels
+it.  partition_bounds bounds every candidate's flow from below in one
+blocked pass.  The objective throughout is the cost of assigning to
+fixed centers, not the k-means cost of re-centered clusters.
 """
 
 from __future__ import annotations
@@ -62,6 +59,8 @@ VARIANT_PARAMS = {
     "semi_supervised": "alpha",
 }
 VARIANT_KINDS = tuple(VARIANT_PARAMS)
+# the kinds scored and assigned on points by their closed form
+CLOSED_FORM = ("classical", "fault_tolerant", "semi_supervised")
 _PARAM_RANGES = {
     "r": ("r >= 1", lambda v: v >= 1),
     "l": ("l >= 1", lambda v: v >= 1),
@@ -132,8 +131,8 @@ def variant_groups(variant: Variant, colors, targets):
 @dataclass
 class Assignment:
     """Owner centers per point (ascending indices, l of them for the
-    fault-tolerant variant), the recomputed real cost, and the objective
-    of the flow they came from (partition_cost's value)."""
+    fault-tolerant variant), the recomputed real cost, and partition_cost's
+    value: a closed form's total, or the objective of their flow."""
 
     owners: list
     cost: float
@@ -187,24 +186,14 @@ def semi_supervised_cost_terms(W, targets, alpha: float, perm) -> np.ndarray:
     the target id matched to center i; a point pays the (1 - alpha)
     penalty on every center whose matched target differs from its own.
     """
-    return next(semi_supervised_blends(W, targets, alpha, [perm]))
+    mismatch = (np.asarray(targets)[:, None] != np.asarray(perm)[None, :]).astype(np.float64)
+    return alpha * np.asarray(W, dtype=np.float64) + (1.0 - alpha) * mismatch
 
 
 def target_matchings(variant: Variant, k: int) -> list:
     """The matchings of targets onto k centers a variant is scored under:
     every permutation under semi_supervised, else one, None."""
     return list(itertools.permutations(range(k))) if variant.kind == "semi_supervised" else [None]
-
-
-def semi_supervised_blends(W, targets, alpha: float, perms):
-    """semi_supervised_cost_terms for each matching in perms, in order:
-    alpha * W is formed once and only the mismatch penalty is added per
-    matching, the same operations, so the same bits."""
-    A = alpha * np.asarray(W, dtype=np.float64)
-    targets = np.asarray(targets)
-    for perm in perms:
-        mismatch = (targets[:, None] != np.asarray(perm)[None, :]).astype(np.float64)
-        yield A + (1.0 - alpha) * mismatch
 
 
 def semi_supervised_row_mins(D, targets, alpha: float, perms):
@@ -247,8 +236,7 @@ def owned_costs(D, groups, variant: Variant, perms):
     per matching in perms (target_matchings), each row's costs in owner
     order: its minimum, its l cheapest under fault_tolerant(l)
     (owner_mask), or its minimum under the matching's blend
-    (semi_supervised).  The other variants pay at least the row minimum,
-    so that bounds them."""
+    (semi_supervised)."""
     if variant.kind == "semi_supervised":
         return semi_supervised_row_mins(D, groups, variant.alpha, perms)
     if variant.kind == "fault_tolerant" and variant.l > 1:
@@ -444,65 +432,43 @@ def _chromatic(w_int, left, variant):
     return total, flows
 
 
-def _fault_tolerant(w_int, left, variant):
-    """Closed form: every point takes its l cheapest centers (owner_mask)."""
-    if variant.l > w_int.shape[1]:
-        return None
-    flows = owner_mask(w_int, variant.l) * left.counts[:, None]
-    return _exact_total(flows, w_int), flows
-
-
 _KERNELS = {
     "classical": lambda w, left, v: transport_assign(w, left.counts, 0, left.total),
     "r_gather": lambda w, left, v: transport_assign(w, left.counts, v.r, left.total),
     "r_capacity": lambda w, left, v: transport_assign(w, left.counts, 0, v.r),
     "chromatic": _chromatic,
-    "fault_tolerant": _fault_tolerant,
 }
 
 
-def _semi_supervised(left: _LeftSide, variant: Variant, precision_bits: int):
-    """Unconstrained, so each of the k! target matchings is a row argmin."""
-    best = None
-    perms = target_matchings(variant, left.weights.shape[1])
-    blends = semi_supervised_blends(left.weights, left.groups, variant.alpha, perms)
-    for perm, M in zip(perms, blends):
-        w_int, scale = quantize_costs(M, precision_bits)
-        # unbounded: transport_assign's row argmin, never infeasible
-        solved = transport_assign(w_int, left.counts, 0, left.total)
-        if best is None or solved[0] * scale < best[0] * best[1]:
-            best = (solved[0], scale, solved[1], perm)
-    return best
-
-
 def _solve_left(left: _LeftSide, variant: Variant, precision_bits: int):
-    """Dispatch a variant over a left side.
-
-    Returns (int_cost, scale, flows, perm) or None when infeasible.
-    flows is (L, k) integral; perm is the winning target matching for
-    semi_supervised and None otherwise.
-    """
-    if variant.kind == "semi_supervised":
-        return _semi_supervised(left, variant, precision_bits)
+    """Solve a flow variant over a left side.  Returns (int_cost, scale,
+    flows), flows (L, k) and integral, or None when infeasible."""
+    if variant.kind not in _KERNELS:
+        raise ValueError(f"{variant.kind} is peeled by its closed form, not from a graph")
     w_int, scale = quantize_costs(left.weights, precision_bits)
     solved = _KERNELS[variant.kind](w_int, left, variant)
-    return None if solved is None else (solved[0], scale, solved[1], None)
+    return None if solved is None else (solved[0], scale, solved[1])
 
 
 # ---------------------------------------------------------------------------
 # public surface
 
-def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
-    """Optimal constrained assignment cost, or +inf when infeasible.
-
-    data may be a Dataset, a raw point array, or a CompressedGraph built
-    against the same centers (in which case centers is ignored).
-    """
-    solved = _solve_left(_left_side(data, centers, variant), variant, precision_bits)
-    if solved is None:
-        return math.inf
-    int_cost, scale, _flows, _perm = solved
-    return float(int_cost) * scale
+def point_blocks(data, stack, variant: Variant) -> tuple[list, np.ndarray, np.ndarray]:
+    """(blocks, U, col) of a point set and an (m, k, d) stack: the stack's
+    distinct centers U and column map col (hyperbucket.distinct_centers),
+    and the (points, groups) row blocks, groups the variant's label column
+    (a missing one raises), sized so that a block's distance and gather
+    temporaries hold at most BOUND_BLOCKS * ENTRIES entries (1 MB) each."""
+    ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
+    groups = variant_groups(variant, ds.colors, ds.targets)
+    stack = np.asarray(stack, dtype=np.float64)
+    m, k, d = stack.shape
+    U, col = distinct_centers(stack.reshape(-1, d))
+    col = col.reshape(m, k)
+    rows = block_rows(max(U.size, col.size), BOUND_BLOCKS * ENTRIES)
+    blocks = [(ds.points[lo:lo + rows], None if groups is None else groups[lo:lo + rows])
+              for lo in range(0, ds.n, rows)]
+    return blocks, U, col
 
 
 def candidate_sq(points, U, col) -> np.ndarray:
@@ -516,103 +482,133 @@ def candidate_sq(points, U, col) -> np.ndarray:
     return sq[:, col.T].transpose(2, 0, 1)
 
 
-def _semi_supervised_tops(T, seen, alpha: float, perms) -> np.ndarray:
-    """(len(perms), m): the largest blended cost of each candidate under
-    each matching.  T[c, i, j] is the largest squared distance between
-    candidate i's center j and a row of target class c (class k: a
-    target no center is matched to), seen[c] whether class c has a row.
-    A row pays alpha * D on its target's center and alpha * D +
-    (1 - alpha) on the others; both maps are monotone, so each maximum
-    is that map of a maximum of T.  An empty class holds 0.0, which
-    leaves the unpenalized maximum as it is but must not be penalized."""
-    k = T.shape[2]
-    tops = np.zeros((len(perms), T.shape[1]))
-    for top, perm in zip(tops, perms):
-        center = np.argsort(perm)              # the center matched to each target
-        top[:] = alpha * T[np.arange(k), :, center].max(axis=0)
-        other = seen[:, None] & (np.arange(k) != np.append(center, -1)[:, None])
-        if other.any():
-            np.maximum(top, alpha * T.transpose(0, 2, 1)[other].max(axis=0) + (1.0 - alpha),
-                       out=top)
-    return tops
+def closed_form_totals(blocks, U, col, variant: Variant, floors=None) -> np.ndarray:
+    """(matchings, m): every candidate's total under a closed form, one
+    row per target matching.  Each (points, groups) block is measured
+    once against U (candidate_sq), its costs zeroed below each
+    candidate's floor when floors is given, and each row's owned costs
+    (owned_costs) added strictly left to right, so no split into blocks
+    moves a bit.  fault_tolerant(l > k) owns no l centers: +inf."""
+    m, k = col.shape
+    perms = target_matchings(variant, k)
+    totals = np.zeros((len(perms), m))
+    for pts, groups in blocks:
+        D = candidate_sq(pts, U, col)
+        if floors is not None:
+            D = np.where(D < floors[:, None, None], 0.0, D)
+        for total, owned in zip(totals, owned_costs(D, groups, variant, perms)):
+            owned[:, 0] += total
+            total[:] = np.add.accumulate(owned, axis=1)[:, -1]
+        # owned is not held through the next block's gather; D is, since
+        # freeing it first makes the allocator hand back and refault its pages
+        del owned
+    if variant.kind == "fault_tolerant" and variant.l > k:
+        totals[:] = math.inf
+    return totals
+
+
+def closed_form_assign(blocks, centers, variant: Variant, totals,
+                       floor: float = 0.0) -> tuple[list, float]:
+    """(owners, cost) of centers under a closed form over (points, groups)
+    blocks, in the first cheapest matching of totals (their column of
+    closed_form_totals).  A point's owners are the owner_mask of its
+    costs zeroed below floor, and its real costs are added strictly left
+    to right: with no floor, cost is that total bit for bit."""
+    perm = target_matchings(variant, len(centers))[int(np.argmin(totals))]
+    l = variant.l if variant.kind == "fault_tolerant" else 1
+
+    def blend(sq, groups):
+        return sq if perm is None else semi_supervised_cost_terms(sq, groups, variant.alpha, perm)
+
+    owners, cost = [], 0.0
+    for pts, groups in blocks:
+        sq = pairwise_sqdist(pts, centers)
+        real = blend(sq, groups)
+        owns = owner_mask(blend(np.where(sq < floor, 0.0, sq), groups) if floor else real, l)
+        owners.extend(_owner_tuples(owns))
+        cost = _running_sum(cost, real[owns])
+    return owners, cost
+
+
+def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
+    """Optimal constrained assignment cost, or +inf when infeasible.
+
+    data may be a Dataset, a raw point array, or a CompressedGraph built
+    against the same centers (in which case centers is ignored).  On
+    points a closed form costs its total (closed_form_totals) at any
+    precision_bits.
+    """
+    check_precision_bits(precision_bits)
+    if variant.kind in CLOSED_FORM and not isinstance(data, CompressedGraph):
+        blocks, U, col = point_blocks(data, as_points(centers)[None], variant)
+        return float(closed_form_totals(blocks, U, col, variant).min())
+    solved = _solve_left(_left_side(data, centers, variant), variant, precision_bits)
+    if solved is None:
+        return math.inf
+    int_cost, scale, _flows = solved
+    return float(int_cost) * scale
 
 
 def partition_bounds(data, stack, variant: Variant, *, precision_bits: int = 32) -> np.ndarray:
-    """A lower bound on partition_cost for every candidate of an (m, k, d)
-    stack, each on its own quantization: the sum of each row's l
-    cheapest fixed-point costs, where l is fault_tolerant's l and 1 for
-    the other variants.  Every kernel but semi_supervised's sends each
-    unit at least to its row's cheapest center, feasible or not, and
-    fault_tolerant(l) sends it to exactly its l cheapest, so for l <= k
-    the bound is its cost.  semi_supervised's is the smallest over
-    target matchings of each matching's row-minimum total, which is its
-    cost.  It raises where partition_cost raises.
+    """A lower bound on a flow's partition_cost (r_gather, r_capacity,
+    chromatic) for every candidate of an (m, k, d) stack, each on its own
+    quantization: the sum of each row's cheapest fixed-point cost, since
+    every flow kernel sends each unit at least to its row's cheapest
+    center, feasible or not.  It raises where partition_cost raises.
 
-    The points are measured in row blocks against the stack's distinct
-    centers U, sized so that a block's distance and gather temporaries
-    hold at most BOUND_BLOCKS * ENTRIES entries (1 MB) each.  A first
-    pass takes U's column maxima (per target class under
-    semi_supervised), which give each candidate's largest cost, its
-    quantization scale, with no gather.  A second gathers each
-    candidate's costs and sums its rows' owned costs (owned_costs),
+    The point_blocks are measured against the stack's distinct centers
+    U twice.  A first pass takes U's column maxima, which give each
+    candidate's largest cost, its quantization scale, with no gather.  A
+    second gathers each candidate's costs and sums its row minima,
     quantized as quantize_costs does, exactly in 31-bit limbs
-    (_limb_total, as _exact_total sums).
-    Quantizing is monotone, so a row's cheapest quantized costs are its
-    cheapest costs quantized.
+    (_limb_total, as _exact_total sums).  Quantizing is monotone, so a
+    row's cheapest quantized cost is its cheapest cost quantized.
     """
-    ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
-    groups = variant_groups(variant, ds.colors, ds.targets)
     check_precision_bits(precision_bits)
-    stack = np.asarray(stack, dtype=np.float64)
-    m, k, d = stack.shape
-    U, col = distinct_centers(stack.reshape(-1, d))
-    col = col.reshape(m, k)
-    rows = block_rows(max(U.size, col.size), BOUND_BLOCKS * ENTRIES)
-    blocks = [slice(lo, lo + rows) for lo in range(0, ds.n, rows)]
-    semi = variant.kind == "semi_supervised"
-    perms = target_matchings(variant, k)
-    # a row's class: its target where a center can be matched to it, else k
-    cls = np.where((groups >= 0) & (groups < k), groups, k) if semi else None
-    top = np.zeros((k + 1 if semi else 1, len(U)))
-    for b in blocks:
-        sq = pairwise_sqdist(ds.points[b], U)
+    blocks, U, col = point_blocks(data, stack, variant)
+    top = np.zeros(len(U))
+    for pts, _groups in blocks:
+        sq = pairwise_sqdist(pts, U)
         check_overflow(sq)
-        for c, part in enumerate([sq[cls[b] == c] for c in range(k + 1)] if semi else [sq]):
-            np.maximum(top[c], part.max(axis=0, initial=0.0), out=top[c])
-    tops = (_semi_supervised_tops(top[:, col], np.bincount(cls, minlength=k + 1) > 0,
-                                  variant.alpha, perms) if semi
-            else top[0][col].max(axis=1)[None])
-    totals = np.zeros(tops.shape, dtype=object)
-    for b in blocks:
-        D = candidate_sq(ds.points[b], U, col)
-        for p, v in enumerate(owned_costs(D, None if groups is None else groups[b], variant,
-                                          perms)):
-            # a block's rows sum in int64 limbs, the blocks in Python ints
-            totals[p] += _limb_total(_fixed_point(v, tops[p][:, None], precision_bits), axis=1)
-    scales = _fixed_scale(tops, precision_bits)
-    return np.array([[float(t) * s for t, s in zip(*r)]
-                     for r in zip(totals.tolist(), scales.tolist())]).min(axis=0)
+        np.maximum(top, sq.max(axis=0, initial=0.0), out=top)
+    top = top[col].max(axis=1)
+    totals = np.zeros(len(col), dtype=object)
+    for pts, _groups in blocks:
+        # a block's rows sum in int64 limbs, the blocks in Python ints
+        low = row_min(candidate_sq(pts, U, col))
+        totals += _limb_total(_fixed_point(low, top[:, None], precision_bits), axis=1)
+    return np.array([float(t) * s for t, s in
+                     zip(totals.tolist(), _fixed_scale(top, precision_bits).tolist())])
 
 
 def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 32) -> Assignment:
     """Optimal constrained assignment with its recomputed real cost.
 
-    Each point is a vertex of count 1, so its owners are the centers
-    that carry its flow, and owners and cost come out by the rule that
+    A closed form's owners and cost come from closed_form_assign, and
+    its cost equals its total, flow_cost, bit for bit.  A flow's points
+    are vertices of count 1, so their owners are the centers that carry
+    their flow, and owners and cost come out by the rule that
     CompressedSolution.assign_block peels with.  Raises
     InfeasiblePartitionError when the constraints cannot be met.
     """
     if isinstance(data, CompressedGraph):
         raise TypeError("partition_assign needs points; solve a graph with compressed_partition")
+    check_precision_bits(precision_bits)
+    if variant.kind in CLOSED_FORM:
+        C = as_points(centers)
+        blocks, U, col = point_blocks(data, C[None], variant)
+        totals = closed_form_totals(blocks, U, col, variant)[:, 0]
+        if math.isinf(totals.min()):
+            raise InfeasiblePartitionError(f"{variant.kind}: no feasible assignment")
+        return Assignment(*closed_form_assign(blocks, C, variant, totals), float(totals.min()))
     left = _left_side(data, centers, variant)
     solved = _solve_left(left, variant, precision_bits)
     if solved is None:
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible assignment")
-    int_cost, scale, flows, perm = solved
+    int_cost, scale, flows = solved
     owns = flows > 0
-    cost = left.weights if perm is None else semi_supervised_cost_terms(
-        left.weights, left.groups, variant.alpha, perm)
-    return Assignment(_owner_tuples(owns), _running_sum(0.0, cost[owns]), float(int_cost) * scale)
+    return Assignment(_owner_tuples(owns), _running_sum(0.0, left.weights[owns]),
+                      float(int_cost) * scale)
 
 
 @dataclass
@@ -667,11 +663,9 @@ def compressed_partition(graph: CompressedGraph, variant: Variant,
                          *, precision_bits: int = 32) -> CompressedSolution:
     """Solve a single-owner variant over a compressed graph; raises when
     infeasible.  fault_tolerant's closed form needs no graph to peel."""
-    if variant.kind == "fault_tolerant":
-        raise ValueError("fault_tolerant is peeled by its closed form, not from a graph")
     solved = _solve_left(_left_side(graph, None, variant), variant, precision_bits)
     if solved is None:
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible flow on compressed graph")
-    int_cost, scale, flows, _perm = solved
+    int_cost, scale, flows = solved
     row = {key: i for i, key in enumerate(graph.vertices)}
     return CompressedSolution(graph, float(int_cost) * scale, flows, row)

@@ -9,15 +9,17 @@ of max(block, ENTRIES // (2k·d)) rows and offers each join once to one
 reservoir bank with a segment per repetition; the later passes join
 blocks into arrays of max(block, ENTRIES // (|U|·d)) rows, U the list's
 distinct centers, which the scale and scoring passes measure once for
-all candidates.  classical, fault_tolerant and
-semi_supervised are scored in closed form, with no graph: one exact
-running total per candidate (and target matching), each point's owned
-costs summed left to right; the assign pass applies the winner's owner
-rule.  r_gather and r_capacity key a compressed graph per candidate,
-from a table of up to a block's distinct rows, solve the graphs offline
+all candidates.  classical, fault_tolerant and semi_supervised are
+scored and assigned with no graph, by partition.closed_form_totals and
+closed_form_assign, the one exact rule of batch_solve and `ckmeans
+partition` too: the scoring pass keeps one running total per candidate
+(and target matching), the assign pass applies the winner's owner rule.
+r_gather and r_capacity key a compressed graph per candidate, from a
+table of up to a block's distinct rows, solve the graphs offline
 between passes and peel the winner's flow.  batch_solve is the
-in-memory pipeline behind `ckmeans solve`; in argmin mode it bounds
-every candidate's cost from below in one blocked pass over the list's
+in-memory pipeline behind `ckmeans solve`; it scores a closed form's
+candidates in one pass over the points, and in argmin mode bounds a
+flow's every candidate from below in one blocked pass over the list's
 distinct centers, solves candidates exactly in ascending bound order,
 and stops once no bound can beat the best.  Both build their candidate
 list with listgen.candidate_list, from D^2 samples drawn in memory or
@@ -37,19 +39,18 @@ from .geometry import ENTRIES, as_points, block_rows, pairwise_sqdist, row_min
 from .hyperbucket import CompressedGraph, KeyBuilder, aspect_floor, aspect_graph, distinct_centers
 from .listgen import CandidateList, GoodCentersConfig, candidate_list, good_centers
 from .partition import (
+    CLOSED_FORM,
     InfeasiblePartitionError,
     Variant,
-    _owner_tuples,
-    _running_sum,
     candidate_sq,
     check_precision_bits,
+    closed_form_assign,
+    closed_form_totals,
     compressed_partition,
-    owned_costs,
-    owner_mask,
     partition_assign,
     partition_bounds,
     partition_cost,
-    semi_supervised_cost_terms,
+    point_blocks,
     target_matchings,
     variant_groups,
 )
@@ -57,8 +58,6 @@ from .sampling import ReservoirBank
 from .seeding import SeedSolution, chunks, d2_seed, merge_reduce_seed
 
 STREAM_VARIANTS = ("classical", "r_gather", "r_capacity", "fault_tolerant", "semi_supervised")
-# the stream variants scored by their closed form; the others build graphs
-CLOSED_FORM = ("classical", "fault_tolerant", "semi_supervised")
 
 
 class StreamSource:
@@ -243,14 +242,12 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
         rows = block_rows(C.size, ENTRIES, source.block)
         for (pts,) in chunks(((pts,) for pts in source.open_points()), rows):
             w = row_min(pairwise_sqdist(pts, C))
-            before = bank.segment_words()
+            before = bank.words
             bank.offer_block(pts, w)
-            # an offer grows or shrinks each segment's pending draws; each
-            # repetition's segment is charged in turn, so the report counts
-            # the repetitions as separately charged states
-            for old, new in zip(before, bank.segment_words()):
-                meter.free_words(old)
-                meter.alloc_words(new)
+            # an offer grows or shrinks the segments' pending draws: the
+            # bank's total is charged once, the state it holds after the offer
+            meter.free_words(before)
+            meter.alloc_words(bank.words)
             seen += len(w)
 
         cands = candidate_list(np.split(bank.sampled_points(), reps), C, p,
@@ -368,29 +365,13 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             d_star = np.sqrt(worst)
 
     closed = variant.kind in CLOSED_FORM
-    l = variant.l if variant.kind == "fault_tolerant" else 1
-    perms = target_matchings(variant, k)
-
-    def rule_costs(sq, groups, perm, floor):
-        # the costs a closed form ranks: zeroed below the floor, blended under perm
-        if aspect_removal:
-            sq = np.where(sq < floor, 0.0, sq)
-        return sq if perm is None else semi_supervised_cost_terms(sq, groups, variant.alpha, perm)
-
     with meter.phase("graph"):
         if closed:
-            floors = np.zeros(m) if d_star is None else np.array(
+            floors = None if d_star is None else np.array(
                 [aspect_floor(e.centers, d, max(n, 1)) for e, d in zip(cands.entries, d_star)])
-            totals = np.zeros((len(perms), m))
-            meter.alloc_words(totals.size)
-            for pts, groups in grouped(source.open()):
-                D = candidate_sq(pts, U, col)
-                if aspect_removal:
-                    D = np.where(D < floors[:, None, None], 0.0, D)
-                for total, owned in zip(totals, owned_costs(D, groups, variant, perms)):
-                    owned[:, 0] += total
-                    total[:] = np.add.accumulate(owned, axis=1)[:, -1]
-            costs = totals.min(axis=0) if l <= k else np.full(m, math.inf)
+            meter.alloc_words(len(target_matchings(variant, k)) * m)
+            totals = closed_form_totals(grouped(source.open()), U, col, variant, floors)
+            costs = totals.min(axis=0)
         else:
             graphs = [aspect_graph(e.centers, eps, float(d_star[i]), max(n, 1)) if aspect_removal
                       else CompressedGraph(e.centers, eps) for i, e in enumerate(cands.entries)]
@@ -420,12 +401,8 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     with meter.phase("assign"):
         blocks = source.open()
         if closed:
-            perm, cost = perms[int(totals[:, winner].argmin())], 0.0
-            for pts, groups in grouped(blocks):
-                sq = pairwise_sqdist(pts, centers)
-                owns = owner_mask(rule_costs(sq, groups, perm, floors[winner]), l)
-                owners.extend(_owner_tuples(owns))
-                cost = _running_sum(cost, rule_costs(sq, groups, perm, 0.0)[owns])
+            owners, cost = closed_form_assign(grouped(blocks), centers, variant, totals[:, winner],
+                                              0.0 if floors is None else floors[winner])
             flow_cost = float(costs[winner])
         else:
             for pts, _groups in grouped(blocks):
@@ -462,14 +439,14 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
                 select_mode: str = "argmin", precision_bits: int = 32) -> BatchResult:
     """Offline reference pipeline: batch seed, batch candidate list,
     exact (uncompressed) partitions, best one wins; what `ckmeans solve`
-    runs.  argmin mode bounds every candidate in one blocked pass over
-    the list's distinct centers (partition_bounds), solves candidates in
-    ascending (bound, index) order until no bound can beat the best
-    (cost, index), and leaves the rest at cost +inf, so the argmin and
-    its tie-break stay.  Where the bound is the cost (classical,
-    fault_tolerant, semi_supervised) one candidate is solved.  Range
-    mode caps at the largest finite cost, known only after every solve,
-    so it solves every candidate."""
+    runs.  A closed form scores every candidate in one pass over the
+    point_blocks and assigns the winner in one more, in either mode.  A
+    flow, in argmin mode, bounds every candidate in one blocked pass
+    (partition_bounds), solves candidates in ascending (bound, index)
+    order until no bound can beat the best (cost, index), and leaves the
+    rest at cost +inf, so the argmin and its tie-break stay.  Range mode
+    caps at the largest finite cost, known only after every solve, so it
+    solves every flow candidate."""
     _check_t(cfg, k)
     check_precision_bits(precision_bits)
     check_select(select_mode, cfg.epsilon)
@@ -480,10 +457,18 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
     cands = good_centers(ds.points, seed.centers, cfg, rng)
     if not len(cands):
         raise InfeasiblePartitionError("candidate list came back empty")
+    stack = np.stack([e.centers for e in cands.entries])
+    if variant.kind in CLOSED_FORM:
+        blocks, U, col = point_blocks(ds, stack, variant)
+        totals = closed_form_totals(blocks, U, col, variant)
+        costs = totals.min(axis=0)
+        winner = select_best(costs, select_mode, cfg.epsilon)
+        centers = cands.entries[winner].centers
+        owners, cost = closed_form_assign(blocks, centers, variant, totals[:, winner])
+        return BatchResult(centers, owners, cost, float(costs[winner]), winner, seed.cost, cands)
     m = len(cands)
     bounds = ([-math.inf] * m if select_mode == "range" else
-              partition_bounds(ds, np.stack([e.centers for e in cands.entries]), variant,
-                               precision_bits=precision_bits).tolist())
+              partition_bounds(ds, stack, variant, precision_bits=precision_bits).tolist())
     costs = np.full(m, math.inf)
     best = (math.inf, m)
     for i in sorted(range(m), key=lambda j: (bounds[j], j)):

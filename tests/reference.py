@@ -26,7 +26,6 @@ from ckmeans.partition import (
     _exact_total,
     _left_side,
     check_precision_bits,
-    owner_mask,
     partition_assign,
     partition_cost,
     quantize_costs,
@@ -194,23 +193,40 @@ def fault_tolerant_reduce(ds: Dataset, l: int) -> Dataset:
 def partition_bound(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
     """One candidate's partition.partition_bounds, from its own distance
     matrix (or a CompressedGraph's vertices, centers ignored): each
-    row's l cheapest quantized costs summed, l being fault_tolerant's l
-    and 1 otherwise; under semi_supervised the smallest over target
-    matchings of that row-minimum total on each matching's own scale."""
+    row's cheapest quantized cost, summed."""
     left = _left_side(data, centers, variant)
-    if variant.kind == "semi_supervised":
-        check_precision_bits(precision_bits)
-        totals = []
-        for perm in itertools.permutations(range(left.weights.shape[1])):
-            M = semi_supervised_cost_terms(left.weights, left.groups, variant.alpha, perm)
-            w_int, scale = quantize_costs(M, precision_bits)
-            totals.append(float(_exact_total(left.counts, w_int.min(axis=1))) * scale)
-        return min(totals)
     w_int, scale = quantize_costs(left.weights, precision_bits)
-    if variant.kind != "fault_tolerant":
-        return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
-    # summed exactly: at 62 bits a row of l costs can pass 2**63
-    return float(_exact_total(owner_mask(w_int, variant.l) * left.counts[:, None], w_int)) * scale
+    return float(_exact_total(left.counts, w_int.min(axis=1))) * scale
+
+
+def closed_form_rule(W, variant: Variant, groups=None, counts=None):
+    """The closed forms' float rule, point by point: each of the counts[v]
+    copies of row v (1 each by default) owned by its l cheapest centers,
+    by a stable sort of its costs (blended under semi_supervised), and
+    those costs added one by one in point order, then owner order; under
+    semi_supervised the cheapest matching of targets to centers, the
+    first on ties.  Returns (cost, owner tuple per row), or (inf, None)
+    when fault_tolerant's l exceeds k."""
+    W = np.asarray(W, dtype=np.float64)
+    L, k = W.shape
+    counts = np.ones(L, dtype=np.int64) if counts is None else counts
+    l = variant.l if variant.kind == "fault_tolerant" else 1
+    if l > k:
+        return math.inf, None
+    perms = (itertools.permutations(range(k)) if variant.kind == "semi_supervised"
+             else [None])
+    best = None
+    for perm in perms:
+        M = W if perm is None else semi_supervised_cost_terms(W, groups, variant.alpha, perm)
+        owners = [tuple(sorted(np.argsort(row, kind="stable")[:l].tolist())) for row in M]
+        total = 0.0
+        for v, own in enumerate(owners):
+            for _ in range(int(counts[v])):
+                for j in own:
+                    total += M[v, j]
+        if best is None or total < best[0]:
+            best = (total, owners)
+    return best
 
 
 def assignment_valid(assignment: Assignment, variant: Variant, n: int, k: int,

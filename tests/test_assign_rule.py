@@ -1,11 +1,12 @@
 """partition_assign against the per-point loop it replaced.
 
-A raw-point left side is a compressed graph whose vertices have count 1,
-so partition_assign reads owners off flows > 0 and sums the real cost
-with the running sum that CompressedSolution.assign_block uses.  The
-reference here is the per-point form: each point's owners read off its
-own flow row, and the cost summed in Python over the (blended) edge
-costs, point by point, then owner by owner.
+For a flow, a raw-point left side is a compressed graph whose vertices
+have count 1, so partition_assign reads owners off flows > 0 and sums
+the real cost with the running sum that CompressedSolution.assign_block
+uses.  The reference here is the per-point form: each point's owners
+read off its own flow row, or, for a closed form, off its float rule
+(reference.closed_form_rule), and the cost summed in Python over the
+(blended) edge costs, point by point, then owner by owner.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from ckmeans.data import Dataset
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.hyperbucket import build_compressed
 from ckmeans.partition import (
+    CLOSED_FORM,
     VARIANT_KINDS,
     InfeasiblePartitionError,
     Variant,
@@ -30,12 +32,11 @@ from ckmeans.partition import (
     owner_mask,
     partition_assign,
     partition_cost,
-    semi_supervised_blends,
     semi_supervised_cost_terms,
     semi_supervised_row_mins,
 )
 from ckmeans.geometry import row_min
-from reference import assignment_valid
+from reference import assignment_valid, closed_form_rule
 
 
 @st.composite
@@ -74,24 +75,28 @@ def test_partition_assign_matches_per_point_loop(inst, param, bits):
         variant = variant_of(kind, n, k, param)
         groups = {"chromatic": ds.colors, "semi_supervised": ds.targets}.get(kind)
         W = pairwise_sqdist(ds.points, C)
-        solved = _solve_left(_LeftSide(W, np.ones(n, dtype=np.int64), groups), variant, bits)
-        if solved is None:
+        if kind in CLOSED_FORM:
+            total, owners = closed_form_rule(W, variant, groups)
+        else:
+            solved = _solve_left(_LeftSide(W, np.ones(n, dtype=np.int64), groups), variant, bits)
+            owners = None if solved is None else [
+                tuple(int(j) for j in np.flatnonzero(row > 0)) for row in solved[2]]
+        if owners is None:
             with pytest.raises(InfeasiblePartitionError):
                 partition_assign(ds, C, variant, precision_bits=bits)
             assert partition_cost(ds, C, variant, precision_bits=bits) == math.inf
             continue
-        _int_cost, _scale, flows, perm = solved
-        owners = [tuple(int(j) for j in np.flatnonzero(flows[v] > 0)) for v in range(n)]
-        if kind == "semi_supervised":
-            W = semi_supervised_cost_terms(W, ds.targets, variant.alpha, perm)
-        total = 0.0
-        for v, own in enumerate(owners):
-            for j in own:
-                total += W[v, j]
+        if kind not in CLOSED_FORM:
+            total = 0.0
+            for v, own in enumerate(owners):
+                for j in own:
+                    total += W[v, j]
 
         asg = partition_assign(ds, C, variant, precision_bits=bits)
         assert asg.owners == owners, variant
         assert repr(asg.cost) == repr(total), variant       # bit-equal, same order
+        if kind in CLOSED_FORM:
+            assert repr(asg.flow_cost) == repr(float(total)), variant
         ok, bad = assignment_valid(asg, variant, n, k, colors=ds.colors, targets=ds.targets)
         assert ok, bad
 
@@ -103,18 +108,12 @@ def test_owner_sets_beyond_64_centers():
     k, n = 70, 700
     C = rng.uniform(-10.0, 10.0, size=(k, 2))
     X = rng.uniform(-10.0, 10.0, size=(n, 2))
-    variant = Variant.fault_tolerant(3)
     W = pairwise_sqdist(X, C)
-    # batch: each point's owners read off its own flow row
-    flows = _solve_left(_LeftSide(W, np.ones(n, dtype=np.int64), None), variant, 32)[2]
-    want = [tuple(np.flatnonzero(row).tolist()) for row in flows > 0]
-    assert len({own for own in want if max(own) >= 63}) > 10
-    assert partition_assign(X, C, variant).owners == want
-    # the stream's closed form: the owner rule on the float costs, each
-    # point's 3 cheapest by a stable sort
+    # the owner rule on the float costs: each point's 3 cheapest by a stable sort
     want = [tuple(sorted(row)) for row in np.argsort(W, axis=1, kind="stable")[:, :3].tolist()]
     assert len({own for own in want if max(own) >= 63}) > 10
     assert _owner_tuples(owner_mask(W, 3)) == want
+    assert partition_assign(X, C, Variant.fault_tolerant(3)).owners == want
 
 
 @pytest.mark.parametrize("shape", [(40, 3), (40, 7), (4, 9, 5)])
@@ -132,8 +131,7 @@ def test_owner_mask_takes_the_first_l_of_a_stable_sort(shape):
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
 def test_semi_supervised_row_mins_equal_the_blends_row_minima(alpha):
     # the closed forms' semi_supervised row minima, taken without blending,
-    # are bit-equal to row minima of the full blend; so is the blend formed
-    # once per array to one formed per matching
+    # are bit-equal to row minima of the full blend
     rng = np.random.default_rng(int(alpha * 10) + 61)
     for _ in range(30):
         m, rows, k = (int(v) for v in rng.integers(1, 6, 3))
@@ -141,11 +139,9 @@ def test_semi_supervised_row_mins_equal_the_blends_row_minima(alpha):
         D[rng.random(D.shape) < 0.2] = 0.0      # coincident points
         targets = rng.integers(0, k + 2, rows)  # k and k + 1 match no center
         perms = list(itertools.permutations(range(k)))
-        blends = list(semi_supervised_blends(D, targets, alpha, perms))
         mins = list(semi_supervised_row_mins(D, targets, alpha, perms))
-        for perm, blend, low in zip(perms, blends, mins):
+        for perm, low in zip(perms, mins):
             want = semi_supervised_cost_terms(D, targets, alpha, perm)
-            assert np.array_equal(blend, want)
             assert np.array_equal(low, want.min(axis=-1))
             assert np.array_equal(row_min(want), low)
 

@@ -1,15 +1,17 @@
 """Per-variant assignment kernels against the generic min-cost flow.
 
-The partition module solves each variant with its own exact kernel on
-the quantized integer costs.  The reference here is the bipartite
-network every variant used to be built as, solved by
-solve_min_cost_flow; the exhaustive oracle is a third, independent
-search on every generated instance.  transport_assign's flows, which
-owners are read from, are compared with numpy_repair_reference, the
-repair loop it replaced.
+The partition module solves each flow variant with its own exact kernel
+on the quantized integer costs, and classical on a compressed graph with
+the unbounded one.  The reference here is the bipartite network every
+variant used to be built as, solved by solve_min_cost_flow; the
+exhaustive oracle is a third, independent search on every generated
+instance.  The closed forms on points (classical, fault_tolerant,
+semi_supervised) are checked against their float rule
+(reference.closed_form_rule) and the oracle.  transport_assign's flows,
+which owners are read from, are compared with numpy_repair_reference,
+the repair loop it replaced.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -21,14 +23,16 @@ from ckmeans.flow import FlowNetwork, solve_min_cost_flow
 from ckmeans.geometry import pairwise_sqdist
 from ckmeans.oracle import OracleLimit, opt_constrained
 from ckmeans.partition import (
+    CLOSED_FORM,
     Variant,
     _exact_total,
     _LeftSide,
     _solve_left,
+    partition_cost,
     quantize_costs,
-    semi_supervised_cost_terms,
     transport_assign,
 )
+from reference import closed_form_rule
 
 KINDS = ("classical", "r_gather", "r_capacity", "chromatic", "fault_tolerant",
          "semi_supervised")
@@ -134,32 +138,15 @@ def assert_same_transport(got, want):
 
 
 def reference(left, variant, bits=32):
-    """(int_cost, scale) of the optimum by min-cost flow, or None."""
-    W = left.weights
-    L, k = W.shape
+    """(int_cost, scale) of a flow kernel's optimum by min-cost flow, or
+    None."""
     n = left.total
-    if variant.kind == "semi_supervised":
-        best = None
-        for perm in itertools.permutations(range(k)):
-            M = semi_supervised_cost_terms(W, left.groups, variant.alpha, perm)
-            w, scale = quantize_costs(M, bits)
-            c = ssp_assign(w, left.counts, 0, n)
-            if c is not None and (best is None or c * scale < best[0] * best[1]):
-                best = (c, scale)
-        return best
-    w, scale = quantize_costs(W, bits)
+    w, scale = quantize_costs(left.weights, bits)
     if variant.kind == "chromatic":
         parts = [ssp_assign(w[rows], left.counts[rows], 0, 1)
                  for rows in (np.flatnonzero(left.groups == g)
                               for g in np.unique(left.groups))]
         total = None if None in parts else sum(parts)
-    elif variant.kind == "fault_tolerant":
-        # l replicas of each point, one per center at most
-        l = variant.l
-        parts = [ssp_assign(np.repeat(w[v][None], l, 0), np.ones(l, dtype=np.int64), 0, 1)
-                 for v in range(L)]
-        total = None if None in parts else sum(
-            c * int(m) for c, m in zip(parts, left.counts))
     else:
         low, cap = {"classical": (0, n), "r_gather": (variant.r, n),
                     "r_capacity": (0, variant.r)}[variant.kind]
@@ -168,16 +155,13 @@ def reference(left, variant, bits=32):
 
 
 def check_flows(left, variant, flows):
-    per_point = variant.l if variant.kind == "fault_tolerant" else 1
     assert (flows >= 0).all()
-    assert (flows.sum(axis=1) == left.counts * per_point).all()
+    assert (flows.sum(axis=1) == left.counts).all()
     load = flows.sum(axis=0)
     if variant.kind == "r_gather":
         assert (load >= variant.r).all()
     if variant.kind == "r_capacity":
         assert (load <= variant.r).all()
-    if variant.kind == "fault_tolerant":
-        assert (flows <= left.counts[:, None]).all()
     if variant.kind == "chromatic":
         for g in np.unique(left.groups):
             assert (flows[left.groups == g].sum(axis=0) <= 1).all()
@@ -225,17 +209,18 @@ def test_kernels_match_min_cost_flow_and_oracle(inst):
         variant = variant_of(kind, n, k, param)
         groups = {"chromatic": colors, "semi_supervised": targets}.get(kind)
         left = _LeftSide(W, counts, groups)
-        got = _solve_left(left, variant, 32)
-        want = reference(left, variant)
-        assert (got is None) == (want is None), variant
-        if got is None:
-            cost = math.inf
-        else:
-            check_flows(left, variant, got[2])
-            cost = float(got[0]) * got[1]
-            assert cost == float(want[0]) * want[1], variant
-            if kind != "semi_supervised":
+        if kind in ("classical", "r_gather", "r_capacity", "chromatic"):
+            # the flow kernels, classical's as a compressed graph runs it
+            got = _solve_left(left, variant, 32)
+            want = reference(left, variant)
+            assert (got is None) == (want is None), variant
+            if got is not None:
+                check_flows(left, variant, got[2])
                 assert (got[0], got[1]) == want, variant
+            cost = math.inf if got is None else float(got[0]) * got[1]
+        if kind in CLOSED_FORM:
+            cost = partition_cost(expanded, centers, variant)
+            assert cost == closed_form_rule(W, variant, groups, counts)[0], variant
         oracle = opt_constrained(expanded, centers, variant, OracleLimit(max_n=6))
         assert cost == oracle, variant
 
@@ -253,7 +238,7 @@ def test_kernel_totals_exact_at_62_bits():
         assert got[0] == ssp_assign(w, ones, low, cap)
         assert got[0] > 2**63          # an int64 sum would have wrapped
     left = _LeftSide(W, ones, None)
-    for variant in (Variant.r_gather(12), Variant.fault_tolerant(2)):
+    for variant in (Variant.classical(), Variant.r_gather(12)):
         solved = _solve_left(left, variant, 62)
         assert (solved[0], solved[1]) == reference(left, variant, 62)
 

@@ -7,8 +7,9 @@ import pytest
 
 from ckmeans.data import Dataset, duplicate_groups
 from ckmeans.geometry import centroid, delta_cost, pairwise_sqdist, phi_cost
+from ckmeans import oracle, partition
 from ckmeans.oracle import OracleLimit, OracleLimitError, opt_constrained, opt_kmeans
-from ckmeans.partition import Variant, quantize_costs
+from ckmeans.partition import Variant, partition_cost
 from reference import cluster_cost_exact, fault_tolerant_direct, opt_kmeans_exact
 
 LIM = OracleLimit(max_n=8, max_k=3)
@@ -81,14 +82,30 @@ def test_cluster_cost_exact_centroids_and_fixed_centers():
     assert cluster_cost_exact(pts, labels, fixed) == Fraction(1)
 
 
-def test_opt_constrained_classical_is_quantized_voronoi():
+def test_opt_constrained_classical_is_the_voronoi_running_sum():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(6, 2))
     C = rng.normal(size=(2, 2))
     got = opt_constrained(X, C, Variant.classical(), LIM)
-    w_int, scale = quantize_costs(pairwise_sqdist(X, C), 32)
-    want = float(w_int.min(axis=1).sum()) * scale
+    want = 0.0
+    for row in pairwise_sqdist(X, C).tolist():
+        want += min(row)
     assert got == want
+
+
+def test_opt_constrained_fault_tolerant_picks_by_exact_total(monkeypatch):
+    # point 1's owner pairs (0, 1) and (1, 2) tie exactly, at 9 * 2**-54,
+    # and (0, 1) comes first, as owner_mask breaks ties.  After point 0's
+    # 2.0 its running sum rounds to 2 + 2**-50, while (1, 2)'s rounds to
+    # 2 + 2**-51: a min over running sums would report the second
+    u = 2.0**-54
+    W = np.array([[1.0, 1.0, 1.0], [5 * u, 4 * u, 5 * u]])
+    X, C = np.zeros((2, 2)), np.eye(3, 2)
+    for module in (oracle, partition):
+        monkeypatch.setattr(module, "pairwise_sqdist", lambda *a: W.copy())
+    got = opt_constrained(X, C, Variant.fault_tolerant(2), LIM)
+    assert got == 2.0 + 2.0**-50
+    assert partition_cost(X, C, Variant.fault_tolerant(2)) == got
 
 
 def test_opt_constrained_r_gather_infeasible_value():

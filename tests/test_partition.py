@@ -1,8 +1,9 @@
-"""Flow-based constrained partitioning against the exhaustive oracle.
+"""Constrained partitioning against the exhaustive oracle.
 
 The load-bearing checks here are exact equalities: solver and oracle
-share the fixed-point cost quantization, so on feasible instances the
-two independently-searched optima must agree to the last bit.
+share the fixed-point cost quantization of the flows and the float
+running sums of the closed forms, so on feasible instances the two
+independently-searched optima must agree to the last bit.
 """
 
 import math
@@ -15,6 +16,7 @@ from ckmeans.geometry import pairwise_sqdist
 from ckmeans.oracle import OracleLimit, opt_constrained
 from ckmeans.hyperbucket import build_compressed
 from ckmeans.partition import (
+    CLOSED_FORM,
     Assignment,
     InfeasiblePartitionError,
     Variant,
@@ -27,6 +29,7 @@ from ckmeans.partition import (
 from ckmeans import partition as partition_module
 from reference import (
     assignment_valid,
+    closed_form_rule,
     fault_tolerant_direct,
     fault_tolerant_reduce,
     partition_bound,
@@ -85,8 +88,10 @@ def test_cost_monotone_in_constraint_tightness():
     for _ in range(10):
         ds, C = random_instance(rng, n=6, k=2)
         base = partition_cost(ds, C, Variant.classical())
-        rg = [partition_cost(ds, C, Variant.r_gather(r)) for r in (1, 2, 3)]
-        rc = [partition_cost(ds, C, Variant.r_capacity(r)) for r in (6, 4, 3)]
+        # the flows at 62 bits, within far less than 1e-12 of their float
+        # costs, as classical's exact total is
+        rg = [partition_cost(ds, C, Variant.r_gather(r), precision_bits=62) for r in (1, 2, 3)]
+        rc = [partition_cost(ds, C, Variant.r_capacity(r), precision_bits=62) for r in (6, 4, 3)]
         # tightening can only raise the optimum
         assert base <= rg[0] + 1e-12
         assert rg[0] <= rg[1] <= rg[2]
@@ -260,7 +265,7 @@ def test_exact_total_falls_back_at_2_to_the_32_units():
 def test_partition_bound_is_at_most_partition_cost():
     rng = np.random.default_rng(41)
     seen = {"finite": 0, "infeasible": 0}
-    equal = []
+    closed = {kind: 0 for kind in CLOSED_FORM}
     for _ in range(12):
         ds, C = random_instance(rng, n=int(rng.integers(4, 12)))
         n, k = ds.n, C.shape[0]
@@ -271,10 +276,16 @@ def test_partition_bound_is_at_most_partition_cost():
         ]
         graph = build_compressed(ds.points, C, 0.5)
         for variant in variants:
-            # points are bounded in the stacked form; a graph, whose keys carry
-            # no labels, by the reference's per-candidate form
-            sides = [(ds, C)]
-            if variant.kind not in ("chromatic", "semi_supervised"):
+            if variant.kind in CLOSED_FORM:
+                # on points a closed form costs its float rule's total, at any width
+                want = closed_form_rule(pairwise_sqdist(ds.points, C), variant, ds.targets)[0]
+                for bits in (1, 8, 32, 62):
+                    assert partition_cost(ds, C, variant, precision_bits=bits) == want, variant
+                closed[variant.kind] += 1
+            # a flow's points are bounded in the stacked form; a graph, whose
+            # keys carry no labels, by the reference's per-candidate form
+            sides = [] if variant.kind in CLOSED_FORM else [(ds, C)]
+            if variant.kind in ("classical", "r_gather", "r_capacity"):
                 sides.append((graph, None))
             for data, centers in sides:
                 for bits in (1, 8, 32, 62):
@@ -284,26 +295,8 @@ def test_partition_bound_is_at_most_partition_cost():
                     cost = partition_cost(data, centers, variant, precision_bits=bits)
                     assert math.isfinite(bound) and 0.0 <= bound <= cost, (variant, bits)
                     seen["finite" if math.isfinite(cost) else "infeasible"] += 1
-                    if (variant.kind == "semi_supervised"
-                            or variant.kind == "fault_tolerant" and variant.l <= k):
-                        # the closed forms' cost: the l cheapest costs per row, or
-                        # semi_supervised's cheapest matching of row minima
-                        assert bound == cost, (variant, bits)
-                        equal.append((variant.kind, variant.l))
-    assert min(seen.values()) > 100
-    tolerant = [l for kind, l in equal if kind == "fault_tolerant"]
-    assert len(tolerant) > 40 and max(tolerant) >= 2
-    assert sum(kind == "semi_supervised" for kind, _l in equal) > 40
-
-
-def test_partition_bound_is_the_voronoi_cost_of_classical():
-    rng = np.random.default_rng(43)
-    for _ in range(10):
-        ds, C = random_instance(rng)
-        for bits in (8, 32, 62):
-            v = Variant.classical()
-            assert (partition_bounds(ds, C[None], v, precision_bits=bits)[0]
-                    == partition_cost(ds, C, v, precision_bits=bits))
+    assert min(seen.values()) > 100, seen
+    assert closed == {"classical": 12, "fault_tolerant": 24, "semi_supervised": 12}
 
 
 def test_partition_bound_raises_where_partition_cost_raises():
@@ -372,31 +365,3 @@ def test_partition_bounds_of_coincident_points_are_zero():
             got = partition_bounds(ds, stack, variant, precision_bits=bits)
             want = [partition_bound(ds, C, variant, precision_bits=bits) for C in stack]
             assert got.tolist() == want and got[0] == 0.0, (variant, bits)
-
-
-def test_semi_supervised_bounds_penalize_only_rows_that_pay():
-    # one center and every target matched to it: no row pays the penalty,
-    # so it must not set the quantization scale
-    ds = Dataset(np.zeros((7, 2)), None, np.zeros(7, dtype=np.int64))
-    stack = np.array([[[0.3, 0.0]], [[0.0, 0.7]]])
-    v = Variant.semi_supervised(0.5)
-    for bits in (1, 8, 32, 62):
-        got = partition_bounds(ds, stack, v, precision_bits=bits).tolist()
-        assert got == [partition_bound(ds, C, v, precision_bits=bits) for C in stack]
-        assert got == [partition_cost(ds, C, v, precision_bits=bits) for C in stack]
-
-
-def test_partition_bounds_of_fault_tolerant_beyond_k_sum_every_cost():
-    # l > k is infeasible, and its bound sums each row's k costs
-    rng = np.random.default_rng(59)
-    X = rng.normal(size=(30, 2))
-    stack = bounds_stack(rng, X, 5, 2)
-    for bits in (1, 8, 32, 62):
-        got = partition_bounds(X, stack, Variant.fault_tolerant(3), precision_bits=bits)
-        want = [partition_bound(X, C, Variant.fault_tolerant(3), precision_bits=bits)
-                for C in stack]
-        assert got.tolist() == want
-        assert all(partition_cost(X, C, Variant.fault_tolerant(3)) == math.inf for C in stack)
-        whole = [partition_bound(X, C, Variant.fault_tolerant(2), precision_bits=bits)
-                 for C in stack]
-        assert got.tolist() == whole

@@ -25,6 +25,7 @@ from ckmeans.partition import (
     Variant,
     partition_bounds,
     partition_cost,
+    semi_supervised_cost_terms,
 )
 from ckmeans.sampling import ReservoirBank
 from ckmeans.seeding import d2_seed
@@ -611,6 +612,70 @@ def test_batch_solve_matches_manual_pipeline():
     assert np.array_equal(br.centers, cands.entries[w].centers)
 
 
+# the closed forms in batch: one exact total per candidate, at any --bits
+
+CLOSED = (Variant.classical(), Variant.fault_tolerant(2), Variant.semi_supervised(0.5))
+EXACT_CFG = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
+                              eta=16, tau=1, repetitions=2, subset_budget=4)
+
+
+def labeled_groups(n, seed):
+    """gaussian_groups with its planted labels as targets."""
+    ds, info = gaussian_groups(n, 3, rng=np.random.default_rng(seed))
+    return Dataset(ds.points, targets=np.asarray(info["labels"]))
+
+
+def exact_cost(ds, centers, variant) -> float:
+    """A closed form's cost, each sum rounded once (math.fsum)."""
+    W = pairwise_sqdist(ds.points, centers)
+    if variant.kind == "semi_supervised":
+        return min(math.fsum(semi_supervised_cost_terms(W, ds.targets, variant.alpha, perm)
+                             .min(axis=1)) for perm in itertools.permutations(range(3)))
+    return math.fsum(np.sort(W, axis=1)[:, :variant.l or 1].ravel())
+
+
+def test_batch_closed_forms_score_their_exact_total_at_any_bits():
+    ds = labeled_groups(4000, 7)
+    for variant in CLOSED:
+        runs = [batch_solve(ds, 3, variant, EXACT_CFG, np.random.default_rng(1),
+                            precision_bits=bits) for bits in (8, 32, 62)]
+        for res in runs:
+            # the winner's score is the total its owners' costs sum to
+            assert float(res.flow_cost).hex() == float(res.cost).hex(), variant
+        assert len({(r.selected, float(r.cost).hex(), tuple(r.owners)) for r in runs}) == 1
+
+
+def test_batch_selects_the_exact_argmin_at_8_bits():
+    # on 8-bit costs, each candidate quantized on its own scale, candidate 1
+    # once scored 0.0 and won at a real cost of 28.33; candidate 4 costs 24.818
+    ds = labeled_groups(4000, 7)
+    for variant, want in zip(CLOSED, (4, 1, 4)):
+        res = batch_solve(ds, 3, variant, EXACT_CFG, np.random.default_rng(1), precision_bits=8)
+        exact = [exact_cost(ds, e.centers, variant) for e in res.candidates.entries]
+        assert res.selected == int(np.argmin(exact)) == want, variant
+        assert res.cost == pytest.approx(exact[want], rel=1e-12)
+        if variant.kind == "classical":
+            assert res.cost == pytest.approx(24.818208138815, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["argmin", "range"])
+def test_batch_closed_forms_solve_no_candidate_alone(monkeypatch, mode):
+    # every candidate's cost comes from the one exact pass, in range mode too
+    calls = []
+    for name in ("partition_cost", "partition_assign"):
+        def spy(*args, _real=getattr(streaming, name), _name=name, **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(streaming, name, spy)
+    ds = labeled_groups(300, 5)
+    for variant in CLOSED:
+        got = batch_solve(ds, 3, variant, SMALL, np.random.default_rng(2), select_mode=mode)
+        same_batch_result(got, batch_solve_scoring_all(ds, 3, variant, SMALL,
+                                                       np.random.default_rng(2),
+                                                       select_mode=mode))
+    assert calls == []
+
+
 # bound-ordered batch scoring: the same winner as solving every candidate
 
 SMALL = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
@@ -708,14 +773,15 @@ def test_batch_solve_solves_few_candidates_exactly(monkeypatch):
     monkeypatch.setattr(streaming, "partition_cost", spy)
     for s in range(3):
         ds, info = gaussian_groups(200, 3, rng=np.random.default_rng(s))
-        # the planted labels as targets: semi_supervised's bound is its cost
+        # the planted labels as targets, which semi_supervised reads
         ds = Dataset(ds.points, targets=np.asarray(info["labels"]))
-        for variant, most in ((Variant.r_gather(50), 3), (Variant.classical(), 1),
-                              (Variant.fault_tolerant(2), 1), (Variant.semi_supervised(0.5), 1)):
+        # the closed forms solve none: one exact pass scores every candidate
+        for variant, most in ((Variant.r_gather(50), 3), (Variant.classical(), 0),
+                              (Variant.fault_tolerant(2), 0), (Variant.semi_supervised(0.5), 0)):
             solved.clear()
             res = batch_solve(ds, 3, variant, cfg, np.random.default_rng(1))
             assert res.list_size == 20
-            assert 1 <= len(solved) <= most
+            assert min(1, most) <= len(solved) <= most
 
 
 def test_pipeline_space_phases_present():
@@ -768,10 +834,10 @@ def test_sample_phase_charges_its_banks_words(block):
 
 
 def test_sample_phase_charges_each_repetitions_segment_in_turn():
-    # after each offer the meter frees and charges the bank's segments one
-    # repetition at a time, as it charged one bank per repetition.  Here
+    # after each offer the meter charges the bank's total words once.  Here
     # one segment's pending draws grow in an offer in which another's
-    # shrink, so charging their sum at once would peak at 768 words
+    # shrink; charging the segments one repetition at a time would count
+    # one's new words with the other's old ones, and peak at 792 words
     ds, _ = gaussian_groups(6000, 3, rng=np.random.default_rng(2))
     cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=8, tau=1, repetitions=3,
                             subset_budget=4)
@@ -779,7 +845,38 @@ def test_sample_phase_charges_each_repetitions_segment_in_turn():
     two_pass_good_centers(ArraySource(ds, block=256), 3, cfg, np.random.default_rng(102),
                           meter=meter)
     assert meter.report()["phases"][1] == {"name": "sample", "peak_points": 78,
-                                           "peak_words": 792}
+                                           "peak_words": 768}
+
+
+@pytest.mark.parametrize("case", ["segments", "two repetitions"])
+def test_sample_phase_peak_is_the_banks_largest_total(monkeypatch, case):
+    # the phase reports a state the bank held: the words held before it
+    # plus the bank's largest total, read when it is made and after each offer
+    meter, base, observed = SpaceMeter(), [], []
+
+    class Watched(ReservoirBank):
+        def __init__(self, *args):
+            super().__init__(*args)
+            base.append(meter.current_words)
+            observed.append(self.words)
+
+        def offer_block(self, *args):
+            super().offer_block(*args)
+            observed.append(self.words)
+
+    monkeypatch.setattr(streaming, "ReservoirBank", Watched)
+    if case == "segments":
+        ds, _ = gaussian_groups(6000, 3, rng=np.random.default_rng(2))
+        cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=8, tau=1,
+                                repetitions=3, subset_budget=4)
+        source, rng = ArraySource(ds, block=256), np.random.default_rng(102)
+    else:
+        ds, _ = gaussian_groups(20_000, 3, rng=np.random.default_rng(23))
+        source, cfg, rng = ArraySource(ds, block=256), EXACT_CFG, np.random.default_rng(1)
+    two_pass_good_centers(source, 3, cfg, rng, meter=meter)
+    phases = {ph["name"]: ph for ph in meter.report()["phases"]}
+    assert len(base) == 1 and len(observed) > 2
+    assert phases["sample"]["peak_words"] == base[0] + max(observed)
 
 
 def test_graph_phase_charges_each_vertex_key_and_count(monkeypatch):
