@@ -66,27 +66,50 @@ class _Parser(argparse.ArgumentParser):
 def _dump(obj) -> str:
     """json.dumps(_jsonable(obj), sort_keys=True, indent=2) and a newline.
     json's indent path runs in Python per element, so a top-level
-    "owners" list is spliced in from one text per distinct owner tuple."""
+    "owners" (an owner array or its _OwnerRows) is spliced in from one
+    text per distinct owner row."""
     owners = obj.get("owners")
-    if not owners:
+    if owners is None:
         return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
     text = json.dumps(_jsonable({**obj, "owners": []}), sort_keys=True, indent=2)
-    listed = "[\n    " + ",\n    ".join(_per_owner_tuple(owners, _owner_json)) + "\n  ]"
+    if not len(owners):
+        return text + "\n"
+    listed = "[\n    " + ",\n    ".join(_OwnerRows.of(owners).texts(_owner_json)) + "\n  ]"
     return text.replace('\n  "owners": []', '\n  "owners": ' + listed, 1) + "\n"
 
 
 def _owner_json(own) -> str:
-    # an owner tuple as json's indent=2 writes it two levels deep
-    if not own:
-        return "[]"
-    return "[\n" + ",\n".join(f"      {int(j)}" for j in own) + "\n    ]"
+    # an owner row as json's indent=2 writes it two levels deep
+    return "[\n" + ",\n".join(f"      {j}" for j in own) + "\n    ]"
 
 
-def _per_owner_tuple(owners, fmt) -> list[str]:
-    """[fmt(own) for own in owners], calling fmt once per distinct tuple:
-    the solvers hand out a few shared tuples for all points."""
-    text = {own: fmt(own) for own in dict.fromkeys(owners)}
-    return list(map(text.__getitem__, owners))
+class _OwnerRows:
+    """An (n, l) owner array's rows grouped by value once, for both
+    writers: the solvers hand out a few distinct rows for all points.
+    Rows are compared, not packed into one integer code, so any k and l
+    fit."""
+
+    def __init__(self, owners):
+        order = np.lexsort(owners.T)
+        S = owners[order]
+        starts = np.ones(len(S), dtype=bool)
+        starts[1:] = (S[1:] != S[:-1]).any(axis=1)
+        which = np.empty_like(order)
+        which[order] = np.cumsum(starts) - 1
+        self.rows, self.which = S[starts].tolist(), which.tolist()
+
+    @classmethod
+    def of(cls, owners) -> "_OwnerRows":
+        return owners if isinstance(owners, cls) else cls(owners)
+
+    def __len__(self):
+        return len(self.which)
+
+    def texts(self, fmt) -> list[str]:
+        """[fmt(row) for row in owners.tolist()], calling fmt once per
+        distinct row."""
+        text = [fmt(own) for own in self.rows]
+        return [text[i] for i in self.which]
 
 
 def _jsonable(v):
@@ -121,7 +144,7 @@ def _emit(args, summary: dict) -> None:
 
 
 def _write_assignment_csv(path, owners) -> None:
-    cells = _per_owner_tuple(owners, lambda own: ";".join(str(int(j)) for j in own))
+    cells = _OwnerRows.of(owners).texts(lambda own: ";".join(map(str, own)))
     _write_text(path, "point,owners\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells)))
 
 
@@ -230,12 +253,12 @@ def _write_solution(args, variant: Variant, cfg: GoodCentersConfig, res, n: int,
         "selected": res.selected,
         "list_size": res.list_size,
         "centers": res.centers,
-        "owners": res.owners,
+        "owners": _OwnerRows(res.owners),  # grouped once for both writers
         **extra,
     }
     if args.out:
         write_dataset_csv(args.out + ".centers.csv", Dataset(res.centers))
-        _write_assignment_csv(args.out + ".assign.csv", res.owners)
+        _write_assignment_csv(args.out + ".assign.csv", summary["owners"])
     if getattr(args, "candidates", None):
         res.candidates.to_csv(args.candidates)
     _emit(args, summary)
@@ -285,10 +308,10 @@ def cmd_partition(args) -> int:
         "variant": _variant_summary(variant),
         "cost": asg.cost,
         "flow_cost": asg.flow_cost,
-        "owners": asg.owners,
+        "owners": _OwnerRows(asg.owners),  # grouped once for both writers
     }
     if args.out:
-        _write_assignment_csv(args.out + ".assign.csv", asg.owners)
+        _write_assignment_csv(args.out + ".assign.csv", summary["owners"])
     _emit(args, summary)
     return 0
 

@@ -130,11 +130,12 @@ def variant_groups(variant: Variant, colors, targets):
 
 @dataclass
 class Assignment:
-    """Owner centers per point (ascending indices, l of them for the
-    fault-tolerant variant), the recomputed real cost, and partition_cost's
-    value: a closed form's total, or the objective of their flow."""
+    """Owner centers per point, as an (n, l) array of ascending indices
+    (l owners under fault_tolerant(l), else 1), the recomputed real cost,
+    and partition_cost's value: a closed form's total, or the objective
+    of their flow."""
 
-    owners: list
+    owners: np.ndarray
     cost: float
     flow_cost: float
 
@@ -216,18 +217,44 @@ def semi_supervised_row_mins(D, targets, alpha: float, perms):
         yield np.where(known, np.minimum(alpha * own, other), other)
 
 
-def owner_mask(w, l: int = 1) -> np.ndarray:
-    """Each row's owners along w's last axis, as a mask of w's shape: its
-    l cheapest entries, ties to the lowest index.  An entry's rank counts
-    the entries that beat it, one comparison per pair of columns: of two,
-    the later beats the earlier only when it is cheaper."""
-    v = np.moveaxis(w, -1, 0)
-    rank = np.zeros(v.shape, dtype=np.int64)
+def _owner_ranks(v) -> np.ndarray:
+    """The rank of each entry of the k arrays v among its row's k entries,
+    as one (k, ...) array of the smallest unsigned type that holds k.  An
+    entry's rank counts the entries that beat it, one comparison per pair
+    of columns: of two, the later beats the earlier only when it is
+    cheaper."""
+    rank = np.zeros(v.shape, dtype=np.min_scalar_type(len(v)))
     for i, j in itertools.combinations(range(len(v)), 2):
         later = v[j] < v[i]
         rank[i] += later
         rank[j] += ~later
-    return np.moveaxis(rank < l, 0, -1)
+    return rank
+
+
+def owner_mask(w, l: int = 1) -> np.ndarray:
+    """Each row's owners along w's last axis, as a mask of w's shape: its
+    l cheapest entries, ties to the lowest index (_owner_ranks below l)."""
+    return np.moveaxis(_owner_ranks(np.moveaxis(w, -1, 0)) < l, 0, -1)
+
+
+def _owned_values(w, l: int) -> np.ndarray:
+    """w[owner_mask(w, l)] laid out (..., l) for 1 <= l <= k: each row's
+    owned entries in index order, picked, so no bit moves.  A row's s-th
+    owner is its column j whose owned predecessors number s, and only
+    columns s..s + k - l can be: slot s starts from the last of them and
+    each earlier owner overwrites the slot it lands in."""
+    v = np.moveaxis(w, -1, 0)
+    k = len(v)
+    own = _owner_ranks(v) < l
+    out = np.empty(w.shape[:-1] + (l,))
+    for s in range(l):
+        out[..., s] = v[s + k - l]
+    before = np.zeros(own.shape[1:], dtype=np.min_scalar_type(k))
+    for j in range(k - 1):
+        for s in range(max(0, j - (k - l) + 1), min(l, j + 1)):
+            np.copyto(out[..., s], v[j], where=own[j] & (before == s))
+        before += own[j]
+    return out
 
 
 def owned_costs(D, groups, variant: Variant, perms):
@@ -240,17 +267,9 @@ def owned_costs(D, groups, variant: Variant, perms):
     if variant.kind == "semi_supervised":
         return semi_supervised_row_mins(D, groups, variant.alpha, perms)
     if variant.kind == "fault_tolerant" and variant.l > 1:
-        return [D[owner_mask(D, variant.l)].reshape(len(D), -1)]
+        # l > k owns no l centers, and closed_form_totals makes that +inf
+        return [_owned_values(D, min(variant.l, D.shape[-1])).reshape(len(D), -1)]
     return [row_min(D)]
-
-
-def _owner_tuples(owns: np.ndarray) -> list:
-    """Owner tuples of the rows of a boolean (rows, k) matrix.  A row is
-    coded by its owner set, packed eight centers to a byte so that any
-    k fits, and each distinct set's tuple is built once."""
-    first, which, _counts = _distinct_rows(np.packbits(owns, axis=1))
-    sets = [tuple(np.flatnonzero(owns[r]).tolist()) for r in first.tolist()]
-    return [sets[i] for i in which.tolist()]
 
 
 def _running_sum(start, terms):
@@ -508,26 +527,28 @@ def closed_form_totals(blocks, U, col, variant: Variant, floors=None) -> np.ndar
 
 
 def closed_form_assign(blocks, centers, variant: Variant, totals,
-                       floor: float = 0.0) -> tuple[list, float]:
+                       floor: float = 0.0) -> tuple[np.ndarray, float]:
     """(owners, cost) of centers under a closed form over (points, groups)
     blocks, in the first cheapest matching of totals (their column of
     closed_form_totals).  A point's owners are the owner_mask of its
-    costs zeroed below floor, and its real costs are added strictly left
-    to right: with no floor, cost is that total bit for bit."""
+    costs zeroed below floor, one (n, l) array of ascending indices in
+    point order, and its real costs are added strictly left to right:
+    with no floor, cost is that total bit for bit."""
     perm = target_matchings(variant, len(centers))[int(np.argmin(totals))]
     l = variant.l if variant.kind == "fault_tolerant" else 1
 
     def blend(sq, groups):
         return sq if perm is None else semi_supervised_cost_terms(sq, groups, variant.alpha, perm)
 
-    owners, cost = [], 0.0
+    owners, cost = [np.empty((0, l), dtype=np.intp)], 0.0
     for pts, groups in blocks:
         sq = pairwise_sqdist(pts, centers)
         real = blend(sq, groups)
         owns = owner_mask(blend(np.where(sq < floor, 0.0, sq), groups) if floor else real, l)
-        owners.extend(_owner_tuples(owns))
+        # nonzero walks row by row, each row's owners in ascending order
+        owners.append(owns.nonzero()[1].reshape(len(owns), l))
         cost = _running_sum(cost, real[owns])
-    return owners, cost
+    return np.concatenate(owners), cost
 
 
 def partition_cost(data, centers, variant: Variant, *, precision_bits: int = 32) -> float:
@@ -607,8 +628,8 @@ def partition_assign(data, centers, variant: Variant, *, precision_bits: int = 3
         raise InfeasiblePartitionError(f"{variant.kind}: no feasible assignment")
     int_cost, scale, flows = solved
     owns = flows > 0
-    return Assignment(_owner_tuples(owns), _running_sum(0.0, left.weights[owns]),
-                      float(int_cost) * scale)
+    return Assignment(owns.nonzero()[1].reshape(len(owns), 1),
+                      _running_sum(0.0, left.weights[owns]), float(int_cost) * scale)
 
 
 @dataclass
@@ -624,8 +645,9 @@ class CompressedSolution:
     row: dict                # vertex key -> its row of flows
     peeled_cost: float = 0.0
 
-    def assign_block(self, points) -> list:
-        """Peel owners for a block of stream points, in order.
+    def assign_block(self, points) -> np.ndarray:
+        """Peel owners for a block of stream points, in order: one
+        (rows, 1) array of owner indices.
 
         The rows of one vertex take its remaining units in point order,
         lowest center first: rank r gets the first center j with
@@ -656,7 +678,7 @@ class CompressedSolution:
         self.flows[vertex] -= np.minimum(upto, c) - np.minimum(below, c)
         # summed in point order, then owner order
         self.peeled_cost = _running_sum(self.peeled_cost, sq[:, kb.col][owned])
-        return _owner_tuples(owned)
+        return owned.nonzero()[1].reshape(len(owned), 1)
 
 
 def compressed_partition(graph: CompressedGraph, variant: Variant,

@@ -4,16 +4,17 @@ The full pipeline spends one pass seeding, one filling reservoirs, one
 scoring every candidate (plus an optional scale pass when aspect-ratio
 removal is on), and one assigning the winner's owners: 4 passes, 5 with
 aspect removal.  The seed pass seeds stacks of chunks of at most
-ENTRIES entries each as one.  The sample pass joins blocks into arrays
-of max(block, ENTRIES // (2k·d)) rows and offers each join once to one
-reservoir bank with a segment per repetition; the later passes join
-blocks into arrays of max(block, ENTRIES // (|U|·d)) rows, U the list's
-distinct centers, which the scale and scoring passes measure once for
-all candidates.  classical, fault_tolerant and semi_supervised are
-scored and assigned with no graph, by partition.closed_form_totals and
-closed_form_assign, the one exact rule of batch_solve and `ckmeans
-partition` too: the scoring pass keeps one running total per candidate
-(and target matching), the assign pass applies the winner's owner rule.
+ENTRIES entries each as one.  The later passes ask the source for joins
+(StreamSource.open(rows)): the sample pass for max(block, ENTRIES //
+(2k·d)) rows, each offered once to one reservoir bank with a segment per
+repetition; the scale, scoring and assign passes for max(block, ENTRIES
+// (|U|·d)) rows, U the list's distinct centers, which the scale and
+scoring passes measure once for all candidates.  classical,
+fault_tolerant and semi_supervised are scored and assigned with no
+graph, by partition.closed_form_totals and closed_form_assign, the one
+exact rule of batch_solve and `ckmeans partition` too: the scoring
+pass keeps one running total per candidate (and target matching), the
+assign pass applies the winner's owner rule.
 r_gather and r_capacity key a compressed graph per candidate, from a
 table of up to a block's distinct rows, solve the graphs offline
 between passes and peel the winner's flow.  batch_solve is the
@@ -61,16 +62,16 @@ STREAM_VARIANTS = ("classical", "r_gather", "r_capacity", "fault_tolerant", "sem
 
 
 class StreamSource:
-    """Replayable source of (points, colors, targets) blocks of at most
-    `block` rows.
+    """Replayable source of (points, colors, targets) records.
 
-    open() hands out a fresh single-use iterator over the records in a
-    fixed order and bumps the pass counter; n is None when the length is
-    not known without reading.  Every pass read to its end is
-    fingerprinted by its row count and a sha256 hash of its blocks'
-    points, colors and targets; a pass that differs from the first
-    raises ValueError, so owners are never peeled from other data than
-    the candidates were scored on.
+    open(rows) hands out a fresh single-use iterator over the records in
+    a fixed order, in joins of `rows` rows (`block` by default; the last
+    join may be shorter), and bumps the pass counter; n is None when the
+    length is not known without reading.  Every pass read to its end is
+    fingerprinted by its row count and one sha256 per column over the
+    column's bytes in row order, which no join size moves; a pass that
+    differs from the first raises ValueError, so owners are never peeled
+    from other data than the candidates were scored on.
     """
 
     def __init__(self, block: int):
@@ -84,21 +85,23 @@ class StreamSource:
     def n(self):
         return None
 
-    def open(self):
+    def open(self, rows: int | None = None):
         self.passes += 1
-        return self._checked(self._blocks(), self.passes)
+        return self._checked(self._joins(rows or self.block), self.passes)
 
-    def _checked(self, blocks, pass_no: int):
+    def _checked(self, joins, pass_no: int):
         import hashlib  # on first use: its OpenSSL binding adds ~4 ms to start-up
 
-        h = hashlib.sha256()  # faster than blake2b where the CPU hashes SHA-256 itself
+        # faster than blake2b where the CPU hashes SHA-256 itself
+        hashes = [hashlib.sha256() for _ in range(3)]
         rows = 0
-        for pts, colors, targets in blocks:
-            rows += len(pts)
-            for a in (pts, colors, targets):
-                h.update(b"-" if a is None else np.ascontiguousarray(a).data)
-            yield pts, colors, targets
-        seen = (rows, h.digest())
+        for join in joins:
+            rows += len(join[0])
+            for h, a in zip(hashes, join):
+                if a is not None:
+                    h.update(np.ascontiguousarray(a).data)
+            yield join
+        seen = (rows, [h.digest() for h in hashes])
         if self._fingerprint is None:
             self._fingerprint = seen
         elif seen != self._fingerprint:
@@ -111,11 +114,19 @@ class StreamSource:
         for pts, _colors, _targets in self.open():
             yield pts
 
+    def _joins(self, rows: int):
+        """The source's blocks joined into `rows` rows (a join of one
+        block is that block)."""
+        return chunks(self._blocks(), rows)
+
     def _blocks(self):  # pragma: no cover
         raise NotImplementedError
 
 
 class ArraySource(StreamSource):
+    """Streams an array or Dataset: a join is a slice of its columns,
+    a view, not a copy."""
+
     def __init__(self, data, block: int = 256):
         super().__init__(block)
         self.ds = data if isinstance(data, Dataset) else Dataset(as_points(data))
@@ -124,20 +135,18 @@ class ArraySource(StreamSource):
     def n(self):
         return self.ds.n
 
-    def _blocks(self):
+    def _joins(self, rows: int):
         ds = self.ds
-        for lo in range(0, ds.n, self.block):
-            hi = lo + self.block
-            yield (ds.points[lo:hi],
-                   None if ds.colors is None else ds.colors[lo:hi],
-                   None if ds.targets is None else ds.targets[lo:hi])
+        for lo in range(0, ds.n, rows):
+            yield tuple(None if a is None else a[lo:lo + rows]
+                        for a in (ds.points, ds.colors, ds.targets))
 
 
 class CSVSource(StreamSource):
-    """Replays a dataset CSV.  Each pass reads the file one block at a
-    time (data.iter_dataset_csv), so memory holds one block of rows,
-    never the file; a bad line fails the pass that reaches it, which is
-    the first one."""
+    """Replays a dataset CSV.  Each pass reads the file one block of
+    `block` lines at a time (data.iter_dataset_csv) and joins the blocks,
+    so memory holds one join of rows, never the file; a bad line fails
+    the pass that reaches it, which is the first one."""
 
     def __init__(self, path, block: int = 256):
         super().__init__(block)
@@ -239,8 +248,7 @@ def two_pass_good_centers(source: StreamSource, k: int, cfg: GoodCentersConfig, 
         meter.alloc_points(reps * R)
         meter.alloc_words(bank.words)
         seen = 0
-        rows = block_rows(C.size, ENTRIES, source.block)
-        for (pts,) in chunks(((pts,) for pts in source.open_points()), rows):
+        for pts, _colors, _targets in source.open(block_rows(C.size, ENTRIES, source.block)):
             w = row_min(pairwise_sqdist(pts, C))
             before = bank.words
             bank.offer_block(pts, w)
@@ -313,8 +321,11 @@ def _check_t(cfg: GoodCentersConfig, k: int) -> None:
 
 @dataclass
 class PipelineResult:
+    """The stream's emitted solution; owners is one (n, l) array, each
+    row a point's owner indices in ascending order."""
+
     centers: np.ndarray
-    owners: list
+    owners: np.ndarray
     cost: float              # recomputed real cost of the emitted assignment
     flow_cost: float         # the winner's score: its exact total, or its flow's objective
     selected: int
@@ -331,7 +342,10 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
                   aspect_removal: bool = False, select_mode: str = "argmin",
                   precision_bits: int = 32, meter: SpaceMeter | None = None
                   ) -> PipelineResult:
-    """The streaming solver: seed, sample, score every candidate, assign."""
+    """The streaming solver: seed, sample, score every candidate, assign.
+    The seed pass reads the source's blocks; every later pass asks it for
+    joins of the rows its budget allows, and the scoring and assign
+    passes check each join's label column (variant_groups)."""
     if variant.kind not in STREAM_VARIANTS:
         raise ValueError(f"variant {variant.kind!r} is not streamable "
                          "(chromatic needs same-colored points batched per color)")
@@ -352,15 +366,14 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
     col = col.reshape(m, k)
     rows = block_rows(U.size, ENTRIES, source.block)
 
-    def grouped(blocks):
-        # each block's groups are checked as it arrives, before a join reads on
-        return chunks(((pts, variant_groups(variant, c, t)) for pts, c, t in blocks), rows)
+    def grouped():
+        return ((pts, variant_groups(variant, c, t)) for pts, c, t in source.open(rows))
 
     d_star = None
     if aspect_removal:
         with meter.phase("scale"):
             worst = np.zeros(m)
-            for (pts,) in chunks(((pts,) for pts, _c, _t in source.open()), rows):
+            for pts, _c, _t in source.open(rows):
                 worst = np.maximum(worst, row_min(candidate_sq(pts, U, col)).max(axis=1))
             d_star = np.sqrt(worst)
 
@@ -370,13 +383,13 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
             floors = None if d_star is None else np.array(
                 [aspect_floor(e.centers, d, max(n, 1)) for e, d in zip(cands.entries, d_star)])
             meter.alloc_words(len(target_matchings(variant, k)) * m)
-            totals = closed_form_totals(grouped(source.open()), U, col, variant, floors)
+            totals = closed_form_totals(grouped(), U, col, variant, floors)
             costs = totals.min(axis=0)
         else:
             graphs = [aspect_graph(e.centers, eps, float(d_star[i]), max(n, 1)) if aspect_removal
                       else CompressedGraph(e.centers, eps) for i, e in enumerate(cands.entries)]
             kb = KeyBuilder(graphs)
-            for pts, _groups in grouped(source.open()):
+            for pts, _groups in grouped():
                 # the row table stays within one source block
                 kb.bucket_block(pairwise_sqdist(pts, kb.centers), source.block)
             kb.flush()
@@ -397,23 +410,24 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
         sol = solutions[winner]
         del kb, graphs, solutions
 
-    owners: list = []
     with meter.phase("assign"):
-        blocks = source.open()
+        joins = grouped()
         if closed:
-            owners, cost = closed_form_assign(grouped(blocks), centers, variant, totals[:, winner],
+            owners, cost = closed_form_assign(joins, centers, variant, totals[:, winner],
                                               0.0 if floors is None else floors[winner])
             flow_cost = float(costs[winner])
         else:
-            for pts, _groups in grouped(blocks):
+            parts = []
+            for pts, _groups in joins:
                 try:
-                    owners.extend(sol.assign_block(pts))
+                    parts.append(sol.assign_block(pts))
                 except InfeasiblePartitionError:
                     # a source changed since the graph pass can overdraw a
                     # vertex: the pass read to its end names the change
-                    for _ in blocks:
+                    for _ in joins:
                         pass
                     raise
+            owners = np.concatenate(parts)
             cost, flow_cost = sol.peeled_cost, sol.cost
 
     return PipelineResult(centers, owners, cost, flow_cost, winner, m, source.passes, seed.cost,
@@ -423,7 +437,7 @@ def full_pipeline(source: StreamSource, k: int, variant: Variant,
 @dataclass
 class BatchResult:
     centers: np.ndarray
-    owners: list
+    owners: np.ndarray       # (n, l) owner indices, each row ascending
     cost: float
     flow_cost: float
     selected: int

@@ -10,6 +10,7 @@ read off its own flow row, or, for a closed form, off its float rule
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from ckmeans.partition import (
     InfeasiblePartitionError,
     Variant,
     _LeftSide,
-    _owner_tuples,
     _solve_left,
     compressed_partition,
     owner_mask,
@@ -35,6 +35,7 @@ from ckmeans.partition import (
     semi_supervised_cost_terms,
     semi_supervised_row_mins,
 )
+from ckmeans.cli import _dump, _jsonable, _write_assignment_csv
 from ckmeans.geometry import row_min
 from reference import assignment_valid, closed_form_rule
 
@@ -93,7 +94,9 @@ def test_partition_assign_matches_per_point_loop(inst, param, bits):
                     total += W[v, j]
 
         asg = partition_assign(ds, C, variant, precision_bits=bits)
-        assert asg.owners == owners, variant
+        assert asg.owners.dtype == np.intp, variant
+        assert asg.owners.shape == (n, len(owners[0])), variant
+        assert np.array_equal(asg.owners, owners), variant
         assert repr(asg.cost) == repr(total), variant       # bit-equal, same order
         if kind in CLOSED_FORM:
             assert repr(asg.flow_cost) == repr(float(total)), variant
@@ -101,9 +104,12 @@ def test_partition_assign_matches_per_point_loop(inst, param, bits):
         assert ok, bad
 
 
-def test_owner_sets_beyond_64_centers():
-    """fault_tolerant owner sets over k = 70 centers: a code that packed
-    a set into one int64 would overflow from center 63 up."""
+def test_owner_sets_beyond_64_centers(tmp_path):
+    """fault_tolerant owner sets over k = 70 centers, l = 3: a code that
+    packed a set into one int64 would overflow from center 63 up.  The
+    owner array holds each point's ascending set, and both CLI writers
+    write the text they wrote for the same sets as tuples: json's own
+    indent=2 output, and one `point,a;b;c` line per point."""
     rng = np.random.default_rng(5)
     k, n = 70, 700
     C = rng.uniform(-10.0, 10.0, size=(k, 2))
@@ -112,8 +118,15 @@ def test_owner_sets_beyond_64_centers():
     # the owner rule on the float costs: each point's 3 cheapest by a stable sort
     want = [tuple(sorted(row)) for row in np.argsort(W, axis=1, kind="stable")[:, :3].tolist()]
     assert len({own for own in want if max(own) >= 63}) > 10
-    assert _owner_tuples(owner_mask(W, 3)) == want
-    assert partition_assign(X, C, Variant.fault_tolerant(3)).owners == want
+    assert np.array_equal(owner_mask(W, 3).nonzero()[1].reshape(n, 3), want)
+    owners = partition_assign(X, C, Variant.fault_tolerant(3)).owners
+    assert owners.shape == (n, 3) and np.array_equal(owners, want)
+    summary = {"owners": owners, "cost": 1.5, "n": n}
+    assert _dump(summary) == json.dumps(_jsonable({**summary, "owners": want}),
+                                        sort_keys=True, indent=2) + "\n"
+    _write_assignment_csv(tmp_path / "a.csv", owners)
+    assert (tmp_path / "a.csv").read_text() == "point,owners\n" + "".join(
+        f"{i},{a};{b};{c}\n" for i, (a, b, c) in enumerate(want))
 
 
 @pytest.mark.parametrize("shape", [(40, 3), (40, 7), (4, 9, 5)])

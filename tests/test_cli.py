@@ -314,6 +314,18 @@ def test_partition_solves_once(tmp_path, monkeypatch):
         read_dataset_csv(data), read_dataset_csv(centers).points, Variant.r_gather(4))
 
 
+@pytest.mark.parametrize("command", ["partition", "solve", "stream"])
+def test_fault_tolerant_l_beyond_k_exits_infeasible(tmp_path, command):
+    # l = 7 >= 2k + 1 at k = 3 owns no 7 centers: exit 2, nothing written
+    data, _ = gen(tmp_path)
+    centers, _ = gen(tmp_path, kind="uniform", n=3, name="centers.csv")
+    solver = (["--centers", centers] if command == "partition"
+              else ["--k", "3", "--seed", "1", *SMALL])
+    assert run(command, data, *solver, "--variant", "fault_tolerant", "--l", "7",
+               "--out", tmp_path / "out") == 2
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_partition_rejects_decorated_centers(tmp_path):
     data, _ = gen(tmp_path, "--colors", "2")
     colored, _ = gen(tmp_path, "--colors", "2", n=3, name="centers.csv")
@@ -651,10 +663,11 @@ def test_exit_code_paragraph_gen_gap_eps_beyond_float64(tmp_path, capsys, eps):
 
 
 def test_dump_matches_json_indent_path():
-    owners = [(0,), (2,), (0,), (1, 2), ()]
-    summary = {"owners": owners, "space": {"owners": []}, "centers": np.eye(2),
-               "cost": float("inf"), "n": 5}
-    want = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
-    assert _dump(summary) == want
-    assert _dump({**summary, "owners": []}) == \
-        json.dumps(_jsonable({**summary, "owners": []}), sort_keys=True, indent=2) + "\n"
+    for owners in (np.array([[0], [2], [0], [1]]), np.array([[0, 2], [1, 2], [0, 2]])):
+        summary = {"owners": owners, "space": {"owners": []}, "centers": np.eye(2),
+                   "cost": float("inf"), "n": len(owners)}
+        want = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
+        assert _dump(summary) == want
+        for empty in ([], owners[:0]):
+            assert _dump({**summary, "owners": empty}) == \
+                json.dumps(_jsonable({**summary, "owners": []}), sort_keys=True, indent=2) + "\n"

@@ -76,7 +76,9 @@ def planted(dim=2):
 
 def digest(res, graphs) -> str:
     h = hashlib.blake2b(digest_size=16)
-    for part in (repr(res.owners), res.centers.tobytes(), repr(res.cost),
+    # owners as the list of tuples the digests were recorded on
+    owners = list(map(tuple, res.owners.tolist()))
+    for part in (repr(owners), res.centers.tobytes(), repr(res.cost),
                  repr(res.flow_cost), repr(res.selected),
                  repr(getattr(res, "d_star", None))):
         h.update(part if isinstance(part, bytes) else part.encode())

@@ -141,18 +141,22 @@ def test_fault_tolerant_reduction_equals_direct():
 
 
 def test_fault_tolerant_l_exceeding_k_infeasible():
+    # l >= 2k + 1 reaches past the first of a row's k costs
     rng = np.random.default_rng(11)
-    ds, C = random_instance(rng, n=4, k=2)
-    assert partition_cost(ds, C, Variant.fault_tolerant(3)) == math.inf
+    for k, l in [(2, 3), (3, 4), (3, 7), (2, 9)]:
+        ds, C = random_instance(rng, n=4, k=k)
+        assert partition_cost(ds, C, Variant.fault_tolerant(l)) == math.inf
+        with pytest.raises(InfeasiblePartitionError):
+            partition_assign(ds, C, Variant.fault_tolerant(l))
 
 
 def test_assignment_owner_tuples_sorted_unique():
     rng = np.random.default_rng(13)
     ds, C = random_instance(rng, n=6, k=3)
     asg = partition_assign(ds, C, Variant.fault_tolerant(2))
-    for own in asg.owners:
-        assert len(own) == 2
-        assert own == tuple(sorted(set(own)))
+    assert asg.owners.shape == (ds.n, 2)
+    for own in asg.owners.tolist():
+        assert own == sorted(set(own))
     ok, bad = assignment_valid(asg, Variant.fault_tolerant(2), ds.n, 3)
     assert ok, bad
 

@@ -127,6 +127,79 @@ def test_array_changed_in_place_between_passes_is_detected():
         list(src.open())
 
 
+def colored(seed, n=48):
+    ds, info = planted(seed, n)
+    return Dataset(ds.points, colors=np.arange(n) % 5, targets=np.asarray(info["labels"]))
+
+
+def test_sources_hand_out_joins_of_any_size(tmp_path):
+    # successive passes at join sizes 1, 7, the block and n: every pass
+    # reads the same records, so none trips the fingerprint
+    ds = colored(4)
+    path = _csv_of(tmp_path / "pts.csv", ds)
+    for src in (ArraySource(ds, block=10), CSVSource(path, block=10)):
+        for rows in (1, 7, 10, 48, None, 7):
+            joins = list(src.open(rows))
+            want = rows or 10
+            assert [len(j[0]) for j in joins[:-1]] == [want] * (len(joins) - 1)
+            assert 0 < len(joins[-1][0]) <= want
+            for col, full in zip(zip(*joins), (ds.points, ds.colors, ds.targets)):
+                assert np.array_equal(np.concatenate(col), full)
+        assert src.passes == 6
+
+
+@pytest.mark.parametrize("column", ["points", "colors", "targets"])
+def test_array_value_changed_in_one_column_is_detected(column):
+    ds = colored(5)
+    src = ArraySource(ds, block=10)
+    list(src.open(7))
+    list(src.open(48))
+    values = getattr(ds, column)
+    values[(31,) + (0,) * (values.ndim - 1)] += 1
+    with pytest.raises(ValueError, match="stream changed between passes: "
+                                         "pass 3 read other values in its 48 rows"):
+        list(src.open(7))
+
+
+def test_array_source_joins_are_views():
+    ds = colored(6)
+    for pts, colors, targets in ArraySource(ds, block=10).open(16):
+        assert np.shares_memory(pts, ds.points)
+        assert np.shares_memory(colors, ds.colors)
+        assert np.shares_memory(targets, ds.targets)
+
+
+STREAM_OWNERS = {"classical": Variant.classical(), "r_gather": Variant.r_gather(10),
+                 "r_capacity": Variant.r_capacity(20), "fault_tolerant": Variant.fault_tolerant(2),
+                 "semi_supervised": Variant.semi_supervised(0.5)}
+
+
+def owner_array(owners, n, l):
+    assert isinstance(owners, np.ndarray) and owners.dtype == np.intp
+    assert owners.shape == (n, l)
+    assert np.all(np.diff(owners, axis=1) > 0) and owners.min() >= 0 and owners.max() < 3
+
+
+@pytest.mark.parametrize("aspect", [False, True])
+@pytest.mark.parametrize("kind", sorted(STREAM_OWNERS))
+def test_stream_owners_are_one_ascending_array(kind, aspect):
+    variant = STREAM_OWNERS[kind]
+    pr = full_pipeline(ArraySource(colored(8), block=16), 3, variant, CFG,
+                       np.random.default_rng(9), aspect_removal=aspect)
+    owner_array(pr.owners, 48, 2 if kind == "fault_tolerant" else 1)
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_OWNERS) + ["chromatic"])
+def test_batch_owners_are_one_ascending_array(kind):
+    ds = colored(8)
+    if kind == "chromatic":
+        variant, ds = Variant.chromatic(), Dataset(ds.points, colors=np.arange(48) % 16)
+    else:
+        variant = STREAM_OWNERS[kind]
+    res = batch_solve(ds, 3, variant, CFG, np.random.default_rng(9))
+    owner_array(res.owners, 48, 2 if kind == "fault_tolerant" else 1)
+
+
 @pytest.mark.parametrize("aspect", [False, True])
 def test_pipeline_on_csv_matches_array_source(tmp_path, aspect):
     ds, _ = planted(3, n=200)
@@ -137,7 +210,7 @@ def test_pipeline_on_csv_matches_array_source(tmp_path, aspect):
         a, c = [full_pipeline(src, 3, variant, CFG, np.random.default_rng(4), chunk=50,
                               aspect_removal=aspect)
                 for src in (ArraySource(ds, block=16), CSVSource(path, block=16))]
-        assert c.owners == a.owners
+        assert np.array_equal(c.owners, a.owners)
         assert c.centers.tobytes() == a.centers.tobytes()
         assert repr(c.cost) == repr(a.cost) and c.passes_used == a.passes_used
 
@@ -415,8 +488,8 @@ class _TargetsGoneOnPass(ArraySource):
         super().__init__(ds, block=16)
         self.gone = gone
 
-    def _blocks(self):
-        for pts, colors, targets in super()._blocks():
+    def _joins(self, rows):
+        for pts, colors, targets in super()._joins(rows):
             yield pts, colors, None if self.passes >= self.gone else targets
 
 
@@ -443,7 +516,7 @@ def test_pipeline_replay_determinism():
     b = full_pipeline(ArraySource(ds, block=16), 3, Variant.classical(), CFG,
                       np.random.default_rng(12))
     assert np.array_equal(a.centers, b.centers)
-    assert a.owners == b.owners
+    assert np.array_equal(a.owners, b.owners)
     assert a.cost == b.cost and a.selected == b.selected
 
 
@@ -482,8 +555,9 @@ def test_pipeline_fault_tolerant_owner_tuples():
     ds, _ = planted(17)
     pr = full_pipeline(ArraySource(ds, block=16), 3, Variant.fault_tolerant(2), CFG,
                        np.random.default_rng(18))
-    for own in pr.owners:
-        assert len(own) == 2 and own == tuple(sorted(set(own)))
+    assert pr.owners.shape == (48, 2)
+    for own in pr.owners.tolist():
+        assert own == sorted(set(own))
 
 
 def test_pipeline_semi_supervised_cost_is_a_matching_blend():
@@ -642,7 +716,7 @@ def test_batch_closed_forms_score_their_exact_total_at_any_bits():
         for res in runs:
             # the winner's score is the total its owners' costs sum to
             assert float(res.flow_cost).hex() == float(res.cost).hex(), variant
-        assert len({(r.selected, float(r.cost).hex(), tuple(r.owners)) for r in runs}) == 1
+        assert len({(r.selected, float(r.cost).hex(), r.owners.tobytes()) for r in runs}) == 1
 
 
 def test_batch_selects_the_exact_argmin_at_8_bits():
@@ -686,7 +760,7 @@ def same_batch_result(got, want):
     assert got.selected == want.selected
     assert repr(got.cost) == repr(want.cost)
     assert repr(got.flow_cost) == repr(want.flow_cost)
-    assert got.owners == want.owners
+    assert np.array_equal(got.owners, want.owners)
     assert np.array_equal(got.centers, want.centers)
 
 
@@ -1012,7 +1086,7 @@ def joined_run(monkeypatch, ds, block, variant, aspect):
 
 def same_result(a, b):
     assert a.centers.tobytes() == b.centers.tobytes()
-    assert a.owners == b.owners
+    assert np.array_equal(a.owners, b.owners)
     assert (a.cost, a.flow_cost, a.selected, a.d_star) == (b.cost, b.flow_cost, b.selected,
                                                            b.d_star)
     assert a.space == b.space and a.passes_used == b.passes_used
