@@ -406,9 +406,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--list-alpha", type=float, default=2.0, dest="list_alpha",
                    help="seed approximation factor used by the formula preset")
     p.add_argument("--select", default="argmin", choices=["argmin", "range"],
-                   help="winner rule: the cheapest candidate, or the first in the "
-                        "deepest (1 - epsilon)-geometric range below the largest "
-                        "finite cost, within 1/(1 - epsilon) of the cheapest")
+                   help="winner rule: the cheapest candidate, or the first one "
+                        "within 1/(1 - epsilon) of the cheapest")
     p.add_argument("--bits", type=int, default=32, help=_BITS_HELP)
     p.add_argument("--seed", type=int, required=True)
 

@@ -19,10 +19,11 @@ r_gather and r_capacity key a compressed graph per candidate, from a
 table of up to a block's distinct rows, solve the graphs offline
 between passes and peel the winner's flow.  batch_solve is the
 in-memory pipeline behind `ckmeans solve`; it scores a closed form's
-candidates in one pass over the points, and in argmin mode bounds a
-flow's every candidate from below in one blocked pass over the list's
-distinct centers, solves candidates exactly in ascending bound order,
-and stops once no bound can beat the best.  Both build their candidate
+candidates in one pass over the points, and bounds a flow's every
+candidate from below in one blocked pass over the list's distinct
+centers, solves candidates exactly in ascending bound order, and stops
+once no bound can beat the best (range mode then solves lower indices
+whose bound is within 1/(1-eps) of it).  Both build their candidate
 list with listgen.candidate_list, from D^2 samples drawn in memory or
 from reservoirs filled in one pass, and pick the winner by the same rule.
 """
@@ -278,37 +279,19 @@ def check_select(mode: str, epsilon: float | None) -> None:
 def select_best(costs, mode: str = "argmin", epsilon: float | None = None) -> int:
     """Pick the winning candidate index from real costs (inf = infeasible).
 
-    argmin is exact.  Range mode caps at the largest finite cost, groups
-    costs into geometric ranges ((1-eps)^(i+1) * cap, (1-eps)^i * cap]
-    and returns the first member of the deepest occupied range.  No cost
-    exceeds the cap, so that range holds the minimum and the winner's
-    cost is within 1/(1-eps) of it.  When every feasible cost is 0,
-    argmin decides.
+    argmin returns the first cheapest index.  Range mode returns the
+    first index whose cost is at most min / (1-eps), so the winner's
+    cost is within 1/(1-eps) of the minimum; when the minimum is 0, that
+    is argmin's index.
     """
     check_select(mode, epsilon)
     c = np.asarray(costs, dtype=np.float64)
-    finite = np.isfinite(c)
-    if not finite.any():
+    if not np.isfinite(c).any():
         raise InfeasiblePartitionError("no feasible candidate to select from")
-    cap = float(c[finite].max())
-    if mode == "argmin" or not cap > 0.0:
-        return int(np.argmin(c))
-    shrink = 1.0 - epsilon
-    best_depth, best_idx = -1.0, None
-    for i, v in enumerate(c):
-        if not math.isfinite(v):
-            continue
-        if v <= 0.0:
-            depth = math.inf
-        else:
-            depth = math.floor(math.log(v / cap) / math.log(shrink))
-            while shrink**depth * cap < v:
-                depth -= 1
-            while shrink ** (depth + 1) * cap >= v:
-                depth += 1
-        if depth > best_depth:
-            best_depth, best_idx = depth, i
-    return int(best_idx)
+    low = int(np.argmin(c))
+    if mode == "argmin":
+        return low
+    return int(np.argmax(c <= c[low] / (1.0 - epsilon)))
 
 
 def _check_t(cfg: GoodCentersConfig, k: int) -> None:
@@ -459,8 +442,9 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
     (partition_bounds), solves candidates in ascending (bound, index)
     order until no bound can beat the best (cost, index), and leaves the
     rest at cost +inf, so the argmin and its tie-break stay.  Range mode
-    caps at the largest finite cost, known only after every solve, so it
-    solves every flow candidate."""
+    then walks the indices below the argmin in order, skips a candidate
+    whose bound exceeds min / (1-eps), and solves the others until one
+    is within it: select_best's first index within the threshold."""
     _check_t(cfg, k)
     check_precision_bits(precision_bits)
     check_select(select_mode, cfg.epsilon)
@@ -481,16 +465,28 @@ def batch_solve(data, k: int, variant: Variant, cfg: GoodCentersConfig, rng, *,
         owners, cost = closed_form_assign(blocks, centers, variant, totals[:, winner])
         return BatchResult(centers, owners, cost, float(costs[winner]), winner, seed.cost, cands)
     m = len(cands)
-    bounds = ([-math.inf] * m if select_mode == "range" else
-              partition_bounds(ds, stack, variant, precision_bits=precision_bits).tolist())
-    costs = np.full(m, math.inf)
+    bounds = partition_bounds(ds, stack, variant, precision_bits=precision_bits).tolist()
+    costs, solved = np.full(m, math.inf), np.zeros(m, dtype=bool)
+
+    def solve(i):
+        costs[i] = partition_cost(ds, cands.entries[i].centers, variant,
+                                  precision_bits=precision_bits)
+        solved[i] = True
+
     best = (math.inf, m)
     for i in sorted(range(m), key=lambda j: (bounds[j], j)):
         if (bounds[i], i) >= best:
             break
-        costs[i] = partition_cost(ds, cands.entries[i].centers, variant,
-                                  precision_bits=precision_bits)
+        solve(i)
         best = min(best, (costs[i], i))
+    if select_mode == "range":
+        # a lower index within the threshold wins; a bound above it cannot
+        limit = best[0] / (1.0 - cfg.epsilon)
+        for i in range(best[1]):
+            if not solved[i] and bounds[i] <= limit:
+                solve(i)
+            if costs[i] <= limit:
+                break
     winner = select_best(costs, select_mode, cfg.epsilon)
     asg = partition_assign(ds, cands.entries[winner].centers, variant,
                            precision_bits=precision_bits)

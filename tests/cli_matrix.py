@@ -19,8 +19,8 @@ The matrix:
   - solve: six variants x argmin/range x --bits 8/32/62 x seeds 1-2,
     with --candidates;
   - solve at the desk defaults (no knob flags: 800 candidates, so the
-    bounds run over many row blocks): classical, fault_tolerant and
-    semi_supervised under argmin and range;
+    bounds run over many row blocks): classical, r_gather, r_capacity,
+    fault_tolerant and semi_supervised under argmin and range;
   - stream: five variants x aspect removal off/on x --block 7/64/256 x
     argmin/range;
   - partition: six variants;
@@ -58,7 +58,7 @@ VARIANTS = {
     "semi_supervised": ["--alpha", "0.5"],
 }
 STREAMED = [v for v in VARIANTS if v != "chromatic"]
-DESK_SOLVED = ["classical", "fault_tolerant", "semi_supervised"]
+DESK_SOLVED = ["classical", "r_gather", "r_capacity", "fault_tolerant", "semi_supervised"]
 # the 9,000-point input's variants: r_capacity gets room for every row
 LONG = {**VARIANTS, "r_capacity": ["--r", "4500"]}
 TIMING = re.compile(r"^ckmeans: \d+\.\d+s\n", re.MULTILINE)

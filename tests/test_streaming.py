@@ -386,18 +386,23 @@ def test_select_argmin():
         select_best([])
 
 
-def test_select_range_mode_depth_rules():
+def test_select_range_mode_first_within_threshold():
     eps = 0.5
-    # the cap is the largest finite cost, 1.0 here; ranges (0.5, 1],
-    # (0.25, 0.5], ...; deepest occupied wins
+    # the minimum is 0.3, so the threshold is 0.6: index 0 qualifies first
+    assert select_best([0.55, 0.3, 1.0], "range", eps) == 0
     assert select_best([0.9, 0.3, 0.26, 1.0], "range", eps) == 1
-    # ties inside one range: first index
-    assert select_best([0.3, 0.27, 1.0], "range", eps) == 0
-    # zero cost is infinitely deep
-    assert select_best([0.9, 0.0, 1.0], "range", eps) == 1
+    # a cost equal to the threshold qualifies
+    assert select_best([0.6, 0.3], "range", eps) == 0
     assert select_best([7.0, 0.4], "range", eps) == 1
-    # infeasible entries ignored
+    # a zero minimum: argmin's index
+    assert select_best([0.9, 0.0, 1.0, 0.0], "range", eps) == 1
+    assert select_best([0.0, 0.0, 0.0], "range", eps) == 0
+    # a subnormal minimum, and costs whose ratio is beyond float range
+    assert select_best([1e-320, 1e10], "range", eps) == 0
+    assert select_best([1e-300, 1e300], "range", eps) == 0
+    # infeasible entries never qualify
     assert select_best([math.inf, 0.9, 1.0], "range", eps) == 1
+    assert select_best([math.inf, 0.9, math.inf, 0.2], "range", eps) == 3
 
 
 def test_select_range_winner_near_optimal():
@@ -786,17 +791,18 @@ def test_bound_ordered_scoring_matches_scoring_every_candidate():
                 same_batch_result(run(batch_solve), want)
 
 
-def solve_listed(monkeypatch, X, listed, variant, bits=62):
+def solve_listed(monkeypatch, X, listed, variant, bits=62, mode="argmin"):
     """batch_solve and the full-scoring reference on the candidate list
-    `listed` (center arrays, in order), in argmin mode."""
+    `listed` (center arrays, in order), in selection mode `mode`."""
     k, d = listed[0].shape
     cands = CandidateList([CandidateEntry(np.asarray(C, dtype=float), 0, ())
                            for C in listed], k, d)
     monkeypatch.setattr(streaming, "good_centers", lambda *a: cands)
     cfg = GoodCentersConfig(t=k, epsilon=0.5, preset="desk")
-    got = batch_solve(X, k, variant, cfg, np.random.default_rng(0), precision_bits=bits)
+    got = batch_solve(X, k, variant, cfg, np.random.default_rng(0), select_mode=mode,
+                      precision_bits=bits)
     want = batch_solve_scoring_all(X, k, variant, cfg, np.random.default_rng(0),
-                                   precision_bits=bits)
+                                   select_mode=mode, precision_bits=bits)
     same_batch_result(got, want)
     return got
 
@@ -823,6 +829,42 @@ def test_a_lower_index_whose_bound_equals_the_best_cost_is_solved(monkeypatch):
     # the best cost at a lower index, so TIGHT must be solved and win
     assert solve_listed(monkeypatch, LINE, [TIGHT, LOOSE], v).selected == 0
     assert solve_listed(monkeypatch, LINE, [LOOSE, TIGHT], v).selected == 0
+
+
+def test_range_mode_walk_skips_high_bounds_and_solves_each_candidate_once(monkeypatch):
+    v = Variant.r_gather(2)
+
+    def solves(X, listed, mode):
+        # batch_solve's winner and the indices it solved, in order
+        solved = []
+
+        def spy(X, C, *args, **kw):
+            solved.append(next(i for i, c in enumerate(listed) if np.array_equal(c, C)))
+            return partition_cost(X, C, *args, **kw)
+
+        monkeypatch.setattr(streaming, "partition_cost", spy)
+        return solve_listed(monkeypatch, X, listed, v, mode=mode).selected, solved
+
+    near, best = np.array([[0.0, 0.0], [11.0, 0.0]]), np.array([[1.0, 0.0], [12.0, 0.0]])
+    listed = [FAR, TIGHT, near, best]
+    bounds = partition_bounds(LINE, np.stack(listed), v, precision_bits=62).tolist()
+    costs = [partition_cost(LINE, C, v, precision_bits=62) for C in listed]
+    limit = costs[3] / (1.0 - 0.5)
+    # argmin picks `best`; `near` is within the threshold at a lower
+    # index; FAR and TIGHT come first, but their bounds exceed it
+    assert costs[3] == min(costs) and costs[2] <= limit < min(bounds[:2])
+    assert solves(LINE, listed, "argmin") == (3, [3])
+    assert solves(LINE, listed, "range") == (2, [3, 2])
+
+    # the argmin search solves `cheap` first, by its bound, then `dear`;
+    # the walk passes `cheap` again (bound within the threshold, cost
+    # above it) and must not solve it twice
+    square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [10.0, 0.0]])
+    cheap, dear = np.array([[0.5, 0.5], [11.0, 0.0]]), np.array([[0.5, 0.5], [5.0, 0.0]])
+    bounds = partition_bounds(square, np.stack([cheap, dear]), v, precision_bits=62).tolist()
+    costs = [partition_cost(square, C, v, precision_bits=62) for C in (cheap, dear)]
+    assert bounds[0] < bounds[1] < costs[1] / (1.0 - 0.5) < costs[0]
+    assert solves(square, [cheap, dear], "range") == (1, [0, 1])
 
 
 def test_an_all_infeasible_list_raises_as_before(monkeypatch):
@@ -856,6 +898,42 @@ def test_batch_solve_solves_few_candidates_exactly(monkeypatch):
             res = batch_solve(ds, 3, variant, cfg, np.random.default_rng(1))
             assert res.list_size == 20
             assert min(1, most) <= len(solved) <= most
+
+
+def test_batch_range_mode_solves_argmins_candidates_and_its_walk(monkeypatch):
+    # 200 candidates: range mode solves argmin's candidates, then, in index
+    # order up to its winner, each one not yet solved whose bound is within
+    # the threshold; nothing else, and nothing twice
+    cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk",
+                            eta=16, tau=2, repetitions=2, subset_budget=100)
+    solved = []
+
+    def spy(X, C, *args, **kw):
+        solved.append(C)
+        return partition_cost(X, C, *args, **kw)
+
+    monkeypatch.setattr(streaming, "partition_cost", spy)
+    for s in range(3):
+        ds, _ = gaussian_groups(600, 3, rng=np.random.default_rng(s))
+        variant = Variant.r_gather(100)
+        runs = {}
+        for mode in ("argmin", "range"):
+            solved.clear()
+            res = batch_solve(ds, 3, variant, cfg, np.random.default_rng(1), select_mode=mode)
+            index = {id(e.centers): i for i, e in enumerate(res.candidates.entries)}
+            runs[mode] = res, [index[id(C)] for C in solved]
+        (low, by_argmin), (ranged, by_range) = runs["argmin"], runs["range"]
+        assert ranged.list_size == 200
+        limit = low.flow_cost / (1.0 - cfg.epsilon)
+        stack = np.stack([e.centers for e in low.candidates.entries])
+        bounds = partition_bounds(ds, stack, variant, precision_bits=32)
+        walk = [i for i in range(ranged.selected + 1)
+                if bounds[i] <= limit and i not in by_argmin]
+        assert by_range == by_argmin + walk
+        assert len(by_range) < 20
+        same_batch_result(ranged, batch_solve_scoring_all(ds, 3, variant, cfg,
+                                                          np.random.default_rng(1),
+                                                          select_mode="range"))
 
 
 def test_pipeline_space_phases_present():
@@ -1021,10 +1099,16 @@ def test_pipeline_aspect_feasible_and_close():
     assert pr.cost <= exact * (1 + 0.5) + 1e-6 and exact <= pr.cost * (1 + 0.5) + 1e-6
 
 
-def test_range_selection_end_to_end():
-    # the benchmark's stream knobs: the 2k-center seed costs less than
-    # every candidate here, so a cap at its cost would tie them all in
-    # range 0 and hand the win to index 0
+def test_range_selection_end_to_end(monkeypatch):
+    # the benchmark's stream knobs: in both pipelines the range winner is
+    # the first candidate within 1/(1 - eps) of the argmin run's cost
+    scored = []
+
+    def spy(costs, *args):
+        scored.append(np.asarray(costs, dtype=np.float64).copy())
+        return select_best(costs, *args)
+
+    monkeypatch.setattr(streaming, "select_best", spy)
     ds, _ = gaussian_groups(4000, 3, rng=np.random.default_rng(7))
     cfg = GoodCentersConfig(t=3, epsilon=0.5, preset="desk", eta=16, tau=1,
                             repetitions=2, subset_budget=4)
@@ -1035,9 +1119,14 @@ def test_range_selection_end_to_end():
                       lambda mode: full_pipeline(ArraySource(ds, block=256), 3,
                                                  Variant.classical(), cfg,
                                                  np.random.default_rng(seed), select_mode=mode)):
+            scored.clear()
             ranged, best = solve("range"), solve("argmin")
             assert math.isfinite(ranged.cost)
             assert ranged.flow_cost <= bound * best.flow_cost, seed
+            costs = scored[0]
+            assert costs.min() == best.flow_cost
+            first = int(np.flatnonzero(costs <= best.flow_cost / (1.0 - cfg.epsilon))[0])
+            assert ranged.selected == first, seed
 
 
 # joined passes -----------------------------------------------------------------
